@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet verify bench perfguard clean \
+.PHONY: all build test race lint vet verify bench clean \
 	fuzz-seeds fuzz trace-oracle trace bench-par suite
 
 all: build test lint
@@ -33,7 +33,7 @@ trace-oracle:
 # Traced sample run: writes a Perfetto-loadable trace of the observability
 # workload (load at https://ui.perfetto.dev).
 trace:
-	$(GO) run ./cmd/htbench -quick -run "Fig. 10" -json /tmp/htbench-trace.json -trace perfetto-trace.json
+	$(GO) run ./cmd/htbench -quick -run "Fig. 10" -trace perfetto-trace.json
 
 # Project analyzers: poolsafety, determinism, atcall, obsalloc (DESIGN.md §8).
 lint:
@@ -66,12 +66,6 @@ bench:
 # headlines are bit-identical to `bench`.
 bench-par:
 	$(GO) run ./cmd/htbench -quick -simworkers 4
-
-# Regenerate results and gate on the committed baseline: bit-identical
-# headlines, wall time within 15%.
-perfguard:
-	$(GO) run ./cmd/htbench -quick -workers 1 -json /tmp/htbench-fresh.json
-	$(GO) run ./cmd/perfguard -baseline BENCH_results.json -fresh /tmp/htbench-fresh.json
 
 clean:
 	$(GO) clean ./...

@@ -9,6 +9,8 @@ package hypertester_test
 
 import (
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -77,14 +79,17 @@ func BenchmarkAblationC_Amplification(b *testing.B) {
 }
 func BenchmarkCaseStudy_WebScale(b *testing.B) { runExperiment(b, experiments.CaseWebScale) }
 
-// Sanity check that every experiment is wired into All and the parallel
-// runner returns them in paper order.
+// TestAllExperimentsRun checks that every experiment is wired into All, that
+// the parallel runner returns them in paper order, and that each headline
+// equals testdata/headlines.golden bit for bit: the experiments are
+// deterministic, so any drift is a behaviour change somewhere below them.
 func TestAllExperimentsRun(t *testing.T) {
 	results := experiments.All(experiments.Config{Quick: true, Seed: 1})
 	if len(results) != 18 {
 		t.Fatalf("All() ran %d experiments, want 18", len(results))
 	}
 	seen := map[string]bool{}
+	var got strings.Builder
 	for _, r := range results {
 		if r == nil || len(r.Rows) == 0 {
 			t.Fatalf("experiment %+v has no rows", r)
@@ -101,5 +106,24 @@ func TestAllExperimentsRun(t *testing.T) {
 		if testing.Verbose() {
 			fmt.Println(r.String())
 		}
+		v, unit, err := experiments.Headline(r)
+		if err != nil {
+			t.Fatalf("headline metric: %v", err)
+		}
+		fmt.Fprintf(&got, "%s\t%s\t%s\n", r.ID, strconv.FormatFloat(v, 'g', -1, 64), unit)
+	}
+
+	golden, err := os.ReadFile("testdata/headlines.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			want.WriteString(line)
+		}
+	}
+	if got.String() != want.String() {
+		t.Errorf("headlines drifted from testdata/headlines.golden:\n--- got\n%s--- want\n%s", got.String(), want.String())
 	}
 }

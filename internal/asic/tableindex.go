@@ -2,10 +2,6 @@ package asic
 
 import "sort"
 
-// TableImpl tags the active match-table lookup implementation, recorded into
-// BENCH_results.json so the bench trajectory is attributable across PRs.
-const TableImpl = "indexed/v1"
-
 // Indexed lookup structures
 //
 // The Tofino resolves every match kind in constant time per packet; the
@@ -25,8 +21,8 @@ const TableImpl = "indexed/v1"
 //     priority sweep precomputes the winning entry for each, and Apply
 //     binary-searches the interval containing the key.
 //
-// The linear scans survive below (lookupTernaryLinear, lookupRangeLinear) as
-// unexported reference oracles for the differential tests.
+// The linear scans survive in tableindex_test.go (lookupTernaryLinear,
+// lookupRangeLinear) as the reference oracles of the differential tests.
 
 type ternaryIndex struct {
 	// commonMask is the AND of every entry's mask, per key word.
@@ -110,25 +106,6 @@ func (t *Table) lookupTernary(keys []uint64) (int, bool) {
 		}
 		if match {
 			return int(i), true
-		}
-	}
-	return 0, false
-}
-
-// lookupTernaryLinear is the pre-index scan, kept as the reference oracle
-// for differential tests. The entries slice must already be sorted.
-func (t *Table) lookupTernaryLinear(keys []uint64) (int, bool) {
-	for i := range t.ternary {
-		e := &t.ternary[i]
-		match := true
-		for j := range keys {
-			if keys[j]&e.mask[j] != e.value[j]&e.mask[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i, true
 		}
 	}
 	return 0, false
@@ -234,18 +211,6 @@ func (t *Table) lookupRange(key uint64) (int, bool) {
 	}
 	if w := t.rng.winner[i]; w >= 0 {
 		return int(w), true
-	}
-	return 0, false
-}
-
-// lookupRangeLinear is the pre-index scan, kept as the reference oracle for
-// differential tests. The entries slice must already be sorted.
-func (t *Table) lookupRangeLinear(key uint64) (int, bool) {
-	for i := range t.ranges {
-		e := &t.ranges[i]
-		if key >= e.lo && key <= e.hi {
-			return i, true
-		}
 	}
 	return 0, false
 }

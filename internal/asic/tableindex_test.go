@@ -5,6 +5,37 @@ import (
 	"testing"
 )
 
+// lookupTernaryLinear is the pre-index scan, the reference oracle of the
+// differential tests below. The entries slice must already be sorted.
+func (t *Table) lookupTernaryLinear(keys []uint64) (int, bool) {
+	for i := range t.ternary {
+		e := &t.ternary[i]
+		match := true
+		for j := range keys {
+			if keys[j]&e.mask[j] != e.value[j]&e.mask[j] {
+				match = false
+				break
+			}
+		}
+		if match {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// lookupRangeLinear is the pre-index scan, the reference oracle of the
+// differential tests below. The entries slice must already be sorted.
+func (t *Table) lookupRangeLinear(key uint64) (int, bool) {
+	for i := range t.ranges {
+		e := &t.ranges[i]
+		if key >= e.lo && key <= e.hi {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // randTernaryTable fills a ternary table with a mix of structured entries
 // (shared mask shapes, as real compilers emit), overlapping priorities, and
 // the occasional catch-all that zeroes the common mask.

@@ -45,42 +45,41 @@ func validateProgram(prog *Program, opts Options) error {
 		}
 	}
 
-	r := prog.Resources
-	type col struct {
-		name string
-		use  float64
-		cap  float64
-	}
-	cols := []col{
-		{"match crossbar", float64(r.CrossbarBytes), float64(ChipBudget.CrossbarBytes)},
-		{"SRAM", r.SRAMBlocks, ChipBudget.SRAMBlocks},
-		{"TCAM", r.TCAMBlocks, ChipBudget.TCAMBlocks},
-		{"VLIW", float64(r.VLIWSlots), float64(ChipBudget.VLIWSlots)},
-		{"hash bits", float64(r.HashBits), float64(ChipBudget.HashBits)},
-		{"SALU", float64(r.SALUs), float64(ChipBudget.SALUs)},
-		{"gateways", float64(r.Gateways), float64(ChipBudget.Gateways)},
-	}
-	for _, c := range cols {
-		if c.use > c.cap {
+	budget := ChipBudget.Columns()
+	for i, c := range prog.Resources.Columns() {
+		if c.Value > budget[i].Value {
 			return fmt.Errorf(
 				"compiler: task needs %.1f %s but the chip has %.1f; the task cannot be accommodated (§6.1)",
-				c.use, c.name, c.cap)
+				c.Value, c.Name, budget[i].Value)
 		}
 	}
 
-	// Whole-chip totals fit; now verify the plan can actually be laid out
-	// and executed on the staged pipeline (verifyir.go), with the template
-	// invariants available to the path-sensitive consult.
-	if prog.P4 != nil {
-		if err := VerifyPlanEnv(prog.P4, TofinoStageModel, TemplateInvariants(prog)); err != nil {
-			return err
-		}
-		// Path-sensitive safety gate (internal/verify): invalid-header
-		// accesses, recirculation without a termination proof, and SALU
-		// conflicts the layout heuristic cannot see.
-		if errs := AnalyzePlan(prog, verify.Options{}).Errors(); len(errs) > 0 {
-			return fmt.Errorf("compiler: symbolic verifier: %s", errs[0])
-		}
+	// Whole-chip totals fit; now the plan must be placeable on the staged
+	// pipeline (verifyir.go) and safe to execute on it.
+	if prog.P4 == nil {
+		return nil
+	}
+	if err := VerifyPlan(prog.P4, TofinoStageModel); err != nil {
+		return err
+	}
+	return checkPlanSafety(prog, verify.Options{})
+}
+
+// checkPlanSafety is the one safety verdict of the compile gate: the
+// path-sensitive walker (internal/verify) proves parser termination, header
+// validity at every access, a single SALU access per register per pass and
+// bounded recirculation, on every feasible path. A walk that hit its path
+// cap proved nothing about the paths it never reached, so it is a rejection
+// too — an unverified plan must not deploy.
+func checkPlanSafety(prog *Program, opts verify.Options) error {
+	rep := AnalyzePlan(prog, opts)
+	if errs := rep.Errors(); len(errs) > 0 {
+		return fmt.Errorf("compiler: symbolic verifier: %s", errs[0])
+	}
+	if rep.Truncated {
+		return fmt.Errorf(
+			"compiler: symbolic verifier: walk truncated after %d feasible paths; the plan is unverified and cannot be deployed (§6.1)",
+			rep.Paths)
 	}
 	return nil
 }

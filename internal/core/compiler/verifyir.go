@@ -5,32 +5,19 @@ import (
 	"strings"
 
 	"github.com/hypertester/hypertester/internal/p4ir"
-	"github.com/hypertester/hypertester/internal/verify"
 )
 
-// This file is the IR-level pipeline verifier: validate.go's whole-chip
-// budget check says whether a program fits the chip *in total*; VerifyPlan
-// says whether it can actually be *laid out and executed* on an RMT
-// pipeline. It statically rejects, at compile time, the plan shapes that
-// would otherwise misbehave at simulation (or deployment) time:
-//
-//   - parser graphs with cycles — the TCAM-driven parser state machine
-//     would never terminate;
-//   - two stateful-ALU accesses to the same register on one packet pass —
-//     RMT registers are bound to a single SALU, which fires at most once
-//     per packet per pipeline;
-//   - table/register placements that overflow the per-stage resource
-//     budget — a table has to live in *some* stage, and stages are finite;
-//   - unguarded recirculation — a `recirculate` reachable on every packet
-//     with no loop state to bound it recirculates forever and melts the
-//     accelerator's capacity model (§6.1).
+// This file is the stage-placement check: validate.go's whole-chip budget
+// says whether a program fits the chip *in total*; VerifyPlan says whether
+// its tables can be *laid out* on an RMT pipeline — a table has to live in
+// *some* stage, and stages are finite. Whether the laid-out plan is safe to
+// execute (parser termination, one stateful-ALU access per pass, bounded
+// recirculation, header validity) is the symbolic walker's verdict
+// (internal/verify), which validateProgram asks for exactly once.
 //
 // The model is deliberately conservative where the real chip's compiler
-// backtracks: placement is greedy in control order (a table may span
-// consecutive stages when wider than one stage's budget), and branch
-// exclusivity is recognized syntactically (Then vs Else, and equality
-// guards on the same field with different constants — the shape our
-// generator emits for per-template gating).
+// backtracks: placement is greedy in control order, and a table may span
+// consecutive stages when wider than one stage's budget.
 
 // StageModel is the stage-level capacity of the target ASIC.
 type StageModel struct {
@@ -58,275 +45,55 @@ var TofinoStageModel = StageModel{
 	},
 }
 
-// VerifyPlan statically checks a compiled pipeline plan against the stage
-// model. It returns the first violation found, or nil for a deployable
-// plan.
+// VerifyPlan checks that both pipelines of a compiled plan can be placed
+// into the stage model. It returns the first table that cannot be laid out,
+// or nil.
 func VerifyPlan(p *p4ir.Program, m StageModel) error {
-	return VerifyPlanEnv(p, m, nil)
-}
-
-// VerifyPlanEnv is VerifyPlan with environment invariants attached: when the
-// syntactic exclusivity heuristic fails on a SALU pair, the path-sensitive
-// walker (internal/verify) is consulted under these invariants before the
-// plan is rejected.
-func VerifyPlanEnv(p *p4ir.Program, m StageModel, invs []verify.Implication) error {
-	v := newVerifier(p)
-	v.invs = invs
-	if err := v.checkParserDAG(); err != nil {
-		return err
-	}
-	for _, pipe := range []struct {
-		name  string
-		stmts []p4ir.ControlStmt
-	}{{"ingress", p.Ingress}, {"egress", p.Egress}} {
-		accesses := v.collectAccesses(pipe.stmts, nil)
-		if err := v.checkSALUAccess(pipe.name, accesses); err != nil {
-			return err
-		}
-		if err := v.checkStagePlacement(pipe.name, pipe.stmts, m); err != nil {
-			return err
-		}
-		if err := v.checkRecircBound(pipe.name, accesses); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type verifier struct {
-	prog    *p4ir.Program
-	tables  map[string]*p4ir.TableDef
-	actions map[string]*p4ir.ActionDef
-
-	invs []verify.Implication
-	rep  *verify.Report // lazily-computed path-sensitive report
-}
-
-func newVerifier(p *p4ir.Program) *verifier {
-	v := &verifier{
-		prog:    p,
-		tables:  map[string]*p4ir.TableDef{},
-		actions: map[string]*p4ir.ActionDef{},
+	pl := placer{
+		prog:      p,
+		model:     m,
+		tables:    map[string]*p4ir.TableDef{},
+		actions:   map[string]*p4ir.ActionDef{},
+		registers: map[string]*p4ir.RegisterDef{},
 	}
 	for _, t := range p.Tables {
-		v.tables[t.Name] = t
+		pl.tables[t.Name] = t
 	}
 	for _, a := range p.Actions {
-		v.actions[a.Name] = a
+		pl.actions[a.Name] = a
 	}
-	return v
+	for _, r := range p.Registers {
+		pl.registers[r.Name] = r
+	}
+	if err := pl.place("ingress", p.Ingress); err != nil {
+		return err
+	}
+	return pl.place("egress", p.Egress)
 }
 
-// checkParserDAG rejects cyclic parse graphs by depth-first search with
-// the classic three-color scheme.
-func (v *verifier) checkParserDAG() error {
-	edges := v.prog.ParserGraph()
-	next := map[string][]string{}
-	for _, e := range edges {
-		next[e.From] = append(next[e.From], e.To)
-	}
-	const (
-		white = 0 // unvisited
-		gray  = 1 // on the current DFS path
-		black = 2 // finished
-	)
-	color := map[string]int{}
-	var path []string
-	var visit func(n string) error
-	visit = func(n string) error {
-		color[n] = gray
-		path = append(path, n)
-		for _, to := range next[n] {
-			switch color[to] {
-			case gray:
-				return fmt.Errorf("compiler: parser graph has a cycle: %s -> %s; the parse state machine would not terminate",
-					strings.Join(path, " -> "), to)
-			case white:
-				if err := visit(to); err != nil {
-					return err
-				}
-			}
-		}
-		path = path[:len(path)-1]
-		color[n] = black
-		return nil
-	}
-	for _, e := range edges {
-		if color[e.From] == white {
-			if err := visit(e.From); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+type placer struct {
+	prog      *p4ir.Program
+	model     StageModel
+	tables    map[string]*p4ir.TableDef
+	actions   map[string]*p4ir.ActionDef
+	registers map[string]*p4ir.RegisterDef
 }
 
-// guard is one branch condition active at an apply site. negated marks the
-// Else side.
-type guard struct {
-	cond    string
-	negated bool
-}
-
-// saluAccess is one stateful-ALU access reachable in a pipeline pass.
-type saluAccess struct {
-	register string
-	table    string
-	action   string
-	op       p4ir.OpKind
-	guards   []guard
-}
-
-// collectAccesses walks a control list gathering every SALU access with
-// its enclosing guard chain. All sequential statements execute on the same
-// packet; only Then/Else choose.
-func (v *verifier) collectAccesses(stmts []p4ir.ControlStmt, guards []guard) []saluAccess {
-	var out []saluAccess
-	for i := range stmts {
-		s := &stmts[i]
-		if s.Apply != "" {
-			t := v.tables[s.Apply]
-			if t == nil {
-				continue // p4ir.Validate reports unknown tables
-			}
-			for _, an := range t.Actions {
-				a := v.actions[an]
-				if a == nil {
-					continue
-				}
-				for _, op := range a.Ops {
-					switch op.Kind {
-					case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
-						out = append(out, saluAccess{
-							register: op.Dst,
-							table:    t.Name,
-							action:   a.Name,
-							op:       op.Kind,
-							guards:   append([]guard(nil), guards...),
-						})
-					}
-				}
-			}
-		}
-		if s.If != "" {
-			thenGuards := append(append([]guard(nil), guards...), guard{cond: s.If})
-			out = append(out, v.collectAccesses(s.Then, thenGuards)...)
-			elseGuards := append(append([]guard(nil), guards...), guard{cond: s.If, negated: true})
-			out = append(out, v.collectAccesses(s.Else, elseGuards)...)
-		}
-	}
-	return out
-}
-
-// checkSALUAccess enforces the one-SALU-access-per-packet rule: no packet
-// pass through one pipeline may reach the same register twice, except via
-// provably exclusive branches. Two actions of the same table are
-// alternatives (one action per table per packet), so they never conflict
-// with each other.
-func (v *verifier) checkSALUAccess(pipe string, accesses []saluAccess) error {
-	// Same action touching a register twice is always a conflict: one
-	// SALU fires once per packet.
-	type key struct{ action, register string }
-	seen := map[key]bool{}
-	for _, a := range accesses {
-		k := key{a.action, a.register}
-		if seen[k] {
-			return fmt.Errorf(
-				"compiler: %s action %s accesses register %s twice in one pass; an RMT stateful ALU fires at most once per packet (fold the accesses into one RMW)",
-				pipe, a.action, a.register)
-		}
-		seen[k] = true
-	}
-	for i := 0; i < len(accesses); i++ {
-		for j := i + 1; j < len(accesses); j++ {
-			a, b := accesses[i], accesses[j]
-			if a.register != b.register || a.table == b.table {
-				continue
-			}
-			if mutuallyExclusive(a.guards, b.guards) {
-				continue
-			}
-			// The syntactic heuristic could not prove exclusivity; it is a
-			// fast pre-pass, not the verdict. Ask the path-sensitive walker
-			// whether the two accesses are ever jointly feasible — interval
-			// guards like "meta.x < 2" vs "meta.x > 5" are exclusive without
-			// sharing the equality shape the heuristic recognizes.
-			if !v.pathConflict(a.register, a.table, b.table) {
-				continue
-			}
-			return fmt.Errorf(
-				"compiler: register %s is accessed by both table %s (action %s) and table %s (action %s) on one %s pass; a register's stateful ALU fires at most once per packet — gate the tables with exclusive conditions or split the register",
-				a.register, a.table, a.action, b.table, b.action, pipe)
-		}
-	}
-	return nil
-}
-
-// pathConflict reports whether the symbolic walker found a feasible pass on
-// which both tables touch the register. A truncated enumeration proves
-// nothing about the paths it never reached, so it stays conservative and
-// upholds the heuristic's rejection.
-func (v *verifier) pathConflict(register, tableA, tableB string) bool {
-	if v.rep == nil {
-		v.rep = verify.Analyze(v.prog, verify.Options{Invariants: v.invs})
-	}
-	return v.rep.Truncated || v.rep.HasSALUConflict(register, tableA, tableB)
-}
-
-// mutuallyExclusive reports whether two guard chains can be shown to never
-// both hold: one contains a condition the other negates, or both pin the
-// same field to different constants with `==` (examining each `and`
-// conjunct — the generator emits guards like
-// "meta.template_id == 2 and eg_intr_md.rid != 0").
-func mutuallyExclusive(a, b []guard) bool {
-	for _, ga := range a {
-		for _, gb := range b {
-			if ga.cond == gb.cond && ga.negated != gb.negated {
-				return true
-			}
-			if ga.negated || gb.negated {
-				continue
-			}
-			for _, ca := range strings.Split(ga.cond, " and ") {
-				fa, va, oka := splitEquality(ca)
-				if !oka {
-					continue
-				}
-				for _, cb := range strings.Split(gb.cond, " and ") {
-					fb, vb, okb := splitEquality(cb)
-					if okb && fa == fb && va != vb {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
-// splitEquality parses a `field == constant` condition.
-func splitEquality(cond string) (field, value string, ok bool) {
-	field, value, ok = strings.Cut(cond, " == ")
-	if !ok || strings.ContainsAny(strings.TrimSpace(value), " ") {
-		return "", "", false
-	}
-	return strings.TrimSpace(field), strings.TrimSpace(value), true
-}
-
-// checkStagePlacement lays the pipeline's tables into stages greedily in
-// apply order — the order hardware dependencies follow, since our
-// generator applies producers before consumers — and rejects the program
-// when the tables do not fit the stage count. A table wider than one
-// stage's budget spans consecutive stages (RMT table spreading); a
-// register's SRAM is placed with the first table that accesses it.
-func (v *verifier) checkStagePlacement(pipe string, stmts []p4ir.ControlStmt, m StageModel) error {
+// place lays one pipeline's tables into stages greedily in apply order —
+// the order hardware dependencies follow, since our generator applies
+// producers before consumers — and rejects the program when the tables do
+// not fit the stage count. A table wider than one stage's budget spans
+// consecutive stages (RMT table spreading); a register's SRAM is placed
+// with the first table that accesses it.
+func (pl *placer) place(pipe string, stmts []p4ir.ControlStmt) error {
+	m := pl.model
 	var order []string
 	seenTbl := map[string]bool{}
 	var walk func(list []p4ir.ControlStmt)
 	walk = func(list []p4ir.ControlStmt) {
 		for i := range list {
 			s := &list[i]
-			if s.Apply != "" && !seenTbl[s.Apply] && v.tables[s.Apply] != nil {
+			if s.Apply != "" && !seenTbl[s.Apply] && pl.tables[s.Apply] != nil {
 				seenTbl[s.Apply] = true
 				order = append(order, s.Apply)
 			}
@@ -336,27 +103,21 @@ func (v *verifier) checkStagePlacement(pipe string, stmts []p4ir.ControlStmt, m 
 	}
 	walk(stmts)
 
-	// Attach each register's memory to its first accessing table.
-	regOf := map[string]*p4ir.RegisterDef{}
-	for _, r := range v.prog.Registers {
-		regOf[r.Name] = r
-	}
 	regPlaced := map[string]bool{}
-
 	stage := 0 // current stage index (0-based)
 	var use p4ir.Resources
 	for _, name := range order {
-		t := v.tables[name]
-		cost := p4ir.TableCost(v.prog, t)
+		t := pl.tables[name]
+		cost := p4ir.TableCost(pl.prog, t)
 		for _, an := range t.Actions {
-			a := v.actions[an]
+			a := pl.actions[an]
 			if a == nil {
-				continue
+				continue // p4ir.Validate reports unknown actions
 			}
 			for _, op := range a.Ops {
 				switch op.Kind {
 				case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
-					if r := regOf[op.Dst]; r != nil && !regPlaced[op.Dst] {
+					if r := pl.registers[op.Dst]; r != nil && !regPlaced[op.Dst] {
 						regPlaced[op.Dst] = true
 						cost.Add(p4ir.RegisterCost(r))
 					}
@@ -397,39 +158,30 @@ func (v *verifier) checkStagePlacement(pipe string, stmts []p4ir.ControlStmt, m 
 
 // fits reports whether use stays within cap on every column.
 func fits(use, cap p4ir.Resources) bool {
-	return use.CrossbarBytes <= cap.CrossbarBytes &&
-		use.SRAMBlocks <= cap.SRAMBlocks &&
-		use.TCAMBlocks <= cap.TCAMBlocks &&
-		use.VLIWSlots <= cap.VLIWSlots &&
-		use.HashBits <= cap.HashBits &&
-		use.SALUs <= cap.SALUs &&
-		use.Gateways <= cap.Gateways
+	capCols := cap.Columns()
+	for i, c := range use.Columns() {
+		if c.Value > capCols[i].Value {
+			return false
+		}
+	}
+	return true
 }
 
 // stagesNeeded returns how many whole stages a cost spans: the max over
 // columns of ceil(cost/perStage).
 func stagesNeeded(cost, per p4ir.Resources) int {
 	n := 1
-	ceil := func(a, b float64) int {
+	perCols := per.Columns()
+	for i, c := range cost.Columns() {
+		a, b := c.Value, perCols[i].Value
 		if a <= 0 || b <= 0 {
-			return 1
+			continue
 		}
 		k := int(a / b)
 		if float64(k)*b < a {
 			k++
 		}
-		return k
-	}
-	for _, c := range [][2]float64{
-		{float64(cost.CrossbarBytes), float64(per.CrossbarBytes)},
-		{cost.SRAMBlocks, per.SRAMBlocks},
-		{cost.TCAMBlocks, per.TCAMBlocks},
-		{float64(cost.VLIWSlots), float64(per.VLIWSlots)},
-		{float64(cost.HashBits), float64(per.HashBits)},
-		{float64(cost.SALUs), float64(per.SALUs)},
-		{float64(cost.Gateways), float64(per.Gateways)},
-	} {
-		if k := ceil(c[0], c[1]); k > n {
+		if k > n {
 			n = k
 		}
 	}
@@ -439,92 +191,19 @@ func stagesNeeded(cost, per p4ir.Resources) int {
 // overflowColumn names the resource column that drives a placement
 // failure, for actionable error messages.
 func overflowColumn(cost, per p4ir.Resources) string {
-	type col struct {
-		name      string
-		use, pcap float64
-	}
-	cols := []col{
-		{"crossbar", float64(cost.CrossbarBytes), float64(per.CrossbarBytes)},
-		{"SRAM", cost.SRAMBlocks, per.SRAMBlocks},
-		{"TCAM", cost.TCAMBlocks, per.TCAMBlocks},
-		{"VLIW", float64(cost.VLIWSlots), float64(per.VLIWSlots)},
-		{"hash bits", float64(cost.HashBits), float64(per.HashBits)},
-		{"SALU", float64(cost.SALUs), float64(per.SALUs)},
-		{"gateways", float64(cost.Gateways), float64(per.Gateways)},
-	}
 	worst, ratio := "resources", 0.0
-	for _, c := range cols {
-		if c.pcap <= 0 {
+	perCols := per.Columns()
+	for i, c := range cost.Columns() {
+		pcap := perCols[i].Value
+		if pcap <= 0 {
 			continue
 		}
-		if r := c.use / c.pcap; r > ratio {
-			worst, ratio = fmt.Sprintf("%s %.1f per-stage cap %.1f", c.name, c.use, c.pcap), r
+		if r := c.Value / pcap; r > ratio {
+			// Stage messages have always said "crossbar" where the
+			// whole-chip message says "match crossbar".
+			name := strings.TrimPrefix(c.Name, "match ")
+			worst, ratio = fmt.Sprintf("%s %.1f per-stage cap %.1f", name, c.Value, pcap), r
 		}
 	}
 	return worst
-}
-
-// checkRecircBound rejects unbounded recirculation: every reachable
-// `recirculate` must sit behind at least one real gateway condition (a
-// data-plane exit path) and its action must maintain loop state in a
-// register (the in-flight counter the accelerator uses), or the packet
-// loops forever.
-func (v *verifier) checkRecircBound(pipe string, accesses []saluAccess) error {
-	// Re-walk for recirculate ops: collectAccesses only gathers SALU ops.
-	var check func(stmts []p4ir.ControlStmt, guarded bool) error
-	check = func(stmts []p4ir.ControlStmt, guarded bool) error {
-		for i := range stmts {
-			s := &stmts[i]
-			if s.Apply != "" {
-				t := v.tables[s.Apply]
-				if t == nil {
-					continue
-				}
-				for _, an := range t.Actions {
-					a := v.actions[an]
-					if a == nil {
-						continue
-					}
-					hasRecirc, hasState := false, false
-					for _, op := range a.Ops {
-						switch op.Kind {
-						case p4ir.OpRecirculate:
-							hasRecirc = true
-						case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
-							hasState = true
-						}
-					}
-					if !hasRecirc {
-						continue
-					}
-					if !guarded {
-						return fmt.Errorf(
-							"compiler: %s table %s recirculates unconditionally; every packet would loop forever — guard the apply with a gateway that can exit the loop",
-							pipe, t.Name)
-					}
-					if !hasState {
-						return fmt.Errorf(
-							"compiler: %s action %s recirculates without maintaining loop state in a register; the recirculation count cannot be bounded — add an in-flight counter (RMW) to the action",
-							pipe, a.Name)
-					}
-				}
-			}
-			g := guarded || (s.If != "" && s.If != "true")
-			if err := check(s.Then, g); err != nil {
-				return err
-			}
-			if err := check(s.Else, g); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_ = accesses
-	var stmts []p4ir.ControlStmt
-	if pipe == "ingress" {
-		stmts = v.prog.Ingress
-	} else {
-		stmts = v.prog.Egress
-	}
-	return check(stmts, false)
 }

@@ -216,7 +216,9 @@ func (ct *CounterTable) agg(old, delta uint64, isNew bool) uint64 {
 	return old + 1
 }
 
-// merge folds two partial aggregates of the same key together.
+// merge folds two partial aggregates of the same key together. Both must
+// exist: 0 is a legitimate minimum, so "no partial yet" is the caller's to
+// know (mergeInto), not a value.
 func (ct *CounterTable) merge(a, b uint64) uint64 {
 	if ct.plan.Kind == ntapi.KindDistinct {
 		return 1
@@ -228,13 +230,22 @@ func (ct *CounterTable) merge(a, b uint64) uint64 {
 		}
 		return a
 	case ntapi.AggMin:
-		if a == 0 || b < a {
+		if b < a {
 			return b
 		}
 		return a
 	default:
 		return a + b
 	}
+}
+
+// mergeInto folds a partial aggregate into m[kb]; a key's first partial is
+// stored as it is.
+func (ct *CounterTable) mergeInto(m map[string]uint64, kb string, v uint64) {
+	if old, ok := m[kb]; ok {
+		v = ct.merge(old, v)
+	}
+	m[kb] = v
 }
 
 // DrainOne performs one FIFO pop and cuckoo insertion — the work a
@@ -317,13 +328,8 @@ func (ct *CounterTable) evict(key []uint64, value uint64) {
 		ct.OnEvict(append([]uint64(nil), key...), value)
 		return
 	}
-	kb := string(compiler.EncodeKey(key))
-	ct.evicted[kb] = ct.merge(ct.evicted[kb], value)
+	ct.mergeInto(ct.evicted, string(compiler.EncodeKey(key)), value)
 }
-
-// Merge exposes the aggregate-combining rule so the CPU side merges partial
-// aggregates with the same semantics as the data plane.
-func (ct *CounterTable) Merge(a, b uint64) uint64 { return ct.merge(a, b) }
 
 // SweepIdle is the control-plane aging pass: every occupied cell whose last
 // touch is older than maxAge updates is uploaded to the CPU and freed,
@@ -389,7 +395,7 @@ func (ct *CounterTable) Collect() []Result {
 	keyOf := make(map[string][]uint64)
 	add := func(key []uint64, v uint64) {
 		kb := string(compiler.EncodeKey(key))
-		merged[kb] = ct.merge(merged[kb], v)
+		ct.mergeInto(merged, kb, v)
 		keyOf[kb] = key
 	}
 	for _, e := range ct.exact {

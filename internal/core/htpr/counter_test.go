@@ -74,6 +74,32 @@ func TestCounterTableMaxMin(t *testing.T) {
 	if r := ctMin.Collect(); r[0].Value != 3 {
 		t.Fatalf("min = %d", r[0].Value)
 	}
+
+	// A minimum of 0 must survive the merging of partial aggregates: 64
+	// keys over 4-slot arrays force every merge path (drain onto a placed
+	// cell, FIFO overflow, eviction, collection), and each key's values
+	// run base..base+4, so base 0 makes the true minimum 0.
+	for _, base := range []uint64{0, 1} {
+		ct := NewCounterTable(testPlan(ntapi.KindReduce, ntapi.AggMin, 4, 16))
+		for v := base + 4; ; v-- {
+			for k := uint64(0); k < 64; k++ {
+				ct.Update([]uint64{k}, v)
+			}
+			ct.DrainOne()
+			if v == base {
+				break
+			}
+		}
+		results := ct.Collect()
+		if len(results) != 64 {
+			t.Fatalf("base %d: %d keys, want 64", base, len(results))
+		}
+		for _, r := range results {
+			if r.Value != base {
+				t.Errorf("base %d: key %d min = %d, want %d", base, r.Key[0], r.Value, base)
+			}
+		}
+	}
 }
 
 func TestCounterTableDistinct(t *testing.T) {

@@ -188,7 +188,7 @@ func (r *Receiver) MergeEviction(queryID int, key []uint64, value uint64) {
 		return
 	}
 	kb := keyString(key)
-	st.cpuEvicted[kb] = st.Table.Merge(st.cpuEvicted[kb], value)
+	st.Table.mergeInto(st.cpuEvicted, kb, value)
 	st.cpuKeys[kb] = key
 }
 
@@ -389,7 +389,7 @@ func mergeCPUResults(st *QueryState, results []Result) []Result {
 	}
 	for kb, v := range st.cpuEvicted {
 		if i, ok := byKey[kb]; ok {
-			results[i].Value = st.Table.Merge(results[i].Value, v)
+			results[i].Value = st.Table.merge(results[i].Value, v)
 		} else {
 			results = append(results, Result{Key: st.cpuKeys[kb], Value: v})
 		}

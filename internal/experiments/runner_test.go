@@ -37,7 +37,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	// Piggyback the headline audit on the results already computed: every
 	// experiment must expose a parseable headline metric — the number
-	// htbench records in BENCH_results.json and the bench suite reports.
+	// TestAllExperimentsRun pins and the bench suite reports.
 	for _, r := range par {
 		v, unit, err := Headline(r)
 		if err != nil {

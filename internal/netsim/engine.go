@@ -54,7 +54,6 @@ import (
 // no map iteration anywhere in the scheduler: epoch boundaries are pure
 // functions of event timestamps, so results do not depend on the worker
 // count or on goroutine scheduling.
-const EngineImpl = "conservative-lp/v1"
 
 // DefaultOutboxCap bounds how many cross-LP messages one LP may stage within
 // a single epoch before pausing (bounded-channel flow control).

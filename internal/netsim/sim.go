@@ -15,10 +15,6 @@ import (
 	"math"
 )
 
-// SchedulerImpl tags the active scheduler implementation, recorded into
-// BENCH_results.json so the bench trajectory is attributable across PRs.
-const SchedulerImpl = "timing-wheel/v1"
-
 // Time is a point in virtual time, in picoseconds since simulation start.
 type Time int64
 

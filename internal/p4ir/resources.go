@@ -25,6 +25,28 @@ func (r *Resources) Add(other Resources) {
 	r.Gateways += other.Gateways
 }
 
+// Column is one resource class of a Resources value, as a printable name
+// and its amount.
+type Column struct {
+	Name  string
+	Value float64
+}
+
+// Columns returns the seven resource classes in Table 7 order. Every loop
+// over "each resource class" goes through it, so the classes are listed
+// once; two Resources values line up index by index.
+func (r Resources) Columns() [7]Column {
+	return [7]Column{
+		{"match crossbar", float64(r.CrossbarBytes)},
+		{"SRAM", r.SRAMBlocks},
+		{"TCAM", r.TCAMBlocks},
+		{"VLIW", float64(r.VLIWSlots)},
+		{"hash bits", float64(r.HashBits)},
+		{"SALU", float64(r.SALUs)},
+		{"gateways", float64(r.Gateways)},
+	}
+}
+
 // RMT-style accounting constants.
 const (
 	sramBlockBits   = 16 * 1024 * 8 // one 16 KB SRAM block

@@ -2,7 +2,12 @@ package scenario
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
+
+	"github.com/hypertester/hypertester/internal/core/compiler"
+	"github.com/hypertester/hypertester/internal/experiments"
+	"github.com/hypertester/hypertester/internal/verify"
 )
 
 // TestStarterFileInSync pins that the committed example suite is exactly
@@ -48,6 +53,59 @@ func TestPaperSmokeSuite(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestEveryShippedProgramWalksWithHeadroom: the symbolic walk is the compile
+// gate's only safety verdict and a truncated walk is a compile error, so
+// every program the repo ships — the 18-program experiment corpus, the
+// scenario library, the committed suites and tasks/*.nt — must finish its
+// walk with at least 16x headroom under the default path cap. A program
+// that creeps towards the cap shows up here long before users hit the
+// error.
+func TestEveryShippedProgramWalksWithHeadroom(t *testing.T) {
+	const maxPaths = 8192 / 16 // verify.Options.MaxPaths default / headroom
+
+	corpus := experiments.Programs()
+	suites := []*Suite{Library()}
+	files, err := filepath.Glob("../../examples/suites/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no suite files: %v", err)
+	}
+	for _, f := range files {
+		s, err := Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suites = append(suites, s)
+	}
+	for _, s := range suites {
+		for _, sc := range s.Scenarios {
+			corpus = append(corpus, experiments.ProgramSpec{Name: s.Name + "/" + sc.Name, Src: string(sc.Program.Source)})
+		}
+	}
+	tasks, err := filepath.Glob("../../tasks/*.nt")
+	if err != nil || len(tasks) == 0 {
+		t.Fatalf("no task files: %v", err)
+	}
+	for _, f := range tasks {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, experiments.ProgramSpec{Name: f, Src: string(src)})
+	}
+
+	for _, spec := range corpus {
+		prog, err := spec.Compile()
+		if err != nil {
+			t.Errorf("compile: %v", err)
+			continue
+		}
+		rep := compiler.AnalyzePlan(prog, verify.Options{})
+		if rep.Truncated || rep.Paths == 0 || rep.Paths > maxPaths {
+			t.Errorf("%s: %d feasible paths (truncated=%v), want 1..%d", spec.Name, rep.Paths, rep.Truncated, maxPaths)
 		}
 	}
 }

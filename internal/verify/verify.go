@@ -63,14 +63,6 @@ type Options struct {
 	MaxWitnesses int  // cap on distinct witnesses kept (default 256)
 }
 
-// SALUConflict is a pair of tables that access one register on a single
-// jointly-feasible path of one pipeline pass.
-type SALUConflict struct {
-	Pipeline p4ir.PipelineKind
-	Register string
-	Tables   [2]string // sorted
-}
-
 // Witness is a concrete input that drives the program down one feasible
 // leaf path: which headers the packet carries and the value of every field
 // the path constrained or read.
@@ -83,11 +75,10 @@ type Witness struct {
 
 // Report is the result of one Analyze run.
 type Report struct {
-	Diagnostics   []Diagnostic
-	SALUConflicts []SALUConflict
-	Witnesses     []Witness
-	Paths         int  // feasible leaf paths enumerated
-	Truncated     bool // MaxPaths or MaxWitnesses hit
+	Diagnostics []Diagnostic
+	Witnesses   []Witness
+	Paths       int  // feasible leaf paths enumerated
+	Truncated   bool // MaxPaths or MaxWitnesses hit
 }
 
 // Errors returns the error-severity diagnostics.
@@ -99,20 +90,6 @@ func (r *Report) Errors() []Diagnostic {
 		}
 	}
 	return out
-}
-
-// HasSALUConflict reports whether the walk saw both tables touch the
-// register on one feasible path.
-func (r *Report) HasSALUConflict(register, tableA, tableB string) bool {
-	if tableA > tableB {
-		tableA, tableB = tableB, tableA
-	}
-	for _, c := range r.SALUConflicts {
-		if c.Register == register && c.Tables[0] == tableA && c.Tables[1] == tableB {
-			return true
-		}
-	}
-	return false
 }
 
 // fieldWidths mirrors the PHV field widths of internal/asic plus the
@@ -191,9 +168,10 @@ func selectEdge(from, to string) (field string, val uint64, ok bool) {
 }
 
 // state is one symbolic path: current field values, the input constraints
-// that led here, header validity, and per-pass SALU ownership. fields and
-// input share *Value pointers copy-on-write: a gateway constraint refines
-// both while shared; an action write replaces only the current value.
+// that led here, header validity, per-pass SALU ownership and the loop
+// facts recirculation is judged by. fields and input share *Value pointers
+// copy-on-write: a gateway constraint refines both while shared; an action
+// write replaces only the current value.
 type state struct {
 	fields  map[string]*Value
 	input   map[string]*Value
@@ -202,6 +180,7 @@ type state struct {
 	applied map[int]bool      // invariant indices already applied
 	trail   []string
 	recOK   bool // a strict-increase RMW ran earlier on this path
+	guards  int  // enclosing gateways whose condition is not `true`
 }
 
 func newState() *state {
@@ -223,6 +202,7 @@ func (s *state) clone() *state {
 		applied: make(map[int]bool, len(s.applied)),
 		trail:   append([]string(nil), s.trail...),
 		recOK:   s.recOK,
+		guards:  s.guards,
 	}
 	for k, v := range s.fields {
 		c.fields[k] = v
@@ -300,7 +280,6 @@ type walker struct {
 
 	diags       []Diagnostic
 	diagSeen    map[string]bool
-	conflicts   map[string]SALUConflict
 	witnesses   []Witness
 	witnessSeen map[string]bool
 	paths       int
@@ -325,7 +304,6 @@ func Analyze(p *p4ir.Program, opts Options) *Report {
 		gw:          map[*p4ir.ControlStmt]*gwSite{},
 		tbl:         map[string]*tblSite{},
 		diagSeen:    map[string]bool{},
-		conflicts:   map[string]SALUConflict{},
 		witnessSeen: map[string]bool{},
 	}
 	for _, t := range p.Tables {
@@ -351,16 +329,6 @@ func Analyze(p *p4ir.Program, opts Options) *Report {
 		Paths:       w.paths,
 		Truncated:   w.truncated,
 	}
-	for _, c := range w.conflicts {
-		rep.SALUConflicts = append(rep.SALUConflicts, c)
-	}
-	sort.Slice(rep.SALUConflicts, func(i, j int) bool {
-		a, b := rep.SALUConflicts[i], rep.SALUConflicts[j]
-		if a.Register != b.Register {
-			return a.Register < b.Register
-		}
-		return a.Tables[0]+a.Tables[1] < b.Tables[0]+b.Tables[1]
-	})
 	sort.SliceStable(rep.Diagnostics, func(i, j int) bool {
 		return rep.Diagnostics[i].Severity == SevError && rep.Diagnostics[j].Severity != SevError
 	})
@@ -514,7 +482,12 @@ func (w *walker) seq(st *state, stmts []p4ir.ControlStmt, k func(*state)) {
 	}
 	s := &stmts[0]
 	rest := stmts[1:]
-	kk := func(st2 *state) { w.seq(st2, rest, k) }
+	// A gateway's branches rejoin here, back at this list's own depth.
+	depth := st.guards
+	kk := func(st2 *state) {
+		st2.guards = depth
+		w.seq(st2, rest, k)
+	}
 	if s.Apply != "" {
 		w.applyTable(st, s.Apply, kk)
 		return
@@ -535,23 +508,36 @@ func (w *walker) gateway(st *state, s *p4ir.ControlStmt, k func(*state)) {
 	site := w.gwSite(s)
 	site.visited++
 	cond, ok := p4ir.ParseCond(s.If)
+
+	// The branches run behind this gateway — unless its condition is the
+	// literal `true`, which guards nothing.
+	inner := st.guards
+	if !ok || len(cond.Atoms) > 0 {
+		inner++
+	}
+	branch := func() *state {
+		c := st.clone()
+		c.guards = inner
+		return c
+	}
+
 	if !ok {
 		// Opaque condition (outside the generator grammar): both branches
 		// stay feasible and unconstrained.
 		site.opaque = true
-		thenSt := st.clone()
+		thenSt := branch()
 		thenSt.trail = append(thenSt.trail, "if? "+s.If)
 		w.seq(thenSt, s.Then, k)
 		if w.over() {
 			return
 		}
-		elseSt := st.clone()
+		elseSt := branch()
 		elseSt.trail = append(elseSt.trail, "else? "+s.If)
 		w.seq(elseSt, s.Else, k)
 		return
 	}
 
-	thenSt := st.clone()
+	thenSt := branch()
 	feasible := true
 	for _, a := range cond.Atoms {
 		if !w.constrainAtom(thenSt, a) {
@@ -571,7 +557,7 @@ func (w *walker) gateway(st *state, s *p4ir.ControlStmt, k func(*state)) {
 		if w.over() {
 			return
 		}
-		elseSt := st.clone()
+		elseSt := branch()
 		ok := true
 		for j := 0; j < i && ok; j++ {
 			ok = w.constrainAtom(elseSt, cond.Atoms[j])
@@ -866,7 +852,7 @@ func (w *walker) execAction(st *state, t *p4ir.TableDef, actName string) {
 		case p4ir.OpModifyField, p4ir.OpAddToField:
 			w.fieldWrite(st, t, a, op)
 		case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
-			w.saluTouch(st, t, op.Dst)
+			w.saluTouch(st, t, a, op.Dst)
 			if op.Kind == p4ir.OpRegisterRMW {
 				if inc, _, ok := parseIncrement(op.Src); ok && inc >= 1 {
 					st.recOK = true
@@ -875,6 +861,13 @@ func (w *walker) execAction(st *state, t *p4ir.TableDef, actName string) {
 		case p4ir.OpHash, p4ir.OpRandom:
 			st.write(op.Dst, Top(fieldWidth(op.Dst, op.Bits)))
 		case p4ir.OpRecirculate:
+			// Progress alone bounds nothing: the walker does not model
+			// register contents, so the least it demands is a gateway on
+			// the path that can take the packet out of the loop.
+			if st.guards == 0 {
+				w.diag(CheckRecirc, SevError, t.Name,
+					"action %s recirculates unconditionally: no gateway on the path can exit the loop, so every packet would recirculate forever", a.Name)
+			}
 			if !st.recOK {
 				w.diag(CheckRecirc, SevError, t.Name,
 					"action %s recirculates on a path with no strictly-increasing loop-state update; the loop has no termination proof", a.Name)
@@ -937,31 +930,29 @@ func (w *walker) fieldWrite(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, op p
 	st.write(dst, srcVal)
 }
 
-// saluTouch enforces the one-SALU-access-per-pass rule path-sensitively:
-// a second table touching the register on the same feasible pass is a
-// conflict. Re-touches from the same table (multi-op actions) are the
-// syntactic pre-pass's concern.
-func (w *walker) saluTouch(st *state, t *p4ir.TableDef, register string) {
+// saluTouch enforces the one-SALU-access-per-pass rule path-sensitively: a
+// register's stateful ALU fires once per packet per pipeline, so a second
+// touch on the same feasible pass is a conflict — whether it comes from
+// another table or from a second op of the same table's action.
+func (w *walker) saluTouch(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, register string) {
 	owner, seen := st.salu[register]
 	if !seen {
 		st.salu[register] = t.Name
 		return
 	}
 	if owner == t.Name {
+		w.diag(CheckSALU, SevError, t.Name,
+			"action %s accesses register %s twice in one pass; an RMT SALU fires at most once per packet (fold the accesses into one RMW)",
+			a.Name, register)
 		return
 	}
-	a, b := owner, t.Name
-	if a > b {
-		a, b = b, a
+	x, y := owner, t.Name
+	if x > y {
+		x, y = y, x
 	}
-	key := string(t.Pipeline) + "|" + register + "|" + a + "|" + b
-	if _, dup := w.conflicts[key]; dup {
-		return
-	}
-	w.conflicts[key] = SALUConflict{Pipeline: t.Pipeline, Register: register, Tables: [2]string{a, b}}
 	w.diag(CheckSALU, SevError, t.Name,
 		"register %s is accessed by both %s and %s on one feasible %s pass (%s); an RMT SALU fires at most once per packet",
-		register, a, b, t.Pipeline, lastSteps(st.trail, 3))
+		register, x, y, t.Pipeline, lastSteps(st.trail, 3))
 }
 
 // parseIncrement recognizes the generator's strictly-increasing SALU

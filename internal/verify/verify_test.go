@@ -163,11 +163,11 @@ func TestUnreachableTable(t *testing.T) {
 func TestSALUConflictOnJointPath(t *testing.T) {
 	p := salupair("meta.x >= 2", "meta.x <= 5")
 	r := Analyze(p, Options{})
-	if !r.HasSALUConflict("r", "t1", "t2") {
-		t.Fatalf("missing SALU conflict; got %+v", r.SALUConflicts)
+	if !hasDiag(r, CheckSALU, "register r is accessed by both t1 and t2") {
+		t.Fatalf("missing SALU conflict; got %v", r.Diagnostics)
 	}
-	if countDiag(r, CheckSALU) == 0 {
-		t.Fatal("conflict must surface as an error diagnostic")
+	if len(r.Errors()) == 0 {
+		t.Fatal("conflict must be error severity")
 	}
 }
 
@@ -176,9 +176,6 @@ func TestSALUConflictOnJointPath(t *testing.T) {
 func TestSALUDisjointGuardsClean(t *testing.T) {
 	p := salupair("meta.x < 2", "meta.x > 5")
 	r := Analyze(p, Options{})
-	if r.HasSALUConflict("r", "t1", "t2") {
-		t.Fatalf("false conflict on disjoint guards: %+v", r.SALUConflicts)
-	}
 	if countDiag(r, CheckSALU) != 0 {
 		t.Fatalf("false SALU diagnostic: %v", r.Diagnostics)
 	}
@@ -223,6 +220,26 @@ func TestSALUAcrossPipelinesClean(t *testing.T) {
 	}
 }
 
+// One action touching a register twice fires its SALU twice on every pass
+// that runs the action, with no second table involved.
+func TestSALUSameTableDoubleTouch(t *testing.T) {
+	p := &p4ir.Program{Name: "dbl", Headers: []string{"ethernet"}}
+	p.AddRegister(&p4ir.RegisterDef{Name: "r", Width: 32, Size: 1})
+	p.AddAction(&p4ir.ActionDef{Name: "twice", Ops: []p4ir.Op{
+		{Kind: p4ir.OpRegisterRead, Dst: "r", Src: "meta.v", Bits: 32},
+		{Kind: p4ir.OpRegisterWrite, Dst: "r", Src: "meta.v", Bits: 32},
+	}})
+	oneEntryTable(p, "t1", p4ir.PipeIngress, "twice")
+	p.Ingress = []p4ir.ControlStmt{{Apply: "t1"}}
+	r := Analyze(p, Options{})
+	if !hasDiag(r, CheckSALU, "action twice accesses register r twice in one pass") {
+		t.Fatalf("missing same-table double-touch diagnostic; got %v", r.Diagnostics)
+	}
+	if len(r.Errors()) == 0 {
+		t.Fatal("double touch must be error severity")
+	}
+}
+
 // Negative 5: recirculation with no strictly-increasing loop state has no
 // termination proof.
 func TestRecircWithoutLoopState(t *testing.T) {
@@ -239,6 +256,34 @@ func TestRecircWithIncrementClean(t *testing.T) {
 	r := Analyze(p, Options{})
 	if countDiag(r, CheckRecirc) != 0 {
 		t.Fatalf("false recirc diagnostic: %v", r.Diagnostics)
+	}
+}
+
+// A "+1" counter proves progress, not an exit: with no gateway on the path
+// (none at all, the literal `true`, or one that closed before the apply)
+// every packet recirculates forever.
+func TestRecircUnguarded(t *testing.T) {
+	apply := []p4ir.ControlStmt{{Apply: "looper"}}
+	for name, ingress := range map[string][]p4ir.ControlStmt{
+		"bare":          apply,
+		"true":          {{If: "true", Then: apply}},
+		"after-gateway": {{If: "meta.template_id != 0"}, {Apply: "looper"}},
+	} {
+		p := recircProg("+1")
+		p.Ingress = ingress
+		r := Analyze(p, Options{})
+		if !hasDiag(r, CheckRecirc, "recirculates unconditionally") {
+			t.Errorf("%s: missing unguarded-recirculation diagnostic; got %v", name, r.Diagnostics)
+		}
+		if hasDiag(r, CheckRecirc, "termination") {
+			t.Errorf("%s: the +1 counter is loop state; got %v", name, r.Diagnostics)
+		}
+	}
+	// The else side of a real gateway is guarded too.
+	p := recircProg("+1")
+	p.Ingress = []p4ir.ControlStmt{{If: "meta.template_id == 0", Else: apply}}
+	if r := Analyze(p, Options{}); countDiag(r, CheckRecirc) != 0 {
+		t.Errorf("else-guarded recirculation misflagged: %v", r.Diagnostics)
 	}
 }
 
