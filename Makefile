@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet verify bench clean \
+.PHONY: all build test race lint vet verify bench benchmark clean \
 	fuzz-seeds fuzz trace-oracle trace bench-par suite
 
 all: build test lint
@@ -61,6 +61,11 @@ suite:
 
 bench:
 	$(GO) run ./cmd/htbench -quick
+
+# The repo benchmark (BENCHMARK.json): five workloads, each checked against
+# benchmark/testdata/golden.json; non-zero exit on any failed check.
+benchmark:
+	$(GO) run ./benchmark
 
 # Same suite with each testbed partitioned onto the parallel LP engine;
 # headlines are bit-identical to `bench`.

@@ -14,7 +14,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hypertester/hypertester/internal/core/compiler"
+	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/experiments"
+	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
 var benchCfg = experiments.Config{Quick: true, Seed: 1}
@@ -78,6 +81,77 @@ func BenchmarkAblationC_Amplification(b *testing.B) {
 	runExperiment(b, experiments.AblationTemplateAmplification)
 }
 func BenchmarkCaseStudy_WebScale(b *testing.B) { runExperiment(b, experiments.CaseWebScale) }
+
+// BenchmarkHeaderSpace compiles a task whose one query sees a 65 536-tuple
+// progression, through a 1-wide key and through the default 5-tuple: the
+// cost is header-space enumeration plus exact-key precomputation (§5.2).
+func BenchmarkHeaderSpace(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		keys []string
+	}{{"1wide", []string{"l4.dport"}}, {"5wide", nil}} {
+		b.Run(c.name, func(b *testing.B) {
+			task := ntapi.NewTask("sweep")
+			task.Trigger().
+				Set("sip", ntapi.IP("1.1.0.1")).Set("dip", ntapi.IP("9.9.9.9")).
+				Set("sport", ntapi.Range{Start: 0, End: 1<<16 - 1, Step: 1}).
+				WithPorts(0)
+			task.Query().Reduce(ntapi.AggCount, c.keys...)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prog, err := compiler.Compile(task, compiler.Options{MaxHeaderSpace: 1 << 16})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if q := prog.Queries[0]; q.HeaderSpaceSize != 1<<16 || q.HeaderSpaceTruncated {
+					b.Fatalf("header space %d truncated=%v, want all 65536 tuples", q.HeaderSpaceSize, q.HeaderSpaceTruncated)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompileCorpus is one parse+compile of every corpus program with
+// its experiment's options — what the `compile` workload of ./benchmark
+// repeats, less printing.
+func BenchmarkCompileCorpus(b *testing.B) {
+	specs := experiments.Programs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			if _, err := s.Compile(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCompileAllocBudget keeps per-tuple allocations out of the two
+// programs with the largest header spaces (65 536 and 32 769 tuples): what
+// is left is per template, per query and per P4 table.
+func TestCompileAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	// About twice what each costs today (8.7k and 23k): one allocation per
+	// tuple would add 65 536 and 32 769.
+	budgets := map[string]float64{"table5_delay": 17000, "case_webscale": 46000}
+	for _, s := range experiments.Programs() {
+		budget, ok := budgets[s.Name]
+		if !ok {
+			continue
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := s.Compile(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Compile(%s): %.0f allocs", s.Name, allocs)
+		if allocs > budget {
+			t.Errorf("Compile(%s): %.0f allocs/run, budget %.0f", s.Name, allocs, budget)
+		}
+	}
+}
 
 // TestAllExperimentsRun checks that every experiment is wired into All, that
 // the parallel runner returns them in paper order, and that each headline

@@ -72,8 +72,9 @@ func Compile(task *ntapi.Task, opts Options) (*Program, error) {
 		prog.Templates = append(prog.Templates, tmpl)
 	}
 
+	spaces := newKeySpaces(prog.Templates)
 	for i, q := range task.Queries {
-		plan, err := compileQuery(q, i+1, prog, opts)
+		plan, err := compileQuery(q, i+1, prog, spaces, opts)
 		if err != nil {
 			return nil, fmt.Errorf("compiler: query %s: %w", q.Name, err)
 		}
@@ -438,7 +439,7 @@ func intervalTable(r ntapi.Random, opts Options) ([]int64, error) {
 
 // compileQuery builds a query plan including header-space extraction and
 // false-positive precomputation.
-func compileQuery(q *ntapi.Query, id int, prog *Program, opts Options) (*QueryPlan, error) {
+func compileQuery(q *ntapi.Query, id int, prog *Program, spaces *keySpaces, opts Options) (*QueryPlan, error) {
 	plan := &QueryPlan{
 		ID:    id,
 		Query: q,
@@ -518,12 +519,8 @@ func compileQuery(q *ntapi.Query, id int, prog *Program, opts Options) (*QueryPl
 			plan.ValueField = vf
 		}
 		// Extract the header space and precompute false positives.
-		tuples, truncated := headerSpace(plan, prog.Templates, opts.MaxHeaderSpace)
-		plan.HeaderSpaceSize = len(tuples)
-		if !truncated {
-			plan.ExactKeys = ComputeExactKeys(tuples, plan.ArraySize, plan.DigestBits,
-				plan.PolyArray1, plan.PolyArray2, plan.PolyDigest)
-		}
+		sp := spaces.of(plan, opts.MaxHeaderSpace)
+		plan.HeaderSpaceSize, plan.HeaderSpaceTruncated, plan.ExactKeys = sp.size, sp.truncated, sp.exact
 	}
 	return plan, nil
 }

@@ -3,6 +3,7 @@ package compiler
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"github.com/hypertester/hypertester/internal/asic"
 )
@@ -38,30 +39,68 @@ func AltSlot(idx int, digest uint32, arraySize int, halt *asic.HashUnit) int {
 	return (idx ^ int(halt.Sum(db[:]))) & (arraySize - 1)
 }
 
-// ComputeExactKeys finds the key tuples that would collide in the runtime's
-// counter table — a candidate slot and stored digest equal to an earlier
-// key's — and therefore need entries in the exact-key-matching table to keep
-// reduce/distinct free of false positives (§5.2, Fig. 17).
+// ExactKeyKernel finds the keys that would collide in the runtime's counter
+// table — a candidate slot and stored digest equal to an earlier key's — and
+// therefore need entries in the exact-key-matching table to keep
+// reduce/distinct free of false positives (§5.2, Fig. 17). For each
+// colliding pair only the later key needs an exact entry: lookups for it
+// would otherwise hit the earlier key's (slot, digest) cell.
 //
-// For each colliding pair only the later key needs an exact entry: lookups
-// for it would otherwise hit the earlier key's (slot, digest) cell.
-func ComputeExactKeys(tuples [][]uint64, arraySize, digestBits int, polyA1, polyA2, polyDigest uint32) [][]uint64 {
-	h1 := asic.NewHashUnit("fp-a1", polyA1)
-	halt := asic.NewHashUnit("fp-alt", polyA2)
-	hd := asic.NewHashUnit("fp-digest", polyDigest)
+// Hashing the keys is separate from finding collisions, so one hashed
+// population answers several (array size, digest width) questions; the
+// buffers are reused across calls. Not safe for concurrent use.
+type ExactKeyKernel struct {
+	h1, halt, hd *asic.HashUnit
+	kbuf         []byte
+	sums         []uint64 // per key: array-1 CRC << 32 | digest CRC
+	set          []uint64 // scratch cell set of ExactRows
+}
 
+// NewExactKeyKernel returns a kernel for the given hash polynomials.
+func NewExactKeyKernel(polyA1, polyA2, polyDigest uint32) *ExactKeyKernel {
+	return &ExactKeyKernel{
+		h1:   asic.NewHashUnit("fp-a1", polyA1),
+		halt: asic.NewHashUnit("fp-alt", polyA2),
+		hd:   asic.NewHashUnit("fp-digest", polyDigest),
+	}
+}
+
+// Hash replaces the kernel's population with the rows of a row-major key
+// matrix, width words per key.
+func (k *ExactKeyKernel) Hash(rows []uint64, width int) {
+	k.sums = slices.Grow(k.sums[:0], len(rows)/width)
+	for off := 0; off < len(rows); off += width {
+		k.hashKey(rows[off : off+width])
+	}
+}
+
+func (k *ExactKeyKernel) hashKey(t []uint64) {
+	k.kbuf = AppendKey(k.kbuf[:0], t)
+	k.sums = append(k.sums, uint64(k.h1.Sum(k.kbuf))<<32|uint64(k.hd.Sum(k.kbuf)))
+}
+
+// ExactRows returns, in order, the row numbers of the hashed keys that need
+// exact entries under the given table geometry. It must agree
+// with CuckooSlots bit for bit: a digestBits-wide digest is the low bits of
+// the digest CRC, and the candidate slots follow from the two CRCs alone.
+func (k *ExactKeyKernel) ExactRows(arraySize, digestBits int) (rows []int) {
 	// Occupied (slot, digest) cells, packed slot<<32|digest into an
-	// open-addressed table. CuckooSlots never returns digest 0 (zero marks
-	// an empty runtime cell), so a packed cell is never 0 and 0 can mark
-	// empty probe slots here too. Sized for <=50% load at two cells per
-	// tuple, probed linearly from a Fibonacci-mixed home slot.
+	// open-addressed table. A stored digest is never 0 (zero marks an empty
+	// runtime cell), so a packed cell is never 0 and 0 can mark empty probe
+	// slots here too. Sized for <=50% load at two cells per key, probed
+	// linearly from a Fibonacci-mixed home slot.
 	tableSize := 16
-	for tableSize < 4*len(tuples) {
+	for tableSize < 4*len(k.sums) {
 		tableSize <<= 1
 	}
 	shift := uint(64 - bits.TrailingZeros(uint(tableSize)))
 	mask := uint64(tableSize - 1)
-	set := make([]uint64, tableSize)
+	if cap(k.set) < tableSize {
+		k.set = make([]uint64, tableSize)
+	} else {
+		clear(k.set[:tableSize])
+	}
+	set := k.set[:tableSize]
 	// claim records c if absent and reports whether it was already present.
 	claim := func(c uint64) bool {
 		h := (c * 0x9e3779b97f4a7c15) >> shift
@@ -77,28 +116,56 @@ func ComputeExactKeys(tuples [][]uint64, arraySize, digestBits int, polyA1, poly
 		}
 	}
 
-	needExact := make([]bool, len(tuples))
-	need := 0
-	var kbuf []byte
-	for i, t := range tuples {
-		kbuf = AppendKey(kbuf[:0], t)
-		idx1, idx2, d := CuckooSlots(kbuf, arraySize, digestBits, h1, hd, halt)
+	digestMask := ^uint32(0)
+	if digestBits < 32 {
+		digestMask = 1<<uint(digestBits) - 1
+	}
+	for i, s := range k.sums {
+		d := uint32(s) & digestMask
+		if d == 0 {
+			d = 1
+		}
+		idx1 := int(s>>32) & (arraySize - 1)
+		idx2 := AltSlot(idx1, d, arraySize, k.halt)
 		// Claim both candidate cells in order; either being taken (including
 		// by this key's own first claim, when idx1 == idx2) means a runtime
 		// lookup could land on a foreign cell, so the key needs exact-match
 		// coverage.
 		taken := claim(uint64(uint32(idx1))<<32 | uint64(d))
 		if claim(uint64(uint32(idx2))<<32|uint64(d)) || taken {
-			needExact[i] = true
-			need++
+			rows = append(rows, i)
 		}
 	}
+	return rows
+}
 
-	out := make([][]uint64, 0, need)
-	for i := range tuples {
-		if needExact[i] {
-			out = append(out, tuples[i])
-		}
+// ExactKeys hashes a row-major key matrix and returns copies of the rows
+// that need exact entries.
+func (k *ExactKeyKernel) ExactKeys(rows []uint64, width, arraySize, digestBits int) [][]uint64 {
+	k.Hash(rows, width)
+	need := k.ExactRows(arraySize, digestBits)
+	out := make([][]uint64, len(need))
+	backing := make([]uint64, 0, len(need)*width)
+	for i, r := range need {
+		n := len(backing)
+		backing = append(backing, rows[r*width:(r+1)*width]...)
+		out[i] = backing[n:len(backing):len(backing)]
+	}
+	return out
+}
+
+// ComputeExactKeys is ExactKeyKernel for a population held as one slice per
+// key; it returns the colliding slices themselves.
+func ComputeExactKeys(tuples [][]uint64, arraySize, digestBits int, polyA1, polyA2, polyDigest uint32) [][]uint64 {
+	k := NewExactKeyKernel(polyA1, polyA2, polyDigest)
+	k.sums = make([]uint64, 0, len(tuples))
+	for _, t := range tuples {
+		k.hashKey(t)
+	}
+	need := k.ExactRows(arraySize, digestBits)
+	out := make([][]uint64, len(need))
+	for i, r := range need {
+		out[i] = tuples[r]
 	}
 	return out
 }

@@ -206,12 +206,17 @@ type QueryPlan struct {
 
 	// ExactKeys are the precomputed colliding key tuples that need
 	// exact-match entries to guarantee zero false positives (§5.2).
-	// Each entry holds one value per Keys field.
+	// Each entry holds one value per Keys field. Read-only: plans of one
+	// program with the same key space share the list.
 	ExactKeys [][]uint64
 
 	// HeaderSpaceSize is the number of distinct key tuples the compiler
 	// extracted for this query.
 	HeaderSpaceSize int
+	// HeaderSpaceTruncated reports that enumeration stopped at
+	// Options.MaxHeaderSpace with tuples left over: no ExactKeys were
+	// computed and the query is not false-positive-free.
+	HeaderSpaceTruncated bool
 
 	// TriggerTemplateID is the template fired per matching record
 	// (stateless connections); 0 = none.

@@ -85,12 +85,9 @@ func AblationSketchAccuracy(cfg Config) *Result {
 			arraySize++
 		}
 		plan := ablationPlan(ntapi.KindReduce, arraySize)
-		tuples := make([][]uint64, flows)
-		for i, k := range keys {
-			tuples[i] = []uint64{k}
-		}
-		plan.ExactKeys = compiler.ComputeExactKeys(tuples, plan.ArraySize, plan.DigestBits,
-			plan.PolyArray1, plan.PolyArray2, plan.PolyDigest)
+		// keys is already a one-word-per-row key matrix.
+		plan.ExactKeys = compiler.NewExactKeyKernel(plan.PolyArray1, plan.PolyArray2, plan.PolyDigest).
+			ExactKeys(keys, 1, plan.ArraySize, plan.DigestBits)
 		ct := htpr.NewCounterTable(plan)
 
 		// Sketch memory budget = the counter table's register memory:

@@ -127,39 +127,41 @@ func Fig17ExactMatch(cfg Config) *Result {
 			t = 5
 		}
 		for _, arraySize := range arraySizes {
-			// Tuples draw sequentially from the one rng stream (so any
-			// worker count sees identical populations) into a two-allocation
-			// arena per trial; the false-positive computations — the
-			// CPU-bound bulk of the experiment — then run on the worker
-			// pool, with in-flight trials bounded so peak memory stays at a
-			// few populations regardless of trial count.
+			// Populations draw sequentially from the one rng stream (so any
+			// worker count sees identical populations), each straight into
+			// one row-major key matrix; the false-positive computations —
+			// the CPU-bound bulk of the experiment — then run on the worker
+			// pool. A worker holds one kernel, so in-flight trials (and peak
+			// memory) stay at a few populations regardless of trial count.
+			// Each population is hashed once for both digest widths: the
+			// 16-bit digest is the low half of the 32-bit one.
 			type trialRes struct{ e16, e32 float64 }
 			results := make([]trialRes, t)
-			sem := make(chan struct{}, cfg.simWorkers())
+			kernels := make(chan *compiler.ExactKeyKernel, cfg.simWorkers())
+			for i := 0; i < cap(kernels); i++ {
+				kernels <- compiler.NewExactKeyKernel(asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman)
+			}
 			var wg sync.WaitGroup
 			for trial := 0; trial < t; trial++ {
-				backing := make([]uint64, 3*n)
-				tuples := make([][]uint64, n)
-				for i := range tuples {
-					// Random 5-tuple-like keys (src, dst, ports+proto).
-					tup := backing[3*i : 3*i+3 : 3*i+3]
-					tup[0] = rng.Uint64() & 0xffffffff
-					tup[1] = rng.Uint64() & 0xffffffff
-					tup[2] = rng.Uint64() & 0xffffffffff
-					tuples[i] = tup
+				// Random 5-tuple-like keys (src, dst, ports+proto).
+				const width = 3
+				rows := make([]uint64, width*n)
+				for i := 0; i < len(rows); i += width {
+					rows[i] = rng.Uint64() & 0xffffffff
+					rows[i+1] = rng.Uint64() & 0xffffffff
+					rows[i+2] = rng.Uint64() & 0xffffffffff
 				}
-				sem <- struct{}{}
+				k := <-kernels
 				wg.Add(1)
-				go func(trial int, tuples [][]uint64) {
+				go func(trial int) {
 					defer wg.Done()
-					defer func() { <-sem }()
+					k.Hash(rows, width)
 					results[trial] = trialRes{
-						e16: float64(len(compiler.ComputeExactKeys(tuples, arraySize, 16,
-							asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman))),
-						e32: float64(len(compiler.ComputeExactKeys(tuples, arraySize, 32,
-							asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman))),
+						e16: float64(len(k.ExactRows(arraySize, 16))),
+						e32: float64(len(k.ExactRows(arraySize, 32))),
 					}
-				}(trial, tuples)
+					kernels <- k
+				}(trial)
 			}
 			wg.Wait()
 			var sum16, sum32 float64

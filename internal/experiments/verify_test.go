@@ -41,6 +41,15 @@ func TestCorpusVerifiesClean(t *testing.T) {
 			if rep.Paths == 0 {
 				t.Error("no feasible paths — the verifier proved the program unreachable")
 			}
+			// table5_ipscan sweeps a /13 (2^19 addresses) under a 1<<16
+			// cap: the one corpus query knowingly compiled without §5.2's
+			// false-positive-free guarantee. Any other truncation is news.
+			for _, q := range prog.Queries {
+				if want := spec.Name == "table5_ipscan"; q.HeaderSpaceTruncated != want {
+					t.Errorf("query %s: header space truncated=%v (%d tuples), want %v",
+						q.Query.Name, q.HeaderSpaceTruncated, q.HeaderSpaceSize, want)
+				}
+			}
 		})
 	}
 }
