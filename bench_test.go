@@ -14,10 +14,14 @@ import (
 	"strings"
 	"testing"
 
+	hypertester "github.com/hypertester/hypertester"
 	"github.com/hypertester/hypertester/internal/core/compiler"
+	"github.com/hypertester/hypertester/internal/core/htpr"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/experiments"
+	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/raceflag"
+	"github.com/hypertester/hypertester/internal/testbed"
 )
 
 var benchCfg = experiments.Config{Quick: true, Seed: 1}
@@ -150,6 +154,112 @@ func TestCompileAllocBudget(t *testing.T) {
 		if allocs > budget {
 			t.Errorf("Compile(%s): %.0f allocs/run, budget %.0f", s.Name, allocs, budget)
 		}
+	}
+}
+
+// delayTask is Table 5's delay task at a 200 ns interval, the program of
+// the benchmark's delayquery workload: sent and received probes each feed a
+// keyed max over all 65536 IPv4 ids.
+const delayTask = `
+T1 = trigger()
+    .set([dip, sip, proto], [9.9.9.9, 1.1.0.1, udp])
+    .set([dport, sport], [7, 7])
+    .set(ipv4.id, range(0, 65535, 1))
+    .set(interval, 200ns)
+    .set(port, 0)
+Q1 = query(T1).map(p -> (ipv4.id)).reduce(keys={ipv4.id}, func=max)
+Q2 = query().map(p -> (ipv4.id)).reduce(keys={ipv4.id}, func=max)
+Q3 = query().map(p -> (pkt_len)).reduce(func=sum)
+`
+
+func delayPlan(tb testing.TB) *compiler.QueryPlan {
+	tb.Helper()
+	task, err := ntapi.Parse("delay", delayTask)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := compiler.Compile(task, compiler.Options{RecircPaths: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog.QueryByID(1)
+}
+
+// BenchmarkCounterTableUpdate is the loop behind the benchmark's
+// htpr.counter_update_ns: one update cycling over 65536 keys plus the KV
+// drain a template pass would do.
+func BenchmarkCounterTableUpdate(b *testing.B) {
+	ct := htpr.NewCounterTable(delayPlan(b))
+	key := make([]uint64, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key[0] = uint64(i) & 0xffff
+		ct.Update(key, uint64(i))
+		ct.DrainOne()
+	}
+}
+
+// BenchmarkCounterTableCollect collects a table holding 65536 keys.
+func BenchmarkCounterTableCollect(b *testing.B) {
+	ct := htpr.NewCounterTable(delayPlan(b))
+	key := make([]uint64, 1)
+	for id := uint64(0); id < 1<<16; id++ {
+		key[0] = id
+		ct.Update(key, id)
+		ct.DrainOne()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rows := len(ct.Collect()); rows != 1<<16 {
+			b.Fatalf("collected %d keys, want 65536", rows)
+		}
+	}
+}
+
+// TestAblationAAllocBudget holds Ablation A to ROADMAP item 2's number. It
+// drives a counter table with 8 updates for each of 4096 + 16384 flows:
+// one allocation per update would be 164k, one per flow 20k.
+func TestAblationAAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	allocs := testing.AllocsPerRun(2, func() { experiments.AblationSketchAccuracy(benchCfg) })
+	t.Logf("Ablation A: %.0f allocs", allocs)
+	if allocs > 20000 {
+		t.Errorf("Ablation A: %.0f allocs/run, budget 20000", allocs)
+	}
+}
+
+// TestDelayQueryAllocBudget runs a short window of the delay task against
+// a reflector: with every probe updating a sent-side and a received-side
+// counter table, a steady-state packet must cost under one allocation
+// anywhere between the tester, the cable and the reflector.
+func TestDelayQueryAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	ht := hypertester.New(hypertester.Config{Ports: []float64{100}, Seed: 1})
+	refl := testbed.NewReflector(ht.Sim, "reflector", 100)
+	testbed.Connect(ht.Sim, ht.Port(0), refl.Iface, testbed.DefaultCableDelay)
+	if err := ht.LoadTaskSource("delay", delayTask); err != nil {
+		t.Fatal(err)
+	}
+	if err := ht.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ht.RunFor(200 * netsim.Microsecond)
+	port := ht.Port(0)
+	before := port.TxPackets + port.RxPackets
+	allocs := testing.AllocsPerRun(1, func() { ht.RunFor(2 * netsim.Millisecond) }) // mean of 1 run after 1 warm-up
+	packets := float64(port.TxPackets+port.RxPackets-before) / 2
+	t.Logf("%.0f allocs over %.0f tester-port packets", allocs, packets)
+	if packets < 15000 || refl.Reflected == 0 {
+		t.Fatalf("window too quiet: %.0f packets, %d reflected", packets, refl.Reflected)
+	}
+	if allocs > packets {
+		t.Errorf("%.0f allocs for %.0f packets, budget 1 per packet", allocs, packets)
 	}
 }
 

@@ -152,11 +152,7 @@ func (t *Tester) deploy(prog *compiler.Program) error {
 	// messages over the rate-limited PCIe channel (§5.2 push mode).
 	recv.EnableDigestEvictions()
 	recv.DigestRoom = func() bool { return t.Switch.DigestQueueLen() < 4096 }
-	t.CPU.OnDigest = func(msg []byte, at netsim.Time) {
-		if qid, key, v, err := htpr.DecodeEviction(msg); err == nil {
-			recv.MergeEviction(qid, key, v)
-		}
-	}
+	t.CPU.OnDigest = func(msg []byte, _ netsim.Time) { recv.MergeDigest(msg) }
 
 	fifos := map[int]*stateless.FIFO{}
 	for _, q := range prog.Queries {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
@@ -79,7 +80,7 @@ func randomTemplate(t *testing.T, rng *rand.Rand, id int) *Template {
 }
 
 // matrixTuples views a matrix as one slice per row.
-func matrixTuples(m *tupleMatrix) [][]uint64 {
+func matrixTuples(m *TupleMatrix) [][]uint64 {
 	var out [][]uint64
 	for r := 0; r < m.n; r++ {
 		out = append(out, m.rows[r*m.width:(r+1)*m.width])
@@ -316,5 +317,55 @@ func TestQueriesShareKeySpaces(t *testing.T) {
 	}
 	if len(other.ExactKeys) != 0 {
 		t.Fatalf("single-tuple space got %d exact keys", len(other.ExactKeys))
+	}
+}
+
+// TestTupleMatrixProbeFindGrow: rows keep their numbers and contents while
+// the index grows from its 16-slot minimum, Find never adds, and a tuple of
+// the wrong width is a caller bug.
+func TestTupleMatrixProbeFindGrow(t *testing.T) {
+	for width := 0; width <= 3; width++ {
+		m := NewTupleMatrix(width, 0)
+		n := 5000
+		if width == 0 {
+			n = 1 // the empty tuple is the only 0-wide key
+		}
+		tuple := func(i int) []uint64 {
+			t := make([]uint64, width)
+			for w := range t {
+				t[w] = uint64(i) >> uint(4*w) // high words repeat across rows
+			}
+			return t
+		}
+		for i := 0; i < n; i++ {
+			if m.Find(tuple(i)) != -1 {
+				t.Fatalf("width %d: tuple %d found before it was added", width, i)
+			}
+			if row, added := m.Probe(tuple(i)); row != i || !added {
+				t.Fatalf("width %d: first Probe(%d) = %d, %v", width, i, row, added)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if row, added := m.Probe(tuple(i)); row != i || added {
+				t.Fatalf("width %d: second Probe(%d) = %d, %v", width, i, row, added)
+			}
+			if m.Find(tuple(i)) != i || !slices.Equal(m.Row(i), tuple(i)) {
+				t.Fatalf("width %d: row %d lost", width, i)
+			}
+		}
+		if m.Len() != n {
+			t.Fatalf("width %d: %d rows, want %d", width, m.Len(), n)
+		}
+		if m.Find(make([]uint64, width+1)) != -1 {
+			t.Fatalf("width %d: found a %d-wide tuple", width, width+1)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("width %d: Probe took a %d-wide tuple", width, width+1)
+				}
+			}()
+			m.Probe(make([]uint64, width+1))
+		}()
 	}
 }

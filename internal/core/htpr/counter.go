@@ -19,10 +19,13 @@ import (
 // query. The arrays store (digest, counter) in registers; full keys are
 // never stored on the data plane. KV-FIFO records carry (primary slot,
 // digest, count) — under partial-key cuckoo hashing that is sufficient to
-// place and relocate entries without knowing the key. The shadowKeys map is
-// control-plane bookkeeping only: the switch CPU can reconstruct key↔cell
-// mappings because the header space is known (§5.2); it labels results and
-// never influences data-plane behaviour.
+// place and relocate entries without knowing the key.
+//
+// The fields under "CPU-side labels" are control-plane bookkeeping only: the
+// switch CPU can reconstruct key↔cell mappings because the header space is
+// known (§5.2); labels name results and never influence data-plane
+// behaviour. They are flat: every key the CPU has had to name is one row of
+// keys, and all per-key and per-cell state is a slice indexed by row or slot.
 type CounterTable struct {
 	plan *compiler.QueryPlan
 
@@ -39,28 +42,36 @@ type CounterTable struct {
 	// template packet (Figure 5). Record layout: slot1, digest, count.
 	kvFIFO *stateless.FIFO
 
-	// keyDir labels cells for the CPU: (primary slot, digest) -> key.
-	// Among non-exact keys the pair is unique by construction (colliding
-	// keys were moved to the exact table), and the CPU can always rebuild
-	// it because the header space is known (§5.2). Entries persist for
-	// the task's lifetime.
-	keyDir map[uint64][]uint64
+	// exact is the exact-key-matching table (Figure 4): the precomputed
+	// colliding keys, row e counting in exactCount[e] once exactSeen[e].
+	exact      *compiler.TupleMatrix
+	exactCount []uint64
+	exactSeen  []bool
 
-	// exact maps precomputed colliding keys to dedicated counters.
-	exact map[string]*exactEntry
-
-	// shadowKeys labels occupied cells for result collection:
-	// array<<40 | slot -> key tuple.
-	shadowKeys map[uint64][]uint64
-
-	// evicted accumulates entries reported to the switch CPU (FIFO
-	// overflow or relocation-budget eviction), keyed by encoded tuple.
-	// When OnEvict is set, reports go through it instead (the push-mode
-	// digest path the receiver wires up).
-	evicted map[string]uint64
+	// CPU-side labels. keys holds each named key once, in first-seen order;
+	// its first exact.Len() rows are the exact keys, row for row.
+	keys *compiler.TupleMatrix
+	// label1/label2 name the occupant of each register cell as a keys row;
+	// noRow marks an empty cell. Every occupant has a name: Update labels
+	// what it inserts, a drained KV entry carries the row dir holds for it,
+	// and a relocated occupant takes its label along.
+	label1, label2 []int32
+	// dir names KV-FIFO entries: row i is a (primary slot, digest) pair
+	// packed into one word, dirRow[i] the keys row it was queued for. Among
+	// non-exact keys the pair is unique by construction (colliding keys
+	// were moved to the exact table). Entries persist for the task's
+	// lifetime.
+	dir    *compiler.TupleMatrix
+	dirRow []int32
+	// evicted holds, per keys row, what has been reported to the switch CPU
+	// for that key: FIFO-overflow, relocation-budget and idle-sweep
+	// evictions while OnEvict is nil, and whatever MergeEvicted is handed.
+	evicted []partial
 
 	// OnEvict, when non-nil, receives each evicted (key, partial
-	// aggregate) instead of the internal CPU-side map.
+	// aggregate) instead of the internal CPU-side store (the push-mode
+	// digest path the receiver wires up). key aliases the table's key rows
+	// and must not be modified.
 	OnEvict func(key []uint64, value uint64)
 
 	// Statistics.
@@ -75,7 +86,23 @@ type CounterTable struct {
 	FIFODrops    uint64 // KV-FIFO overflow (the §6.1 limitation)
 
 	maxRelocate int
+
+	// Scratch reused across calls: the key's hash-input bytes (live inside
+	// one Update) and the per-row accumulator of results.
+	kbuf []byte
+	acc  []partial
 }
+
+// partial is one key's aggregate so far; ok is false until a first value
+// arrives (0 is a legitimate minimum, so absence cannot be a value).
+type partial struct {
+	v  uint64
+	ok bool
+}
+
+// noRow is the label of an empty cell, and of a KV entry dir has no row for
+// (which Update's bookkeeping rules out; evict counts it as Unattributed).
+const noRow int32 = -1
 
 // Observe binds the table's six register arrays to a trace stream so every
 // SALU access during query processing emits a salu record.
@@ -88,17 +115,13 @@ func (ct *CounterTable) Observe(clock *netsim.Sim, tr *obs.Trace) {
 	ct.touch2.Observe(clock, tr)
 }
 
-type exactEntry struct {
-	key   []uint64
-	count uint64
-	seen  bool
-}
-
 // kvLayout: slot1, digest, count (register-file FIFO reuse).
 var kvLayout = []asic.Field{asic.FieldNone, asic.FieldNone, asic.FieldNone}
 
 // NewCounterTable builds the runtime structure for a reduce/distinct plan.
+// Keys handed to Update must be len(plan.Keys) words wide.
 func NewCounterTable(plan *compiler.QueryPlan) *CounterTable {
+	width := len(plan.Keys)
 	ct := &CounterTable{
 		plan:        plan,
 		h1:          asic.NewHashUnit("ct-a1", plan.PolyArray1),
@@ -111,42 +134,67 @@ func NewCounterTable(plan *compiler.QueryPlan) *CounterTable {
 		touch1:      asic.NewRegisterArray("ct-touch1", plan.ArraySize),
 		touch2:      asic.NewRegisterArray("ct-touch2", plan.ArraySize),
 		kvFIFO:      stateless.New("kv-fifo", kvLayout, 1024),
-		keyDir:      make(map[uint64][]uint64),
-		exact:       make(map[string]*exactEntry),
-		shadowKeys:  make(map[uint64][]uint64),
-		evicted:     make(map[string]uint64),
+		exact:       compiler.NewTupleMatrix(width, len(plan.ExactKeys)),
+		keys:        compiler.NewTupleMatrix(width, len(plan.ExactKeys)),
+		label1:      make([]int32, plan.ArraySize),
+		label2:      make([]int32, plan.ArraySize),
+		dir:         compiler.NewTupleMatrix(1, 0),
 		maxRelocate: 8,
 	}
+	for i := range ct.label1 {
+		ct.label1[i], ct.label2[i] = noRow, noRow
+	}
 	for _, k := range plan.ExactKeys {
-		key := append([]uint64(nil), k...)
-		ct.exact[string(compiler.EncodeKey(key))] = &exactEntry{key: key}
+		if _, added := ct.exact.Probe(k); added {
+			ct.exactCount = append(ct.exactCount, 0)
+			ct.exactSeen = append(ct.exactSeen, false)
+			ct.row(k)
+		}
 	}
 	return ct
+}
+
+// row returns key's row in the CPU's key list, adding it on first sight.
+func (ct *CounterTable) row(key []uint64) int32 {
+	r, added := ct.keys.Probe(key)
+	if added {
+		ct.evicted = append(ct.evicted, partial{})
+	}
+	return int32(r)
 }
 
 func pendingID(slot1 int, digest uint32) uint64 {
 	return uint64(slot1)<<32 | uint64(digest)
 }
 
-func cellID(array, slot int) uint64 { return uint64(array)<<40 | uint64(slot) }
+// queuedRow returns the keys row a (primary slot, digest) pair was queued
+// for, or noRow.
+func (ct *CounterTable) queuedRow(slot1 int, digest uint32) int32 {
+	pair := [1]uint64{pendingID(slot1, digest)}
+	if i := ct.dir.Find(pair[:]); i >= 0 {
+		return ct.dirRow[i]
+	}
+	return noRow
+}
 
 // Update processes one packet's key with a value delta. For distinct
 // queries the aggregate saturates at 1 (insert-if-new). It returns the
 // post-update aggregate for the key, which post-reduce filters evaluate.
+// key is not retained.
 func (ct *CounterTable) Update(key []uint64, delta uint64) uint64 {
 	ct.Updates++
-	kb := compiler.EncodeKey(key)
 
 	// Exact key matching first: precomputed collisions resolve here and
 	// never touch the hashed arrays (Figure 4).
-	if e, ok := ct.exact[string(kb)]; ok {
+	if e := ct.exact.Find(key); e >= 0 {
 		ct.ExactHits++
-		e.count = ct.agg(e.count, delta, !e.seen)
-		e.seen = true
-		return e.count
+		ct.exactCount[e] = ct.agg(ct.exactCount[e], delta, !ct.exactSeen[e])
+		ct.exactSeen[e] = true
+		return ct.exactCount[e]
 	}
 
-	idx1, idx2, d := compiler.CuckooSlots(kb, ct.plan.ArraySize, ct.plan.DigestBits, ct.h1, ct.hd, ct.halt)
+	ct.kbuf = compiler.AppendKey(ct.kbuf[:0], key)
+	idx1, idx2, d := compiler.CuckooSlots(ct.kbuf, ct.plan.ArraySize, ct.plan.DigestBits, ct.h1, ct.hd, ct.halt)
 
 	// Hit in either array?
 	if ct.digest1.Read(idx1) == uint64(d) {
@@ -167,27 +215,29 @@ func (ct *CounterTable) Update(key []uint64, delta uint64) uint64 {
 		ct.digest1.Write(idx1, uint64(d))
 		ct.count1.Write(idx1, first)
 		ct.touch1.Write(idx1, ct.Updates)
-		ct.shadowKeys[cellID(1, idx1)] = append([]uint64(nil), key...)
+		ct.label1[idx1] = ct.row(key)
 		return first
 	}
 	if ct.digest2.Read(idx2) == 0 {
 		ct.digest2.Write(idx2, uint64(d))
 		ct.count2.Write(idx2, first)
 		ct.touch2.Write(idx2, ct.Updates)
-		ct.shadowKeys[cellID(2, idx2)] = append([]uint64(nil), key...)
+		ct.label2[idx2] = ct.row(key)
 		return first
 	}
 	// Both candidate slots occupied: queue the KV pair for a recirculated
 	// template packet to place (Figure 5b).
-	if ct.kvFIFO.Push([]uint64{uint64(idx1), uint64(d), first}) {
+	rec := [3]uint64{uint64(idx1), uint64(d), first}
+	if ct.kvFIFO.Push(rec[:]) {
 		ct.FIFOPushes++
-		if _, dup := ct.keyDir[pendingID(idx1, d)]; !dup {
-			ct.keyDir[pendingID(idx1, d)] = append([]uint64(nil), key...)
+		pair := [1]uint64{pendingID(idx1, d)}
+		if _, added := ct.dir.Probe(pair[:]); added {
+			ct.dirRow = append(ct.dirRow, ct.row(key))
 		}
 	} else {
 		// FIFO overflow: report straight to the switch CPU (§6.1).
 		ct.FIFODrops++
-		ct.evict(key, first)
+		ct.evict(ct.row(key), first)
 	}
 	return first
 }
@@ -218,7 +268,7 @@ func (ct *CounterTable) agg(old, delta uint64, isNew bool) uint64 {
 
 // merge folds two partial aggregates of the same key together. Both must
 // exist: 0 is a legitimate minimum, so "no partial yet" is the caller's to
-// know (mergeInto), not a value.
+// know (fold), not a value.
 func (ct *CounterTable) merge(a, b uint64) uint64 {
 	if ct.plan.Kind == ntapi.KindDistinct {
 		return 1
@@ -239,20 +289,21 @@ func (ct *CounterTable) merge(a, b uint64) uint64 {
 	}
 }
 
-// mergeInto folds a partial aggregate into m[kb]; a key's first partial is
-// stored as it is.
-func (ct *CounterTable) mergeInto(m map[string]uint64, kb string, v uint64) {
-	if old, ok := m[kb]; ok {
-		v = ct.merge(old, v)
+// fold merges one more partial aggregate of a key into p; a key's first
+// partial is stored as it is.
+func (ct *CounterTable) fold(p *partial, v uint64) {
+	if p.ok {
+		v = ct.merge(p.v, v)
 	}
-	m[kb] = v
+	p.v, p.ok = v, true
 }
 
 // DrainOne performs one FIFO pop and cuckoo insertion — the work a
 // recirculated template packet does per pass (Figure 5). It reports whether
 // anything was drained.
 func (ct *CounterTable) DrainOne() bool {
-	rec, ok := ct.kvFIFO.Pop()
+	var buf [3]uint64 // the KV record lives only inside this call
+	rec, ok := ct.kvFIFO.PopInto(buf[:0])
 	if !ok {
 		return false
 	}
@@ -270,65 +321,58 @@ func (ct *CounterTable) DrainOne() bool {
 		return true
 	}
 
-	shadow := ct.keyDir[pendingID(slot1, d)]
+	row := ct.queuedRow(slot1, d)
 
 	// Insert at the primary slot, relocating occupants along their
 	// alternate-slot chains (bounded, like a pipeline pass).
 	slot, digest, count := slot1, d, cnt
 	array := 1
 	for hop := 0; hop < ct.maxRelocate; hop++ {
-		dArr, cArr := ct.digest1, ct.count1
+		dArr, cArr, labels := ct.digest1, ct.count1, ct.label1
 		if array == 2 {
-			dArr, cArr = ct.digest2, ct.count2
+			dArr, cArr, labels = ct.digest2, ct.count2, ct.label2
 		}
 		oldD := dArr.Read(slot)
 		oldC := cArr.Read(slot)
-		oldShadow := ct.shadowKeys[cellID(array, slot)]
-		if oldShadow == nil && oldD != 0 {
-			// Recover the occupant's label from the key directory via
-			// its primary slot (partial-key cuckoo makes it computable).
-			occIdx1 := slot
-			if array == 2 {
-				occIdx1 = compiler.AltSlot(slot, uint32(oldD), ct.plan.ArraySize, ct.halt)
-			}
-			oldShadow = ct.keyDir[pendingID(occIdx1, uint32(oldD))]
-		}
+		oldRow := labels[slot]
 		dArr.Write(slot, uint64(digest))
 		cArr.Write(slot, count)
-		if shadow != nil {
-			ct.shadowKeys[cellID(array, slot)] = shadow
-		} else {
-			delete(ct.shadowKeys, cellID(array, slot))
-		}
+		labels[slot] = row
 		if oldD == 0 {
 			return true // placed in an empty slot
 		}
 		// The evicted occupant moves to its alternate slot (computable
 		// from slot + digest alone).
-		digest, count, shadow = uint32(oldD), oldC, oldShadow
+		digest, count, row = uint32(oldD), oldC, oldRow
 		slot = compiler.AltSlot(slot, digest, ct.plan.ArraySize, ct.halt)
 		array = 3 - array
 	}
 	// Relocation budget exhausted: report the carried entry to the CPU
 	// (the "old KV pair evicted" path of Figure 5d).
-	if shadow != nil {
-		ct.evict(shadow, count)
-	} else {
-		ct.Unattributed += count
-		ct.Evictions++
-	}
+	ct.evict(row, count)
 	return true
 }
 
 // evict reports one entry to the switch CPU, through the OnEvict hook
-// (push-mode digests) when installed, or the internal CPU map otherwise.
-func (ct *CounterTable) evict(key []uint64, value uint64) {
+// (push-mode digests) when installed, or the internal CPU store otherwise.
+// An entry the CPU cannot name is only counted.
+func (ct *CounterTable) evict(row int32, value uint64) {
 	ct.Evictions++
-	if ct.OnEvict != nil {
-		ct.OnEvict(append([]uint64(nil), key...), value)
-		return
+	switch {
+	case row == noRow:
+		ct.Unattributed += value
+	case ct.OnEvict != nil:
+		ct.OnEvict(ct.keys.Row(int(row)), value)
+	default:
+		ct.fold(&ct.evicted[row], value)
 	}
-	ct.mergeInto(ct.evicted, string(compiler.EncodeKey(key)), value)
+}
+
+// MergeEvicted is the switch-CPU end of push-mode reporting: it folds a
+// partial aggregate that arrived for key into the CPU-side store. key is
+// not retained.
+func (ct *CounterTable) MergeEvicted(key []uint64, value uint64) {
+	ct.fold(&ct.evicted[ct.row(key)], value)
 }
 
 // SweepIdle is the control-plane aging pass: every occupied cell whose last
@@ -337,36 +381,20 @@ func (ct *CounterTable) evict(key []uint64, value uint64) {
 // old analysis states"). It returns the number of evicted entries.
 func (ct *CounterTable) SweepIdle(maxAge uint64) int {
 	evicted := 0
-	sweep := func(array int, dArr, cArr, tArr *asic.RegisterArray) {
+	sweep := func(dArr, cArr, tArr *asic.RegisterArray, labels []int32) {
 		for slot := 0; slot < ct.plan.ArraySize; slot++ {
-			if dArr.Read(slot) == 0 {
+			if dArr.Read(slot) == 0 || ct.Updates-tArr.Read(slot) <= maxAge {
 				continue
 			}
-			if ct.Updates-tArr.Read(slot) <= maxAge {
-				continue
-			}
-			key := ct.shadowKeys[cellID(array, slot)]
-			if key == nil {
-				occIdx1 := slot
-				if array == 2 {
-					occIdx1 = compiler.AltSlot(slot, uint32(dArr.Read(slot)), ct.plan.ArraySize, ct.halt)
-				}
-				key = ct.keyDir[pendingID(occIdx1, uint32(dArr.Read(slot)))]
-			}
-			if key != nil {
-				ct.evict(key, cArr.Read(slot))
-			} else {
-				ct.Unattributed += cArr.Read(slot)
-				ct.Evictions++
-			}
+			ct.evict(labels[slot], cArr.Read(slot))
 			dArr.Write(slot, 0)
 			cArr.Write(slot, 0)
-			delete(ct.shadowKeys, cellID(array, slot))
+			labels[slot] = noRow
 			evicted++
 		}
 	}
-	sweep(1, ct.digest1, ct.count1, ct.touch1)
-	sweep(2, ct.digest2, ct.count2, ct.touch2)
+	sweep(ct.digest1, ct.count1, ct.touch1, ct.label1)
+	sweep(ct.digest2, ct.count2, ct.touch2, ct.label2)
 	return evicted
 }
 
@@ -380,7 +408,8 @@ func (ct *CounterTable) DrainAll() {
 	}
 }
 
-// Result is one key's aggregate in a collected report.
+// Result is one key's aggregate in a collected report. Key aliases the
+// table's key rows and must not be modified.
 type Result struct {
 	Key   []uint64
 	Value uint64
@@ -389,50 +418,35 @@ type Result struct {
 // Collect merges the data-plane state (exact counters, both arrays, any
 // remaining FIFO entries) with CPU-side evictions into a per-key report —
 // what the switch CPU assembles from batched pulls plus digest messages.
+// Rows come in the order the CPU first had to name their keys.
 func (ct *CounterTable) Collect() []Result {
 	ct.DrainAll()
-	merged := make(map[string]uint64)
-	keyOf := make(map[string][]uint64)
-	add := func(key []uint64, v uint64) {
-		kb := string(compiler.EncodeKey(key))
-		ct.mergeInto(merged, kb, v)
-		keyOf[kb] = key
-	}
-	for _, e := range ct.exact {
-		if e.seen {
-			add(e.key, e.count)
-		}
-	}
-	for cid, key := range ct.shadowKeys {
-		array, slot := int(cid>>40), int(cid&0xffffffffff)
-		if array == 1 {
-			if ct.digest1.Read(slot) != 0 {
-				add(key, ct.count1.Read(slot))
-			}
-		} else if ct.digest2.Read(slot) != 0 {
-			add(key, ct.count2.Read(slot))
-		}
-	}
-	for kb, v := range ct.evicted {
-		key := keyOf[kb]
-		if key == nil {
-			key = decodeKey(kb)
-		}
-		add(key, v)
-	}
-	out := make([]Result, 0, len(merged))
-	for kb, v := range merged {
-		out = append(out, Result{Key: keyOf[kb], Value: v})
-	}
-	return out
+	return ct.results()
 }
 
-func decodeKey(kb string) []uint64 {
-	b := []byte(kb)
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		for j := 0; j < 8; j++ {
-			out[i] = out[i]<<8 | uint64(b[i*8+j])
+// results folds everything known about each key into one accumulator per
+// keys row and emits the rows that hold a value.
+func (ct *CounterTable) results() []Result {
+	acc := append(ct.acc[:0], ct.evicted...)
+	ct.acc = acc
+	for e, seen := range ct.exactSeen {
+		if seen {
+			ct.fold(&acc[e], ct.exactCount[e])
+		}
+	}
+	cells := func(labels []int32, dArr, cArr *asic.RegisterArray) {
+		for slot, row := range labels {
+			if row != noRow && dArr.Read(slot) != 0 {
+				ct.fold(&acc[row], cArr.Read(slot))
+			}
+		}
+	}
+	cells(ct.label1, ct.digest1, ct.count1)
+	cells(ct.label2, ct.digest2, ct.count2)
+	out := make([]Result, 0, len(acc))
+	for r, p := range acc {
+		if p.ok {
+			out = append(out, Result{Key: ct.keys.Row(r), Value: p.v})
 		}
 	}
 	return out

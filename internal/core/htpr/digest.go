@@ -14,31 +14,36 @@ import (
 // evictionMagic guards against decoding foreign digest messages.
 const evictionMagic = 0x4855 // "HU"
 
+// evictionLen is the encoded size of an eviction with an n-word key.
+func evictionLen(n int) int { return 6 + 8*n + 8 }
+
 // AppendEviction serializes one evicted entry into dst, reusing its capacity
 // — the allocation-free form used by the receiver's pooled digest path.
 func AppendEviction(dst []byte, queryID int, key []uint64, value uint64) []byte {
-	var hdr [8]byte
-	binary.BigEndian.PutUint16(hdr[0:2], evictionMagic)
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(queryID))
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(len(key)))
-	dst = append(dst, hdr[:6]...)
-	var v [8]byte
+	dst = binary.BigEndian.AppendUint16(dst, evictionMagic)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(queryID))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(key)))
 	for _, k := range key {
-		binary.BigEndian.PutUint64(v[:], k)
-		dst = append(dst, v[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, k)
 	}
-	binary.BigEndian.PutUint64(v[:], value)
-	dst = append(dst, v[:]...)
-	return dst
+	return binary.BigEndian.AppendUint64(dst, value)
 }
 
 // EncodeEviction serializes one evicted entry into a fresh buffer.
 func EncodeEviction(queryID int, key []uint64, value uint64) []byte {
-	return AppendEviction(make([]byte, 0, 6+8*len(key)+8), queryID, key, value)
+	return AppendEviction(make([]byte, 0, evictionLen(len(key))), queryID, key, value)
 }
 
-// DecodeEviction parses a message produced by EncodeEviction.
+// DecodeEviction parses a message produced by EncodeEviction; key is a fresh
+// slice.
 func DecodeEviction(msg []byte) (queryID int, key []uint64, value uint64, err error) {
+	return DecodeEvictionInto(nil, msg)
+}
+
+// DecodeEvictionInto is DecodeEviction with the key decoded into dst's
+// storage, reallocated only when its capacity is short — the allocation-free
+// form of the switch CPU's receive path.
+func DecodeEvictionInto(dst []uint64, msg []byte) (queryID int, key []uint64, value uint64, err error) {
 	if len(msg) < 6 {
 		return 0, nil, 0, fmt.Errorf("htpr: digest message too short")
 	}
@@ -47,12 +52,14 @@ func DecodeEviction(msg []byte) (queryID int, key []uint64, value uint64, err er
 	}
 	queryID = int(binary.BigEndian.Uint16(msg[2:4]))
 	n := int(binary.BigEndian.Uint16(msg[4:6]))
-	want := 6 + 8*n + 8
-	if len(msg) != want {
-		return 0, nil, 0, fmt.Errorf("htpr: eviction digest length %d, want %d", len(msg), want)
+	if len(msg) != evictionLen(n) {
+		return 0, nil, 0, fmt.Errorf("htpr: eviction digest length %d, want %d", len(msg), evictionLen(n))
 	}
-	key = make([]uint64, n)
-	for i := 0; i < n; i++ {
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	key = dst[:n]
+	for i := range key {
 		key[i] = binary.BigEndian.Uint64(msg[6+8*i:])
 	}
 	value = binary.BigEndian.Uint64(msg[6+8*n:])

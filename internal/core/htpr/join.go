@@ -1,6 +1,11 @@
 package htpr
 
-import "sort"
+import (
+	"slices"
+	"sort"
+
+	"github.com/hypertester/hypertester/internal/core/compiler"
+)
 
 // CPU-side query post-processing. Sonata's operator set includes join on
 // top of filter/map/reduce/distinct; HyperTester partitions such operators
@@ -15,17 +20,35 @@ type JoinedResult struct {
 	Right uint64
 }
 
+// indexResults indexes a result set by key tuple for the joins: a key's row
+// in keys indexes its value. A key met twice keeps its last value.
+func indexResults(results []Result) (keys *compiler.TupleMatrix, vals []uint64) {
+	width := 0
+	if len(results) > 0 {
+		width = len(results[0].Key)
+	}
+	keys = compiler.NewTupleMatrix(width, len(results))
+	for _, r := range results {
+		if len(r.Key) != width {
+			continue // no row of this set's query; it can match nothing
+		}
+		if row, added := keys.Probe(r.Key); added {
+			vals = append(vals, r.Value)
+		} else {
+			vals[row] = r.Value
+		}
+	}
+	return keys, vals
+}
+
 // Join inner-joins two result sets on their full key tuples. Keys present
 // in only one side are dropped (use LeftJoin to keep them).
 func Join(left, right []Result) []JoinedResult {
-	idx := make(map[string]uint64, len(right))
-	for _, r := range right {
-		idx[keyString(r.Key)] = r.Value
-	}
+	keys, vals := indexResults(right)
 	var out []JoinedResult
 	for _, l := range left {
-		if rv, ok := idx[keyString(l.Key)]; ok {
-			out = append(out, JoinedResult{Key: l.Key, Left: l.Value, Right: rv})
+		if row := keys.Find(l.Key); row >= 0 {
+			out = append(out, JoinedResult{Key: l.Key, Left: l.Value, Right: vals[row]})
 		}
 	}
 	return out
@@ -33,13 +56,14 @@ func Join(left, right []Result) []JoinedResult {
 
 // LeftJoin keeps every left key; missing right values are zero.
 func LeftJoin(left, right []Result) []JoinedResult {
-	idx := make(map[string]uint64, len(right))
-	for _, r := range right {
-		idx[keyString(r.Key)] = r.Value
-	}
+	keys, vals := indexResults(right)
 	out := make([]JoinedResult, 0, len(left))
 	for _, l := range left {
-		out = append(out, JoinedResult{Key: l.Key, Left: l.Value, Right: idx[keyString(l.Key)]})
+		j := JoinedResult{Key: l.Key, Left: l.Value}
+		if row := keys.Find(l.Key); row >= 0 {
+			j.Right = vals[row]
+		}
+		out = append(out, j)
 	}
 	return out
 }
@@ -53,7 +77,7 @@ func TopK(results []Result, k int) []Result {
 		if sorted[i].Value != sorted[j].Value {
 			return sorted[i].Value > sorted[j].Value
 		}
-		return keyString(sorted[i].Key) < keyString(sorted[j].Key)
+		return slices.Compare(sorted[i].Key, sorted[j].Key) < 0
 	})
 	if k > len(sorted) {
 		k = len(sorted)
@@ -68,14 +92,4 @@ func SumValues(results []Result) uint64 {
 		total += r.Value
 	}
 	return total
-}
-
-func keyString(key []uint64) string {
-	b := make([]byte, 0, len(key)*8)
-	for _, v := range key {
-		for s := 56; s >= 0; s -= 8 {
-			b = append(b, byte(v>>uint(s)))
-		}
-	}
-	return string(b)
 }

@@ -31,11 +31,16 @@ type QueryState struct {
 	RecordsPushed uint64
 
 	// Push-mode eviction reporting (enabled by EnableDigestEvictions):
-	// encoded digest messages awaiting a packet to carry them, and the
-	// CPU-side merge of decoded messages.
+	// encoded digest messages awaiting a packet to carry them. The switch
+	// CPU folds what arrives into Table's CPU-side store (MergeDigest).
 	pendingDigests digestFIFO
-	cpuEvicted     map[string]uint64
-	cpuKeys        map[string][]uint64
+
+	// Per-packet scratch, overwritten by the next packet through this
+	// query: the key tuple, its hash-input bytes (delay queries) and the
+	// trigger record — all copied by whatever they are handed to.
+	key  []uint64
+	kbuf []byte
+	rec  []uint64
 
 	// Delay-measurement state (KindDelay): a hash-indexed timestamp
 	// register written at egress and consumed at ingress.
@@ -84,23 +89,40 @@ type Receiver struct {
 	// digestFree recycles encoded-eviction buffers: a message returns here
 	// once consumed (copied by the ASIC digest channel, or decoded at
 	// collection time) and its storage is reused by the next eviction,
-	// making sustained eviction reporting allocation-free.
+	// making sustained eviction reporting allocation-free. digestSlab is
+	// the block new buffers are cut from when none is free.
 	digestFree [][]byte
+	digestSlab []byte
 	// recycleFn is recycleDigestBuf bound once at construction, installed
 	// as PHV.DigestFree on every attachment so the ASIC hands the buffer
 	// back at the moment it is provably consumed (copied onto the digest
 	// channel, or the PHV released unconsumed) — a per-packet method-value
 	// allocation would break the zero-alloc digest path.
 	recycleFn func([]byte)
+
+	// evKey is the decoded key of the digest message being merged.
+	evKey []uint64
 }
 
-// newEviction encodes an eviction into a recycled buffer when one is free.
+// digestSlabBytes is how much buffer storage one allocation buys: messages
+// pile up by the thousand while the rate-limited channel is busy, and a
+// buffer each would make that pile the run's largest source of garbage.
+const digestSlabBytes = 4096
+
+// newEviction encodes an eviction into a recycled buffer when one is free,
+// else into a message-sized cut of the slab.
 func (r *Receiver) newEviction(queryID int, key []uint64, value uint64) []byte {
 	var buf []byte
 	if n := len(r.digestFree); n > 0 {
 		buf = r.digestFree[n-1][:0]
 		r.digestFree[n-1] = nil
 		r.digestFree = r.digestFree[:n-1]
+	} else {
+		size := evictionLen(len(key))
+		if len(r.digestSlab) < size {
+			r.digestSlab = make([]byte, max(size, digestSlabBytes))
+		}
+		buf, r.digestSlab = r.digestSlab[:0:size], r.digestSlab[size:]
 	}
 	return AppendEviction(buf, queryID, key, value)
 }
@@ -118,7 +140,11 @@ func NewReceiver(prog *compiler.Program) *Receiver {
 	r := &Receiver{prog: prog}
 	r.recycleFn = r.recycleDigestBuf
 	for _, plan := range prog.Queries {
-		st := &QueryState{Plan: plan}
+		st := &QueryState{
+			Plan: plan,
+			key:  make([]uint64, len(plan.Keys)),
+			rec:  make([]uint64, len(plan.RecordFields)),
+		}
 		if plan.Kind == ntapi.KindReduce || plan.Kind == ntapi.KindDistinct {
 			st.Table = NewCounterTable(plan)
 		}
@@ -165,31 +191,31 @@ func (r *Receiver) Observe(clock *netsim.Sim, tr *obs.Trace) {
 // EnableDigestEvictions switches counter-table eviction reporting onto the
 // push-mode digest path (§5.2): evictions become generate_digest messages
 // that ride outgoing packets to the switch CPU, which decodes and merges
-// them (the facade wires the CPU side to MergeEviction).
+// them (the facade wires the CPU side to MergeDigest).
 func (r *Receiver) EnableDigestEvictions() {
 	for _, st := range r.states {
 		if st.Table == nil {
 			continue
 		}
 		st := st
-		st.cpuEvicted = make(map[string]uint64)
-		st.cpuKeys = make(map[string][]uint64)
 		st.Table.OnEvict = func(key []uint64, value uint64) {
 			st.pendingDigests.push(r.newEviction(st.Plan.ID, key, value))
 		}
 	}
 }
 
-// MergeEviction is the switch-CPU side of push-mode reporting: it folds one
-// decoded eviction into the query's CPU aggregate.
-func (r *Receiver) MergeEviction(queryID int, key []uint64, value uint64) {
-	st := r.State(queryID)
-	if st == nil || st.cpuEvicted == nil || st.Table == nil {
+// MergeDigest is the switch-CPU side of push-mode reporting: it decodes one
+// digest message and folds the eviction it carries into that query's CPU
+// aggregate; anything else on the channel is ignored. msg is not retained.
+func (r *Receiver) MergeDigest(msg []byte) {
+	qid, key, v, err := DecodeEvictionInto(r.evKey[:0], msg)
+	if err != nil {
 		return
 	}
-	kb := keyString(key)
-	st.Table.mergeInto(st.cpuEvicted, kb, value)
-	st.cpuKeys[kb] = key
+	r.evKey = key
+	if st := r.State(qid); st != nil && st.Table != nil {
+		st.Table.MergeEvicted(key, v)
+	}
 }
 
 // attachDigest hands one pending eviction message to the current packet's
@@ -295,11 +321,16 @@ func filtersPass(st *QueryState, p *asic.PHV) bool {
 
 // delayIndex hashes the query's key fields into the timestamp register.
 func (st *QueryState) delayIndex(p *asic.PHV) int {
-	key := make([]uint64, len(st.Plan.Keys))
+	st.kbuf = compiler.AppendKey(st.kbuf[:0], st.keyOf(p))
+	return st.delayHash.Index(st.kbuf, st.Plan.ArraySize)
+}
+
+// keyOf reads the query's key fields into the per-query scratch tuple.
+func (st *QueryState) keyOf(p *asic.PHV) []uint64 {
 	for i, kf := range st.Plan.Keys {
-		key[i] = kf.Get(p)
+		st.key[i] = kf.Get(p)
 	}
-	return st.delayHash.Index(compiler.EncodeKey(key), st.Plan.ArraySize)
+	return st.key
 }
 
 // recordDelay consumes a stored sent-side timestamp and accumulates the
@@ -336,15 +367,11 @@ func (r *Receiver) process(st *QueryState, p *asic.PHV) {
 	st.MatchedBytes += uint64(p.FrameLen)
 
 	if st.Table != nil {
-		key := make([]uint64, len(st.Plan.Keys))
-		for i, kf := range st.Plan.Keys {
-			key[i] = kf.Get(p)
-		}
 		delta := uint64(1)
 		if st.Plan.ValueField != asic.FieldNone {
 			delta = st.Plan.ValueField.Get(p)
 		}
-		agg := st.Table.Update(key, delta)
+		agg := st.Table.Update(st.keyOf(p), delta)
 		for _, pred := range st.Plan.Post {
 			if !pred.Eval(agg) {
 				return
@@ -352,11 +379,10 @@ func (r *Receiver) process(st *QueryState, p *asic.PHV) {
 		}
 	}
 	if st.TriggerFIFO != nil {
-		rec := make([]uint64, len(st.Plan.RecordFields))
 		for i, f := range st.Plan.RecordFields {
-			rec[i] = f.Get(p)
+			st.rec[i] = f.Get(p)
 		}
-		if st.TriggerFIFO.Push(rec) {
+		if st.TriggerFIFO.Push(st.rec) {
 			st.RecordsPushed++
 		}
 	}
@@ -380,23 +406,6 @@ type Report struct {
 	DelayMaxNs   float64
 }
 
-// mergeCPUResults folds the CPU-side eviction aggregates into a collected
-// result set.
-func mergeCPUResults(st *QueryState, results []Result) []Result {
-	byKey := make(map[string]int, len(results))
-	for i, r := range results {
-		byKey[keyString(r.Key)] = i
-	}
-	for kb, v := range st.cpuEvicted {
-		if i, ok := byKey[kb]; ok {
-			results[i].Value = st.Table.merge(results[i].Value, v)
-		} else {
-			results = append(results, Result{Key: st.cpuKeys[kb], Value: v})
-		}
-	}
-	return results
-}
-
 // Collect assembles reports for every query.
 func (r *Receiver) Collect() []Report {
 	var out []Report
@@ -408,20 +417,16 @@ func (r *Receiver) Collect() []Report {
 			Bytes:   st.MatchedBytes,
 		}
 		if st.Table != nil {
-			rep.Results = st.Table.Collect()
-			// At collection time the CPU drains any digests still
-			// queued on the data plane, then folds in everything it
-			// received over the channel.
+			// At collection time the CPU empties the KV FIFO and reads
+			// out any digests still queued on the data plane, so the
+			// table's CPU-side store holds everything ever evicted.
+			st.Table.DrainAll()
 			for st.pendingDigests.len() > 0 {
 				msg := st.pendingDigests.pop()
-				if qid, key, v, err := DecodeEviction(msg); err == nil {
-					r.MergeEviction(qid, key, v)
-				}
+				r.MergeDigest(msg)
 				r.recycleDigestBuf(msg)
 			}
-			if len(st.cpuEvicted) > 0 {
-				rep.Results = mergeCPUResults(st, rep.Results)
-			}
+			rep.Results = st.Table.results()
 			rep.Distinct = len(rep.Results)
 		}
 		if st.Plan.Kind == ntapi.KindDelay && st.DelayCount > 0 {

@@ -27,10 +27,12 @@ const (
 
 // Sender deploys compiled templates onto a switch.
 type Sender struct {
-	sw     *asic.Switch
-	cpu    *switchcpu.CPU
-	prog   *compiler.Program
-	states map[int]*templateState
+	sw   *asic.Switch
+	cpu  *switchcpu.CPU
+	prog *compiler.Program
+	// states is indexed by template ID (1-based and small); slot 0 and any
+	// gap are nil.
+	states []*templateState
 }
 
 type templateState struct {
@@ -58,8 +60,9 @@ type templateState struct {
 
 	// fifo is the trigger-record source for stateless templates.
 	fifo *stateless.FIFO
-	// recordIdx maps record fields to positions in the record layout.
-	recordIdx map[asic.Field]int
+	// recordIdx[i] is where tmpl.Mods[i], a ModFromRecord, reads the
+	// record; -1 for a field the record lacks (and for every other mod).
+	recordIdx []int
 	inPortIdx int
 }
 
@@ -68,7 +71,11 @@ type templateState struct {
 func New(sw *asic.Switch, cpu *switchcpu.CPU, prog *compiler.Program,
 	triggerFIFOs map[int]*stateless.FIFO, seed int64) (*Sender, error) {
 
-	s := &Sender{sw: sw, cpu: cpu, prog: prog, states: make(map[int]*templateState)}
+	maxID := 0
+	for _, t := range prog.Templates {
+		maxID = max(maxID, t.ID)
+	}
+	s := &Sender{sw: sw, cpu: cpu, prog: prog, states: make([]*templateState, maxID+1)}
 
 	// Loop capacity is shared among templates (§7.3): each template gets
 	// an equal share of the in-flight budget across all paths.
@@ -106,11 +113,14 @@ func New(sw *asic.Switch, cpu *switchcpu.CPU, prog *compiler.Program,
 					tmpl.ID, tmpl.FromQueryID)
 			}
 			st.fifo = fifo
-			st.recordIdx = make(map[asic.Field]int)
-			for i, f := range fifo.Fields {
-				st.recordIdx[f] = i
-			}
 			st.inPortIdx = fifo.FieldIndex(asic.FieldInPort)
+		}
+		st.recordIdx = make([]int, len(tmpl.Mods))
+		for i, m := range tmpl.Mods {
+			st.recordIdx[i] = -1
+			if st.fifo != nil && m.Kind == compiler.ModFromRecord {
+				st.recordIdx[i] = st.fifo.FieldIndex(m.RecordField)
+			}
 		}
 
 		// The loop-continuation copy: recirculation path by template ID.
@@ -147,12 +157,18 @@ func New(sw *asic.Switch, cpu *switchcpu.CPU, prog *compiler.Program,
 	return s, nil
 }
 
-// State exposes a template's runtime state (tests, reports).
-func (s *Sender) State(templateID int) *templateState { return s.states[templateID] }
+// State exposes a template's runtime state (tests, reports); nil for an ID
+// no template carries.
+func (s *Sender) State(templateID int) *templateState {
+	if templateID < 0 || templateID >= len(s.states) {
+		return nil
+	}
+	return s.states[templateID]
+}
 
 // FiredCount returns how many replication events a template has produced.
 func (s *Sender) FiredCount(templateID int) uint64 {
-	if st := s.states[templateID]; st != nil {
+	if st := s.State(templateID); st != nil {
 		return st.Fired
 	}
 	return 0
@@ -160,12 +176,13 @@ func (s *Sender) FiredCount(templateID int) uint64 {
 
 // Observe binds every template's SALU register arrays (accelerator inflight
 // counter, replication timer) to a trace stream, emitting one salu record
-// per access. Binding order does not matter — records are stamped at access
-// time — so iterating the template map here is fine.
+// per access.
 func (s *Sender) Observe(clock *netsim.Sim, tr *obs.Trace) {
 	for _, st := range s.states {
-		st.inflight.Observe(clock, tr)
-		st.timer.Observe(clock, tr)
+		if st != nil {
+			st.inflight.Observe(clock, tr)
+			st.timer.Observe(clock, tr)
+		}
 	}
 }
 
@@ -180,7 +197,7 @@ func (s *Sender) Start() {
 // IngressProcessor implements the accelerator and replicator.
 func (s *Sender) IngressProcessor() asic.Processor {
 	return asic.ProcessorFunc(func(p *asic.PHV) {
-		st := s.states[p.Meta.TemplateID]
+		st := s.State(p.Meta.TemplateID)
 		if st == nil {
 			return
 		}
@@ -271,7 +288,7 @@ func (s *Sender) EgressProcessor() asic.Processor {
 		if p.Meta.TemplateID == 0 || p.Meta.ReplicaID == 0 {
 			return
 		}
-		st := s.states[p.Meta.TemplateID]
+		st := s.State(p.Meta.TemplateID)
 		if st == nil {
 			return
 		}
@@ -288,13 +305,10 @@ func (s *Sender) EgressProcessor() asic.Processor {
 				idx := int(uint64(draw) * uint64(len(m.InvTable)) >> uint(m.RandBits))
 				m.Field.Set(p, m.InvTable[idx])
 			case compiler.ModFromRecord:
-				if p.Meta.Record == nil {
+				if p.Meta.Record == nil || st.recordIdx[i] < 0 {
 					continue
 				}
-				idx, ok := st.recordIdx[m.RecordField]
-				if !ok {
-					continue
-				}
+				idx := st.recordIdx[i]
 				v := uint64(int64(p.Meta.Record[idx]) + m.RecordOffset)
 				m.Field.Set(p, v&m.Field.MaxValue())
 			}

@@ -92,9 +92,16 @@ func (f *FIFO) Push(values []uint64) bool {
 	return true
 }
 
-// Pop dequeues one record; ok is false when the queue is empty (the front
-// update depends on the rear value to prevent underflow).
-func (f *FIFO) Pop() (values []uint64, ok bool) {
+// Pop dequeues one record into a fresh slice, for records that outlive the
+// call — a trigger record rides its packet's metadata until the editor has
+// stamped it into the replica. ok is false when the queue is empty.
+func (f *FIFO) Pop() (values []uint64, ok bool) { return f.PopInto(nil) }
+
+// PopInto is Pop into dst's storage, reallocated only when its capacity is
+// short of one record: the allocation-free form for a record consumed before
+// the next pop (the counter tables' KV drain). ok is false when the queue is
+// empty (the front update depends on the rear value to prevent underflow).
+func (f *FIFO) PopInto(dst []uint64) (values []uint64, ok bool) {
 	rear := f.ptrs.Read(rearIdx)
 	front := f.ptrs.RMW(frontIdx, func(old uint64) (uint64, uint64) {
 		if old >= rear {
@@ -106,7 +113,10 @@ func (f *FIFO) Pop() (values []uint64, ok bool) {
 		return nil, false
 	}
 	slot := int(front % uint64(f.size))
-	values = make([]uint64, len(f.entries))
+	if cap(dst) < len(f.entries) {
+		dst = make([]uint64, len(f.entries))
+	}
+	values = dst[:len(f.entries)]
 	for i, arr := range f.entries {
 		values[i] = arr.Read(slot)
 	}

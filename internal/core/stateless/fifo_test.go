@@ -128,3 +128,40 @@ func TestFIFOOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPopIntoReusesTheCallersBuffer: PopInto fills the storage it is handed
+// (Pop is PopInto with none), leaves it alone on an empty queue, and makes
+// the same register accesses as Pop either way.
+func TestPopIntoReusesTheCallersBuffer(t *testing.T) {
+	f := New("t", layout, 4)
+	buf := make([]uint64, 0, len(layout))
+	if v, ok := f.PopInto(buf); ok || v != nil {
+		t.Fatalf("pop-into from empty = %v, %v", v, ok)
+	}
+	f.Push([]uint64{1, 2, 3})
+	f.Push([]uint64{4, 5, 6})
+	v, ok := f.PopInto(buf)
+	if !ok || &v[0] != &buf[:1][0] || v[0] != 1 || v[2] != 3 {
+		t.Fatalf("pop-into = %v, %v (storage reused: %v)", v, ok, ok && &v[0] == &buf[:1][0])
+	}
+	short := make([]uint64, 0, 1)
+	if v, ok := f.PopInto(short); !ok || len(v) != 3 || v[0] != 4 {
+		t.Fatalf("pop-into a short buffer = %v, %v", v, ok)
+	}
+	if f.Popped != 2 || f.Len() != 0 {
+		t.Fatalf("popped %d, len %d", f.Popped, f.Len())
+	}
+
+	g := New("g", layout, 4)
+	g.Pop()
+	g.Push([]uint64{1, 2, 3})
+	g.Pop()
+	h := New("h", layout, 4)
+	h.PopInto(buf)
+	h.Push([]uint64{1, 2, 3})
+	h.PopInto(buf)
+	if g.ptrs.Accesses != h.ptrs.Accesses || g.entries[0].Accesses != h.entries[0].Accesses {
+		t.Fatalf("Pop made %d+%d register accesses, PopInto %d+%d",
+			g.ptrs.Accesses, g.entries[0].Accesses, h.ptrs.Accesses, h.entries[0].Accesses)
+	}
+}

@@ -23,6 +23,8 @@ func DefaultDeterminismConfig() DeterminismConfig {
 	return DeterminismConfig{Packages: []string{
 		"internal/asic", "internal/netsim", "internal/experiments",
 		"internal/scenario",
+		"internal/core/htpr", "internal/core/htps", "internal/core/stateless",
+		"internal/switchcpu",
 	}}
 }
 

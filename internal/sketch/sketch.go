@@ -82,9 +82,11 @@ func NewBloom(m, k int) *Bloom {
 }
 
 func (b *Bloom) idx(h *asic.HashUnit, key []byte, salt uint32) int {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], salt)
-	return int(h.Sum(append(buf[:], key...)) % uint32(b.m))
+	// Salt then key; room for a 5-tuple on the stack, longer keys spill to
+	// the heap.
+	var buf [32]byte
+	binary.LittleEndian.PutUint32(buf[:4], salt)
+	return int(h.Sum(append(buf[:4], key...)) % uint32(b.m))
 }
 
 // AddIfNew inserts key and reports whether it was (probably) new — the

@@ -18,9 +18,11 @@ type Reflector struct {
 	ExtraDelay  netsim.Duration
 	ExtraJitter netsim.Duration
 
-	sim   *netsim.Sim
-	rng   *netsim.RNG
-	stack netproto.Stack
+	sim *netsim.Sim
+	rng *netsim.RNG
+	// phv is the one header vector every frame is parsed into, rewritten
+	// through and deparsed from; it holds a frame only inside receive.
+	phv asic.PHV
 }
 
 // NewReflector builds a reflector behind one interface.
@@ -31,12 +33,16 @@ func NewReflector(sim *netsim.Sim, name string, gbps float64) *Reflector {
 	return r
 }
 
+// receive bounces the delivered frame itself: a delivered frame belongs to
+// its receiver (DESIGN.md §5), so the swap is done in place and the same
+// packet goes back out.
 func (r *Reflector) receive(pkt *netproto.Packet) {
-	if err := r.stack.Decode(pkt.Data); err != nil {
+	phv := &r.phv
+	if err := phv.Stack.Decode(pkt.Data); err != nil {
+		pkt.Release()
 		return
 	}
-	out := pkt.Clone()
-	phv := asic.NewPHV(out)
+	phv.Pkt, phv.FrameLen = pkt, pkt.Len()
 	asic.FieldEthSrc.Set(phv, asic.FieldEthDst.Get(phv))
 	if phv.Has(netproto.LayerIPv4) {
 		src, dst := asic.FieldIPv4Src.Get(phv), asic.FieldIPv4Dst.Get(phv)
@@ -54,12 +60,15 @@ func (r *Reflector) receive(pkt *netproto.Packet) {
 		asic.FieldUDPDstPort.Set(phv, sp)
 	}
 	phv.Deparse()
+	phv.Pkt = nil
 	r.Reflected++
 	d := r.ExtraDelay
 	if r.ExtraJitter > 0 {
 		d += netsim.Duration(r.rng.Int63n(int64(r.ExtraJitter)))
 	}
-	r.sim.After(d, func() { r.Iface.Send(out) })
+	j := linkJobPool.Get().(*linkJob)
+	j.iface, j.pkt = r.Iface, pkt
+	r.sim.AfterCall(d, runIfaceSendJob, j)
 }
 
 // ScanTarget emulates an IPv4 address space for Internet-scanning tasks:

@@ -65,6 +65,16 @@ func runIfaceTxJob(a any) {
 	}
 }
 
+// runIfaceSendJob hands a frame to its interface after a device's processing
+// delay.
+func runIfaceSendJob(a any) {
+	j := a.(*linkJob)
+	i, pkt := j.iface, j.pkt
+	*j = linkJob{}
+	linkJobPool.Put(j)
+	i.Send(pkt)
+}
+
 // runIfaceTxCountJob credits TX counters at serialization end for frames
 // already staged to a remote LP (see Iface.Send's remote path). Scheduled
 // at Send time for the serialization-end instant — the same slot

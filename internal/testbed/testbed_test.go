@@ -6,6 +6,7 @@ import (
 
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
 func udpFrame(t *testing.T, size int, sport, dport uint16) *netproto.Packet {
@@ -328,5 +329,40 @@ func TestForwardingDUT(t *testing.T) {
 	sim.Run()
 	if dut2.PipelineDrops != 1 {
 		t.Fatalf("unmapped port not dropped: %d", dut2.PipelineDrops)
+	}
+}
+
+// TestReflectorBouncesTheDeliveredFrame pins the reflector's pool
+// discipline: the frame that comes back is the frame that was delivered —
+// no clone, so nothing is left for the GC — and a frame bouncing between two
+// reflectors costs no allocation per hop.
+func TestReflectorBouncesTheDeliveredFrame(t *testing.T) {
+	sim := netsim.New()
+	src := NewIface(sim, "src", 100)
+	refl := NewReflector(sim, "refl", 100)
+	refl.ExtraDelay = 50 * netsim.Nanosecond
+	var got *netproto.Packet
+	src.OnReceive(func(pkt *netproto.Packet) { got = pkt })
+	Connect(sim, src, refl.Iface, DefaultCableDelay)
+	sent := udpFrame(t, 64, 1111, 2222)
+	src.Send(sent)
+	sim.Run()
+	if got != sent {
+		t.Fatalf("reflector sent back %p, was handed %p", got, sent)
+	}
+
+	if raceflag.Enabled {
+		return // race instrumentation allocates on its own
+	}
+	a, b := NewReflector(sim, "a", 100), NewReflector(sim, "b", 100)
+	Connect(sim, a.Iface, b.Iface, DefaultCableDelay)
+	a.Iface.Send(udpFrame(t, 64, 1, 2))
+	sim.RunFor(10 * netsim.Microsecond)
+	before := a.Reflected
+	if allocs := testing.AllocsPerRun(5, func() { sim.RunFor(10 * netsim.Microsecond) }); allocs != 0 {
+		t.Errorf("%.1f allocs per 10us of ping-pong, want 0", allocs)
+	}
+	if a.Reflected-before < 100 {
+		t.Fatalf("only %d bounces measured", a.Reflected-before)
 	}
 }
