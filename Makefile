@@ -17,13 +17,15 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Replay the committed decoder fuzz corpus as regression tests.
+# Replay the fuzz targets' seeds (decoder corpus, shipped .nt programs) as
+# regression tests.
 fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/netproto/
+	$(GO) test -run Fuzz ./internal/netproto/ ./internal/core/compiler/
 
-# Open-ended fuzzing session against the packet decoder.
+# Open-ended fuzzing sessions: the packet decoder, then the .nt front end.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStackDecode -fuzztime 60s ./internal/netproto/
+	$(GO) test -run '^$$' -fuzz FuzzParseCompile -fuzztime 60s ./internal/core/compiler/
 
 # Full-trace differential oracle: the per-packet lifecycle trace must be
 # bit-identical between the sequential and parallel engines.

@@ -1,7 +1,7 @@
 package hypertester_test
 
-// One benchmark per table and figure of the paper's evaluation (§7).
-// `go test -bench=. -benchmem` regenerates every result; each benchmark
+// One sub-benchmark per table and figure of the paper's evaluation (§7).
+// `go test -bench=Experiments -benchmem` regenerates every result; each one
 // prints its paper-style table once and reports the experiment's headline
 // number (shared with cmd/htbench via experiments.Headline) as a custom
 // metric. Quick-mode experiment windows keep the suite fast; run
@@ -53,38 +53,14 @@ func runExperiment(b *testing.B, fn func(experiments.Config) *experiments.Result
 	b.Logf("\n%s", res.String())
 }
 
-func BenchmarkTable5_LoC(b *testing.B)                { runExperiment(b, experiments.Table5LoC) }
-func BenchmarkFig9_SinglePortThroughput(b *testing.B) { runExperiment(b, experiments.Fig9SinglePort) }
-func BenchmarkFig10_MultiPort(b *testing.B)           { runExperiment(b, experiments.Fig10MultiPort) }
-func BenchmarkFig11_RateControl40G(b *testing.B) {
-	runExperiment(b, experiments.Fig11RateControl40G)
+// BenchmarkExperiments is the evaluation suite, one sub-benchmark per row of
+// experiments.Specs(): `-bench 'Experiments/Fig._11'` regenerates Fig. 11
+// (the testing package prints spaces in sub-benchmark names as underscores).
+func BenchmarkExperiments(b *testing.B) {
+	for _, sp := range experiments.Specs() {
+		b.Run(sp.ID, func(b *testing.B) { runExperiment(b, sp.Fn) })
+	}
 }
-func BenchmarkFig12_RateControl100G(b *testing.B) {
-	runExperiment(b, experiments.Fig12RateControl100G)
-}
-func BenchmarkFig13_RandomQQ(b *testing.B)    { runExperiment(b, experiments.Fig13RandomQQ) }
-func BenchmarkFig14_Accelerator(b *testing.B) { runExperiment(b, experiments.Fig14Accelerator) }
-func BenchmarkFig15_Replicator(b *testing.B)  { runExperiment(b, experiments.Fig15Replicator) }
-func BenchmarkFig16_StatCollection(b *testing.B) {
-	runExperiment(b, experiments.Fig16StatCollection)
-}
-func BenchmarkFig17_ExactMatch(b *testing.B) { runExperiment(b, experiments.Fig17ExactMatch) }
-func BenchmarkTable6_Cost(b *testing.B)      { runExperiment(b, experiments.Table6Cost) }
-func BenchmarkTable7_Resources(b *testing.B) { runExperiment(b, experiments.Table7Resources) }
-func BenchmarkTable8_SynFlood(b *testing.B)  { runExperiment(b, experiments.Table8SynFlood) }
-func BenchmarkFig18_DelayTesting(b *testing.B) {
-	runExperiment(b, experiments.Fig18DelayTesting)
-}
-func BenchmarkAblationA_SketchAccuracy(b *testing.B) {
-	runExperiment(b, experiments.AblationSketchAccuracy)
-}
-func BenchmarkAblationB_CuckooOccupancy(b *testing.B) {
-	runExperiment(b, experiments.AblationCuckooOccupancy)
-}
-func BenchmarkAblationC_Amplification(b *testing.B) {
-	runExperiment(b, experiments.AblationTemplateAmplification)
-}
-func BenchmarkCaseStudy_WebScale(b *testing.B) { runExperiment(b, experiments.CaseWebScale) }
 
 // BenchmarkHeaderSpace compiles a task whose one query sees a 65 536-tuple
 // progression, through a 1-wide key and through the default 5-tuple: the

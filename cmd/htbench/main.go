@@ -7,17 +7,18 @@
 //
 // Usage:
 //
-//	htbench [-quick] [-seed N] [-run substr] [-workers N] [-simworkers N]
+//	htbench [-quick] [-seed N] [-run substr] [-simworkers N]
 //	        [-trace file] [-cpuprofile file] [-memprofile file]
 //
 // -run selects experiments whose ID contains the substring (e.g. "Fig. 11"
 // or "Table"); the default runs everything in paper order. Experiments fan
-// out across -workers goroutines (default GOMAXPROCS; results are
-// bit-identical to -workers 1 — each experiment owns its simulator and
-// seeded RNG streams). -simworkers > 1 additionally parallelizes INSIDE
-// each experiment: device topologies run on the conservative parallel
-// discrete-event engine (one logical process per device) and CPU-bound
-// sweeps on a same-width pool, again with bit-identical results.
+// out across GOMAXPROCS goroutines (set GOMAXPROCS=1 in the environment for
+// a sequential suite; results are bit-identical either way — each experiment
+// owns its simulator and seeded RNG streams). -simworkers > 1 additionally
+// parallelizes INSIDE each experiment: device topologies run on the
+// conservative parallel discrete-event engine (one logical process per
+// device) and CPU-bound sweeps on a same-width pool, again with
+// bit-identical results.
 //
 // -trace runs the observability sample workload (internal/experiments.
 // TraceSample) after the suite and writes its per-packet lifecycle trace as
@@ -41,7 +42,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink measurement windows and sweeps")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	run := flag.String("run", "", "only run experiments whose ID contains this substring")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "experiment worker-pool size")
 	simWorkers := flag.Int("simworkers", 1, "per-experiment worker budget: >1 runs testbeds on the parallel LP engine")
 	tracePath := flag.String("trace", "", "after the suite, run the traced sample workload and write a Perfetto-loadable Chrome trace JSON here")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
@@ -78,10 +78,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *workers < 1 {
-		*workers = 1
-	}
-
 	// Wrap each spec to record its own wall clock without perturbing the
 	// runner.
 	walls := make([]time.Duration, len(specs))
@@ -96,14 +92,6 @@ func main() {
 		}}
 	}
 
-	prevMaxProcs := runtime.GOMAXPROCS(0)
-	if *workers < prevMaxProcs {
-		// Bound the pool by shrinking GOMAXPROCS for the run; Run sizes
-		// its pool from it.
-		runtime.GOMAXPROCS(*workers)
-		defer runtime.GOMAXPROCS(prevMaxProcs)
-	}
-
 	t0 := time.Now()
 	results := experiments.Run(cfg, wrapped)
 	total := time.Since(t0)
@@ -116,7 +104,8 @@ func main() {
 		fmt.Println(res.String())
 		fmt.Printf("(%.1fs)\n\n", walls[i].Seconds())
 	}
-	fmt.Printf("%d experiments in %.1fs (%d workers)\n", len(results), total.Seconds(), *workers)
+	fmt.Printf("%d experiments in %.1fs (%d workers)\n", len(results), total.Seconds(),
+		min(runtime.GOMAXPROCS(0), len(results)))
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

@@ -88,6 +88,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hypertester: %v\n", err)
 		return 2
 	}
+	// A flag this invocation would never read is an error, not a no-op.
+	switch {
+	case *resultsFile != "":
+		fmt.Fprintln(stderr, "hypertester: -results needs -suite (a single task writes no results file)")
+		return 2
+	case *simWorkers != 0:
+		fmt.Fprintln(stderr, "hypertester: -simworkers needs -suite (a single task runs on the sequential engine)")
+		return 2
+	case *pcapOut != "" && *dutKind != "sink":
+		fmt.Fprintf(stderr, "hypertester: -pcap captures at sink DUTs only, not -dut %s\n", *dutKind)
+		return 2
+	}
 	src, err := os.ReadFile(*taskFile)
 	if err != nil {
 		fmt.Fprintf(stderr, "hypertester: read task: %v\n", err)

@@ -87,6 +87,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"missing task file", []string{"-task", "/nonexistent/x.nt"}, "read task"},
 		{"missing suite file", []string{"-suite", "/nonexistent/s.json"}, "suite:"},
 		{"negative simworkers", []string{"-suite", "s.json", "-simworkers", "-1"}, "negative"},
+		{"pcap without sink", []string{"-task", "x.nt", "-dut", "reflector", "-pcap", "out.pcap"}, "-pcap captures at sink DUTs only"},
+		{"results without suite", []string{"-task", "x.nt", "-results", "r.json"}, "-results needs -suite"},
+		{"simworkers without suite", []string{"-task", "x.nt", "-simworkers", "4"}, "-simworkers needs -suite"},
 		{"bad flag", []string{"-frobnicate"}, ""},
 	}
 	for _, tc := range cases {
@@ -175,5 +178,48 @@ func TestRunSuiteMode(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "FAIL") || !strings.Contains(stdout.String(), `check "CHECKVAL"`) {
 		t.Errorf("stdout missing failing check detail: %s", stdout.String())
+	}
+}
+
+// TestRunSuiteContainsPanic is the operator's view of a contained panic: a
+// scenario that panics inside the simulator fails alone, exit code 1, and the
+// panic value is what the CLI prints — there is no other log to find it in.
+// The panic is a real one: a cable delay that overflows sim time passes
+// validation and makes netsim schedule into the past. (If a later validation
+// pass rejects that at load time, swap in any other input that still panics
+// inside scenario.Run; scenario.TestRunSuiteContainsPanic is the synthetic
+// variant.)
+func TestRunSuiteContainsPanic(t *testing.T) {
+	scenarioJSON := func(name, cableNs string) string {
+		return `{
+      "name": "` + name + `",
+      "topology": {"ports": [100], "dut": "sink", "cable_delay_ns": ` + cableNs + `},
+      "program": {"source": "T1 = trigger().set([dip, sip, proto, dport, sport], [9.9.9.9, 1.1.0.1, udp, 1, 1]).set(length, 64).set(port, 0)\n"},
+      "traffic": {"window_us": 20, "seed": 1},
+      "checks": [{"kind": "threshold", "metric": "sink0.rx_packets", "op": ">", "value": 100}]
+    }`
+	}
+	path := filepath.Join(t.TempDir(), "suite.json")
+	body := `{"name": "panics", "scenarios": [` +
+		scenarioJSON("before", "5") + "," + scenarioJSON("boom", "1e30") + "," + scenarioJSON("after", "5") + `]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-suite", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	before := strings.Index(out, "PASS   before")
+	boom := strings.Index(out, "FAIL   boom")
+	after := strings.Index(out, "PASS   after")
+	if before < 0 || boom < before || after < boom {
+		t.Errorf("neighbours did not pass around the failure, in input order:\n%s", out)
+	}
+	if !strings.Contains(out, "scenario panicked: netsim: scheduling event at") {
+		t.Errorf("panic value not printed:\n%s", out)
+	}
+	if !strings.Contains(out, "2 passed, 1 failed") {
+		t.Errorf("suite tally wrong:\n%s", out)
 	}
 }

@@ -237,16 +237,6 @@ type Program struct {
 	Resources p4ir.Resources
 }
 
-// TemplateByID returns the template with the given 1-based ID, or nil.
-func (p *Program) TemplateByID(id int) *Template {
-	for _, t := range p.Templates {
-		if t.ID == id {
-			return t
-		}
-	}
-	return nil
-}
-
 // QueryByID returns the query plan with the given 1-based ID, or nil.
 func (p *Program) QueryByID(id int) *QueryPlan {
 	for _, q := range p.Queries {

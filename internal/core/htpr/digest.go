@@ -29,12 +29,7 @@ func AppendEviction(dst []byte, queryID int, key []uint64, value uint64) []byte 
 	return binary.BigEndian.AppendUint64(dst, value)
 }
 
-// EncodeEviction serializes one evicted entry into a fresh buffer.
-func EncodeEviction(queryID int, key []uint64, value uint64) []byte {
-	return AppendEviction(make([]byte, 0, evictionLen(len(key))), queryID, key, value)
-}
-
-// DecodeEviction parses a message produced by EncodeEviction; key is a fresh
+// DecodeEviction parses a message produced by AppendEviction; key is a fresh
 // slice.
 func DecodeEviction(msg []byte) (queryID int, key []uint64, value uint64, err error) {
 	return DecodeEvictionInto(nil, msg)

@@ -12,8 +12,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
@@ -39,8 +37,8 @@ type Config struct {
 	// in topology order (tester first, then sinks by port), so the merged
 	// trace is bit-identical across engines and worker counts. Tracing is
 	// observational only: results are unchanged. Experiments that fan out
-	// over parMap leave it unset on inner runs (seq() strips it) — a single
-	// TraceSet is not safe for concurrent topologies.
+	// over netsim.ParMap leave it unset on inner runs (seq() strips it) — a
+	// single TraceSet is not safe for concurrent topologies.
 	Trace *obs.TraceSet
 }
 
@@ -53,45 +51,13 @@ func (c Config) simWorkers() int {
 }
 
 // seq returns the config with parallelism stripped — for inner measurements
-// that an outer parMap already spreads across the worker budget. The trace
-// set is stripped with it: inner runs execute concurrently, and a TraceSet
-// is owned by a single topology.
+// that an outer netsim.ParMap already spreads across the worker budget. The
+// trace set is stripped with it: inner runs execute concurrently, and a
+// TraceSet is owned by a single topology.
 func (c Config) seq() Config {
 	c.SimWorkers = 1
 	c.Trace = nil
 	return c
-}
-
-// parMap runs fn(0..n-1) across up to workers goroutines (inline when the
-// budget or n is 1). Each index must write only its own slot of any shared
-// output slice; iteration order is unspecified but slot ownership makes the
-// overall result order-independent.
-func parMap(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Row is one line of a result table.

@@ -72,7 +72,7 @@ func Fig11RateControl40G(cfg Config) *Result {
 	// sequential sweep.
 	rows := make([]Row, len(points))
 	errs := make([]error, len(points))
-	parMap(cfg.simWorkers(), len(points), func(i int) {
+	netsim.ParMap(cfg.simWorkers(), len(points), func(i int) {
 		p := points[i]
 		window := windowFor(p.pps, cfg.Quick)
 		he, _, err := htRateErrors(cfg.seq(), 40, p.size, p.pps, window)
@@ -129,7 +129,7 @@ func Fig12RateControl100G(cfg Config) *Result {
 	}
 	rows := make([]Row, len(points))
 	errs := make([]error, len(points))
-	parMap(cfg.simWorkers(), len(points), func(i int) {
+	netsim.ParMap(cfg.simWorkers(), len(points), func(i int) {
 		p := points[i]
 		he, _, err := htRateErrors(cfg.seq(), 100, p.size, p.pps, windowFor(p.pps, cfg.Quick))
 		if err != nil {

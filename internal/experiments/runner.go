@@ -3,145 +3,48 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
+
+	"github.com/hypertester/hypertester/internal/netsim"
 )
 
-// Spec names one experiment of the evaluation suite.
+// Spec is one row of the evaluation suite: the experiment and the cell of
+// its result table that is its headline metric.
 type Spec struct {
-	ID string
-	Fn func(Config) *Result
+	ID       string
+	Fn       func(Config) *Result
+	Headline HeadlineSpec
 }
 
-// The global experiment registry. The 18 paper experiments register at init
-// (in paper order); scenario suites loaded from files register alongside
-// them (internal/scenario.RegisterSuite), so one runner — worker pool, panic
-// containment, headline extraction — serves both. Registration is mutex-
-// guarded for test harnesses that register and unregister concurrently with
-// reads; the ordered slice keeps Specs() deterministic.
-var (
-	regMu    sync.RWMutex
-	regSpecs []Spec
-	regHeads = map[string]HeadlineSpec{}
-)
-
-// paperSpecs returns the 18 paper experiments in paper order — the exact
-// pre-registry Specs() list, kept verbatim as the reference the registry
-// differential test (TestRegistryMatchesPaperSpecs) compares against.
-func paperSpecs() []Spec {
-	return []Spec{
-		{"Table 5", Table5LoC},
-		{"Fig. 9", Fig9SinglePort},
-		{"Fig. 10", Fig10MultiPort},
-		{"Fig. 11", Fig11RateControl40G},
-		{"Fig. 12", Fig12RateControl100G},
-		{"Fig. 13", Fig13RandomQQ},
-		{"Fig. 14", Fig14Accelerator},
-		{"Fig. 15", Fig15Replicator},
-		{"Fig. 16", Fig16StatCollection},
-		{"Fig. 17", Fig17ExactMatch},
-		{"Table 6", Table6Cost},
-		{"Table 7", Table7Resources},
-		{"Table 8", Table8SynFlood},
-		{"Fig. 18", Fig18DelayTesting},
-		{"Ablation A", AblationSketchAccuracy},
-		{"Ablation B", AblationCuckooOccupancy},
-		{"Ablation C", AblationTemplateAmplification},
-		{"Case study", CaseWebScale},
-	}
+// table is the evaluation suite in paper order — the one list of the 18
+// experiments. htbench, the root bench file, the headline golden test and
+// ./benchmark all read it through Specs().
+var table = []Spec{
+	{"Table 5", Table5LoC, HeadlineSpec{0, 0, "NTAPI-LoC"}},
+	{"Fig. 9", Fig9SinglePort, HeadlineSpec{0, 0, "Gbps-64B@100G"}},
+	{"Fig. 10", Fig10MultiPort, HeadlineSpec{-1, 0, "Gbps-aggregate"}},
+	{"Fig. 11", Fig11RateControl40G, HeadlineSpec{1, 0, "ns-HT-MAE-1Mpps"}},
+	{"Fig. 12", Fig12RateControl100G, HeadlineSpec{1, 0, "ns-MAE-1Mpps"}},
+	{"Fig. 13", Fig13RandomQQ, HeadlineSpec{0, 0, "QQ-corr-normal"}},
+	{"Fig. 14", Fig14Accelerator, HeadlineSpec{0, 0, "ns-RTT-64B"}},
+	{"Fig. 15", Fig15Replicator, HeadlineSpec{0, 0, "ns-mcast-64B"}},
+	{"Fig. 16", Fig16StatCollection, HeadlineSpec{4, 0, "Mbps-digest-256B"}},
+	{"Fig. 17", Fig17ExactMatch, HeadlineSpec{-1, 0, "entries-16b"}},
+	{"Table 6", Table6Cost, HeadlineSpec{2, 0, "USD-saved-per-Tbps"}},
+	{"Table 7", Table7Resources, HeadlineSpec{-1, 5, "pct-SALU-reduce"}},
+	{"Table 8", Table8SynFlood, HeadlineSpec{0, 0, "Gbps-testbed"}},
+	{"Fig. 18", Fig18DelayTesting, HeadlineSpec{0, 0, "ns-HT-HW-mean"}},
+	{"Ablation A", AblationSketchAccuracy, HeadlineSpec{0, 0, "counter-err-keys"}},
+	{"Ablation B", AblationCuckooOccupancy, HeadlineSpec{2, 0, "pct-onchip-0.75"}},
+	{"Ablation C", AblationTemplateAmplification, HeadlineSpec{2, 0, "amplification-x"}},
+	{"Case study", CaseWebScale, HeadlineSpec{1, 0, "handshakes-per-s"}},
 }
 
-// paperHeadlines maps each paper experiment to its headline cell, in paper
-// order (a slice, not a map literal, so registration order is deterministic).
-var paperHeadlines = []struct {
-	ID string
-	HeadlineSpec
-}{
-	{"Table 5", HeadlineSpec{0, 0, "NTAPI-LoC"}},
-	{"Fig. 9", HeadlineSpec{0, 0, "Gbps-64B@100G"}},
-	{"Fig. 10", HeadlineSpec{-1, 0, "Gbps-aggregate"}},
-	{"Fig. 11", HeadlineSpec{1, 0, "ns-HT-MAE-1Mpps"}},
-	{"Fig. 12", HeadlineSpec{1, 0, "ns-MAE-1Mpps"}},
-	{"Fig. 13", HeadlineSpec{0, 0, "QQ-corr-normal"}},
-	{"Fig. 14", HeadlineSpec{0, 0, "ns-RTT-64B"}},
-	{"Fig. 15", HeadlineSpec{0, 0, "ns-mcast-64B"}},
-	{"Fig. 16", HeadlineSpec{4, 0, "Mbps-digest-256B"}},
-	{"Fig. 17", HeadlineSpec{-1, 0, "entries-16b"}},
-	{"Table 6", HeadlineSpec{2, 0, "USD-saved-per-Tbps"}},
-	{"Table 7", HeadlineSpec{-1, 5, "pct-SALU-reduce"}},
-	{"Table 8", HeadlineSpec{0, 0, "Gbps-testbed"}},
-	{"Fig. 18", HeadlineSpec{0, 0, "ns-HT-HW-mean"}},
-	{"Ablation A", HeadlineSpec{0, 0, "counter-err-keys"}},
-	{"Ablation B", HeadlineSpec{2, 0, "pct-onchip-0.75"}},
-	{"Ablation C", HeadlineSpec{2, 0, "amplification-x"}},
-	{"Case study", HeadlineSpec{1, 0, "handshakes-per-s"}},
-}
-
-func init() {
-	for _, sp := range paperSpecs() {
-		MustRegister(sp)
-	}
-	for _, h := range paperHeadlines {
-		RegisterHeadline(h.ID, h.HeadlineSpec)
-	}
-}
-
-// Register appends an experiment to the registry. IDs are unique: loading
-// the same scenario suite twice without unregistering is an error, not a
-// silent double run.
-func Register(sp Spec) error {
-	if sp.ID == "" || sp.Fn == nil {
-		return fmt.Errorf("experiments: Register needs an ID and an Fn")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, have := range regSpecs {
-		if have.ID == sp.ID {
-			return fmt.Errorf("experiments: %q already registered", sp.ID)
-		}
-	}
-	regSpecs = append(regSpecs, sp)
-	return nil
-}
-
-// MustRegister is Register for init-time wiring, where a duplicate is a bug.
-func MustRegister(sp Spec) {
-	if err := Register(sp); err != nil {
-		panic(err)
-	}
-}
-
-// Unregister removes an experiment (and its headline) by ID, so test
-// harnesses and suite reloads can re-register cleanly. Unknown IDs are a
-// no-op.
-func Unregister(id string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for i, sp := range regSpecs {
-		if sp.ID == id {
-			regSpecs = append(regSpecs[:i], regSpecs[i+1:]...)
-			break
-		}
-	}
-	delete(regHeads, id)
-}
-
-// RegisterHeadline declares where an experiment's headline metric lives in
-// its result table (see HeadlineSpec). Re-registration overwrites.
-func RegisterHeadline(id string, hs HeadlineSpec) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	regHeads[id] = hs
-}
-
-// Specs returns every registered experiment in registration order — the 18
-// paper experiments first (paper order), then any registered scenarios.
-func Specs() []Spec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]Spec(nil), regSpecs...)
-}
+// Specs returns the evaluation suite in paper order. The slice is the
+// caller's to filter or wrap.
+func Specs() []Spec { return slices.Clone(table) }
 
 // runSpec executes one experiment, containing any panic as a named failure:
 // the suite keeps running, the panicking experiment reports a result whose
@@ -176,49 +79,14 @@ func runSpec(cfg Config, sp Spec) (res *Result) {
 // failure result and the rest of the suite completes.
 func Run(cfg Config, specs []Spec) []*Result {
 	out := make([]*Result, len(specs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i, sp := range specs {
-			out[i] = runSpec(cfg, sp)
-		}
-		return out
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = runSpec(cfg, specs[i])
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	netsim.ParMap(runtime.GOMAXPROCS(0), len(specs), func(i int) {
+		out[i] = runSpec(cfg, specs[i])
+	})
 	return out
 }
 
-// All runs every registered experiment on the parallel runner.
-func All(cfg Config) []*Result { return Run(cfg, Specs()) }
-
-// AllSequential runs every registered experiment one after another on the
-// calling goroutine — the reference ordering for determinism regression
-// tests.
-func AllSequential(cfg Config) []*Result {
-	specs := Specs()
-	out := make([]*Result, len(specs))
-	for i, sp := range specs {
-		out[i] = runSpec(cfg, sp)
-	}
-	return out
-}
+// All runs the whole suite on the parallel runner.
+func All(cfg Config) []*Result { return Run(cfg, table) }
 
 // HeadlineSpec locates an experiment's headline metric inside its result
 // table. Row < 0 counts from the end (-1 = last row). Unit doubles as the
@@ -231,15 +99,15 @@ type HeadlineSpec struct {
 // Headline extracts an experiment's headline metric. It returns an error —
 // rather than a silent zero — when the result has no such cell or the cell
 // does not start with a number, so a broken experiment cannot masquerade as
-// a real measurement. The headline table is part of the registry: paper
-// experiments install theirs at init, scenarios via RegisterHeadline.
+// a real measurement. The cell is looked up by r.ID in the suite table, so a
+// result produced through a wrapped Spec (htbench's timing closures) resolves
+// like one produced by the table's own Fn.
 func Headline(r *Result) (value float64, unit string, err error) {
-	regMu.RLock()
-	spec, ok := regHeads[r.ID]
-	regMu.RUnlock()
-	if !ok {
+	i := slices.IndexFunc(table, func(sp Spec) bool { return sp.ID == r.ID })
+	if i < 0 {
 		return 0, "", fmt.Errorf("experiments: no headline defined for %q", r.ID)
 	}
+	spec := table[i].Headline
 	row := spec.Row
 	if row < 0 {
 		row += len(r.Rows)

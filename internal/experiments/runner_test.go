@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// sequential runs specs one after another on the calling goroutine — the
+// reference ordering the determinism tests compare the pool and the parallel
+// engine against.
+func sequential(cfg Config, specs []Spec) []*Result {
+	out := make([]*Result, len(specs))
+	for i, sp := range specs {
+		out[i] = runSpec(cfg, sp)
+	}
+	return out
+}
+
 // TestParallelDeterminism is the regression gate for the parallel suite
 // runner: the same seed must produce bit-identical rendered results whether
 // the 18 experiments run sequentially on one goroutine or fanned out across
@@ -21,7 +32,7 @@ func TestParallelDeterminism(t *testing.T) {
 		defer runtime.GOMAXPROCS(prev)
 	}
 	c := Config{Quick: true, Seed: 1}
-	seq := AllSequential(c)
+	seq := sequential(c, Specs())
 	par := All(c)
 	if len(seq) != len(par) {
 		t.Fatalf("sequential ran %d experiments, parallel %d", len(seq), len(par))
@@ -81,5 +92,69 @@ func TestHeadlineErrors(t *testing.T) {
 	}
 	if _, _, err := Headline(&Result{ID: "Fig. 9"}); err == nil {
 		t.Error("missing rows did not error")
+	}
+}
+
+// TestRunRecoversPanics pins the bugfix: a panicking experiment must become
+// a named failure in its input-order slot — on the worker-pool path, the
+// inline path, and one-by-one (TestRunRecoversPanicsSequential) — instead of
+// crashing the whole suite.
+func TestRunRecoversPanics(t *testing.T) {
+	ok := func(id string) Spec {
+		return Spec{ID: id, Fn: func(Config) *Result {
+			return &Result{ID: id, Title: "ok"}
+		}}
+	}
+	specs := []Spec{
+		ok("first"),
+		{ID: "boom", Fn: func(Config) *Result { panic("synthetic failure") }},
+		ok("third"),
+		{ID: "nilres", Fn: func(Config) *Result { return nil }},
+	}
+	check := func(t *testing.T, in []Spec, out []*Result) {
+		t.Helper()
+		if len(out) != len(in) {
+			t.Fatalf("got %d results, want %d", len(out), len(in))
+		}
+		for i, r := range out {
+			if r == nil {
+				t.Fatalf("result %d is nil", i)
+			}
+			if r.ID != in[i].ID {
+				t.Errorf("result %d = %s, want %s (input order lost)", i, r.ID, in[i].ID)
+			}
+		}
+		if out[1].Title != "experiment failed" {
+			t.Errorf("panicking spec title = %q, want failure", out[1].Title)
+		}
+		if len(out[1].Notes) == 0 || !strings.Contains(out[1].Notes[0], "synthetic failure") {
+			t.Errorf("panic value not preserved in notes: %v", out[1].Notes)
+		}
+		if len(out) > 3 && out[3].Title != "experiment failed" {
+			t.Errorf("nil-result spec title = %q, want failure", out[3].Title)
+		}
+		if _, _, err := Headline(out[1]); err == nil {
+			t.Error("failed experiment produced a headline")
+		}
+	}
+	t.Run("pool", func(t *testing.T) { check(t, specs, Run(Config{Quick: true, Seed: 1}, specs)) })
+	// A 2-spec input on a multi-core box still uses the pool, but ParMap's
+	// inline path is what a single-CPU machine gets; exercise runSpec through
+	// Run either way with the panicking spec in slot 1.
+	t.Run("short", func(t *testing.T) { check(t, specs[:2], Run(Config{Quick: true, Seed: 1}, specs[:2])) })
+}
+
+// TestRunRecoversPanicsSequential covers the one-by-one path: a real (fast)
+// experiment followed by a panicking one, both through runSpec.
+func TestRunRecoversPanicsSequential(t *testing.T) {
+	out := sequential(Config{Quick: true, Seed: 1}, []Spec{
+		Specs()[0],
+		{ID: "seq-boom", Fn: func(Config) *Result { panic("seq failure") }},
+	})
+	if out[0].ID != "Table 5" || out[0].Title == "experiment failed" {
+		t.Errorf("real experiment failed: %+v", out[0])
+	}
+	if out[1].ID != "seq-boom" || out[1].Title != "experiment failed" {
+		t.Errorf("panicking experiment not recovered: %+v", out[1])
 	}
 }

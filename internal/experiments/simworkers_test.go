@@ -17,8 +17,8 @@ func TestSimWorkersDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run")
 	}
-	seq := AllSequential(Config{Quick: true, Seed: 1})
-	par := AllSequential(Config{Quick: true, Seed: 1, SimWorkers: 4})
+	seq := sequential(Config{Quick: true, Seed: 1}, Specs())
+	par := sequential(Config{Quick: true, Seed: 1, SimWorkers: 4}, Specs())
 	if len(seq) != len(par) {
 		t.Fatalf("sequential ran %d experiments, parallel %d", len(seq), len(par))
 	}
@@ -61,19 +61,4 @@ func TestSimWorkersWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestParMap pins the helper's contract: every index runs exactly once at
-// any worker count, including the inline path.
-func TestParMap(t *testing.T) {
-	for _, w := range []int{0, 1, 3, 16} {
-		hits := make([]int, 37)
-		parMap(w, len(hits), func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", w, i, h)
-			}
-		}
-	}
-	parMap(4, 0, func(int) { t.Fatal("n=0 must not call fn") })
 }

@@ -100,11 +100,11 @@ func TestTraceDoesNotPerturbHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run")
 	}
-	plain := AllSequential(Config{Quick: true, Seed: 1})
+	plain := sequential(Config{Quick: true, Seed: 1}, Specs())
 
 	ts := obs.NewTraceSet()
 	ts.SetLimit(4096)
-	traced := AllSequential(Config{Quick: true, Seed: 1, Trace: ts})
+	traced := sequential(Config{Quick: true, Seed: 1, Trace: ts}, Specs())
 
 	if ts.Len() == 0 {
 		t.Error("traced suite recorded nothing; Config.Trace is not wired through")

@@ -2,11 +2,12 @@
 // Scenario names a topology (ports, DUT kind, link delay, engine workers),
 // an NTAPI program (inline source or a .nt file), a traffic window, and a
 // list of checks evaluated against the metrics the run observed. Suites of
-// scenarios load from stdlib-JSON files (Load), run on the experiments
-// worker pool with per-scenario panic containment (RunSuite), and register
-// into the experiments registry next to the 18 paper reproductions
-// (RegisterSuite) — the paper's §4 pitch, that one switch program model
-// drives arbitrary testing tasks, expressed as data instead of Go.
+// scenarios load from stdlib-JSON files (Load) and run on a worker pool with
+// per-scenario error and panic containment (RunSuite) — the paper's §4
+// pitch, that one switch program model drives arbitrary testing tasks,
+// expressed as data instead of Go. The package depends on the tester and the
+// testbed only; the paper's evaluation (internal/experiments) is another
+// client of the same two.
 //
 // # Determinism contract
 //
@@ -46,9 +47,6 @@ func KnownDUT(kind string) bool {
 	}
 	return false
 }
-
-// DUTKinds returns the valid -dut / topology kinds, for CLI usage text.
-func DUTKinds() []string { return append([]string(nil), dutKinds...) }
 
 // Topology declares the testbed a scenario runs on: a HyperTester switch
 // with len(Ports) front-panel ports, each cabled to its own DUT instance.

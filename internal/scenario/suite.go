@@ -3,14 +3,15 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 
-	"github.com/hypertester/hypertester/internal/experiments"
+	"github.com/hypertester/hypertester/internal/netsim"
 )
 
 // SuiteResult is the machine-readable outcome of a suite run (the -results
 // file the CLI writes).
 type SuiteResult struct {
-	Suite  string `json:"suite"`
+	Suite string `json:"suite"`
 	// SimWorkers echoes the engine the suite ran on (0 = each scenario's
 	// own topology setting).
 	SimWorkers int          `json:"sim_workers"`
@@ -29,44 +30,22 @@ func (r *SuiteResult) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// RunSuite executes every scenario of a suite on the experiments worker
-// pool — the same runner the 18 paper reproductions use, so scenarios get
-// its input-order results and per-spec panic containment for free. workers
-// overrides each scenario's SimWorkers when > 0. Scenario errors (compile
-// failures, panics) fail that scenario and the suite, never the process.
-func RunSuite(suite *Suite, workers int) *SuiteResult {
-	slots := make([]*RunResult, len(suite.Scenarios))
-	specs := make([]experiments.Spec, len(suite.Scenarios))
-	for i, sc := range suite.Scenarios {
-		i, sc := i, sc
-		specs[i] = experiments.Spec{
-			ID: "scenario/" + sc.Name,
-			Fn: func(cfg experiments.Config) *experiments.Result {
-				w := workers
-				if cfg.SimWorkers > 0 {
-					w = cfg.SimWorkers
-				}
-				r, err := Run(sc, w)
-				if err != nil {
-					r = &RunResult{Name: sc.Name, Title: sc.Title, Err: err.Error()}
-				}
-				slots[i] = r
-				return r.Table()
-			},
-		}
-	}
-	experiments.Run(experiments.Config{SimWorkers: workers}, specs)
+// runScenario is Run; the panic-containment test swaps it.
+var runScenario = Run
 
-	out := &SuiteResult{Suite: suite.Name, SimWorkers: workers, Pass: true}
-	for i, sc := range suite.Scenarios {
-		r := slots[i]
-		if r == nil {
-			// The scenario panicked: experiments.Run recovered it before the
-			// slot was written. Report it as a failed scenario.
-			r = &RunResult{Name: sc.Name, Title: sc.Title,
-				Err: "scenario panicked; see the suite log"}
-		}
-		out.Scenarios = append(out.Scenarios, r)
+// RunSuite executes every scenario of a suite across a GOMAXPROCS-bounded
+// pool (netsim.ParMap — the pool experiments.Run uses) and reports them in
+// input order. workers overrides each scenario's SimWorkers when > 0. A
+// scenario that cannot run — compile failure, panic — fails alone, with the
+// error or the panic value in its own RunResult.Err; it fails the suite,
+// never the process.
+func RunSuite(suite *Suite, workers int) *SuiteResult {
+	out := &SuiteResult{Suite: suite.Name, SimWorkers: workers, Pass: true,
+		Scenarios: make([]*RunResult, len(suite.Scenarios))}
+	netsim.ParMap(runtime.GOMAXPROCS(0), len(suite.Scenarios), func(i int) {
+		out.Scenarios[i] = runContained(suite.Scenarios[i], workers)
+	})
+	for _, r := range out.Scenarios {
 		if r.Pass && r.Err == "" {
 			out.Passed++
 		} else {
@@ -77,37 +56,21 @@ func RunSuite(suite *Suite, workers int) *SuiteResult {
 	return out
 }
 
-// Table renders the run as an experiments result: one row per check plus a
-// closing tally row whose first cell parses as the headline ("N of M
-// passed" → N).
-func (r *RunResult) Table() *experiments.Result {
-	title := r.Title
-	if title == "" {
-		title = "scenario"
+// runContained runs one scenario, turning an error or a panic into a failed
+// result. The panic value is reported without its stack: results must render
+// identically across engines and worker counts, and goroutine stacks do not.
+func runContained(sc *Scenario, workers int) (r *RunResult) {
+	failed := func(msg string) *RunResult {
+		return &RunResult{Name: sc.Name, Title: sc.Title, Err: msg}
 	}
-	res := &experiments.Result{
-		ID:      "scenario/" + r.Name,
-		Title:   title,
-		Columns: []string{"result", "observed"},
-	}
-	if r.Err != "" {
-		res.Title = "scenario failed"
-		res.Notes = append(res.Notes, r.Err)
-		return res
-	}
-	for _, c := range r.Checks {
-		verdict := "PASS"
-		if !c.Pass {
-			verdict = "FAIL (" + c.Detail + ")"
+	defer func() {
+		if p := recover(); p != nil {
+			r = failed(fmt.Sprintf("scenario panicked: %v", p))
 		}
-		res.Rows = append(res.Rows, experiments.Row{
-			Label:  c.Name,
-			Values: []string{verdict, c.Got},
-		})
+	}()
+	r, err := runScenario(sc, workers)
+	if err != nil {
+		return failed(err.Error())
 	}
-	res.Rows = append(res.Rows, experiments.Row{
-		Label:  "checks",
-		Values: []string{fmt.Sprintf("%d of %d passed", r.Passed, r.Passed+r.Failed), ""},
-	})
-	return res
+	return r
 }

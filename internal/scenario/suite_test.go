@@ -2,10 +2,9 @@ package scenario
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
-
-	"github.com/hypertester/hypertester/internal/experiments"
 )
 
 // quickScenario is a cheap single-port scenario for runner-level tests.
@@ -72,80 +71,45 @@ func TestRunSuite(t *testing.T) {
 	}
 }
 
-// TestSuiteTableHeadline pins the rendered scenario table: a tally row
-// whose first cell parses as the experiments headline.
-func TestSuiteTableHeadline(t *testing.T) {
-	r := &RunResult{
-		Name:   "x",
-		Passed: 2,
-		Failed: 1,
-		Checks: []CheckResult{
-			{Name: "a", Pass: true, Got: "1"},
-			{Name: "b", Pass: true, Got: "2"},
-			{Name: "c", Pass: false, Got: "3", Detail: "want rate >= 9"},
-		},
+// TestRunSuiteContainsPanic: a scenario that panics fails alone and names its
+// panic value in its own result — the only place an operator can read it.
+// Neighbours complete, input order is kept. The pool is forced concurrent so
+// the recovery is exercised on a worker goroutine, where an uncontained panic
+// would take the process down.
+func TestRunSuiteContainsPanic(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
 	}
-	tbl := r.Table()
-	if got := tbl.Rows[len(tbl.Rows)-1].Values[0]; got != "2 of 3 passed" {
-		t.Fatalf("tally cell = %q", got)
+	defer func() { runScenario = Run }()
+	runScenario = func(sc *Scenario, workers int) (*RunResult, error) {
+		if sc.Name == "boom" {
+			panic("synthetic scenario failure")
+		}
+		return Run(sc, workers)
 	}
-	if !strings.Contains(tbl.Rows[2].Values[0], "FAIL (want rate >= 9)") {
-		t.Errorf("failing row = %q", tbl.Rows[2].Values[0])
-	}
-
-	experiments.RegisterHeadline("scenario/x", experiments.HeadlineSpec{Row: -1, Col: 0, Unit: "checks-passed"})
-	defer experiments.Unregister("scenario/x")
-	v, unit, err := experiments.Headline(tbl)
-	if err != nil || v != 2 || unit != "checks-passed" {
-		t.Errorf("headline = %v %s (%v), want 2 checks-passed", v, unit, err)
-	}
-}
-
-// TestRegisterSuiteBridge pins the registry integration: registered
-// scenarios appear in experiments.Specs, run through the experiments
-// runner, and roll back cleanly on duplicate names.
-func TestRegisterSuiteBridge(t *testing.T) {
-	suite := &Suite{Name: "bridge", Scenarios: []*Scenario{
-		quickScenario("bridge-a", []Check{
-			{Kind: CheckThreshold, Metric: "sink0.rx_packets", Op: ">", Value: 0},
-		}),
+	flows := []Check{{Kind: CheckThreshold, Metric: "sink0.rx_packets", Op: ">", Value: 0}}
+	suite := &Suite{Name: "panics", Scenarios: []*Scenario{
+		quickScenario("before", flows),
+		quickScenario("boom", flows),
+		quickScenario("after", flows),
 	}}
-	if err := RegisterSuite(suite); err != nil {
-		t.Fatal(err)
+	res := RunSuite(suite, 0)
+	if res.Pass || res.Passed != 2 || res.Failed != 1 {
+		t.Fatalf("suite tally = pass=%v %d/%d, want fail 2/1", res.Pass, res.Passed, res.Failed)
 	}
-	defer UnregisterSuite(suite)
-
-	var spec *experiments.Spec
-	for _, sp := range experiments.Specs() {
-		if sp.ID == "scenario/bridge-a" {
-			sp := sp
-			spec = &sp
+	for i, want := range []string{"before", "boom", "after"} {
+		if res.Scenarios[i].Name != want {
+			t.Fatalf("result %d = %s, want %s (input order lost)", i, res.Scenarios[i].Name, want)
 		}
 	}
-	if spec == nil {
-		t.Fatal("registered scenario missing from experiments.Specs()")
-	}
-	out := experiments.Run(experiments.Config{Quick: true, Seed: 1}, []experiments.Spec{*spec})
-	v, unit, err := experiments.Headline(out[0])
-	if err != nil || v != 1 || unit != "checks-passed" {
-		t.Errorf("headline via registry = %v %s (%v), want 1 checks-passed", v, unit, err)
-	}
-
-	// Duplicate registration must fail and roll back nothing else.
-	if err := RegisterSuite(suite); err == nil {
-		t.Error("duplicate suite registration did not error")
-	}
-
-	dup := &Suite{Name: "dup", Scenarios: []*Scenario{
-		quickScenario("bridge-b", nil),
-		quickScenario("bridge-a", nil), // collides with the installed one
-	}}
-	if err := RegisterSuite(dup); err == nil {
-		t.Fatal("colliding suite registration did not error")
-	}
-	for _, sp := range experiments.Specs() {
-		if sp.ID == "scenario/bridge-b" {
-			t.Error("failed registration left bridge-b behind (no rollback)")
+	for _, i := range []int{0, 2} {
+		if r := res.Scenarios[i]; !r.Pass || r.Err != "" || r.Passed != 1 {
+			t.Errorf("neighbour %s did not complete and pass: %+v", r.Name, r)
 		}
+	}
+	boom := res.Scenarios[1]
+	if boom.Pass || !strings.Contains(boom.Err, "synthetic scenario failure") {
+		t.Errorf("panic value missing from the scenario's own result: pass=%v err=%q", boom.Pass, boom.Err)
 	}
 }

@@ -33,9 +33,6 @@ func NewPartition(workers int) *Partition {
 	return &Partition{eng: netsim.NewEngine(workers)}
 }
 
-// Parallel reports whether the partition runs on the parallel engine.
-func (p *Partition) Parallel() bool { return p.eng != nil }
-
 // Engine returns the underlying parallel engine, or nil in sequential mode.
 // Observability code uses it to register per-LP metrics (obs.DescribeEngine).
 func (p *Partition) Engine() *netsim.Engine { return p.eng }

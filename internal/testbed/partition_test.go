@@ -230,15 +230,15 @@ func TestPartitionHTTPFarmMatchesSequential(t *testing.T) {
 // single-clock cable.
 func TestPartitionSequentialSharesOneSim(t *testing.T) {
 	p := NewPartition(1)
-	if p.Parallel() {
-		t.Fatal("NewPartition(1).Parallel() = true, want false")
+	if p.Engine() != nil {
+		t.Fatal("NewPartition(1) built an engine, want the shared Sim")
 	}
 	if p.LP("a") != p.LP("b") {
 		t.Fatal("sequential partition returned distinct Sims per LP")
 	}
 	pp := NewPartition(4)
-	if !pp.Parallel() {
-		t.Fatal("NewPartition(4).Parallel() = false, want true")
+	if pp.Engine() == nil {
+		t.Fatal("NewPartition(4) built no engine")
 	}
 	if pp.LP("a") == pp.LP("b") {
 		t.Fatal("parallel partition shared one Sim across LPs")
