@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race lint vet verify bench benchmark clean \
-	fuzz-seeds fuzz trace-oracle trace bench-par suite
+	fuzz-seeds fuzz trace-oracle elision-oracle trace bench-par suite
 
 all: build test lint
 
@@ -31,6 +31,13 @@ fuzz:
 # bit-identical between the sequential and parallel engines.
 trace-oracle:
 	$(GO) test -race -run TestTrace -count=1 ./internal/experiments/ -v
+
+# Idle-loop elision differential oracle (DESIGN.md §9.6): 500 randomised
+# testbeds, each run with the loop model and with every hop a scheduled
+# event, equal at every cut point; plus one test per wake source and the
+# constructed same-picosecond tie.
+elision-oracle:
+	$(GO) test -race -run 'TestLoopElision|TestLoopWake|TestLoopIdles|TestSALUSequenceUnderElision' -count=1 . -v
 
 # Traced sample run: writes a Perfetto-loadable trace of the observability
 # workload (load at https://ui.perfetto.dev).

@@ -80,11 +80,16 @@ func main() {
 
 	// Wrap each spec to record its own wall clock without perturbing the
 	// runner.
+	// Each spec also gets its own SimStats, so the line under its table can
+	// say what its testers cost the scheduler: events executed, next to the
+	// idle recirculation passes the loop model accounted instead.
 	walls := make([]time.Duration, len(specs))
+	stats := make([]experiments.SimStats, len(specs))
 	wrapped := make([]experiments.Spec, len(specs))
 	for i, sp := range specs {
 		i, sp := i, sp
 		wrapped[i] = experiments.Spec{ID: sp.ID, Fn: func(c experiments.Config) *experiments.Result {
+			c.Stats = &stats[i]
 			t0 := time.Now()
 			res := sp.Fn(c)
 			walls[i] = time.Since(t0)
@@ -102,7 +107,12 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(res.String())
-		fmt.Printf("(%.1fs)\n\n", walls[i].Seconds())
+		if events, loop := stats[i].Totals(); events > 0 {
+			fmt.Printf("(%.1fs; tester: %d events executed, %d idle passes elided, %d loop hops live, %d wakes)\n\n",
+				walls[i].Seconds(), events, loop.ElidedPasses, loop.LiveHops, loop.Wakes)
+		} else {
+			fmt.Printf("(%.1fs)\n\n", walls[i].Seconds())
+		}
 	}
 	fmt.Printf("%d experiments in %.1fs (%d workers)\n", len(results), total.Seconds(),
 		min(runtime.GOMAXPROCS(0), len(results)))

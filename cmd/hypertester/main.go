@@ -48,6 +48,13 @@ func main() {
 var taskDUTKinds = []string{"sink", "reflector", "httpfarm", "scantarget"}
 
 func run(args []string, stdout, stderr io.Writer) int {
+	return runWith(args, stdout, stderr, scenario.Run)
+}
+
+// runWith is run with the per-scenario runner of -suite mode supplied by the
+// caller: the panic-containment test brings a runner that panics (no
+// loadable suite makes scenario.Run itself panic any more).
+func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario.Scenario, int) (*scenario.RunResult, error)) int {
 	fs := flag.NewFlagSet("hypertester", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	taskFile := fs.String("task", "", "NTAPI task file (.nt)")
@@ -71,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "hypertester: -simworkers %d is negative\n", *simWorkers)
 			return 2
 		}
-		return runSuite(*suiteFile, *resultsFile, *simWorkers, stdout, stderr)
+		return runSuite(*suiteFile, *resultsFile, *simWorkers, stdout, stderr, runScenario)
 	}
 
 	if *taskFile == "" {
@@ -252,7 +259,8 @@ func validateTaskFlags(dut string, d time.Duration) error {
 
 // runSuite loads and runs a scenario suite, printing per-scenario pass/fail
 // and optionally writing the machine-readable results file.
-func runSuite(path, resultsPath string, workers int, stdout, stderr io.Writer) int {
+func runSuite(path, resultsPath string, workers int, stdout, stderr io.Writer,
+	runScenario func(*scenario.Scenario, int) (*scenario.RunResult, error)) int {
 	suite, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "hypertester: %v\n", err)
@@ -264,7 +272,7 @@ func runSuite(path, resultsPath string, workers int, stdout, stderr io.Writer) i
 	}
 	fmt.Fprintln(stdout)
 
-	res := scenario.RunSuite(suite, workers)
+	res := scenario.RunSuiteWith(suite, workers, runScenario)
 	for _, sc := range res.Scenarios {
 		verdict := "PASS"
 		if sc.Err != "" || !sc.Pass {

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/scenario"
 )
 
 func TestParsePorts(t *testing.T) {
@@ -184,12 +187,19 @@ func TestRunSuiteMode(t *testing.T) {
 // TestRunSuiteContainsPanic is the operator's view of a contained panic: a
 // scenario that panics inside the simulator fails alone, exit code 1, and the
 // panic value is what the CLI prints — there is no other log to find it in.
-// The panic is a real one: a cable delay that overflows sim time passes
-// validation and makes netsim schedule into the past. (If a later validation
-// pass rejects that at load time, swap in any other input that still panics
-// inside scenario.Run; scenario.TestRunSuiteContainsPanic is the synthetic
-// variant.)
+// The panic is a real one — netsim refusing to schedule into the past, what a
+// cable delay overflowing sim time used to cause — raised by a runner swapped
+// in through runWith, because the loader now rejects every suite known to
+// make scenario.Run panic (TestSuiteRejectsUnrepresentableNumbers).
 func TestRunSuiteContainsPanic(t *testing.T) {
+	panicky := func(sc *scenario.Scenario, workers int) (*scenario.RunResult, error) {
+		if sc.Name == "boom" {
+			sim := netsim.New()
+			sim.RunUntil(netsim.Time(netsim.Second))
+			sim.At(0, func() {})
+		}
+		return scenario.Run(sc, workers)
+	}
 	scenarioJSON := func(name, cableNs string) string {
 		return `{
       "name": "` + name + `",
@@ -201,12 +211,12 @@ func TestRunSuiteContainsPanic(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "suite.json")
 	body := `{"name": "panics", "scenarios": [` +
-		scenarioJSON("before", "5") + "," + scenarioJSON("boom", "1e30") + "," + scenarioJSON("after", "5") + `]}`
+		scenarioJSON("before", "5") + "," + scenarioJSON("boom", "5") + "," + scenarioJSON("after", "5") + `]}`
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-suite", path}, &stdout, &stderr); code != 1 {
+	if code := runWith([]string{"-suite", path}, &stdout, &stderr, panicky); code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
@@ -221,5 +231,35 @@ func TestRunSuiteContainsPanic(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 passed, 1 failed") {
 		t.Errorf("suite tally wrong:\n%s", out)
+	}
+}
+
+// TestSuiteRejectsUnrepresentableNumbers: the three suites that used to pass
+// validation and die inside netsim ("scheduling event before now") are load
+// errors now — exit 2, file:line:col on stderr, nothing run.
+func TestSuiteRejectsUnrepresentableNumbers(t *testing.T) {
+	for _, tc := range []struct{ name, topology, want string }{
+		{"cable delay 1e30", `{"ports": [100], "dut": "sink",
+        "cable_delay_ns": 1e30}`, "suite.json:4:27: scenarios[0]: scenario \"x\": cable_delay_ns 1e+30"},
+		{"cable delay 1e18", `{"ports": [100], "dut": "sink",
+        "cable_delay_ns": 1e18}`, "suite.json:4:27: scenarios[0]: scenario \"x\": cable_delay_ns 1e+18"},
+		{"port rate 1e-300", `{"ports": [100,
+        1e-300], "dut": "sink"}`, "suite.json:4:9: scenarios[0]: scenario \"x\": port 1 rate 1e-300"},
+	} {
+		path := filepath.Join(t.TempDir(), "suite.json")
+		body := "{\"name\": \"bounds\", \"scenarios\": [{\n  \"name\": \"x\",\n  \"topology\": " + tc.topology + `,
+  "program": {"source": "T1 = trigger().set(port, 0)\n"},
+  "traffic": {"window_us": 20}
+}]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-suite", path}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2\nstdout: %s\nstderr: %s", tc.name, code, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: stderr %q does not carry %q", tc.name, stderr.String(), tc.want)
+		}
 	}
 }

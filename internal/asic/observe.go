@@ -38,7 +38,17 @@ const (
 // SetTrace attaches a trace stream to the switch (nil disables tracing).
 // Call while the switch is idle — mid-flight packets would get a torn
 // trace, not corrupted state.
-func (sw *Switch) SetTrace(tr *obs.Trace) { sw.trace = tr }
+//
+// A traced switch runs every loop hop as a scheduled event: attaching a
+// trace first hands whatever the idle-loop model holds back to the scheduler
+// (loopmodel.go), so every record of the event-per-hop path is emitted.
+func (sw *Switch) SetTrace(tr *obs.Trace) {
+	if tr != nil && sw.loop != nil {
+		sw.WakeLoop()
+		sw.loop.dissolve()
+	}
+	sw.trace = tr
+}
 
 // Trace returns the attached trace stream (nil when disabled).
 func (sw *Switch) Trace() *obs.Trace { return sw.trace }
@@ -59,6 +69,11 @@ func (sw *Switch) Describe(r *obs.Registry) {
 	r.Gauge(prefix+".digest_queue", func() float64 { return float64(sw.digestQueue.Len()) })
 	r.Gauge(prefix+".phv_pool", func() float64 { return float64(len(sw.phvFree)) })
 	r.Gauge(prefix+".job_pool", func() float64 { return float64(len(sw.jobFree)) })
+	// Where the loop passes went (all zero without an idle oracle).
+	r.Gauge(prefix+".loop.elided_passes", func() float64 { return float64(sw.LoopStats().ElidedPasses) })
+	r.Gauge(prefix+".loop.wakes", func() float64 { return float64(sw.LoopStats().Wakes) })
+	r.Gauge(prefix+".loop.catchup_max_passes", func() float64 { return float64(sw.LoopStats().CatchupMaxPasses) })
+	r.Gauge(prefix+".loop.live_hops", func() float64 { return float64(sw.LoopStats().LiveHops) })
 	for _, pt := range sw.ports {
 		pt.describe(r, fmt.Sprintf("%s.port%d", prefix, pt.ID))
 	}
@@ -67,11 +82,18 @@ func (sw *Switch) Describe(r *obs.Registry) {
 	}
 }
 
-// describe registers one port's counters under prefix.
+// describe registers one port's counters under prefix. Every read syncs the
+// loop model first: a recirculation port's counters are the model's to keep.
 func (pt *Port) describe(r *obs.Registry, prefix string) {
-	r.Gauge(prefix+".tx_packets", func() float64 { return float64(pt.TxPackets) })
-	r.Gauge(prefix+".tx_bytes", func() float64 { return float64(pt.TxBytes) })
-	r.Gauge(prefix+".rx_packets", func() float64 { return float64(pt.RxPackets) })
-	r.Gauge(prefix+".rx_bytes", func() float64 { return float64(pt.RxBytes) })
-	r.Gauge(prefix+".tx_drops", func() float64 { return float64(pt.TxDrops) })
+	gauge := func(name string, v *uint64) {
+		r.Gauge(prefix+name, func() float64 {
+			pt.sw.SyncLoop()
+			return float64(*v)
+		})
+	}
+	gauge(".tx_packets", &pt.TxPackets)
+	gauge(".tx_bytes", &pt.TxBytes)
+	gauge(".rx_packets", &pt.RxPackets)
+	gauge(".rx_bytes", &pt.RxBytes)
+	gauge(".tx_drops", &pt.TxDrops)
 }

@@ -59,6 +59,9 @@ type pktJob struct {
 	// the job fires).
 	n   int
 	uid uint64
+	// ord is the hop's loop stamp when it runs on a loopback port next to
+	// an idle-loop model (loopmodel.go); 0 otherwise.
+	ord uint64
 }
 
 // job builds a pooled hop descriptor.
@@ -83,7 +86,7 @@ func (sw *Switch) jobN(n int, uid uint64, port *Port) *pktJob {
 
 // putJob recycles a hop descriptor at the start of its callback.
 func (sw *Switch) putJob(j *pktJob) {
-	j.pkt, j.port, j.n, j.uid = nil, nil, 0, 0
+	j.pkt, j.port, j.n, j.uid, j.ord = nil, nil, 0, 0, 0
 	sw.jobFree = append(sw.jobFree, j)
 }
 
@@ -97,31 +100,31 @@ func runInjectJob(a any) {
 	sw.putJob(j)
 	pkt.Meta.IngressPs = int64(sw.sim.Now())
 	pkt.Meta.InPort = CPUPortID
-	sw.ingress(pkt)
+	sw.ingress(pkt, 0)
 }
 
 // runIngressJob enters the ingress pipeline after the MAC ingress latency.
 func runIngressJob(a any) {
 	j := a.(*pktJob)
-	sw, pkt := j.sw, j.pkt
+	sw, pkt, ord := j.sw, j.pkt, j.ord
 	sw.putJob(j)
-	sw.ingress(pkt)
+	sw.ingress(pkt, ord)
 }
 
 // runEgressJob runs the egress pipeline after the traffic-manager delay.
 func runEgressJob(a any) {
 	j := a.(*pktJob)
-	sw, pkt, port := j.sw, j.pkt, j.port
+	sw, pkt, port, ord := j.sw, j.pkt, j.port, j.ord
 	sw.putJob(j)
-	sw.runEgress(pkt, port)
+	sw.runEgress(pkt, port, ord)
 }
 
 // runTransmitJob starts wire serialization after the egress+MAC latency.
 func runTransmitJob(a any) {
 	j := a.(*pktJob)
-	pkt, port := j.pkt, j.port
+	pkt, port, ord := j.pkt, j.port, j.ord
 	j.sw.putJob(j)
-	port.Transmit(pkt)
+	port.transmit(pkt, ord)
 }
 
 // runTxCountJob credits TX counters at serialization end for frames staged
@@ -141,9 +144,9 @@ func runTxCountJob(a any) {
 // runTxDoneJob fires when the last bit of a frame leaves the port.
 func runTxDoneJob(a any) {
 	j := a.(*pktJob)
-	pkt, port := j.pkt, j.port
+	pkt, port, ord := j.pkt, j.port, j.ord
 	j.sw.putJob(j)
-	port.txDone(pkt)
+	port.txDone(pkt, ord)
 }
 
 // digestRing is a growable circular queue of digest messages. The previous

@@ -33,6 +33,14 @@ type Port struct {
 
 	txBusyUntil netsim.Time
 
+	// wire remembers the wire time of recently transmitted frame lengths
+	// (the float formula plus rounding, once per length instead of once per
+	// frame): direct-mapped on the length's low bits, valid at wireGbps.
+	// loopDone queues the loop model's wire-end hops on this port.
+	wire     [8]wireMemo
+	wireGbps float64
+	loopDone hopRing
+
 	// MaxBacklog bounds how far ahead of real time the TX queue may run
 	// before tail-dropping, modelling finite packet buffers. Zero means
 	// the switch default.
@@ -62,25 +70,53 @@ func (pt *Port) Sim() *netsim.Sim { return pt.sw.sim }
 // Transmit enqueues a frame for serialization at the port rate. It is called
 // by the switch at egress-pipeline completion time. A tail-dropped frame's
 // journey ends inside the switch, so its buffer returns to the packet pool.
-func (pt *Port) Transmit(pkt *netproto.Packet) {
+func (pt *Port) Transmit(pkt *netproto.Packet) { pt.transmit(pkt, 0) }
+
+// wireMemo is one remembered (frame length → wire time) pair.
+type wireMemo struct {
+	n   int
+	dur netsim.Duration
+}
+
+// wireTime is netsim.Ns(netproto.WireTimeNs(frameLen, pt.Gbps)), remembered
+// per frame length.
+func (pt *Port) wireTime(frameLen int) netsim.Duration {
+	if pt.Gbps != pt.wireGbps {
+		pt.wire, pt.wireGbps = [8]wireMemo{}, pt.Gbps
+	}
+	w := &pt.wire[frameLen&7]
+	if w.n != frameLen || frameLen == 0 {
+		w.n, w.dur = frameLen, netsim.Ns(netproto.WireTimeNs(frameLen, pt.Gbps))
+	}
+	return w.dur
+}
+
+func (pt *Port) maxBacklog() netsim.Duration {
+	if pt.MaxBacklog == 0 {
+		return DefaultMaxBacklog
+	}
+	return pt.MaxBacklog
+}
+
+// transmit is Transmit for a hop carrying its loop stamp: on a loopback port
+// the busy-until chain is shared with the loop model's transmit hops.
+func (pt *Port) transmit(pkt *netproto.Packet, ord uint64) {
+	if pt.Loopback {
+		pt.sw.loopSync(loopTransmit, ord)
+	}
 	sim := pt.sw.sim
 	now := sim.Now()
 	start := pt.txBusyUntil
 	if start < now {
 		start = now
 	}
-	maxBacklog := pt.MaxBacklog
-	if maxBacklog == 0 {
-		maxBacklog = DefaultMaxBacklog
-	}
-	if start.Sub(now) > maxBacklog {
+	if start.Sub(now) > pt.maxBacklog() {
 		pt.TxDrops++
 		pt.sw.trace.Emit(now, obs.KindDrop, pkt.Meta.UID, dropTx, int64(pt.ID), int64(pkt.Len()))
 		pkt.Release()
 		return
 	}
-	wire := netsim.Ns(netproto.WireTimeNs(pkt.Len(), pt.Gbps))
-	end := start.Add(wire)
+	end := start.Add(pt.wireTime(pkt.Len()))
 	pt.txBusyUntil = end
 	if pt.remote != nil && !pt.Loopback {
 		// Cross-LP path: perform txDone's bookkeeping now — the packet is
@@ -98,12 +134,21 @@ func (pt *Port) Transmit(pkt *netproto.Packet) {
 		pt.remote(pkt, end)
 		return
 	}
-	sim.AtCall(end, runTxDoneJob, pt.sw.job(pkt, pt))
+	j := pt.sw.job(pkt, pt)
+	if pt.Loopback {
+		j.ord = pt.sw.loopOrd()
+	}
+	sim.AtCall(end, runTxDoneJob, j)
 }
 
 // txDone runs when the last bit of pkt leaves the port (the scheduled end of
 // serialization, so the current virtual time IS the egress timestamp).
-func (pt *Port) txDone(pkt *netproto.Packet) {
+func (pt *Port) txDone(pkt *netproto.Packet, ord uint64) {
+	if pt.Loopback {
+		// The wire-end order across loopback ports is the next pass's
+		// ingress order: modelled wire ends ahead of this one go first.
+		pt.sw.loopSync(loopTxDone, ord)
+	}
 	end := pt.sw.sim.Now()
 	pt.TxPackets++
 	pt.TxBytes += uint64(pkt.Len())
@@ -135,8 +180,11 @@ func (pt *Port) Receive(pkt *netproto.Packet) {
 	pt.RxBytes += uint64(pkt.Len())
 	pkt.Meta.IngressPs = int64(sim.Now())
 	pkt.Meta.InPort = pt.ID
-	sim.AfterCall(netsim.Duration(IngressLatencyNs)*netsim.Nanosecond,
-		runIngressJob, pt.sw.job(pkt, nil))
+	j := pt.sw.job(pkt, nil)
+	if pt.Loopback {
+		j.ord = pt.sw.loopOrd()
+	}
+	sim.AfterCall(ingressLatency, runIngressJob, j)
 }
 
 // Utilization returns transmitted bits / (rate × elapsed) over the given
@@ -159,7 +207,7 @@ func (pt *Port) Deliver(pkt *netproto.Packet) { pt.Receive(pkt) }
 // cross-LP lookahead of any channel terminating at a switch port, widening
 // synchronization windows by ~17x over the bare wire+cable bound.
 func (pt *Port) DeliverLookahead() netsim.Duration {
-	return netsim.Duration(IngressLatencyNs) * netsim.Nanosecond
+	return ingressLatency
 }
 
 // CreditRX credits the port's RX counters for one received frame of the
@@ -184,5 +232,5 @@ func (pt *Port) CreditRX(frameLen int) {
 func (pt *Port) DeliverDeferred(pkt *netproto.Packet, arrival netsim.Time) {
 	pkt.Meta.IngressPs = int64(arrival)
 	pkt.Meta.InPort = pt.ID
-	pt.sw.ingress(pkt)
+	pt.sw.ingress(pkt, 0)
 }

@@ -58,6 +58,13 @@ func (r *RegisterArray) Read(idx int) uint64 {
 	return v
 }
 
+// Peek returns the cell value without a SALU access: the control plane's
+// silent look (no Accesses bump, no trace record), as Snapshot is for ranges.
+func (r *RegisterArray) Peek(idx int) uint64 {
+	r.check(idx)
+	return r.cells[idx]
+}
+
 // Write stores v (a SALU write).
 func (r *RegisterArray) Write(idx int, v uint64) {
 	r.check(idx)

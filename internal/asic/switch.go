@@ -65,6 +65,16 @@ type Switch struct {
 	// observe.go for the emission-point contract).
 	trace *obs.Trace
 
+	// loop, once an idle oracle has been installed, holds the template
+	// copies whose recirculation is accounted instead of scheduled
+	// (loopmodel.go).
+	loop *loopModel
+
+	// The last multicast frame length and its replication delay (the float
+	// formula plus rounding, once per length instead of once per copy).
+	mcastLen int
+	mcastDur netsim.Duration
+
 	// Counters.
 	PipelineDrops uint64 // packets dropped by pipeline decision
 	NoRouteDrops  uint64 // packets leaving ingress with no destination
@@ -113,8 +123,19 @@ func New(cfg Config) *Switch {
 // Sim returns the simulation the switch is bound to.
 func (sw *Switch) Sim() *netsim.Sim { return sw.sim }
 
-// Port returns a front-panel, recirculation, or loopback port by ID.
+// Port returns a front-panel, recirculation, or loopback port by ID. A
+// recirculation port's counters are brought up to the clock first (the loop
+// model may be holding passes it has not accounted yet).
 func (sw *Switch) Port(id int) *Port {
+	if id >= RecircPortBase {
+		sw.SyncLoop()
+	}
+	return sw.port(id)
+}
+
+// port is Port for the switch's own hot paths, which sync the loop model at
+// their own, finer points.
+func (sw *Switch) port(id int) *Port {
 	if id >= RecircPortBase && id < RecircPortBase+len(sw.recirc) {
 		return sw.recirc[id-RecircPortBase]
 	}
@@ -133,7 +154,7 @@ func (sw *Switch) RecircPaths() int { return len(sw.recirc) }
 // SetLoopback flips a front-panel port into loopback mode, trading its
 // bandwidth for extra recirculation capacity (§6.1).
 func (sw *Switch) SetLoopback(portID int, on bool) error {
-	p := sw.Port(portID)
+	p := sw.port(portID)
 	if p == nil || portID >= RecircPortBase {
 		return fmt.Errorf("asic: no front-panel port %d", portID)
 	}
@@ -156,11 +177,19 @@ func (sw *Switch) InjectFromCPU(pkt *netproto.Packet) {
 	sw.sim.AfterCall(pcieDelay, runInjectJob, sw.job(pkt, nil))
 }
 
-// ingress runs the ingress pipeline and dispatches the PHV through the
+// ingress is the ingress hop of any packet: modelled loop passes the
+// unelided scheduler would have run before this one happen first (ord is the
+// hop's loop stamp, 0 for a packet that did not arrive on a loopback port).
+func (sw *Switch) ingress(pkt *netproto.Packet, ord uint64) {
+	sw.loopSync(loopIngress, ord)
+	sw.ingressPass(pkt)
+}
+
+// ingressPass runs the ingress pipeline and dispatches the PHV through the
 // traffic manager. Called at ingress-pipeline completion time. The switch
 // owns pkt for the duration of the pass: packets whose journey ends here
 // (drops) are released back to the packet pool.
-func (sw *Switch) ingress(pkt *netproto.Packet) {
+func (sw *Switch) ingressPass(pkt *netproto.Packet) {
 	sw.trace.Emit(sw.sim.Now(), obs.KindParse, pkt.Meta.UID, "", int64(pkt.Meta.InPort), int64(pkt.Len()))
 	phv := sw.acquirePHV(pkt)
 	phv.Trace, phv.TraceAt = sw.trace, sw.sim.Now()
@@ -183,12 +212,12 @@ func (sw *Switch) ingress(pkt *netproto.Packet) {
 		port := sw.recircPortFor(phv)
 		sw.trace.Emit(phv.TraceAt, obs.KindRecirculate, pkt.Meta.UID, "", int64(port.ID), 0)
 		sw.releasePHV(phv)
-		sw.toEgress(pkt, port, netsim.Duration(TMLatencyNs)*netsim.Nanosecond)
+		sw.toEgress(pkt, port, tmLatency)
 	case phv.EgressPort >= 0:
 		phv.Deparse()
-		port := sw.Port(phv.EgressPort)
+		port := sw.port(phv.EgressPort)
 		sw.releasePHV(phv)
-		sw.toEgress(pkt, port, netsim.Duration(TMLatencyNs)*netsim.Nanosecond)
+		sw.toEgress(pkt, port, tmLatency)
 	default:
 		sw.NoRouteDrops++
 		sw.trace.Emit(phv.TraceAt, obs.KindDrop, pkt.Meta.UID, dropNoRoute, 0, int64(pkt.Len()))
@@ -220,7 +249,8 @@ func (sw *Switch) replicate(phv *PHV) {
 		return
 	}
 	phv.Deparse()
-	base := netsim.Duration(TMLatencyNs) * netsim.Nanosecond
+	base := tmLatency
+	mcast := sw.mcastDelay(pkt.Len())
 	for _, c := range copies {
 		dup := pkt.Clone()
 		dup.Meta.UID = sw.NextUID()
@@ -233,15 +263,26 @@ func (sw *Switch) replicate(phv *PHV) {
 			// the rid-0 copy is the original continuing its path
 			// (otherwise the recirculation loop could not sustain the
 			// paper's 570 ns RTT while firing every arrival).
-			d += netsim.Ns(McastDelayNs(dup.Len())) +
-				sw.rngMcast.Jitter(McastJitterSpreadNs*netsim.Nanosecond)
+			d += mcast + sw.rngMcast.Jitter(McastJitterSpreadNs*netsim.Nanosecond)
 		}
-		sw.toEgress(dup, sw.Port(c.Port), d)
+		sw.toEgress(dup, sw.port(c.Port), d)
 	}
 	pkt.Release()
 }
 
-// toEgress schedules the egress pipeline for pkt on port after tmDelay.
+// mcastDelay is netsim.Ns(McastDelayNs(frameLen)), remembered for the last
+// frame length (every copy of one replication shares it, and a template
+// replicates the same frame over and over).
+func (sw *Switch) mcastDelay(frameLen int) netsim.Duration {
+	if frameLen != sw.mcastLen {
+		sw.mcastLen, sw.mcastDur = frameLen, netsim.Ns(McastDelayNs(frameLen))
+	}
+	return sw.mcastDur
+}
+
+// toEgress schedules the egress pipeline for pkt on port after tmDelay — or,
+// for an idle template's copy bound for its recirculation path, hands the
+// hop to the loop model.
 func (sw *Switch) toEgress(pkt *netproto.Packet, port *Port, tmDelay netsim.Duration) {
 	if port == nil {
 		sw.NoRouteDrops++
@@ -250,13 +291,24 @@ func (sw *Switch) toEgress(pkt *netproto.Packet, port *Port, tmDelay netsim.Dura
 		return
 	}
 	sw.trace.Emit(sw.sim.Now(), obs.KindTMEnqueue, pkt.Meta.UID, "", int64(port.ID), int64(pkt.Len()))
-	sw.sim.AfterCall(tmDelay, runEgressJob, sw.job(pkt, port))
+	if port.Loopback && sw.loop != nil && sw.loop.absorb(pkt, port, tmDelay) {
+		return
+	}
+	j := sw.job(pkt, port)
+	if port.Loopback {
+		j.ord = sw.loopOrd()
+	}
+	sw.sim.AfterCall(tmDelay, runEgressJob, j)
 }
 
 // runEgress executes the egress pipeline for pkt bound to port, then hands
 // the frame to the port after the egress+MAC latency. Called at traffic-
-// manager completion time.
-func (sw *Switch) runEgress(pkt *netproto.Packet, port *Port) {
+// manager completion time. On a loopback port the hop shares the loop-jitter
+// stream with the loop model, which therefore catches up to it first.
+func (sw *Switch) runEgress(pkt *netproto.Packet, port *Port, ord uint64) {
+	if port.Loopback {
+		sw.loopSync(loopEgress, ord)
+	}
 	sw.trace.Emit(sw.sim.Now(), obs.KindTMDequeue, pkt.Meta.UID, "", int64(port.ID), int64(pkt.Len()))
 	phv := sw.acquirePHV(pkt)
 	phv.Trace, phv.TraceAt = sw.trace, sw.sim.Now()
@@ -273,14 +325,15 @@ func (sw *Switch) runEgress(pkt *netproto.Packet, port *Port) {
 	}
 	phv.Deparse()
 	sw.releasePHV(phv)
-	egressDelay := netsim.Duration(EgressLatencyNs+MACTxLatencyNs) * netsim.Nanosecond
+	egressDelay := egressLatency
+	j := sw.job(pkt, port)
 	if port.Loopback {
 		// Calibrated loop: apply the fractional correction plus
 		// bounded jitter so measured RTTs match Fig. 14a.
-		egressDelay -= netsim.Ns(pipeFixedSubNs)
-		egressDelay += sw.rngLoop.Jitter(RTTJitterSpreadNs * netsim.Nanosecond / 2)
+		egressDelay = loopEgressLatency + sw.rngLoop.Jitter(loopJitter)
+		j.ord = sw.loopOrd()
 	}
-	sw.sim.AfterCall(egressDelay, runTransmitJob, sw.job(pkt, port))
+	sw.sim.AfterCall(egressDelay, runTransmitJob, j)
 }
 
 // DigestQueueLen reports messages currently queued on the digest channel
@@ -357,6 +410,7 @@ func runDigestDrain(a any) {
 	if sw.digestQueue.Len() == 0 {
 		return // flushed in the meantime
 	}
+	sw.WakeLoop() // room on the channel may let a waiting digest attach
 	msg := sw.digestQueue.Pop()
 	sw.DigestsSent++
 	sw.DigestOut(msg, sw.sim.Now())
@@ -367,6 +421,7 @@ func runDigestDrain(a any) {
 // FlushDigests synchronously delivers every queued digest message — the
 // switch CPU reading out the learn buffer at collection time.
 func (sw *Switch) FlushDigests() {
+	sw.WakeLoop()
 	now := sw.sim.Now()
 	for sw.digestQueue.Len() > 0 {
 		msg := sw.digestQueue.Pop()

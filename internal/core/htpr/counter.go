@@ -115,6 +115,13 @@ func (ct *CounterTable) Observe(clock *netsim.Sim, tr *obs.Trace) {
 	ct.touch2.Observe(clock, tr)
 }
 
+// Registers lists every register array of the table: the six cell arrays,
+// then the KV FIFO's.
+func (ct *CounterTable) Registers() []*asic.RegisterArray {
+	return append([]*asic.RegisterArray{ct.digest1, ct.count1, ct.digest2, ct.count2, ct.touch1, ct.touch2},
+		ct.kvFIFO.Registers()...)
+}
+
 // kvLayout: slot1, digest, count (register-file FIFO reuse).
 var kvLayout = []asic.Field{asic.FieldNone, asic.FieldNone, asic.FieldNone}
 
@@ -398,7 +405,7 @@ func (ct *CounterTable) SweepIdle(maxAge uint64) int {
 	return evicted
 }
 
-// FIFOLen reports queued KV entries.
+// FIFOLen reports queued KV entries (a silent peek, like FIFO.Len).
 func (ct *CounterTable) FIFOLen() int { return ct.kvFIFO.Len() }
 
 // DrainAll drains the FIFO completely (the CPU does this at collection

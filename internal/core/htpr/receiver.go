@@ -52,6 +52,25 @@ type QueryState struct {
 	DelayMaxNs float64
 }
 
+// Registers lists every register array the query owns on the data plane:
+// its counter table's, its trigger FIFO's and its delay-timestamp store.
+func (st *QueryState) Registers() []*asic.RegisterArray {
+	var out []*asic.RegisterArray
+	if st.Table != nil {
+		out = append(out, st.Table.Registers()...)
+	}
+	if st.TriggerFIFO != nil {
+		out = append(out, st.TriggerFIFO.Registers()...)
+	}
+	if st.delayStore != nil {
+		out = append(out, st.delayStore)
+	}
+	return out
+}
+
+// PendingDigests reports evictions queued for the digest channel.
+func (st *QueryState) PendingDigests() int { return st.pendingDigests.len() }
+
 // digestFIFO queues encoded eviction messages with slot reuse: popping
 // advances a head index instead of reslicing, so the backing array is
 // reclaimed (and reused) once drained rather than pinned by a [1:] chain.
@@ -102,6 +121,11 @@ type Receiver struct {
 
 	// evKey is the decoded key of the digest message being merged.
 	evKey []uint64
+
+	// wake and sync are the switch's loop-model hooks (SetLoopHooks): wake
+	// runs before any mutation that gives a template pass work to do, sync
+	// before register statistics are read out.
+	wake, sync func()
 }
 
 // digestSlabBytes is how much buffer storage one allocation buys: messages
@@ -161,8 +185,55 @@ func NewReceiver(prog *compiler.Program) *Receiver {
 	return r
 }
 
+// SetLoopHooks connects the receiver to the switch's idle-loop model. wake
+// (asic.Switch.WakeLoop) is called before a KV or trigger FIFO stops being
+// empty and before an eviction is queued for the digest channel; sync
+// (asic.Switch.SyncLoop) before State/States hand out counters the model may
+// still owe passes to.
+func (r *Receiver) SetLoopHooks(wake, sync func()) {
+	r.wake, r.sync = wake, sync
+	for _, st := range r.states {
+		if st.Table != nil {
+			st.Table.kvFIFO.OnFill(wake)
+		}
+		if st.TriggerFIFO != nil {
+			st.TriggerFIFO.OnFill(wake)
+		}
+	}
+}
+
+// TemplatePassIdle reports whether a template packet's pass through the
+// ingress processor does nothing: every counter table's KV FIFO is empty and
+// no queued eviction would be attached (none pending, or the channel has no
+// room). It reads only state whose every mutation calls the wake hook first.
+func (r *Receiver) TemplatePassIdle() bool {
+	pending := false
+	for _, st := range r.states {
+		if st.Table != nil && !st.Table.kvFIFO.Empty() {
+			return false
+		}
+		if st.pendingDigests.len() > 0 {
+			pending = true
+		}
+	}
+	return !pending || (r.DigestRoom != nil && !r.DigestRoom())
+}
+
+// AccountIdlePasses credits n template passes that found TemplatePassIdle
+// with the SALU accesses of their empty KV-FIFO pops.
+func (r *Receiver) AccountIdlePasses(n uint64) {
+	for _, st := range r.states {
+		if st.Table != nil {
+			st.Table.kvFIFO.AccountEmptyPops(n)
+		}
+	}
+}
+
 // State returns the runtime state of a query by 1-based ID, or nil.
 func (r *Receiver) State(queryID int) *QueryState {
+	if r.sync != nil {
+		r.sync()
+	}
 	for _, st := range r.states {
 		if st.Plan.ID == queryID {
 			return st
@@ -172,7 +243,12 @@ func (r *Receiver) State(queryID int) *QueryState {
 }
 
 // States returns all query states.
-func (r *Receiver) States() []*QueryState { return r.states }
+func (r *Receiver) States() []*QueryState {
+	if r.sync != nil {
+		r.sync()
+	}
+	return r.states
+}
 
 // Observe binds every query's SALU register arrays (counter-table slots,
 // delay-timestamp store) to a trace stream, emitting one salu record per
@@ -199,6 +275,9 @@ func (r *Receiver) EnableDigestEvictions() {
 		}
 		st := st
 		st.Table.OnEvict = func(key []uint64, value uint64) {
+			if r.wake != nil {
+				r.wake() // a queued eviction is work for the next template pass
+			}
 			st.pendingDigests.push(r.newEviction(st.Plan.ID, key, value))
 		}
 	}

@@ -158,17 +158,77 @@ func New(sw *asic.Switch, cpu *switchcpu.CPU, prog *compiler.Program,
 }
 
 // State exposes a template's runtime state (tests, reports); nil for an ID
-// no template carries.
+// no template carries. The switch's loop model is synced first, so register
+// Accesses read through it are exact.
 func (s *Sender) State(templateID int) *templateState {
+	s.sw.SyncLoop()
+	return s.state(templateID)
+}
+
+func (s *Sender) state(templateID int) *templateState {
 	if templateID < 0 || templateID >= len(s.states) {
 		return nil
 	}
 	return s.states[templateID]
 }
 
+// IdleUntil is the sender's half of the tester's idle oracle
+// (asic.IdleOracle): the virtual time before which an ingress pass of the
+// template only recirculates. It mirrors IngressProcessor branch for branch,
+// reading silently: the accelerator share must be full; a stateless template
+// is idle while its trigger FIFO is empty; a finished stream forever; a timed
+// one until last fire + interval. A template that fires on every arrival (or
+// an ID no template carries) is never idle.
+func (s *Sender) IdleUntil(templateID int) netsim.Time {
+	st := s.state(templateID)
+	if st == nil || st.inflight.Peek(0) < uint64(st.inflightTarget) {
+		return 0
+	}
+	switch {
+	case st.fifo != nil:
+		if st.fifo.Empty() {
+			return netsim.MaxTime
+		}
+	case st.tmpl.LoopPackets > 0 && st.Fired >= st.tmpl.LoopPackets:
+		return netsim.MaxTime
+	case st.curIntervalPs > 0:
+		return netsim.Time(int64(st.timer.Peek(0)) + st.curIntervalPs)
+	}
+	return 0
+}
+
+// AccountIdle credits n ingress passes IdleUntil declared idle with the SALU
+// accesses each performs: the accelerator's inflight check, then the empty
+// trigger-FIFO pop or the replicator's timer check.
+func (s *Sender) AccountIdle(templateID int, n uint64) {
+	st := s.state(templateID)
+	if st == nil {
+		return
+	}
+	st.inflight.Accesses += n
+	switch {
+	case st.fifo != nil:
+		st.fifo.AccountEmptyPops(n)
+	case st.tmpl.LoopPackets > 0 && st.Fired >= st.tmpl.LoopPackets:
+	case st.curIntervalPs > 0:
+		st.timer.Accesses += n
+	}
+}
+
+// Registers lists the template's register arrays: the accelerator's
+// in-flight counter and the replicator's timer.
+func (st *templateState) Registers() []*asic.RegisterArray {
+	return []*asic.RegisterArray{st.inflight, st.timer}
+}
+
+// NextEditorDraw consumes and returns one draw of the template's editor
+// stream. Differential tests call it on both runs at the same instants to
+// pin the stream's position; nothing else should.
+func (st *templateState) NextEditorDraw() int64 { return st.rng.Int63() }
+
 // FiredCount returns how many replication events a template has produced.
 func (s *Sender) FiredCount(templateID int) uint64 {
-	if st := s.State(templateID); st != nil {
+	if st := s.state(templateID); st != nil {
 		return st.Fired
 	}
 	return 0
@@ -197,7 +257,7 @@ func (s *Sender) Start() {
 // IngressProcessor implements the accelerator and replicator.
 func (s *Sender) IngressProcessor() asic.Processor {
 	return asic.ProcessorFunc(func(p *asic.PHV) {
-		st := s.State(p.Meta.TemplateID)
+		st := s.state(p.Meta.TemplateID)
 		if st == nil {
 			return
 		}
@@ -288,7 +348,7 @@ func (s *Sender) EgressProcessor() asic.Processor {
 		if p.Meta.TemplateID == 0 || p.Meta.ReplicaID == 0 {
 			return
 		}
-		st := s.State(p.Meta.TemplateID)
+		st := s.state(p.Meta.TemplateID)
 		if st == nil {
 			return
 		}

@@ -31,6 +31,10 @@ type FIFO struct {
 	Overflows uint64
 	// Pushed and Popped count successful operations.
 	Pushed, Popped uint64
+
+	// wake, when set, runs before a push into an empty queue — the one
+	// transition that can end a consumer's idleness (asic.Switch.WakeLoop).
+	wake func()
 }
 
 const (
@@ -60,16 +64,33 @@ func New(name string, fields []asic.Field, capacity int) *FIFO {
 // Cap returns the FIFO capacity in records.
 func (f *FIFO) Cap() int { return f.size }
 
-// Len returns the number of queued records.
+// Len returns the number of queued records. Like Snapshot it is a
+// control-plane peek: no SALU access is counted and no trace record emitted.
 func (f *FIFO) Len() int {
-	return int(f.ptrs.Read(rearIdx) - f.ptrs.Read(frontIdx))
+	return int(f.ptrs.Peek(rearIdx) - f.ptrs.Peek(frontIdx))
 }
+
+// Empty reports whether no record is queued, as silently as Len.
+func (f *FIFO) Empty() bool { return f.ptrs.Peek(rearIdx) == f.ptrs.Peek(frontIdx) }
+
+// OnFill installs fn to run before every push into an empty queue, ahead of
+// any register access: whoever has promised a consumer that the queue stays
+// empty (the tester's idle oracle) gets to settle up first.
+func (f *FIFO) OnFill(fn func()) { f.wake = fn }
+
+// AccountEmptyPops credits n pops of an empty queue with the SALU accesses
+// each performs (the rear read and the guarded front update) without
+// running them: the idle-loop model's per-pass accounting.
+func (f *FIFO) AccountEmptyPops(n uint64) { f.ptrs.Accesses += 2 * n }
 
 // Push enqueues one record (one value per field, in Fields order). It
 // reports false — and counts an overflow — when the queue is full.
 func (f *FIFO) Push(values []uint64) bool {
 	if len(values) != len(f.Fields) {
 		panic(fmt.Sprintf("stateless: FIFO %s push with %d values, want %d", f.Name, len(values), len(f.Fields)))
+	}
+	if f.wake != nil && f.Empty() {
+		f.wake()
 	}
 	front := f.ptrs.Read(frontIdx)
 	// Rear update guarded by the front value (Figure 7's dependency, here
@@ -122,6 +143,12 @@ func (f *FIFO) PopInto(dst []uint64) (values []uint64, ok bool) {
 	}
 	f.Popped++
 	return values, true
+}
+
+// Registers lists the FIFO's register arrays (pointers, then one per record
+// field) for resource accounting and differential tests.
+func (f *FIFO) Registers() []*asic.RegisterArray {
+	return append([]*asic.RegisterArray{f.ptrs}, f.entries...)
 }
 
 // FieldIndex returns the record index of a field, or -1.

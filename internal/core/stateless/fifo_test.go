@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 
 	"github.com/hypertester/hypertester/internal/asic"
+	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 )
 
 var layout = []asic.Field{asic.FieldIPv4Src, asic.FieldTCPSeq, asic.FieldInPort}
@@ -163,5 +165,76 @@ func TestPopIntoReusesTheCallersBuffer(t *testing.T) {
 	if g.ptrs.Accesses != h.ptrs.Accesses || g.entries[0].Accesses != h.entries[0].Accesses {
 		t.Fatalf("Pop made %d+%d register accesses, PopInto %d+%d",
 			g.ptrs.Accesses, g.entries[0].Accesses, h.ptrs.Accesses, h.entries[0].Accesses)
+	}
+}
+
+// TestInspectingIsSilent: Len and Empty are control-plane peeks. Looking at a
+// FIFO — however often — leaves the SALU access counters and the trace
+// exactly where they were; only Push and Pop are data-plane operations.
+func TestInspectingIsSilent(t *testing.T) {
+	f := New("t", layout, 4)
+	sim := netsim.New()
+	tr := obs.NewTraceSet().New("fifo")
+	for _, r := range f.Registers() {
+		r.Observe(sim, tr)
+	}
+	f.Push([]uint64{1, 2, 3})
+	f.Push([]uint64{4, 5, 6})
+	f.Pop()
+	accesses := func() (n uint64) {
+		for _, r := range f.Registers() {
+			n += r.Accesses
+		}
+		return n
+	}
+	a0, r0 := accesses(), tr.Len()
+	if a0 == 0 || r0 == 0 {
+		t.Fatalf("push/pop made %d accesses and %d trace records, want some of each", a0, r0)
+	}
+	for i := 0; i < 10; i++ {
+		if f.Len() != 1 || f.Empty() {
+			t.Fatalf("len %d empty %v, want 1 false", f.Len(), f.Empty())
+		}
+	}
+	if a, r := accesses(), tr.Len(); a != a0 || r != r0 {
+		t.Fatalf("inspecting moved accesses %d -> %d, trace records %d -> %d", a0, a, r0, r)
+	}
+	f.Pop()
+	if !f.Empty() || f.Len() != 0 {
+		t.Fatalf("drained FIFO: len %d empty %v", f.Len(), f.Empty())
+	}
+	// The idle-loop model credits the accesses of empty pops it did not run.
+	g := New("g", layout, 4)
+	for i := 0; i < 3; i++ {
+		g.Pop()
+	}
+	h := New("h", layout, 4)
+	h.AccountEmptyPops(3)
+	if g.ptrs.Accesses != h.ptrs.Accesses {
+		t.Fatalf("3 empty pops made %d accesses, AccountEmptyPops(3) credited %d", g.ptrs.Accesses, h.ptrs.Accesses)
+	}
+}
+
+// TestOnFillRunsBeforeTheFirstRecordOnly: the hook fires before a push into
+// an empty queue has touched any register, and not for pushes behind it.
+func TestOnFillRunsBeforeTheFirstRecordOnly(t *testing.T) {
+	f := New("t", layout, 4)
+	var calls int
+	f.OnFill(func() {
+		calls++
+		if f.ptrs.Accesses != 0 && f.Len() != 0 {
+			t.Fatalf("hook ran with %d records queued", f.Len())
+		}
+	})
+	f.Push([]uint64{1, 2, 3})
+	f.Push([]uint64{4, 5, 6})
+	if calls != 1 {
+		t.Fatalf("hook ran %d times over two pushes, want 1", calls)
+	}
+	f.Pop()
+	f.Pop()
+	f.Push([]uint64{7, 8, 9})
+	if calls != 2 {
+		t.Fatalf("hook ran %d times, want 2 (the queue had drained)", calls)
 	}
 }

@@ -60,6 +60,7 @@ func CaseWebScale(cfg Config) *Result {
 	// stateful DUT advance concurrently under the parallel engine.
 	p := testbed.NewPartition(cfg.simWorkers())
 	ht := hypertester.New(hypertester.Config{Sim: p.LP("tester"), Ports: []float64{100}, Seed: cfg.Seed})
+	cfg.Stats.track(ht)
 	if err := ht.LoadTaskSource("webscale", task); err != nil {
 		return errResult(res, err)
 	}

@@ -12,7 +12,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
+	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/testbed"
@@ -40,6 +42,45 @@ type Config struct {
 	// over netsim.ParMap leave it unset on inner runs (seq() strips it) — a
 	// single TraceSet is not safe for concurrent topologies.
 	Trace *obs.TraceSet
+	// Stats, when non-nil, collects every tester the experiment builds so
+	// its scheduler cost can be read afterwards (htbench prints it).
+	// Unlike Trace it survives seq(): it only reads counters once the run
+	// is over.
+	Stats *SimStats
+}
+
+// SimStats says where an experiment's tester passes went: events the tester's
+// scheduler executed, next to the recirculation passes its loop model
+// accounted without scheduling them (DESIGN.md §9.6).
+type SimStats struct {
+	mu      sync.Mutex
+	testers []*hypertester.Tester
+}
+
+// track registers a tester; a nil receiver ignores it.
+func (s *SimStats) track(ht *hypertester.Tester) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.testers = append(s.testers, ht)
+	s.mu.Unlock()
+}
+
+// Totals sums the tracked testers' counters. Call once the experiment is
+// over.
+func (s *SimStats) Totals() (events uint64, loop asic.LoopStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ht := range s.testers {
+		events += ht.Sim.Executed
+		st := ht.Switch.LoopStats()
+		loop.ElidedPasses += st.ElidedPasses
+		loop.Wakes += st.Wakes
+		loop.LiveHops += st.LiveHops
+		loop.CatchupMaxPasses = max(loop.CatchupMaxPasses, st.CatchupMaxPasses)
+	}
+	return events, loop
 }
 
 // simWorkers normalizes the worker budget.
@@ -130,6 +171,7 @@ func htGenerate(cfg Config, src string, portGbps []float64, seed int64,
 
 	p := testbed.NewPartition(cfg.simWorkers())
 	ht := hypertester.New(hypertester.Config{Sim: p.LP("tester"), Ports: portGbps, Seed: seed})
+	cfg.Stats.track(ht)
 	if cfg.Trace != nil {
 		// Stream creation order = LP creation order = merge rank order, so
 		// the canonical trace is engine-independent (see package obs).

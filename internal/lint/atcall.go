@@ -28,7 +28,7 @@ func DefaultAtCallConfig() AtCallConfig {
 		Schedulers: map[string]bool{
 			"github.com/hypertester/hypertester/internal/netsim.Sim": true,
 		},
-		Methods: map[string]int{"AtCall": 1, "AfterCall": 1},
+		Methods: map[string]int{"AtCall": 1, "AfterCall": 1, "AtCallStamped": 2},
 	}
 }
 

@@ -63,6 +63,7 @@ const DefaultOutboxCap = 4096
 type remoteMsg struct {
 	at      Time // execution time on the destination clock
 	schedAt Time // the sequential engine's schedule time, for merge order
+	parent  Time // the schedAt of the event that schedules it sequentially
 	fn      func(any)
 	arg     any
 	// pre, when non-nil, is an early side effect the sequential engine
@@ -231,7 +232,7 @@ func (e *Engine) seal() {
 // time must respect the registered channel lookahead — violations panic, as
 // they would silently corrupt the conservative synchronization invariant.
 func (s *Sim) PostRemote(dst *Sim, at, schedAt Time, fn func(any), arg any) {
-	s.postRemote(dst, at, schedAt, fn, arg, nil, 0)
+	s.postRemote(dst, at, schedAt, s.now, fn, arg, nil, 0)
 }
 
 // PostRemotePre is PostRemote with an early boundary side effect: the
@@ -244,11 +245,17 @@ func (s *Sim) PostRemote(dst *Sim, at, schedAt Time, fn func(any), arg any) {
 // detect (via arg) whether the side effect already ran and apply it
 // idempotently. pre runs on the coordinator goroutine while all LP workers
 // are quiescent, so it may touch the destination LP's state.
-func (s *Sim) PostRemotePre(dst *Sim, at, schedAt, preAt Time, pre, fn func(any), arg any) {
-	s.postRemote(dst, at, schedAt, fn, arg, pre, preAt)
+//
+// parentSchedAt is what Running reports as the parent stamp while fn runs:
+// the schedule time of the sequential event that schedules this one (for a
+// deferred port ingress, the cable hop scheduled at the sender's
+// serialization end). PostRemote's events stand for that cable hop itself,
+// whose parent is the transmit completion scheduled at the sender's now.
+func (s *Sim) PostRemotePre(dst *Sim, at, schedAt, parentSchedAt, preAt Time, pre, fn func(any), arg any) {
+	s.postRemote(dst, at, schedAt, parentSchedAt, fn, arg, pre, preAt)
 }
 
-func (s *Sim) postRemote(dst *Sim, at, schedAt Time, fn func(any), arg any, pre func(any), preAt Time) {
+func (s *Sim) postRemote(dst *Sim, at, schedAt, parent Time, fn func(any), arg any, pre func(any), preAt Time) {
 	src := s.lp
 	if src == nil || dst.lp == nil || src.eng != dst.lp.eng {
 		panic("netsim: PostRemote requires src and dst LPs of one engine")
@@ -277,7 +284,7 @@ func (s *Sim) postRemote(dst *Sim, at, schedAt Time, fn func(any), arg any, pre 
 		}
 	}
 	src.outbox[dst.lp.rank] = append(src.outbox[dst.lp.rank],
-		remoteMsg{at: at, schedAt: schedAt, fn: fn, arg: arg, pre: pre, preAt: preAt})
+		remoteMsg{at: at, schedAt: schedAt, parent: parent, fn: fn, arg: arg, pre: pre, preAt: preAt})
 	src.staged++
 	src.sent++
 }
@@ -315,7 +322,7 @@ func (lp *lpState) fileInbox() {
 			continue
 		}
 		ev := s.alloc(m.at) // panics if at < now: a lookahead violation
-		ev.schedAt = m.schedAt
+		ev.schedAt, ev.parent = m.schedAt, m.parent
 		ev.fn2, ev.arg = m.fn, m.arg
 		s.schedule(ev)
 	}
@@ -535,6 +542,11 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.clock < deadline {
 		e.clock = deadline
+	}
+	// Run-boundary flush of lazily accounted state, LP by LP in rank order;
+	// the workers are quiescent.
+	for _, lp := range e.lps {
+		lp.sim.runBoundary()
 	}
 }
 

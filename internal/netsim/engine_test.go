@@ -330,7 +330,7 @@ func TestEnginePostRemotePre(t *testing.T) {
 	}
 	post := func(a, b *Sim, preRuns, mainRuns *int) {
 		a.At(Time(100*Nanosecond), func() {
-			a.PostRemotePre(b, Time(300*Nanosecond), Time(200*Nanosecond), Time(200*Nanosecond),
+			a.PostRemotePre(b, Time(300*Nanosecond), Time(200*Nanosecond), Time(150*Nanosecond), Time(200*Nanosecond),
 				func(any) { *preRuns++ }, func(any) { *mainRuns++ }, nil)
 		})
 	}
@@ -444,4 +444,39 @@ func TestEngineValidation(t *testing.T) {
 	mustPanic(t, "standalone post", func() {
 		standalone.PostRemote(b, Time(10*Microsecond), 0, runTestMsg, nil)
 	})
+}
+
+// TestEngineStampsAndBoundary: a cross-LP event reports the stamps the
+// sequential engine's event would (PostRemote: scheduled by the transmit
+// completion the sender scheduled at its own now; PostRemotePre: whatever
+// the caller says schedules it), and every LP's boundary hooks run at the end
+// of Engine.RunUntil with the LP clock at the deadline.
+func TestEngineStampsAndBoundary(t *testing.T) {
+	eng := NewEngine(2)
+	a := eng.NewLP("a")
+	b := eng.NewLP("b")
+	eng.Channel(a, b, 50*Nanosecond)
+	type stamps struct{ now, schedAt, parent Time }
+	var got []stamps
+	note := func(any) {
+		schedAt, parent, _ := b.Running()
+		got = append(got, stamps{b.Now(), schedAt, parent})
+	}
+	var boundary []Time
+	b.OnBoundary(func() { boundary = append(boundary, b.Now()) })
+	a.At(Time(100*Nanosecond), func() {
+		a.PostRemote(b, Time(200*Nanosecond), Time(160*Nanosecond), note, nil)
+		a.PostRemotePre(b, Time(300*Nanosecond), Time(250*Nanosecond), Time(170*Nanosecond), Time(250*Nanosecond),
+			func(any) {}, note, nil)
+	})
+	eng.RunUntil(Time(400 * Nanosecond))
+	eng.RunUntil(Time(500 * Nanosecond))
+	ns := func(n int64) Time { return Time(n) * Time(Nanosecond) }
+	want := []stamps{{ns(200), ns(160), ns(100)}, {ns(300), ns(250), ns(170)}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("cross-LP events ran with stamps %+v, want %+v", got, want)
+	}
+	if len(boundary) != 2 || boundary[0] != ns(400) || boundary[1] != ns(500) {
+		t.Fatalf("boundary hooks ran at %v, want [400ns 500ns]", boundary)
+	}
 }

@@ -89,6 +89,13 @@ type Event struct {
 	// the scheduling Sim for local events; the sender-side completion time
 	// for cross-LP messages). It is an ordering key only — see eventBefore.
 	schedAt Time
+	// parent is the schedAt of the event that was running when this one was
+	// scheduled (the current time for events scheduled between runs). It is
+	// not an ordering key of the wheel; Running exposes it so a component
+	// that keeps hops of its own outside the wheel (asic's loop model) can
+	// resolve a same-picosecond tie against the running event one level
+	// deeper than (at, schedAt) — see DESIGN.md §9.6.
+	parent Time
 	// Exactly one of fn / fn2 is set. fn2+arg is the allocation-free form
 	// used by AtCall; fn is the closure form used by At.
 	fn   func()
@@ -135,6 +142,14 @@ type Sim struct {
 	occ      [WheelLevels][occWords]uint64
 	pending  int
 
+	// The running event's ordering stamps, valid while running is set.
+	runSchedAt, runParent Time
+	running               bool
+
+	// boundary hooks run at the end of every Run/RunUntil (and of every
+	// Engine.RunUntil, for an LP), after the clock reached the deadline.
+	boundary []func()
+
 	// lp binds this Sim to a logical process of a parallel Engine; nil for
 	// a standalone (sequential) simulation.
 	lp *lpState
@@ -164,6 +179,10 @@ func (s *Sim) alloc(at Time) *Event {
 		e = &Event{}
 	}
 	e.at, e.seq, e.schedAt, e.where = at, s.seq, s.now, whereNone
+	e.parent = s.now
+	if s.running {
+		e.parent = s.runSchedAt
+	}
 	return e
 }
 
@@ -198,6 +217,41 @@ func (s *Sim) AtCall(at Time, fn func(any), arg any) *Event {
 	e.fn2, e.arg = fn, arg
 	s.schedule(e)
 	return e
+}
+
+// AtCallStamped is AtCall for an event that, in an unabridged run, would
+// have been scheduled earlier than now: it files fn(arg) at absolute time at
+// under the original schedule time schedAt (<= now), so the event takes the
+// slot among same-timestamp events that (at, schedAt) gives it. Among events
+// that tie on both it runs last, as any late arrival does (cross-LP messages
+// follow the same rule).
+func (s *Sim) AtCallStamped(at, schedAt Time, fn func(any), arg any) *Event {
+	e := s.alloc(at)
+	if schedAt < e.schedAt {
+		e.schedAt = schedAt
+	}
+	e.fn2, e.arg = fn, arg
+	s.schedule(e)
+	return e
+}
+
+// Running reports the ordering stamps of the event being executed: the time
+// it was scheduled at and the schedule time of the event that scheduled it
+// (its due time is Now). ok is false between runs, when no event is running.
+func (s *Sim) Running() (schedAt, parentSchedAt Time, ok bool) {
+	return s.runSchedAt, s.runParent, s.running
+}
+
+// OnBoundary registers fn to run whenever a Run/RunUntil of this Sim (or of
+// the Engine it belongs to) returns, with the clock already at the deadline.
+// Components that account work lazily flush here, so state read between
+// runs is exact.
+func (s *Sim) OnBoundary(fn func()) { s.boundary = append(s.boundary, fn) }
+
+func (s *Sim) runBoundary() {
+	for _, fn := range s.boundary {
+		fn()
+	}
 }
 
 // After schedules fn to run d from now. Negative d panics via At.
@@ -236,6 +290,7 @@ func (s *Sim) step() bool {
 	e := s.due.popMin()
 	s.pending--
 	s.now = e.at
+	s.runSchedAt, s.runParent, s.running = e.schedAt, e.parent, true
 	e.done = true
 	s.Executed++
 	if e.fn2 != nil {
@@ -247,6 +302,7 @@ func (s *Sim) step() bool {
 		s.recycle(e)
 		fn()
 	}
+	s.running = false
 	return true
 }
 
@@ -255,6 +311,7 @@ func (s *Sim) Run() {
 	s.stopped = false
 	for !s.stopped && s.step() {
 	}
+	s.runBoundary()
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
@@ -270,6 +327,7 @@ func (s *Sim) RunUntil(deadline Time) {
 	if s.now < deadline {
 		s.now = deadline
 	}
+	s.runBoundary()
 }
 
 // RunFor is RunUntil(Now()+d).

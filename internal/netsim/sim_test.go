@@ -240,3 +240,87 @@ func TestRNGJitterBounds(t *testing.T) {
 		t.Fatal("zero-spread jitter must be 0")
 	}
 }
+
+// TestRunningStamps: while an event runs, Running reports when it was
+// scheduled and when the event that scheduled it was; between runs it
+// reports nothing.
+func TestRunningStamps(t *testing.T) {
+	s := New()
+	if _, _, ok := s.Running(); ok {
+		t.Fatal("an event is running before any run")
+	}
+	type stamps struct{ now, schedAt, parent Time }
+	var got []stamps
+	note := func() {
+		schedAt, parent, ok := s.Running()
+		if !ok {
+			t.Fatal("no event running inside a callback")
+		}
+		got = append(got, stamps{s.Now(), schedAt, parent})
+	}
+	s.RunUntil(5) // the root is scheduled between runs, at 5
+	s.At(10, func() {
+		note()
+		s.At(30, func() {
+			note()
+			s.AtCall(70, func(any) { note() }, nil)
+		})
+	})
+	s.Run()
+	want := []stamps{{10, 5, 5}, {30, 10, 5}, {70, 30, 10}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d ran with stamps %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if _, _, ok := s.Running(); ok {
+		t.Fatal("an event is running after the run returned")
+	}
+}
+
+// TestAtCallStamped: an event filed late under an earlier schedule time takes
+// the slot (at, schedAt) gives it — ahead of same-timestamp events scheduled
+// after that time, behind those that tie on both.
+func TestAtCallStamped(t *testing.T) {
+	s := New()
+	var order []string
+	add := func(name string) func(any) { return func(any) { order = append(order, name) } }
+	s.RunUntil(10)
+	s.AtCall(100, add("scheduled at 10"), nil)
+	s.RunUntil(20)
+	s.AtCall(100, add("scheduled at 20"), nil)
+	s.RunUntil(30)
+	s.AtCall(100, add("scheduled at 30"), nil)
+	s.AtCallStamped(100, 20, add("filed at 30 under 20"), nil)
+	s.AtCallStamped(100, 5, add("filed at 30 under 5"), nil)
+	s.AtCallStamped(100, 99, add("a stamp after now is now"), nil)
+	s.Run()
+	want := []string{"filed at 30 under 5", "scheduled at 10", "scheduled at 20", "filed at 30 under 20",
+		"scheduled at 30", "a stamp after now is now"}
+	if len(order) != len(want) {
+		t.Fatalf("ran %v", order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("ran %q, want %q", order, want)
+		}
+	}
+}
+
+// TestOnBoundary: boundary hooks run at the end of every run, with the clock
+// already at the deadline.
+func TestOnBoundary(t *testing.T) {
+	s := New()
+	var at []Time
+	s.OnBoundary(func() { at = append(at, s.Now()) })
+	s.At(7, func() {})
+	s.RunUntil(50)
+	s.RunFor(25)
+	s.Run()
+	if len(at) != 3 || at[0] != 50 || at[1] != 75 || at[2] != 75 {
+		t.Fatalf("hooks ran at %v, want [50 75 75]", at)
+	}
+}

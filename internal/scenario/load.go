@@ -52,7 +52,14 @@ func Parse(data []byte, name, dir string) (*Suite, error) {
 	seen := make(map[string]bool, len(suite.Scenarios))
 	for i, sc := range suite.Scenarios {
 		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: scenarios[%d]: %w", name, i, err)
+			// Point at the offending field when the error names one, at
+			// the scenario otherwise.
+			path := []any{"scenarios", i}
+			var fe *FieldError
+			if errors.As(err, &fe) {
+				path = append(path, fe.Path...)
+			}
+			return nil, fmt.Errorf("%s:%s: scenarios[%d]: %w", name, lineCol(data, valueOffset(data, path)), i, err)
 		}
 		if seen[sc.Name] {
 			return nil, fmt.Errorf("%s: duplicate scenario name %q", name, sc.Name)
@@ -91,6 +98,69 @@ func located(data []byte, name string, err error, fallbackOff int64) error {
 		off = typ.Offset
 	}
 	return fmt.Errorf("%s:%s: %w", name, lineCol(data, off), err)
+}
+
+// valueOffset returns the byte offset at which the value at path starts in
+// the JSON document data (string elements select object keys, ints array
+// elements). When the path does not exist in the document — a field left at
+// its zero value — it returns the offset of the deepest enclosing value that
+// does.
+func valueOffset(data []byte, path []any) int64 {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	best := int64(0)
+	// start is where the next value begins: past the whitespace, comma or
+	// colon after the decoder's position.
+	start := func() int64 {
+		off := dec.InputOffset()
+		for off < int64(len(data)) && bytes.IndexByte([]byte(" \t\r\n,:"), data[off]) >= 0 {
+			off++
+		}
+		return off
+	}
+	var descend func(path []any) bool
+	descend = func(path []any) bool {
+		best = start()
+		if len(path) == 0 {
+			return true
+		}
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch want := path[0].(type) {
+		case string:
+			if tok != json.Delim('{') {
+				return false
+			}
+			for dec.More() {
+				key, err := dec.Token()
+				if err != nil {
+					return false
+				}
+				if key == want {
+					return descend(path[1:])
+				}
+				if err := dec.Decode(new(json.RawMessage)); err != nil {
+					return false
+				}
+			}
+		case int:
+			if tok != json.Delim('[') {
+				return false
+			}
+			for i := 0; dec.More(); i++ {
+				if i == want {
+					return descend(path[1:])
+				}
+				if err := dec.Decode(new(json.RawMessage)); err != nil {
+					return false
+				}
+			}
+		}
+		return false
+	}
+	descend(path) // on a missing element best stays at the last value entered
+	return best
 }
 
 // lineCol renders a 1-based "line:col" for a byte offset into data.

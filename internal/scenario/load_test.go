@@ -59,6 +59,33 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 
+	// A validation error points at the field it is about — here the three
+	// numbers that used to load and then panic inside netsim — or, when it
+	// is about none, at the scenario.
+	scenarioWith := func(topology, traffic string) string {
+		return "{\"name\": \"x\", \"scenarios\": [\n{\n  \"name\": \"one\",\n  \"topology\": " + topology +
+			",\n  \"program\": {\"source\": \"T1 = trigger().set(port, 0)\\n\"},\n  \"traffic\": " + traffic + "\n}]}"
+	}
+	for _, c := range []struct{ name, data, want string }{
+		{"cable 1e30", scenarioWith("{\"ports\": [100], \"dut\": \"sink\",\n    \"cable_delay_ns\": 1e30}", `{"window_us": 10}`),
+			"suite.json:5:23: scenarios[0]: scenario \"one\": cable_delay_ns 1e+30 is outside"},
+		{"cable 1e18", scenarioWith("{\"cable_delay_ns\":1e18, \"ports\": [100], \"dut\": \"sink\"}", `{"window_us": 10}`),
+			"suite.json:4:33: scenarios[0]: scenario \"one\": cable_delay_ns 1e+18 is outside"},
+		{"port rate 1e-300", scenarioWith("{\"ports\": [100, 40,\n      1e-300], \"dut\": \"sink\"}", `{"window_us": 10}`),
+			"suite.json:5:7: scenarios[0]: scenario \"one\": port 2 rate 1e-300 Gbps is outside"},
+		{"window", scenarioWith("{\"ports\": [100], \"dut\": \"sink\"}", "{\"seed\": 3,\n   \"window_us\": 1e40}"),
+			"suite.json:7:17: scenarios[0]: scenario \"one\": traffic window 1e+40 us exceeds"},
+		{"absent field", scenarioWith("{\"ports\": [100], \"dut\": \"sink\"}", `{"warmup_us": 1}`),
+			"suite.json:6:14: scenarios[0]: scenario \"one\": traffic window 0 us is not positive"},
+		{"whole scenario", scenarioWith("{\"ports\": [100], \"dut\": \"toaster\"}", `{"window_us": 10}`),
+			"suite.json:2:1: scenarios[0]: scenario \"one\": unknown dut kind"},
+	} {
+		_, err := Parse([]byte(c.data), "suite.json", "")
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want it to carry %q", c.name, err, c.want)
+		}
+	}
+
 	// A parse error's line:col must point at the offending line.
 	_, err := Parse([]byte("{\n  \"name\": \"x\",,\n}"), "suite.json", "")
 	if err == nil || !strings.Contains(err.Error(), "suite.json:2:") {

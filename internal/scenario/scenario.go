@@ -150,12 +150,42 @@ type Scenario struct {
 	Checks   []Check  `json:"checks,omitempty"`
 }
 
+// Numeric bounds. Every duration a scenario declares becomes a netsim.Time
+// (int64 picoseconds, ~106 days) and every rate a wire time; a value outside
+// these ranges overflows that arithmetic — a cable delay of 1e18 ns wraps
+// negative and netsim panics scheduling into the past, a 1e-300 Gbps port
+// serializes a frame for longer than the clock can count. The ranges are
+// far wider than any testbed (the loop model's time arithmetic relies on
+// them too: virtual time stays orders of magnitude below MaxTime).
+const (
+	minGbps         = 1e-3 // 1 Mbps: a 1518 B frame takes 12 ms
+	maxGbps         = 1e5  // 100 Tbps: a 64 B frame still takes 6 ps, not 0
+	maxCableDelayNs = 1e9  // one second of cable
+	maxTrafficUs    = 3.6e9
+	maxSimWorkers   = 1024
+)
+
+// FieldError is a validation error about one field of the scenario's JSON
+// form. Path names the field from the scenario object down — string keys and
+// int array indices — so the suite loader can point at its line and column.
+type FieldError struct {
+	Path []any
+	msg  string
+}
+
+func (e *FieldError) Error() string { return e.msg }
+
 // Validate rejects scenarios that would build a nonsense testbed, so every
-// error surfaces before any simulation runs.
+// error surfaces before any simulation runs. Errors about a single field are
+// *FieldError.
 func (s *Scenario) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
 	}
+	field := func(path []any, format string, args ...any) error {
+		return &FieldError{Path: path, msg: fail(format, args...).Error()}
+	}
+	topo := func(key string, idx ...any) []any { return append([]any{"topology", key}, idx...) }
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
 	}
@@ -164,18 +194,24 @@ func (s *Scenario) Validate() error {
 	}
 	for i, g := range s.Topology.Ports {
 		if !(g > 0) { // catches NaN too
-			return fail("port %d rate %v Gbps is not positive", i, g)
+			return field(topo("ports", i), "port %d rate %v Gbps is not positive", i, g)
+		}
+		if g < minGbps || g > maxGbps {
+			return field(topo("ports", i), "port %d rate %v Gbps is outside [%v, %v]", i, g, minGbps, maxGbps)
 		}
 	}
-	if s.Topology.DUTGbps < 0 || s.Topology.DUTGbps != s.Topology.DUTGbps {
-		return fail("dut_gbps %v is invalid", s.Topology.DUTGbps)
+	if g := s.Topology.DUTGbps; g < 0 || g != g || (g != 0 && (g < minGbps || g > maxGbps)) {
+		return field(topo("dut_gbps"), "dut_gbps %v is invalid (0, or within [%v, %v])", g, minGbps, maxGbps)
 	}
 	if !KnownDUT(s.Topology.DUT) {
 		return fail("unknown dut kind %q (want one of %s)",
 			s.Topology.DUT, strings.Join(dutKinds, ", "))
 	}
-	if s.Topology.CableDelayNs < 0 || s.Topology.CableDelayNs != s.Topology.CableDelayNs {
-		return fail("cable_delay_ns %v is invalid", s.Topology.CableDelayNs)
+	if d := s.Topology.CableDelayNs; !(d >= 0 && d <= maxCableDelayNs) { // catches NaN too
+		return field(topo("cable_delay_ns"), "cable_delay_ns %v is outside [0, %v]", d, maxCableDelayNs)
+	}
+	if w := s.Topology.SimWorkers; w < 0 || w > maxSimWorkers {
+		return field(topo("sim_workers"), "sim_workers %d is outside [0, %d]", w, maxSimWorkers)
 	}
 	if s.Program.Source == "" && s.Program.File == "" {
 		return fail("program needs inline source or a file")
@@ -183,11 +219,13 @@ func (s *Scenario) Validate() error {
 	if s.Program.Source != "" && s.Program.File != "" {
 		return fail("program has both inline source and a file; pick one")
 	}
-	if !(s.Traffic.WindowUs > 0) {
-		return fail("traffic window %v us is not positive", s.Traffic.WindowUs)
+	if w := s.Traffic.WindowUs; !(w > 0) {
+		return field([]any{"traffic", "window_us"}, "traffic window %v us is not positive", w)
+	} else if w > maxTrafficUs {
+		return field([]any{"traffic", "window_us"}, "traffic window %v us exceeds %v (one hour of virtual time)", w, maxTrafficUs)
 	}
-	if s.Traffic.WarmupUs < 0 || s.Traffic.WarmupUs != s.Traffic.WarmupUs {
-		return fail("traffic warmup %v us is invalid", s.Traffic.WarmupUs)
+	if w := s.Traffic.WarmupUs; !(w >= 0 && w <= maxTrafficUs) {
+		return field([]any{"traffic", "warmup_us"}, "traffic warmup %v us is outside [0, %v]", w, maxTrafficUs)
 	}
 	for i, c := range s.Checks {
 		if c.Metric == "" {

@@ -75,6 +75,18 @@ func TestValidate(t *testing.T) {
 		{"nan rate", func(s *Scenario) { s.Topology.Ports = []float64{nan} }, "not positive"},
 		{"bad dut", func(s *Scenario) { s.Topology.DUT = "toaster" }, "unknown dut kind"},
 		{"negative cable", func(s *Scenario) { s.Topology.CableDelayNs = -1 }, "cable_delay_ns"},
+		// Values netsim.Time cannot represent (the first three used to
+		// pass and panic inside netsim: "scheduling event before now").
+		{"cable overflows sim time", func(s *Scenario) { s.Topology.CableDelayNs = 1e30 }, "cable_delay_ns 1e+30 is outside"},
+		{"cable wraps negative", func(s *Scenario) { s.Topology.CableDelayNs = 1e18 }, "cable_delay_ns 1e+18 is outside"},
+		{"rate with an endless wire time", func(s *Scenario) { s.Topology.Ports = []float64{100, 1e-300} }, "port 1 rate 1e-300 Gbps is outside"},
+		{"rate with a zero wire time", func(s *Scenario) { s.Topology.Ports = []float64{1e300} }, "port 0 rate 1e+300 Gbps is outside"},
+		{"nan cable", func(s *Scenario) { s.Topology.CableDelayNs = nan }, "cable_delay_ns"},
+		{"dut rate too low", func(s *Scenario) { s.Topology.DUTGbps = 1e-300 }, "dut_gbps"},
+		{"window overflows sim time", func(s *Scenario) { s.Traffic.WindowUs = 1e30 }, "exceeds"},
+		{"warmup overflows sim time", func(s *Scenario) { s.Traffic.WarmupUs = 1e30 }, "warmup"},
+		{"negative workers", func(s *Scenario) { s.Topology.SimWorkers = -2 }, "sim_workers"},
+		{"absurd workers", func(s *Scenario) { s.Topology.SimWorkers = 1 << 30 }, "sim_workers"},
 		{"no program", func(s *Scenario) { s.Program = Program{} }, "inline source or a file"},
 		{"both programs", func(s *Scenario) { s.Program.File = "x.nt" }, "pick one"},
 		{"zero window", func(s *Scenario) { s.Traffic.WindowUs = 0 }, "not positive"},

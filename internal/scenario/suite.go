@@ -30,9 +30,6 @@ func (r *SuiteResult) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// runScenario is Run; the panic-containment test swaps it.
-var runScenario = Run
-
 // RunSuite executes every scenario of a suite across a GOMAXPROCS-bounded
 // pool (netsim.ParMap — the pool experiments.Run uses) and reports them in
 // input order. workers overrides each scenario's SimWorkers when > 0. A
@@ -40,10 +37,18 @@ var runScenario = Run
 // error or the panic value in its own RunResult.Err; it fails the suite,
 // never the process.
 func RunSuite(suite *Suite, workers int) *SuiteResult {
+	return RunSuiteWith(suite, workers, Run)
+}
+
+// RunSuiteWith is RunSuite with the per-scenario runner supplied by the
+// caller (RunSuite passes Run). Validation rejects every input known to make
+// Run panic, so the containment tests — here and in cmd/hypertester — bring
+// their own panicking runner through this seam.
+func RunSuiteWith(suite *Suite, workers int, run func(*Scenario, int) (*RunResult, error)) *SuiteResult {
 	out := &SuiteResult{Suite: suite.Name, SimWorkers: workers, Pass: true,
 		Scenarios: make([]*RunResult, len(suite.Scenarios))}
 	netsim.ParMap(runtime.GOMAXPROCS(0), len(suite.Scenarios), func(i int) {
-		out.Scenarios[i] = runContained(suite.Scenarios[i], workers)
+		out.Scenarios[i] = runContained(suite.Scenarios[i], workers, run)
 	})
 	for _, r := range out.Scenarios {
 		if r.Pass && r.Err == "" {
@@ -59,7 +64,7 @@ func RunSuite(suite *Suite, workers int) *SuiteResult {
 // runContained runs one scenario, turning an error or a panic into a failed
 // result. The panic value is reported without its stack: results must render
 // identically across engines and worker counts, and goroutine stacks do not.
-func runContained(sc *Scenario, workers int) (r *RunResult) {
+func runContained(sc *Scenario, workers int, run func(*Scenario, int) (*RunResult, error)) (r *RunResult) {
 	failed := func(msg string) *RunResult {
 		return &RunResult{Name: sc.Name, Title: sc.Title, Err: msg}
 	}
@@ -68,7 +73,7 @@ func runContained(sc *Scenario, workers int) (r *RunResult) {
 			r = failed(fmt.Sprintf("scenario panicked: %v", p))
 		}
 	}()
-	r, err := runScenario(sc, workers)
+	r, err := run(sc, workers)
 	if err != nil {
 		return failed(err.Error())
 	}

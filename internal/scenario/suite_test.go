@@ -81,8 +81,7 @@ func TestRunSuiteContainsPanic(t *testing.T) {
 		runtime.GOMAXPROCS(4)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	defer func() { runScenario = Run }()
-	runScenario = func(sc *Scenario, workers int) (*RunResult, error) {
+	run := func(sc *Scenario, workers int) (*RunResult, error) {
 		if sc.Name == "boom" {
 			panic("synthetic scenario failure")
 		}
@@ -94,7 +93,7 @@ func TestRunSuiteContainsPanic(t *testing.T) {
 		quickScenario("boom", flows),
 		quickScenario("after", flows),
 	}}
-	res := RunSuite(suite, 0)
+	res := RunSuiteWith(suite, 0, run)
 	if res.Pass || res.Passed != 2 || res.Failed != 1 {
 		t.Fatalf("suite tally = pass=%v %d/%d, want fail 2/1", res.Pass, res.Passed, res.Failed)
 	}

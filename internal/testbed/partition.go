@@ -129,7 +129,7 @@ func (p *Partition) wire(src, dst Attach, propagation netsim.Duration) {
 		j.pkt = pkt
 		if dstPort != nil {
 			j.port, j.arrival, j.n = dstPort, arrival, pkt.Len()
-			ss.PostRemotePre(ds, arrival.Add(ingressLA), arrival, arrival,
+			ss.PostRemotePre(ds, arrival.Add(ingressLA), arrival, end, arrival,
 				runRemoteRxCredit, runRemoteArrival, j)
 		} else {
 			j.dst = dst

@@ -18,6 +18,20 @@ import (
 // plane's register traffic must not move by a single access.
 const saluSequenceGolden = "8c48520a489968160eef9fc165011e5466143c78dd9f7a33cc5b29066a57f3f0"
 
+// saluTask is the pinned run's task (TestSALUSequenceUnderElision reruns it
+// untraced).
+const saluTask = `
+T1 = trigger()
+    .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
+    .set(dip, range(167772160, 167774207, 1))
+    .set(ipv4.id, range(0, 65535, 1))
+    .set(interval, 100ns)
+    .set(port, 0)
+Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
+Q2 = query().map(p -> (ipv4.id)).reduce(keys={ipv4.sip, ipv4.id}, func=max)
+Q3 = query().delay(keys={ipv4.id})
+`
+
 // TestSALUSequencePinned runs a seeded task whose 64-slot counter tables
 // are 16x over-subscribed, so packets take the query path's branches — exact
 // hit, array hit, insert, KV push, drain onto a placed cell, relocation,
@@ -30,17 +44,7 @@ func TestSALUSequencePinned(t *testing.T) {
 		Compiler: compiler.Options{ArraySize: 64}})
 	ts := obs.NewTraceSet()
 	ht.EnableTrace(ts.New("tester"))
-	err := ht.LoadTaskSource("salu", `
-T1 = trigger()
-    .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
-    .set(dip, range(167772160, 167774207, 1))
-    .set(ipv4.id, range(0, 65535, 1))
-    .set(interval, 100ns)
-    .set(port, 0)
-Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
-Q2 = query().map(p -> (ipv4.id)).reduce(keys={ipv4.sip, ipv4.id}, func=max)
-Q3 = query().delay(keys={ipv4.id})
-`)
+	err := ht.LoadTaskSource("salu", saluTask)
 	if err != nil {
 		t.Fatal(err)
 	}
