@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race lint vet verify bench benchmark clean \
-	fuzz-seeds fuzz trace-oracle elision-oracle trace bench-par suite
+	fuzz-seeds fuzz trace-oracle elision-oracle tx-oracle trace bench-par suite
 
 all: build test lint
 
@@ -38,6 +38,14 @@ trace-oracle:
 # constructed same-picosecond tie.
 elision-oracle:
 	$(GO) test -race -run 'TestLoopElision|TestLoopWake|TestLoopIdles|TestSALUSequenceUnderElision' -count=1 . -v
+
+# TX-path oracle (DESIGN.md §9.7): a front-panel frame's MAC hop is computed
+# at egress end, not scheduled. Randomised switches against a reference FIFO
+# at 50 ns cuts, constructed same-picosecond ties, the traced record sequence
+# recorded before the change, the 4.0-events-per-frame pin, and workers
+# 1 = 2 = 4 with the widened lookahead.
+tx-oracle:
+	$(GO) test -race -run 'TestTxPath' -count=1 ./internal/asic/ -v
 
 # Traced sample run: writes a Perfetto-loadable trace of the observability
 # workload (load at https://ui.perfetto.dev).

@@ -54,7 +54,7 @@ const (
 	loopNone     int8 = iota
 	loopIngress       // Switch.ingress
 	loopEgress        // Switch.runEgress
-	loopTransmit      // Port.Transmit
+	loopTransmit      // Port.transmit
 	loopTxDone        // Port.txDone (+ Receive)
 )
 
@@ -490,18 +490,16 @@ func (m *loopModel) runEgress(lim netsim.Time) {
 	}
 }
 
-// transmitHop is Port.Transmit.
+// transmitHop is Port.transmit.
 func (m *loopModel) transmitHop(h *loopHop, slot int32) {
 	pt := h.port
 	m.tx.pop()
-	start := max(pt.txBusyUntil, h.at)
-	if start.Sub(h.at) > pt.maxBacklog() {
+	end, ok := pt.reserve(h.at, h.pkt.Len())
+	if !ok {
 		pt.TxDrops++
 		m.release(h, slot).Release()
 		return
 	}
-	end := start.Add(pt.wireTime(h.pkt.Len()))
-	pt.txBusyUntil = end
 	m.advance(h, end.Sub(h.at))
 	pt.loopDone.push(slot)
 }

@@ -20,7 +20,7 @@ func TestDelayMemosMatchTheFormulas(t *testing.T) {
 		t.Helper()
 		for id := 0; id < sw.NumPorts(); id++ {
 			pt := sw.Port(id)
-			if got, want := pt.wireTime(n), netsim.Ns(netproto.WireTimeNs(n, pt.Gbps)); got != want {
+			if got, want := pt.wire.Time(n, pt.Gbps), netsim.Ns(netproto.WireTimeNs(n, pt.Gbps)); got != want {
 				t.Fatalf("port %d (%v Gbps) wire time of %d B: memo %v, formula %v", id, pt.Gbps, n, got, want)
 			}
 		}
@@ -38,9 +38,9 @@ func TestDelayMemosMatchTheFormulas(t *testing.T) {
 	}
 	// A port whose rate changes forgets what it remembered.
 	pt := sw.Port(0)
-	before := pt.wireTime(64)
+	before := pt.wire.Time(64, pt.Gbps)
 	pt.Gbps = 50
-	if got, want := pt.wireTime(64), netsim.Ns(netproto.WireTimeNs(64, 50)); got != want || got == before {
+	if got, want := pt.wire.Time(64, pt.Gbps), netsim.Ns(netproto.WireTimeNs(64, 50)); got != want || got == before {
 		t.Fatalf("after a rate change: memo %v, formula %v (was %v)", got, want, before)
 	}
 }

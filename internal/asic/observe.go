@@ -15,8 +15,8 @@ import (
 //   - parse / table / SALU / TM / mcast / recirculate / deparse / digest /
 //     drop records are emitted inside pipeline passes and TM hops, which the
 //     LP engine schedules exactly as the sequential engine does;
-//   - wire_tx is emitted at serialization end, which both engines schedule
-//     from Transmit time (txDone locally, runTxCountJob on partitioned
+//   - wire_tx is emitted at serialization end, an event both engines file
+//     through Port.serialize (txDone locally, runTxCountJob on partitioned
 //     links);
 //   - no record is emitted from Port.Receive: the partitioned path performs
 //     arrival bookkeeping at a different instant (see Port.DeliverDeferred),

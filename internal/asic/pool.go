@@ -119,7 +119,10 @@ func runEgressJob(a any) {
 	sw.runEgress(pkt, port, ord)
 }
 
-// runTransmitJob starts wire serialization after the egress+MAC latency.
+// runTransmitJob is the MAC hop as an event, after the egress+MAC latency: a
+// loopback port's frame, or a front-panel frame due to be tail-dropped (every
+// other front-panel frame goes from runEgress straight to its serialization
+// end — Port.serialize).
 func runTransmitJob(a any) {
 	j := a.(*pktJob)
 	pkt, port, ord := j.pkt, j.port, j.ord
@@ -128,9 +131,9 @@ func runTransmitJob(a any) {
 }
 
 // runTxCountJob credits TX counters at serialization end for frames staged
-// to a remote LP at Transmit time (see Port.Transmit's remote path). It is
-// the cross-LP twin of txDone's wire_tx trace record: both are scheduled at
-// Transmit time for the serialization-end instant, so the record lands in
+// to a remote LP (see Port.serialize's remote path). It is the cross-LP twin
+// of txDone's wire_tx trace record: both are filed by serialize for the
+// serialization-end instant under the same stamps, so the record lands in
 // the same trace slot under either engine.
 func runTxCountJob(a any) {
 	j := a.(*pktJob)

@@ -152,11 +152,15 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 func (sw *Switch) RecircPaths() int { return len(sw.recirc) }
 
 // SetLoopback flips a front-panel port into loopback mode, trading its
-// bandwidth for extra recirculation capacity (§6.1).
+// bandwidth for extra recirculation capacity (§6.1). A port cabled across a
+// partition (Port.SetRemote) cannot loop back.
 func (sw *Switch) SetLoopback(portID int, on bool) error {
 	p := sw.port(portID)
 	if p == nil || portID >= RecircPortBase {
 		return fmt.Errorf("asic: no front-panel port %d", portID)
+	}
+	if on && p.remote != nil {
+		return fmt.Errorf("asic: port %d is partitioned onto another LP and cannot loop back", portID)
 	}
 	p.Loopback = on
 	return nil
@@ -301,10 +305,10 @@ func (sw *Switch) toEgress(pkt *netproto.Packet, port *Port, tmDelay netsim.Dura
 	sw.sim.AfterCall(tmDelay, runEgressJob, j)
 }
 
-// runEgress executes the egress pipeline for pkt bound to port, then hands
-// the frame to the port after the egress+MAC latency. Called at traffic-
-// manager completion time. On a loopback port the hop shares the loop-jitter
-// stream with the loop model, which therefore catches up to it first.
+// runEgress executes the egress pipeline for pkt bound to port and sends the
+// frame on through the MAC. Called at traffic-manager completion time. On a
+// loopback port the hop shares the loop-jitter stream with the loop model,
+// which therefore catches up to it first.
 func (sw *Switch) runEgress(pkt *netproto.Packet, port *Port, ord uint64) {
 	if port.Loopback {
 		sw.loopSync(loopEgress, ord)
@@ -325,15 +329,26 @@ func (sw *Switch) runEgress(pkt *netproto.Packet, port *Port, ord uint64) {
 	}
 	phv.Deparse()
 	sw.releasePHV(phv)
-	egressDelay := egressLatency
-	j := sw.job(pkt, port)
 	if port.Loopback {
-		// Calibrated loop: apply the fractional correction plus
-		// bounded jitter so measured RTTs match Fig. 14a.
-		egressDelay = loopEgressLatency + sw.rngLoop.Jitter(loopJitter)
+		// Calibrated loop: apply the fractional correction plus bounded
+		// jitter so measured RTTs match Fig. 14a. The jitter makes transmit
+		// order differ from egress order, so the MAC hop stays an event.
+		j := sw.job(pkt, port)
 		j.ord = sw.loopOrd()
+		sw.sim.AfterCall(loopEgressLatency+sw.rngLoop.Jitter(loopJitter), runTransmitJob, j)
+		return
 	}
-	sw.sim.AfterCall(egressDelay, runTransmitJob, j)
+	// The MAC hop is arithmetic (DESIGN.md §9.7): a front-panel frame reaches
+	// the MAC a constant egressLatency from now, behind every frame that left
+	// egress before it and ahead of every one that will, so the serializer
+	// booking the transmit event would make is known already. Only a tail
+	// drop has something left to do at that instant.
+	tx := sw.sim.Now().Add(egressLatency)
+	if end, ok := port.reserve(tx, pkt.Len()); ok {
+		port.serialize(pkt, tx, end)
+		return
+	}
+	sw.sim.AtCall(tx, runTransmitJob, sw.job(pkt, port))
 }
 
 // DigestQueueLen reports messages currently queued on the digest channel

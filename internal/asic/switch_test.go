@@ -285,6 +285,38 @@ func TestSetLoopbackValidation(t *testing.T) {
 	}
 }
 
+// TestLoopbackAndRemoteExclude: a port is cabled across a partition or looped
+// back, never both — a partitioned port's channel promises frames a constant
+// egress + MAC latency ahead of the MAC, which a loopback port's jittered
+// delay cannot keep.
+func TestLoopbackAndRemoteExclude(t *testing.T) {
+	_, sw := newTestSwitch(t, 2)
+	remote := func(*netproto.Packet, netsim.Time) {}
+	sw.Port(0).SetRemote(remote)
+	if err := sw.SetLoopback(0, true); err == nil {
+		t.Fatal("SetLoopback accepted a partitioned port")
+	}
+	if sw.Port(0).Loopback {
+		t.Fatal("the refused SetLoopback flipped the port anyway")
+	}
+	if err := sw.SetLoopback(0, false); err != nil {
+		t.Fatalf("switching loopback off on a partitioned port: %v", err)
+	}
+	if err := sw.SetLoopback(1, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, RecircPortBase} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetRemote on loopback port %d did not panic", id)
+				}
+			}()
+			sw.Port(id).SetRemote(remote)
+		}()
+	}
+}
+
 func TestInjectFromCPU(t *testing.T) {
 	sim, sw := newTestSwitch(t, 1)
 	var inPort int

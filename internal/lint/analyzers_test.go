@@ -44,7 +44,7 @@ func TestObsAllocFixtures(t *testing.T) {
 func TestAtCallFixtures(t *testing.T) {
 	a := lint.AtCall(lint.AtCallConfig{
 		Schedulers: map[string]bool{"atcall.Sim": true},
-		Methods:    map[string]int{"AtCall": 1, "AfterCall": 1},
+		Methods:    lint.DefaultAtCallConfig().Methods,
 	})
 	linttest.Run(t, linttest.Fixture(t, "atcall"), a)
 }

@@ -5,11 +5,11 @@ import (
 	"go/types"
 )
 
-// AtCallConfig parameterizes the atcall analyzer. netsim.Sim.AtCall and
-// AfterCall exist for exactly one reason: scheduling a hop without the
-// per-packet closure allocation that At/After incur. Passing a function
-// literal (a capturing closure) or a method value to them defeats the API
-// — both allocate on every call — and silently reintroduces the GC
+// AtCallConfig parameterizes the atcall analyzer. netsim.Sim.AtCall,
+// AfterCall and AtCallStamped exist for exactly one reason: scheduling a hop
+// without the per-packet closure allocation that At/After incur. Passing a
+// function literal (a capturing closure) or a method value to them defeats
+// the API — both allocate on every call — and silently reintroduces the GC
 // pressure PR 1 removed. The hot-path discipline is a package-level
 // trampoline function plus a pooled argument (see internal/asic/pool.go).
 type AtCallConfig struct {
@@ -37,7 +37,7 @@ func AtCall(cfg AtCallConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "atcall",
 		Doc: "flags function literals and method values passed to the zero-allocation " +
-			"AtCall/AfterCall scheduling APIs; pass a package-level func and a pooled argument",
+			"AtCall/AfterCall/AtCallStamped scheduling APIs; pass a package-level func and a pooled argument",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, f := range pass.Files {

@@ -250,7 +250,9 @@ func (s *Sim) PostRemote(dst *Sim, at, schedAt Time, fn func(any), arg any) {
 // the schedule time of the sequential event that schedules this one (for a
 // deferred port ingress, the cable hop scheduled at the sender's
 // serialization end). PostRemote's events stand for that cable hop itself,
-// whose parent is the transmit completion scheduled at the sender's now.
+// whose parent is the transmit completion scheduled at the sender's now; a
+// sender whose transmit completion was scheduled at another moment passes
+// that moment here, with a nil pre if there is no early side effect.
 func (s *Sim) PostRemotePre(dst *Sim, at, schedAt, parentSchedAt, preAt Time, pre, fn func(any), arg any) {
 	s.postRemote(dst, at, schedAt, parentSchedAt, fn, arg, pre, preAt)
 }

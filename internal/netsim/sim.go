@@ -87,7 +87,8 @@ type Event struct {
 	seq uint64
 	// schedAt is the virtual time the event was scheduled at (the clock of
 	// the scheduling Sim for local events; the sender-side completion time
-	// for cross-LP messages). It is an ordering key only — see eventBefore.
+	// for cross-LP messages; the stamp an AtCallStamped caller supplied). It
+	// is an ordering key only — see eventBefore.
 	schedAt Time
 	// parent is the schedAt of the event that was running when this one was
 	// scheduled (the current time for events scheduled between runs). It is
@@ -219,15 +220,28 @@ func (s *Sim) AtCall(at Time, fn func(any), arg any) *Event {
 	return e
 }
 
-// AtCallStamped is AtCall for an event that, in an unabridged run, would
-// have been scheduled earlier than now: it files fn(arg) at absolute time at
-// under the original schedule time schedAt (<= now), so the event takes the
-// slot among same-timestamp events that (at, schedAt) gives it. Among events
-// that tie on both it runs last, as any late arrival does (cross-LP messages
-// follow the same rule).
+// AtCallStamped is AtCall for an event standing in for one an unabridged run
+// schedules at another moment than now: it files fn(arg) at absolute time at
+// under the schedule time schedAt, so the event takes the slot among
+// same-timestamp events that (at, schedAt) gives it. Among events that tie on
+// both it runs in filing order, as every event does.
+//
+// schedAt <= now is an event filed late (asic's loop model handing a hop back
+// to the scheduler; cross-LP messages follow the same rule): its parent stamp
+// is the one AtCall gives. now < schedAt <= at is an event filed early, by a
+// caller that has computed the outcome of an intermediate event — one it
+// would have scheduled now, for schedAt, and which would have scheduled this
+// one (asic's MAC hop, DESIGN.md §9.7): the parent stamp is now, the
+// intermediate's own schedule time. A schedAt past at panics: no event runs
+// before it is scheduled.
 func (s *Sim) AtCallStamped(at, schedAt Time, fn func(any), arg any) *Event {
+	if schedAt > at {
+		panic(fmt.Sprintf("netsim: event at %v stamped as scheduled at %v, after it runs", at, schedAt))
+	}
 	e := s.alloc(at)
-	if schedAt < e.schedAt {
+	if schedAt > s.now {
+		e.schedAt, e.parent = schedAt, s.now
+	} else {
 		e.schedAt = schedAt
 	}
 	e.fn2, e.arg = fn, arg

@@ -281,9 +281,10 @@ func TestRunningStamps(t *testing.T) {
 	}
 }
 
-// TestAtCallStamped: an event filed late under an earlier schedule time takes
-// the slot (at, schedAt) gives it — ahead of same-timestamp events scheduled
-// after that time, behind those that tie on both.
+// TestAtCallStamped: an event filed late under an earlier schedule time, or
+// early under a later one, takes the slot (at, schedAt) gives it among the
+// events of its picosecond — wherever the others were scheduled from — and
+// files behind those that tie on both.
 func TestAtCallStamped(t *testing.T) {
 	s := New()
 	var order []string
@@ -296,18 +297,76 @@ func TestAtCallStamped(t *testing.T) {
 	s.AtCall(100, add("scheduled at 30"), nil)
 	s.AtCallStamped(100, 20, add("filed at 30 under 20"), nil)
 	s.AtCallStamped(100, 5, add("filed at 30 under 5"), nil)
-	s.AtCallStamped(100, 99, add("a stamp after now is now"), nil)
+	// Future stamps: under 60 (an ordinary event will tie with it, scheduled
+	// at 60 and so filed later), under 45 (filed after the one under 60, runs
+	// before it), and under the due time itself.
+	s.AtCallStamped(100, 60, add("filed at 30 under 60"), nil)
+	s.AtCallStamped(100, 45, add("filed at 30 under 45"), nil)
+	s.AtCallStamped(100, 100, add("filed at 30 under 100"), nil)
+	s.RunUntil(50)
+	s.AtCall(100, add("scheduled at 50"), nil)
+	s.RunUntil(60)
+	s.AtCall(100, add("scheduled at 60"), nil)
+	s.AtCallStamped(100, 60, add("filed at 60 under 60"), nil)
+	s.RunUntil(70)
+	s.AtCall(100, add("scheduled at 70"), nil)
 	s.Run()
 	want := []string{"filed at 30 under 5", "scheduled at 10", "scheduled at 20", "filed at 30 under 20",
-		"scheduled at 30", "a stamp after now is now"}
+		"scheduled at 30", "filed at 30 under 45", "scheduled at 50",
+		"filed at 30 under 60", "scheduled at 60", "filed at 60 under 60",
+		"scheduled at 70", "filed at 30 under 100"}
 	if len(order) != len(want) {
-		t.Fatalf("ran %v", order)
+		t.Fatalf("ran %q, want %q", order, want)
 	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("ran %q, want %q", order, want)
 		}
 	}
+}
+
+// TestAtCallStampedParent: an event filed early stands behind an intermediate
+// event scheduled now, so its parent stamp — and that of whatever it schedules
+// — are the ones the intermediate would have handed down; an event filed late
+// keeps the parent AtCall gives.
+func TestAtCallStampedParent(t *testing.T) {
+	s := New()
+	type stamps struct{ at, schedAt, parent Time }
+	var got []stamps
+	note := func(any) {
+		schedAt, parent, _ := s.Running()
+		got = append(got, stamps{s.Now(), schedAt, parent})
+	}
+	s.RunUntil(5)
+	s.AtCall(10, func(any) {
+		// Running: scheduled at 5. The chain 10 -> (40) -> 70 with the
+		// middle event computed through, and its child.
+		s.AtCallStamped(70, 40, func(any) {
+			note(nil)
+			s.AtCall(90, note, nil)
+		}, nil)
+		s.AtCallStamped(80, 7, note, nil)
+	}, nil)
+	s.Run()
+	want := []stamps{{70, 40, 10}, {80, 7, 5}, {90, 70, 40}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d ran with stamps %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAtCallStampedAfterDuePanics: no event runs before it is scheduled.
+func TestAtCallStampedAfterDuePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a schedule stamp past the due time did not panic")
+		}
+	}()
+	New().AtCallStamped(100, 101, func(any) {}, nil)
 }
 
 // TestOnBoundary: boundary hooks run at the end of every run, with the clock

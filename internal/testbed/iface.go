@@ -17,12 +17,17 @@ import (
 
 // linkJob carries one in-flight frame delivery (cable propagation or NIC
 // serialization) so links schedule through netsim.AtCall without a capturing
-// closure per frame. The pool is a sync.Pool because testbeds from different
-// experiments run concurrently under the parallel suite runner.
+// closure per frame. Jobs of interfaces and cross-LP channels come from a
+// sync.Pool, because testbeds from different experiments run concurrently
+// under the parallel suite runner and a cross-LP job is returned by another
+// LP than drew it; a same-Sim cable recycles its own (see cable).
 type linkJob struct {
 	dst   Attach
 	iface *Iface
 	pkt   *netproto.Packet
+	// cable, set for life on a job a cable allocated, is the free list the
+	// job returns to.
+	cable *cable
 	// Cross-LP delivery state (partition.go): the destination switch port
 	// (nil for interface destinations), the wire-arrival timestamp, and a
 	// byte count plus packet UID for TX-counter credits (and their wire_tx
@@ -39,12 +44,36 @@ type linkJob struct {
 
 var linkJobPool = sync.Pool{New: func() any { return new(linkJob) }}
 
+// cable is a full-duplex cable between two attachment points on one Sim. It is
+// single-threaded with that Sim and belongs to one testbed, so its delivery
+// jobs recycle through a plain free list — the cable hop is once per frame of
+// every workload, and a sync.Pool Get+Put there cost more than the hop's own
+// bookkeeping.
+type cable struct {
+	sim         *netsim.Sim
+	propagation netsim.Duration
+	free        []*linkJob
+}
+
+// carry schedules pkt, whose last bit left the near end at time at, to arrive
+// at dst one propagation delay later.
+func (c *cable) carry(dst Attach, pkt *netproto.Packet, at netsim.Time) {
+	var j *linkJob
+	if n := len(c.free); n > 0 {
+		j, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		j = &linkJob{cable: c}
+	}
+	j.dst, j.pkt = dst, pkt
+	c.sim.AtCall(at.Add(c.propagation), runDeliverJob, j)
+}
+
 // runDeliverJob completes a cable hop: the frame arrives at the far end.
 func runDeliverJob(a any) {
 	j := a.(*linkJob)
 	dst, pkt := j.dst, j.pkt
-	*j = linkJob{}
-	linkJobPool.Put(j)
+	j.dst, j.pkt = nil, nil
+	j.cable.free = append(j.cable.free, j)
 	dst.Deliver(pkt)
 }
 
@@ -143,6 +172,7 @@ type Iface struct {
 	remote func(pkt *netproto.Packet, end netsim.Time)
 
 	txBusyUntil netsim.Time
+	wire        asic.WireMemo
 
 	// trace, when non-nil, records wire_rx/wire_tx lifecycle events. Both
 	// emission points (Deliver at arrival, TX completion at serialization
@@ -194,7 +224,7 @@ func (i *Iface) Send(pkt *netproto.Packet) {
 	if start < now {
 		start = now
 	}
-	end := start.Add(netsim.Ns(netproto.WireTimeNs(pkt.Len(), i.Gbps)))
+	end := start.Add(i.wire.Time(pkt.Len(), i.Gbps))
 	i.txBusyUntil = end
 	if i.remote != nil {
 		// Cross-LP path: stamp the egress timestamp now (its value is the
@@ -216,16 +246,9 @@ func (i *Iface) Send(pkt *netproto.Packet) {
 // Connect joins two attachment points with a full-duplex cable of the given
 // propagation delay.
 func Connect(sim *netsim.Sim, a, b Attach, propagation netsim.Duration) {
-	a.SetPeer(func(pkt *netproto.Packet, at netsim.Time) {
-		j := linkJobPool.Get().(*linkJob)
-		j.dst, j.pkt = b, pkt
-		sim.AtCall(at.Add(propagation), runDeliverJob, j)
-	})
-	b.SetPeer(func(pkt *netproto.Packet, at netsim.Time) {
-		j := linkJobPool.Get().(*linkJob)
-		j.dst, j.pkt = a, pkt
-		sim.AtCall(at.Add(propagation), runDeliverJob, j)
-	})
+	c := &cable{sim: sim, propagation: propagation}
+	a.SetPeer(func(pkt *netproto.Packet, at netsim.Time) { c.carry(b, pkt, at) })
+	b.SetPeer(func(pkt *netproto.Packet, at netsim.Time) { c.carry(a, pkt, at) })
 }
 
 // DefaultCableDelay is the propagation delay of a short DAC cable.
@@ -237,6 +260,7 @@ const DefaultCableDelay = 5 * netsim.Nanosecond
 // network-tester duty).
 func ConnectLossy(sim *netsim.Sim, a, b Attach, propagation netsim.Duration, lossRate float64, seed int64) *LossyLink {
 	l := &LossyLink{rng: netsim.NewRNG(seed, "lossy-link"), rate: lossRate}
+	c := &cable{sim: sim, propagation: propagation}
 	forward := func(dst Attach) func(pkt *netproto.Packet, at netsim.Time) {
 		return func(pkt *netproto.Packet, at netsim.Time) {
 			if l.rng.Float64() < l.rate {
@@ -245,9 +269,7 @@ func ConnectLossy(sim *netsim.Sim, a, b Attach, propagation netsim.Duration, los
 				return
 			}
 			l.Delivered++
-			j := linkJobPool.Get().(*linkJob)
-			j.dst, j.pkt = dst, pkt
-			sim.AtCall(at.Add(propagation), runDeliverJob, j)
+			c.carry(dst, pkt, at)
 		}
 	}
 	a.SetPeer(forward(b))

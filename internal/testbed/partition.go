@@ -13,7 +13,8 @@ import (
 // generator), with every cable between devices on different LPs becoming a
 // cross-LP channel whose lookahead is derived from calibrated link physics:
 //
-//	lookahead = wire time of a minimum-size frame at the source rate
+//	lookahead = egress + MAC latency (switch-port sources only)
+//	          + wire time of a minimum-size frame at the source rate
 //	          + cable propagation delay
 //	          + MAC/ingress-pipeline latency (switch-port destinations only)
 //
@@ -97,6 +98,25 @@ func (p *Partition) Connect(a, b Attach, propagation netsim.Duration) {
 	p.wire(b, a, propagation)
 }
 
+// lookahead is the calibrated lookahead of the src -> dst half of a cable. A
+// switch port hands a frame to the channel at egress end, TransmitLookahead
+// before the frame reaches the MAC; any source's frame then takes at least a
+// minimum frame's wire time to serialize and the cable's delay to arrive; and
+// a delivery to a switch port targets pipeline entry, DeliverLookahead after
+// the arrival.
+func lookahead(src, dst Attach, propagation netsim.Duration) netsim.Duration {
+	_, srcGbps, srcPort := endpoint(src)
+	_, _, dstPort := endpoint(dst)
+	la := netsim.Ns(netproto.WireTimeNs(minFrameLen, srcGbps)) + propagation
+	if srcPort != nil {
+		la += srcPort.TransmitLookahead()
+	}
+	if dstPort != nil {
+		la += dstPort.DeliverLookahead()
+	}
+	return la
+}
+
 // wire installs the src -> dst half of a partitioned cable: registers the
 // engine channel with its calibrated lookahead and diverts src transmissions
 // into cross-LP messages.
@@ -104,7 +124,9 @@ func (p *Partition) Connect(a, b Attach, propagation netsim.Duration) {
 // Message timing preserves the sequential engine's schedule exactly. For an
 // interface destination the delivery event runs at the wire-arrival time and
 // carries schedAt = serialization end — the (at, schedAt) the sequential
-// cable hop has. For a switch-port destination the arrival-time delivery
+// cable hop has — and, as its parent stamp, the time the frame reached the
+// source's MAC: the clock for an interface, TransmitLookahead ahead of it for
+// a switch port. For a switch-port destination the arrival-time delivery
 // only *schedules* pipeline entry after the MAC/ingress latency, so the
 // message instead targets that deferred instant directly (at = arrival +
 // ingress latency, schedAt = arrival), buying the channel an extra
@@ -114,27 +136,25 @@ func (p *Partition) Connect(a, b Attach, propagation netsim.Duration) {
 // arrival, flushed if a RunUntil deadline lands between arrival and
 // pipeline entry) so counters sampled at any boundary stay bit-identical.
 func (p *Partition) wire(src, dst Attach, propagation netsim.Duration) {
-	ss, srcGbps, _ := endpoint(src)
+	ss, _, srcPort := endpoint(src)
 	ds, _, dstPort := endpoint(dst)
-	la := netsim.Ns(netproto.WireTimeNs(minFrameLen, srcGbps)) + propagation
-	var ingressLA netsim.Duration
-	if dstPort != nil {
-		ingressLA = dstPort.DeliverLookahead()
-		la += ingressLA
+	p.eng.Channel(ss, ds, lookahead(src, dst, propagation))
+	var txLA netsim.Duration
+	if srcPort != nil {
+		txLA = srcPort.TransmitLookahead()
 	}
-	p.eng.Channel(ss, ds, la)
 	send := func(pkt *netproto.Packet, end netsim.Time) {
 		arrival := end.Add(propagation)
 		j := linkJobPool.Get().(*linkJob)
 		j.pkt = pkt
 		if dstPort != nil {
 			j.port, j.arrival, j.n = dstPort, arrival, pkt.Len()
-			ss.PostRemotePre(ds, arrival.Add(ingressLA), arrival, end, arrival,
+			ss.PostRemotePre(ds, arrival.Add(dstPort.DeliverLookahead()), arrival, end, arrival,
 				runRemoteRxCredit, runRemoteArrival, j)
-		} else {
-			j.dst = dst
-			ss.PostRemote(ds, arrival, end, runRemoteArrival, j)
+			return
 		}
+		j.dst = dst
+		ss.PostRemotePre(ds, arrival, end, ss.Now().Add(txLA), 0, nil, runRemoteArrival, j)
 	}
 	switch x := src.(type) {
 	case *Iface:

@@ -378,3 +378,34 @@ type badAttach struct{}
 
 func (badAttach) SetPeer(func(*netproto.Packet, netsim.Time)) {}
 func (badAttach) Deliver(*netproto.Packet)                    {}
+
+// TestPartitionLookahead pins the calibrated lookahead of every kind of
+// channel half (DESIGN.md §10.2): a minimum frame's wire time at the source
+// rate plus the cable, plus the egress + MAC latency when the source is a
+// switch port (which hands a frame over at egress end), plus the MAC +
+// ingress latency when the destination is one (whose message targets
+// pipeline entry).
+func TestPartitionLookahead(t *testing.T) {
+	sim := netsim.New()
+	sw := NewForwardingDUT(sim, "dut", []float64{100, 40}, nil, 1)
+	nic := NewIface(sim, "nic", 10)
+	ns := func(v float64) netsim.Duration { return netsim.Ns(v) }
+	for _, c := range []struct {
+		name        string
+		src, dst    Attach
+		propagation netsim.Duration
+		want        netsim.Duration
+	}{
+		// The line-rate tester -> sink channel: 6.4 ns before the MAC hop
+		// was folded into egress.
+		{"100G port -> iface, no cable delay", sw.Port(0), nic, 0, ns(274 + 6.4)},
+		{"40G port -> iface", sw.Port(1), nic, DefaultCableDelay, ns(274 + 16 + 5)},
+		{"10G iface -> port", nic, sw.Port(0), DefaultCableDelay, ns(64 + 5 + 170)},
+		{"100G port -> port", sw.Port(0), sw.Port(1), 20 * netsim.Nanosecond, ns(274 + 6.4 + 20 + 170)},
+		{"iface -> iface", nic, NewIface(sim, "peer", 25), DefaultCableDelay, ns(64 + 5)},
+	} {
+		if got := lookahead(c.src, c.dst, c.propagation); got != c.want {
+			t.Errorf("%s: lookahead %v, want %v", c.name, got, c.want)
+		}
+	}
+}
