@@ -60,21 +60,25 @@ lint:
 vet:
 	$(GO) vet ./...
 
-# Path-sensitive symbolic verification of the 18-program experiment
-# corpus, plus the witness-packet differential: every extracted witness
-# must replay bit-identically through the compiled ASIC plan and the
-# naive IR interpreter (DESIGN.md §12).
+# Path-sensitive symbolic verification of the 18-program experiment corpus
+# (htverify), then the witness-packet differential, which lives in the test
+# alone: every extracted witness must replay bit-identically through the
+# compiled ASIC plan and the naive IR interpreter and match the committed
+# goldens (DESIGN.md §12.4–12.5).
 verify:
 	$(GO) run ./cmd/htverify
 	$(GO) test -race -run 'TestCorpusVerifiesClean|TestWitnessDifferential' -count=1 ./internal/experiments/
 
-# Run the starter scenario suite on both engines (sequential, then the
+# Run the committed scenario suites on both engines (sequential, then the
 # parallel LP engine with 4 workers); results land in /tmp. The sync test
 # in internal/scenario pins examples/suites/starter.json to the built-in
-# library, so this also exercises the committed file.
+# library, so this also exercises the committed file; paper-smoke.json
+# carries the one committed cross-engine golden trace hash.
 suite:
 	$(GO) run ./cmd/hypertester -suite examples/suites/starter.json -results /tmp/suite-results.json
 	$(GO) run ./cmd/hypertester -suite examples/suites/starter.json -simworkers 4 -results /tmp/suite-results-par.json
+	$(GO) run ./cmd/hypertester -suite examples/suites/paper-smoke.json
+	$(GO) run ./cmd/hypertester -suite examples/suites/paper-smoke.json -simworkers 4
 
 bench:
 	$(GO) run ./cmd/htbench -quick

@@ -244,9 +244,16 @@ func TestDelayQueryAllocBudget(t *testing.T) {
 // equals testdata/headlines.golden bit for bit: the experiments are
 // deterministic, so any drift is a behaviour change somewhere below them.
 func TestAllExperimentsRun(t *testing.T) {
-	results := experiments.All(experiments.Config{Quick: true, Seed: 1})
+	var stats experiments.SimStats
+	results := experiments.All(experiments.Config{Quick: true, Seed: 1, Stats: &stats})
 	if len(results) != 18 {
 		t.Fatalf("All() ran %d experiments, want 18", len(results))
+	}
+	// The loop model's residual tie class (DESIGN.md §9.6) is counted, not
+	// assumed: a same-picosecond ordering it cannot decide would show here.
+	if _, loop := stats.Totals(); loop.ResidualTies != 0 {
+		t.Errorf("%d of %d foreign same-picosecond ties were undecided by (schedAt, parent schedAt)",
+			loop.ResidualTies, loop.Ties)
 	}
 	seen := map[string]bool{}
 	var got strings.Builder

@@ -108,8 +108,8 @@ func main() {
 		}
 		fmt.Println(res.String())
 		if events, loop := stats[i].Totals(); events > 0 {
-			fmt.Printf("(%.1fs; tester: %d events executed, %d idle passes elided, %d loop hops live, %d wakes)\n\n",
-				walls[i].Seconds(), events, loop.ElidedPasses, loop.LiveHops, loop.Wakes)
+			fmt.Printf("(%.1fs; tester: %d events executed, %d idle passes elided, %d loop hops live, %d wakes, %d ties of which %d residual)\n\n",
+				walls[i].Seconds(), events, loop.ElidedPasses, loop.LiveHops, loop.Wakes, loop.Ties, loop.ResidualTies)
 		} else {
 			fmt.Printf("(%.1fs)\n\n", walls[i].Seconds())
 		}

@@ -1,7 +1,7 @@
 // Command htverify runs the path-sensitive symbolic verifier
-// (internal/verify) over the 18-program experiment corpus and replays
-// every extracted witness packet through both the compiled ASIC plan and
-// the naive IR interpreter, diffing the full outcome.
+// (internal/verify) over the 18-program experiment corpus. The witness-packet
+// differential (compiled plan vs naive IR interpreter) lives once, as
+// TestWitnessDifferential in internal/experiments; `make verify` runs both.
 //
 // Usage:
 //
@@ -9,9 +9,9 @@
 //	go run ./cmd/htverify table5_ipscan    # named programs only
 //	go run ./cmd/htverify -list            # describe the checkers
 //
-// Exit status: 0 clean, 1 findings (verifier diagnostics or witness
-// divergence), 2 internal error. Queries compiled from a truncated header
-// space are listed on stderr, one line each, without changing the status.
+// Exit status: 0 clean, 1 findings (verifier diagnostics), 2 internal error.
+// Queries compiled from a truncated header space are listed on stderr, one
+// line each, without changing the status.
 package main
 
 import (
@@ -82,57 +82,15 @@ func runVerify(dir string, args []string) ([]string, error) {
 	return lines, nil
 }
 
-// runDifferential extracts witness packets per program and replays each
-// through the compiled plan and the naive interpreter.
-func runDifferential(dir string, args []string) ([]string, error) {
-	specs, err := corpus(args)
-	if err != nil {
-		return nil, err
-	}
-	var lines []string
-	for _, spec := range specs {
-		prog, err := spec.Compile()
-		if err != nil {
-			continue // already reported by the verify checker
-		}
-		rep := compiler.AnalyzePlan(prog, verify.Options{Witnesses: true})
-		if len(rep.Witnesses) == 0 {
-			lines = append(lines, fmt.Sprintf("%s: no witnesses extracted", spec.Name))
-			continue
-		}
-		for i := range rep.Witnesses {
-			wit := rep.Witnesses[i]
-			entries := compiler.SyntheticEntries(prog.P4, wit)
-			got, err := compiler.ReplayPlan(prog, &wit, entries)
-			if err != nil {
-				return nil, fmt.Errorf("%s witness %d: %w", spec.Name, i, err)
-			}
-			in := &verify.Interp{Prog: prog.P4, Entries: entries}
-			want := in.Run(wit)
-			if got.Canonical() != want.Canonical() {
-				lines = append(lines, fmt.Sprintf(
-					"%s witness %d diverges (path %v):\n--- compiled ---\n%s--- naive ---\n%s",
-					spec.Name, i, wit.Path, got.Canonical(), want.Canonical()))
-			}
-		}
-	}
-	return lines, nil
-}
-
 func main() {
 	tool := &lint.Tool{
 		Name: "htverify",
-		Doc:  "symbolically verify the experiment corpus and replay witness packets differentially",
+		Doc:  "symbolically verify the experiment corpus",
 		Checkers: []lint.Checker{
 			{
 				Name: "verify",
 				Doc:  "path-sensitive symbolic verification of every compiled plan",
 				Run:  runVerify,
-			},
-			{
-				Name: "differential",
-				Doc:  "witness-packet replay: compiled ASIC plan vs naive IR interpreter",
-				Run:  runDifferential,
 			},
 		},
 	}

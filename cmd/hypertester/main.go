@@ -12,10 +12,13 @@
 //	hypertester -task throughput.nt -p4        # dump the generated P4
 //	hypertester -suite examples/suites/starter.json -results results.json
 //
-// Devices under test: sink (count only), reflector (bounce traffic back),
+// A -task run is a scenario synthesised from the flags: it is validated,
+// wired and run by the scenario package's rig, so it knows the same devices
+// under test as a suite — sink (count only), reflector (bounce traffic back),
 // httpfarm (stateful TCP/HTTP servers), scantarget (a probeable address
-// space); scenario suites additionally know hhsink (per-flow counts vs a
-// Count-Min shadow).
+// space), hhsink (per-flow counts vs a Count-Min shadow) — and the same
+// bounds: port rates within [0.001, 100000] Gbps, a duration of at most one
+// hour of virtual time.
 //
 // Exit codes: 0 success, 1 suite checks failed, 2 invalid flags or
 // unloadable inputs.
@@ -25,14 +28,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	hypertester "github.com/hypertester/hypertester"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/p4ir"
 	"github.com/hypertester/hypertester/internal/scenario"
@@ -42,10 +43,6 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// taskDUTKinds are the DUTs the single-task path can build. Scenario suites
-// use the scenario package's catalogue (adds hhsink).
-var taskDUTKinds = []string{"sink", "reflector", "httpfarm", "scantarget"}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	return runWith(args, stdout, stderr, scenario.Run)
@@ -62,7 +59,7 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 	resultsFile := fs.String("results", "", "write machine-readable suite results (JSON) here")
 	ports := fs.String("ports", "100", "comma-separated port rates in Gbps")
 	duration := fs.Duration("duration", 5*time.Millisecond, "virtual run duration")
-	dutKind := fs.String("dut", "sink", "device under test: "+strings.Join(taskDUTKinds, "|"))
+	dutKind := fs.String("dut", "sink", "device under test: "+strings.Join(scenario.DUTKinds, "|"))
 	simWorkers := fs.Int("simworkers", 0, "suite mode: run topologies on the parallel engine with this many workers (0 = per-scenario setting)")
 	dumpP4 := fs.Bool("p4", false, "print the generated P4-14 program and exit")
 	dumpP416 := fs.Bool("p4_16", false, "print the generated P4-16 (TNA) program and exit")
@@ -91,7 +88,16 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 		fmt.Fprintf(stderr, "hypertester: %v\n", err)
 		return 2
 	}
-	if err := validateTaskFlags(*dutKind, *duration); err != nil {
+	// The invocation as a scenario: the loader's bounds apply to the flags.
+	name := strings.TrimSuffix(filepath.Base(*taskFile), filepath.Ext(*taskFile))
+	sc := &scenario.Scenario{
+		Name: name,
+		Topology: scenario.Topology{Ports: rates, DUT: *dutKind,
+			CableDelayNs: testbed.DefaultCableDelay.Nanoseconds()},
+		Program: scenario.Program{Name: name, File: *taskFile},
+		Traffic: scenario.Traffic{WindowUs: float64(duration.Nanoseconds()) / 1e3, Seed: *seed},
+	}
+	if err := sc.Validate(); err != nil {
 		fmt.Fprintf(stderr, "hypertester: %v\n", err)
 		return 2
 	}
@@ -103,7 +109,7 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 	case *simWorkers != 0:
 		fmt.Fprintln(stderr, "hypertester: -simworkers needs -suite (a single task runs on the sequential engine)")
 		return 2
-	case *pcapOut != "" && *dutKind != "sink":
+	case *pcapOut != "" && *dutKind != scenario.DUTSink:
 		fmt.Fprintf(stderr, "hypertester: -pcap captures at sink DUTs only, not -dut %s\n", *dutKind)
 		return 2
 	}
@@ -113,55 +119,32 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 		return 2
 	}
 
-	ht := hypertester.New(hypertester.Config{Ports: rates, Seed: *seed})
-	name := strings.TrimSuffix(filepath.Base(*taskFile), filepath.Ext(*taskFile))
-	if err := ht.LoadTaskSource(name, string(src)); err != nil {
+	// Untraced, so idle template passes stay in the switch's loop model.
+	rig, err := scenario.Build(sc.Topology, name, string(src), sc.Traffic.Seed, 1, nil)
+	if err != nil {
 		fmt.Fprintf(stderr, "hypertester: compile: %v\n", err)
 		return 2
 	}
+	ht := rig.Tester
 
-	if *dumpP4 {
+	switch {
+	case *dumpP4:
 		fmt.Fprint(stdout, ht.GeneratedP4())
 		return 0
-	}
-	if *dumpP416 {
+	case *dumpP416:
 		fmt.Fprint(stdout, p4ir.PrintP416(ht.Program.P4))
 		return 0
-	}
-	if *resources {
+	case *resources:
 		fmt.Fprintf(stdout, "resources (%% of switch.p4): %v\n", ht.Resources())
 		return 0
 	}
 
-	// Wire every port to its own instance of the chosen DUT.
-	sinks := make([]*testbed.Sink, len(rates))
-	var farm *testbed.HTTPServerFarm
-	var target *testbed.ScanTarget
-	for i, g := range rates {
-		switch *dutKind {
-		case "sink":
-			sinks[i] = testbed.NewSink(ht.Sim, fmt.Sprintf("sink%d", i), g)
-			if *pcapOut != "" {
-				sinks[i].EnableCapture(1 << 20)
-			}
-			testbed.Connect(ht.Sim, ht.Port(i), sinks[i].Iface, testbed.DefaultCableDelay)
-		case "reflector":
-			r := testbed.NewReflector(ht.Sim, fmt.Sprintf("refl%d", i), g)
-			testbed.Connect(ht.Sim, ht.Port(i), r.Iface, testbed.DefaultCableDelay)
-		case "httpfarm":
-			farm = testbed.NewHTTPServerFarm(ht.Sim, fmt.Sprintf("farm%d", i), g)
-			testbed.Connect(ht.Sim, ht.Port(i), farm.Iface, testbed.DefaultCableDelay)
-		case "scantarget":
-			target = testbed.NewScanTarget(ht.Sim, fmt.Sprintf("net%d", i), g)
-			testbed.Connect(ht.Sim, ht.Port(i), target.Iface, testbed.DefaultCableDelay)
+	if *pcapOut != "" {
+		for _, d := range rig.DUTs {
+			d.Sink.EnableCapture(1 << 20)
 		}
 	}
-
-	if err := ht.Start(); err != nil {
-		fmt.Fprintf(stderr, "hypertester: %v\n", err)
-		return 1
-	}
-	ht.RunFor(netsim.Duration(duration.Nanoseconds()) * netsim.Nanosecond)
+	rig.Run(0, netsim.Duration(duration.Nanoseconds())*netsim.Nanosecond)
 
 	fmt.Fprintf(stdout, "task %q ran for %v of virtual time\n\n", name, *duration)
 	for _, tmpl := range ht.Program.Templates {
@@ -186,47 +169,39 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 				len(rep.Results), rep.Results[0].Key, rep.Results[0].Value)
 		}
 	}
-	if *dutKind == "sink" {
-		fmt.Fprintln(stdout)
-		for i, s := range sinks {
-			if s != nil {
-				fmt.Fprintf(stdout, "port %d sink: %.2f Gbps, %.2f Mpps\n",
-					i, s.ThroughputGbps(), s.RatePps()/1e6)
-			}
-		}
-		if *pcapOut != "" {
-			var frames []testbed.CapturedFrame
-			for _, s := range sinks {
-				if s != nil {
-					frames = append(frames, s.Captured()...)
-				}
-			}
-			f, err := os.Create(*pcapOut)
-			if err != nil {
-				fmt.Fprintf(stderr, "hypertester: pcap: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			if err := testbed.WritePcap(f, frames); err != nil {
-				fmt.Fprintf(stderr, "hypertester: pcap: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %d frames to %s\n", len(frames), *pcapOut)
-		}
+
+	// The DUTs' own view, under the names suite checks use.
+	var m scenario.Metrics
+	for _, d := range rig.DUTs {
+		d.Collect(&m)
 	}
-	if farm != nil {
-		fmt.Fprintf(stdout, "\nHTTP farm: %d handshakes, %d requests, %d closed\n",
-			farm.Handshakes, farm.Requests, farm.Closed)
+	fmt.Fprintln(stdout)
+	for _, x := range m.All() {
+		fmt.Fprintf(stdout, "%s = %s\n", x.Name, x.Text)
 	}
-	if target != nil {
-		fmt.Fprintf(stdout, "\nscan target: %d probes, %d SYN+ACK, %d RST\n",
-			target.ProbesSeen, target.SynAcksSent, target.RstsSent)
+
+	if *pcapOut != "" {
+		var frames []testbed.CapturedFrame
+		for _, d := range rig.DUTs {
+			frames = append(frames, d.Sink.Captured()...)
+		}
+		f, err := os.Create(*pcapOut)
+		if err != nil {
+			fmt.Fprintf(stderr, "hypertester: pcap: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := testbed.WritePcap(f, frames); err != nil {
+			fmt.Fprintf(stderr, "hypertester: pcap: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "wrote %d frames to %s\n", len(frames), *pcapOut)
 	}
 	return 0
 }
 
-// parsePorts parses the -ports list, rejecting rates that would configure a
-// nonsense switch (non-positive, NaN, infinite).
+// parsePorts parses the -ports list; whether the rates make a buildable
+// switch is for scenario validation to say.
 func parsePorts(s string) ([]float64, error) {
 	var rates []float64
 	for _, p := range strings.Split(s, ",") {
@@ -235,26 +210,9 @@ func parsePorts(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad port rate %q", p)
 		}
-		if math.IsNaN(g) || math.IsInf(g, 0) || g <= 0 {
-			return nil, fmt.Errorf("port rate %q must be a positive, finite Gbps value", p)
-		}
 		rates = append(rates, g)
 	}
 	return rates, nil
-}
-
-// validateTaskFlags rejects single-task invocations that would run a
-// nonsense simulation.
-func validateTaskFlags(dut string, d time.Duration) error {
-	if d <= 0 {
-		return fmt.Errorf("duration %v must be positive", d)
-	}
-	for _, k := range taskDUTKinds {
-		if k == dut {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown DUT kind %q (want one of %s)", dut, strings.Join(taskDUTKinds, ", "))
 }
 
 // runSuite loads and runs a scenario suite, printing per-scenario pass/fail

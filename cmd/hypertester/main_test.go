@@ -3,14 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/scenario"
+	"github.com/hypertester/hypertester/internal/testbed"
 )
 
 func TestParsePorts(t *testing.T) {
@@ -24,12 +26,7 @@ func TestParsePorts(t *testing.T) {
 		{in: "0.5", want: []float64{0.5}},
 		{in: "abc", wantErr: `bad port rate "abc"`},
 		{in: "100,,25", wantErr: `bad port rate ""`},
-		{in: "0", wantErr: "positive, finite"},
-		{in: "-25", wantErr: "positive, finite"},
-		{in: "NaN", wantErr: "positive, finite"},
-		{in: "nan", wantErr: "positive, finite"},
-		{in: "+Inf", wantErr: "positive, finite"},
-		{in: "-Inf", wantErr: "positive, finite"},
+		{in: "1e999", wantErr: `bad port rate "1e999"`},
 	}
 	for _, tc := range cases {
 		got, err := parsePorts(tc.in)
@@ -55,25 +52,6 @@ func TestParsePorts(t *testing.T) {
 	}
 }
 
-func TestValidateTaskFlags(t *testing.T) {
-	for _, k := range taskDUTKinds {
-		if err := validateTaskFlags(k, time.Millisecond); err != nil {
-			t.Errorf("validateTaskFlags(%q): %v", k, err)
-		}
-	}
-	if err := validateTaskFlags("toaster", time.Millisecond); err == nil ||
-		!strings.Contains(err.Error(), `unknown DUT kind "toaster"`) {
-		t.Errorf("unknown DUT: err = %v", err)
-	}
-	if err := validateTaskFlags("sink", 0); err == nil ||
-		!strings.Contains(err.Error(), "must be positive") {
-		t.Errorf("zero duration: err = %v", err)
-	}
-	if err := validateTaskFlags("sink", -time.Second); err == nil {
-		t.Error("negative duration accepted")
-	}
-}
-
 // TestRunExitCodes drives run() through its validation error paths: every
 // bad invocation must exit 2 with a diagnostic on stderr.
 func TestRunExitCodes(t *testing.T) {
@@ -83,10 +61,20 @@ func TestRunExitCodes(t *testing.T) {
 		wantErr string
 	}{
 		{"no input", []string{}, "-task or -suite is required"},
-		{"bad rate", []string{"-task", "x.nt", "-ports", "0"}, "positive, finite"},
-		{"nan rate", []string{"-task", "x.nt", "-ports", "NaN"}, "positive, finite"},
-		{"bad duration", []string{"-task", "x.nt", "-duration", "-1ms"}, "must be positive"},
-		{"unknown dut", []string{"-task", "x.nt", "-dut", "toaster"}, `unknown DUT kind "toaster"`},
+		// Range errors are the scenario loader's own (scenario.Validate).
+		{"bad rate", []string{"-task", "x.nt", "-ports", "0"}, "port 0 rate 0 Gbps is not positive"},
+		{"nan rate", []string{"-task", "x.nt", "-ports", "NaN"}, "port 0 rate NaN Gbps is not positive"},
+		{"infinite rate", []string{"-task", "x.nt", "-ports", "100,+Inf"}, "port 1 rate +Inf Gbps is outside [0.001, 100000]"},
+		// Unbounded, the first is a netsim panic ("event at -9.2e+06s stamped
+		// as scheduled at 6.36us") and the second — the longest time.Duration,
+		// past the picosecond clock — a zero-length run reported as 2562047h
+		// of virtual time with exit 0.
+		{"unserializable rate", []string{"-task", "../../tasks/throughput.nt", "-ports", "1e-300"}, "port 0 rate 1e-300 Gbps is outside [0.001, 100000]"},
+		{"duration past the clock", []string{"-task", "../../tasks/throughput.nt", "-duration", "2562047h"}, "exceeds 3.6e+09 (one hour of virtual time)"},
+		{"bad duration", []string{"-task", "x.nt", "-duration", "-1ms"}, "traffic window -1000 us is not positive"},
+		{"zero duration", []string{"-task", "x.nt", "-duration", "0"}, "traffic window 0 us is not positive"},
+		{"unknown dut", []string{"-task", "x.nt", "-dut", "toaster"}, `unknown dut kind "toaster" (want one of sink, reflector, httpfarm, scantarget, hhsink)`},
+		{"uncompilable task", []string{"-task", "main_test.go"}, "compile:"},
 		{"missing task file", []string{"-task", "/nonexistent/x.nt"}, "read task"},
 		{"missing suite file", []string{"-suite", "/nonexistent/s.json"}, "suite:"},
 		{"negative simworkers", []string{"-suite", "s.json", "-simworkers", "-1"}, "negative"},
@@ -104,7 +92,121 @@ func TestRunExitCodes(t *testing.T) {
 			if tc.wantErr != "" && !strings.Contains(stderr.String(), tc.wantErr) {
 				t.Errorf("stderr = %q, want containing %q", stderr.String(), tc.wantErr)
 			}
+			if stdout.Len() != 0 {
+				t.Errorf("a rejected invocation printed a report: %s", stdout.String())
+			}
 		})
+	}
+}
+
+// TestRunTaskMode is the -task happy path: every shipped task against the
+// DUT it is written for exits 0, prints a non-zero fire count for each of its
+// triggers, a line per query, and the DUT's own metrics under the names suite
+// checks use.
+func TestRunTaskMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	cases := []struct {
+		task, dut string
+		triggers  int
+		queries   int
+		want      []string // substrings of stdout
+	}{
+		{"throughput", "sink", 1, 2, []string{"sink0.rx_packets = ", "sink0.gbps = 99.9"}},
+		{"synflood", "sink", 1, 0, []string{"sink0.gbps = 99.9"}},
+		{"delay", "reflector", 1, 1, []string{"reflector0.reflected = ", "delay: mean "}},
+		{"poisson_loss", "reflector", 1, 2, []string{"reflector0.reflected = "}},
+		{"webtest", "httpfarm", 5, 5, []string{"httpfarm0.handshakes = ", "httpfarm0.closed = "}},
+		{"ipscan", "scantarget", 1, 1, []string{"scantarget0.probes_seen = ", "distinct keys: "}},
+		// -task shares the suites' DUT catalogue, hhsink included.
+		{"throughput", "hhsink", 1, 2, []string{"sink0.gbps = 99.9", "hh0.flows = 1\n", "hh0.underestimates = 0\n"}},
+	}
+	fired := regexp.MustCompile(`(?m)^trigger \w+: fired (\d+) times$`)
+	for _, tc := range cases {
+		t.Run(tc.task+"/"+tc.dut, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := []string{"-task", "../../tasks/" + tc.task + ".nt", "-dut", tc.dut, "-duration", "1ms"}
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("run(%v) = %d\nstderr: %s", args, code, stderr.String())
+			}
+			out := stdout.String()
+			if !strings.Contains(out, `task "`+tc.task+`" ran for 1ms of virtual time`) {
+				t.Errorf("no run header:\n%s", out)
+			}
+			fires := fired.FindAllStringSubmatch(out, -1)
+			if len(fires) != tc.triggers {
+				t.Errorf("%d trigger lines, want %d:\n%s", len(fires), tc.triggers, out)
+			}
+			for _, f := range fires {
+				if f[1] == "0" {
+					t.Errorf("%s: a trigger never fired", f[0])
+				}
+			}
+			if n := strings.Count(out, "\nquery "); n != tc.queries {
+				t.Errorf("%d query lines, want %d:\n%s", n, tc.queries, out)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("stdout lacks %q:\n%s", w, out)
+				}
+			}
+		})
+	}
+}
+
+// TestRunTaskPcap: -pcap writes every frame the sinks received, readable
+// back, and the count it prints is the count in the file and at the sinks.
+func TestRunTaskPcap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.pcap")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-task", "../../tasks/throughput.nt", "-ports", "100,100", "-duration", "50us", "-pcap", path}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d\nstderr: %s", args, code, stderr.String())
+	}
+	var wrote, sink0, sink1 int
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		fmt.Sscanf(line, "wrote %d frames", &wrote)
+		fmt.Sscanf(line, "sink0.rx_packets = %d", &sink0)
+		fmt.Sscanf(line, "sink1.rx_packets = %d", &sink1)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frames, err := testbed.ReadPcap(f)
+	if err != nil {
+		t.Fatalf("capture does not read back: %v", err)
+	}
+	if wrote == 0 || len(frames) != wrote || sink0+sink1 != wrote {
+		t.Errorf("printed %d frames, file holds %d, sinks counted %d+%d", wrote, len(frames), sink0, sink1)
+	}
+	if len(frames) > 0 && len(frames[0].Data) != 64 {
+		t.Errorf("first captured frame is %d bytes, want the task's 64", len(frames[0].Data))
+	}
+}
+
+// TestRunCompileOnly: -p4, -p4_16 and -resources print what the compiler
+// produced and simulate nothing.
+func TestRunCompileOnly(t *testing.T) {
+	for flag, want := range map[string]string{
+		"-p4":        "parser start {",
+		"-p4_16":     "#include <tna.p4>",
+		"-resources": "resources (% of switch.p4):",
+	} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-task", "../../tasks/delay.nt", "-dut", "reflector", flag}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) = %d\nstderr: %s", args, code, stderr.String())
+		}
+		out := stdout.String()
+		if !strings.Contains(out, want) {
+			t.Errorf("%s output lacks %q:\n%.400s", flag, want, out)
+		}
+		if strings.Contains(out, "ran for") || strings.Contains(out, "reflector0.") {
+			t.Errorf("%s ran the task:\n%.400s", flag, out)
+		}
 	}
 }
 

@@ -46,8 +46,6 @@ type Config struct {
 	Seed int64
 	// Compiler tunes compilation (digest width, array sizes, ...).
 	Compiler compiler.Options
-	// Name labels the switch in diagnostics.
-	Name string
 }
 
 // Tester is one HyperTester instance: a programmable switch plus its switch
@@ -73,14 +71,13 @@ func New(cfg Config) *Tester {
 	if len(cfg.Ports) == 0 {
 		cfg.Ports = []float64{100}
 	}
-	if cfg.Name == "" {
-		cfg.Name = "hypertester"
-	}
 	if cfg.RecircPaths == 0 {
 		cfg.RecircPaths = 1
 	}
+	// The switch's name labels diagnostics and seeds its RNG streams
+	// ("hypertester/recirc", …): one constant, so every testbed draws alike.
 	sw := asic.New(asic.Config{
-		Name: cfg.Name, Sim: cfg.Sim, PortGbps: cfg.Ports,
+		Name: "hypertester", Sim: cfg.Sim, PortGbps: cfg.Ports,
 		RecircPaths: cfg.RecircPaths, Seed: cfg.Seed,
 	})
 	return &Tester{

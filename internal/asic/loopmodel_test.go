@@ -193,7 +193,8 @@ func TestDescribeSaysWhereThePassesWent(t *testing.T) {
 		}
 	}
 	snap := rb.Snapshot()
-	for _, key := range []string{"loop.loop.elided_passes", "loop.loop.wakes", "loop.loop.catchup_max_passes", "loop.loop.live_hops"} {
+	for _, key := range []string{"loop.loop.elided_passes", "loop.loop.wakes", "loop.loop.catchup_max_passes", "loop.loop.live_hops",
+		"loop.loop.ties", "loop.loop.residual_ties"} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("gauge %s is not registered", key)
 		}

@@ -74,6 +74,8 @@ func (sw *Switch) Describe(r *obs.Registry) {
 	r.Gauge(prefix+".loop.wakes", func() float64 { return float64(sw.LoopStats().Wakes) })
 	r.Gauge(prefix+".loop.catchup_max_passes", func() float64 { return float64(sw.LoopStats().CatchupMaxPasses) })
 	r.Gauge(prefix+".loop.live_hops", func() float64 { return float64(sw.LoopStats().LiveHops) })
+	r.Gauge(prefix+".loop.ties", func() float64 { return float64(sw.LoopStats().Ties) })
+	r.Gauge(prefix+".loop.residual_ties", func() float64 { return float64(sw.LoopStats().ResidualTies) })
 	for _, pt := range sw.ports {
 		pt.describe(r, fmt.Sprintf("%s.port%d", prefix, pt.ID))
 	}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	hypertester "github.com/hypertester/hypertester"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/scenario"
 	"github.com/hypertester/hypertester/internal/testbed"
 )
 
@@ -54,23 +54,18 @@ func CaseWebScale(cfg Config) *Result {
 		window = 15 * netsim.Millisecond
 	}
 
-	task := caseWebScaleSrc
-	// Tester and server farm each get a logical process: the cable between
-	// them is the partition boundary, so the stateless client side and the
-	// stateful DUT advance concurrently under the parallel engine.
-	p := testbed.NewPartition(cfg.simWorkers())
-	ht := hypertester.New(hypertester.Config{Sim: p.LP("tester"), Ports: []float64{100}, Seed: cfg.Seed})
+	// The rig gives tester and server farm a logical process each: the cable
+	// between them is the partition boundary, so the stateless client side
+	// and the stateful DUT advance concurrently under the parallel engine.
+	rig, err := scenario.Build(scenario.Topology{Ports: []float64{100}, DUT: scenario.DUTHTTPFarm,
+		CableDelayNs: testbed.DefaultCableDelay.Nanoseconds()},
+		"webscale", caseWebScaleSrc, cfg.Seed, cfg.simWorkers(), nil)
+	if err != nil {
+		return errResult(res, err)
+	}
+	ht, farm := rig.Tester, rig.DUTs[0].Farm
 	cfg.Stats.track(ht)
-	if err := ht.LoadTaskSource("webscale", task); err != nil {
-		return errResult(res, err)
-	}
-	farm := testbed.NewHTTPServerFarm(p.LP("farm"), "farm", 100)
-	farm.ResponsePackets = 5
-	p.Connect(ht.Port(0), farm.Iface, testbed.DefaultCableDelay)
-	if err := ht.Start(); err != nil {
-		return errResult(res, err)
-	}
-	p.RunFor(window)
+	rig.Run(0, window)
 
 	secs := window.Seconds()
 	row := func(label, format string, args ...any) {

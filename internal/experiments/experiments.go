@@ -17,6 +17,7 @@ import (
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
+	"github.com/hypertester/hypertester/internal/scenario"
 	"github.com/hypertester/hypertester/internal/testbed"
 
 	hypertester "github.com/hypertester/hypertester"
@@ -35,9 +36,9 @@ type Config struct {
 	// reference engine.
 	SimWorkers int
 	// Trace, when non-nil, records per-packet lifecycle traces for every
-	// device an experiment builds through htGenerate. Streams are created
-	// in topology order (tester first, then sinks by port), so the merged
-	// trace is bit-identical across engines and worker counts. Tracing is
+	// device an experiment builds through htGenerate (the rig creates the
+	// streams in topology order, so the merged trace is bit-identical
+	// across engines and worker counts). Tracing is
 	// observational only: results are unchanged. Experiments that fan out
 	// over netsim.ParMap leave it unset on inner runs (seq() strips it) — a
 	// single TraceSet is not safe for concurrent topologies.
@@ -78,6 +79,8 @@ func (s *SimStats) Totals() (events uint64, loop asic.LoopStats) {
 		loop.ElidedPasses += st.ElidedPasses
 		loop.Wakes += st.Wakes
 		loop.LiveHops += st.LiveHops
+		loop.Ties += st.Ties
+		loop.ResidualTies += st.ResidualTies
 		loop.CatchupMaxPasses = max(loop.CatchupMaxPasses, st.CatchupMaxPasses)
 	}
 	return events, loop
@@ -161,43 +164,28 @@ func (r *Result) String() string {
 }
 
 // htGenerate runs a HyperTester generation task against per-port sinks and
-// returns them after the measurement window (warm-up excluded). With
-// cfg.SimWorkers > 1 the topology is partitioned — the tester switch on one
-// logical process, every sink on its own — and runs on the parallel engine;
-// callers that advance virtual time afterwards must do so through the
-// returned Partition (not ht.RunFor, which only knows the tester's clock).
+// returns them after the measurement window (warm-up excluded). The testbed
+// is the scenario rig's — tester on one logical process, every sink on its
+// own, zero-length cables — so with cfg.SimWorkers > 1 it runs on the
+// parallel engine; callers that advance virtual time afterwards must do so
+// through the returned Partition (not ht.RunFor, which only knows the
+// tester's clock).
 func htGenerate(cfg Config, src string, portGbps []float64, seed int64,
 	warmup, window netsim.Duration, record bool) ([]*testbed.Sink, *hypertester.Tester, *testbed.Partition, error) {
 
-	p := testbed.NewPartition(cfg.simWorkers())
-	ht := hypertester.New(hypertester.Config{Sim: p.LP("tester"), Ports: portGbps, Seed: seed})
-	cfg.Stats.track(ht)
-	if cfg.Trace != nil {
-		// Stream creation order = LP creation order = merge rank order, so
-		// the canonical trace is engine-independent (see package obs).
-		ht.EnableTrace(cfg.Trace.New("tester"))
-	}
-	if err := ht.LoadTaskSource("exp", src); err != nil {
+	rig, err := scenario.Build(scenario.Topology{Ports: portGbps, DUT: scenario.DUTSink},
+		"exp", src, seed, cfg.simWorkers(), cfg.Trace)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	sinks := make([]*testbed.Sink, len(portGbps))
-	for i := range portGbps {
-		sinks[i] = testbed.NewSink(p.LP(fmt.Sprintf("sink%d", i)), fmt.Sprintf("sink%d", i), portGbps[i])
+	cfg.Stats.track(rig.Tester)
+	sinks := make([]*testbed.Sink, len(rig.DUTs))
+	for i, d := range rig.DUTs {
+		sinks[i] = d.Sink
 		sinks[i].RecordTimestamps = record
-		if cfg.Trace != nil {
-			sinks[i].Iface.SetTrace(cfg.Trace.New(sinks[i].Iface.Name))
-		}
-		p.Connect(ht.Port(i), sinks[i].Iface, 0)
 	}
-	if err := ht.Start(); err != nil {
-		return nil, nil, nil, err
-	}
-	p.RunFor(warmup)
-	for _, s := range sinks {
-		s.Reset()
-	}
-	p.RunFor(window)
-	return sinks, ht, p, nil
+	rig.Run(warmup, window)
+	return sinks, rig.Tester, rig.Partition, nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"os"
@@ -7,6 +7,7 @@ import (
 
 	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/experiments"
+	"github.com/hypertester/hypertester/internal/scenario"
 	"github.com/hypertester/hypertester/internal/verify"
 )
 
@@ -14,7 +15,7 @@ import (
 // EncodeSuite(Library()) — regenerate examples/suites/starter.json after
 // editing library.go (make suite does this check in CI).
 func TestStarterFileInSync(t *testing.T) {
-	want, err := EncodeSuite(Library())
+	want, err := scenario.EncodeSuite(scenario.Library())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +36,12 @@ func TestPaperSmokeSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the example suite twice")
 	}
-	suite, err := Load("../../examples/suites/paper-smoke.json")
+	suite, err := scenario.Load("../../examples/suites/paper-smoke.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		res := RunSuite(suite, workers)
+		res := scenario.RunSuite(suite, workers)
 		if !res.Pass {
 			for _, sc := range res.Scenarios {
 				if sc.Err != "" {
@@ -68,13 +69,13 @@ func TestEveryShippedProgramWalksWithHeadroom(t *testing.T) {
 	const maxPaths = 8192 / 16 // verify.Options.MaxPaths default / headroom
 
 	corpus := experiments.Programs()
-	suites := []*Suite{Library()}
+	suites := []*scenario.Suite{scenario.Library()}
 	files, err := filepath.Glob("../../examples/suites/*.json")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no suite files: %v", err)
 	}
 	for _, f := range files {
-		s, err := Load(f)
+		s, err := scenario.Load(f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,6 @@ import (
 
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
-	"github.com/hypertester/hypertester/internal/testbed"
-
-	hypertester "github.com/hypertester/hypertester"
 )
 
 // RunResult is one executed scenario: every metric the run observed and
@@ -25,13 +22,6 @@ type RunResult struct {
 	// Err is set when the scenario never produced metrics (compile error,
 	// panic); such a run fails regardless of checks.
 	Err string `json:"err,omitempty"`
-}
-
-// dut is one device-under-test instance and its metric contribution.
-type dut struct {
-	reset   func()          // clears counters at end of warmup (nil = none)
-	collect func(m *Metrics) // records the DUT's metrics after the window
-	iface   *testbed.Iface
 }
 
 // Run executes one scenario and evaluates its checks. workers > 0 overrides
@@ -63,50 +53,17 @@ func Run(sc *Scenario, workers int) (*RunResult, error) {
 		return nil, fmt.Errorf("scenario %q: program file %q was not resolved at load time",
 			sc.Name, sc.Program.File)
 	}
-	if workers <= 0 {
-		workers = sc.Topology.SimWorkers
-	}
-
-	p := testbed.NewPartition(workers)
-	trace := obs.NewTraceSet()
-	ht := hypertester.New(hypertester.Config{
-		Sim:   p.LP("tester"),
-		Ports: sc.Topology.Ports,
-		Seed:  sc.Traffic.Seed,
-		Name:  "tester",
-	})
-	// Stream creation order (tester, then DUTs in port order) fixes merge
-	// ranks, keeping the canonical trace engine-independent.
-	ht.EnableTrace(trace.New("tester"))
 	progName := sc.Program.Name
 	if progName == "" {
 		progName = sc.Name
 	}
-	if err := ht.LoadTaskSource(progName, string(sc.Program.Source)); err != nil {
+	trace := obs.NewTraceSet()
+	rig, err := Build(sc.Topology, progName, string(sc.Program.Source), sc.Traffic.Seed, workers, trace)
+	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
-
-	duts := make([]dut, len(sc.Topology.Ports))
-	for i := range sc.Topology.Ports {
-		gbps := sc.Topology.DUTGbps
-		if gbps == 0 {
-			gbps = sc.Topology.Ports[i]
-		}
-		duts[i] = buildDUT(p, sc.Topology.DUT, i, gbps)
-		duts[i].iface.SetTrace(trace.New(duts[i].iface.Name))
-		p.Connect(ht.Port(i), duts[i].iface, netsim.Ns(sc.Topology.CableDelayNs))
-	}
-	if err := ht.Start(); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
-
-	p.RunFor(netsim.Ns(sc.Traffic.WarmupUs * 1e3))
-	for _, d := range duts {
-		if d.reset != nil {
-			d.reset()
-		}
-	}
-	p.RunFor(netsim.Ns(sc.Traffic.WindowUs * 1e3))
+	rig.Run(netsim.Ns(sc.Traffic.WarmupUs*1e3), netsim.Ns(sc.Traffic.WindowUs*1e3))
+	ht := rig.Tester
 
 	// Snapshot the trace before Reports(): the report flush drains digests
 	// still in flight at the final boundary, and what is in flight there is
@@ -137,8 +94,8 @@ func Run(sc *Scenario, workers int) (*RunResult, error) {
 		m.AddNum(pre+".delay_min_ns", r.DelayMinNs)
 		m.AddNum(pre+".delay_max_ns", r.DelayMaxNs)
 	}
-	for _, d := range duts {
-		d.collect(m)
+	for _, d := range rig.DUTs {
+		d.Collect(m)
 	}
 	m.AddNum("trace.records", float64(traceRecords))
 	m.AddText("trace.sha256", hex.EncodeToString(sum[:]))
@@ -155,81 +112,4 @@ func Run(sc *Scenario, workers int) (*RunResult, error) {
 	}
 	res.Pass = res.Failed == 0
 	return res, nil
-}
-
-// buildDUT constructs one device instance of the given kind on its own
-// logical process, with its reset/collect behaviour.
-func buildDUT(p *testbed.Partition, kind string, i int, gbps float64) dut {
-	name := fmt.Sprintf("%s%d", kind, i)
-	sim := p.LP(name)
-	switch kind {
-	case DUTSink:
-		s := testbed.NewSink(sim, name, gbps)
-		return dut{
-			iface: s.Iface,
-			reset: s.Reset,
-			collect: func(m *Metrics) {
-				collectSink(m, fmt.Sprintf("sink%d", i), s)
-			},
-		}
-	case DUTHHSink:
-		h := NewHHSink(sim, name, gbps)
-		return dut{
-			iface: h.Sink.Iface,
-			reset: h.Reset,
-			collect: func(m *Metrics) {
-				collectSink(m, fmt.Sprintf("sink%d", i), h.Sink)
-				st := h.Stats()
-				pre := fmt.Sprintf("hh%d", i)
-				m.AddNum(pre+".flows", float64(st.Flows))
-				m.AddNum(pre+".packets", float64(st.Packets))
-				m.AddNum(pre+".top_count", float64(st.TopCount))
-				m.AddNum(pre+".underestimates", float64(st.Underestimates))
-				m.AddNum(pre+".overestimate_total", float64(st.OverestimateTotal))
-				m.AddText(pre+".top_flow", st.TopFlow.String())
-			},
-		}
-	case DUTReflector:
-		r := testbed.NewReflector(sim, name, gbps)
-		return dut{
-			iface: r.Iface,
-			collect: func(m *Metrics) {
-				m.AddNum(fmt.Sprintf("reflector%d.reflected", i), float64(r.Reflected))
-			},
-		}
-	case DUTScanTarget:
-		t := testbed.NewScanTarget(sim, name, gbps)
-		return dut{
-			iface: t.Iface,
-			collect: func(m *Metrics) {
-				pre := fmt.Sprintf("scantarget%d", i)
-				m.AddNum(pre+".probes_seen", float64(t.ProbesSeen))
-				m.AddNum(pre+".synacks_sent", float64(t.SynAcksSent))
-				m.AddNum(pre+".rsts_sent", float64(t.RstsSent))
-			},
-		}
-	case DUTHTTPFarm:
-		f := testbed.NewHTTPServerFarm(sim, name, gbps)
-		return dut{
-			iface: f.Iface,
-			collect: func(m *Metrics) {
-				pre := fmt.Sprintf("httpfarm%d", i)
-				m.AddNum(pre+".syn_received", float64(f.SynReceived))
-				m.AddNum(pre+".handshakes", float64(f.Handshakes))
-				m.AddNum(pre+".requests", float64(f.Requests))
-				m.AddNum(pre+".data_sent", float64(f.DataSent))
-				m.AddNum(pre+".fin_received", float64(f.FinReceived))
-				m.AddNum(pre+".closed", float64(f.Closed))
-				m.AddNum(pre+".open_conns", float64(f.OpenConnections()))
-			},
-		}
-	}
-	panic(fmt.Sprintf("scenario: unknown DUT kind %q", kind)) // Validate rejects earlier
-}
-
-func collectSink(m *Metrics, pre string, s *testbed.Sink) {
-	m.AddNum(pre+".rx_packets", float64(s.Packets))
-	m.AddNum(pre+".rx_bytes", float64(s.Bytes))
-	m.AddNum(pre+".gbps", s.ThroughputGbps())
-	m.AddNum(pre+".pps", s.RatePps())
 }

@@ -5,9 +5,10 @@
 // scenarios load from stdlib-JSON files (Load) and run on a worker pool with
 // per-scenario error and panic containment (RunSuite) — the paper's §4
 // pitch, that one switch program model drives arbitrary testing tasks,
-// expressed as data instead of Go. The package depends on the tester and the
-// testbed only; the paper's evaluation (internal/experiments) is another
-// client of the same two.
+// expressed as data instead of Go. The package also owns the Rig, the one
+// place a tester is wired to devices under test: Run, the CLI's -task mode
+// and the paper's evaluation (internal/experiments) all build through it. It
+// depends on the tester and the testbed only.
 //
 // # Determinism contract
 //
@@ -22,6 +23,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -35,18 +37,8 @@ const (
 	DUTHHSink     = "hhsink"     // per-flow counting sink + Count-Min shadow
 )
 
-// dutKinds lists the valid kinds for error messages, in doc order.
-var dutKinds = []string{DUTSink, DUTReflector, DUTHTTPFarm, DUTScanTarget, DUTHHSink}
-
-// KnownDUT reports whether kind names a device this package can build.
-func KnownDUT(kind string) bool {
-	for _, k := range dutKinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
+// DUTKinds lists the kinds the rig can build, in doc order.
+var DUTKinds = []string{DUTSink, DUTReflector, DUTHTTPFarm, DUTScanTarget, DUTHHSink}
 
 // Topology declares the testbed a scenario runs on: a HyperTester switch
 // with len(Ports) front-panel ports, each cabled to its own DUT instance.
@@ -165,9 +157,10 @@ const (
 	maxSimWorkers   = 1024
 )
 
-// FieldError is a validation error about one field of the scenario's JSON
-// form. Path names the field from the scenario object down — string keys and
-// int array indices — so the suite loader can point at its line and column.
+// FieldError is a validation error. Path names the offending field of the
+// scenario's JSON form from the scenario object down — string keys and int
+// array indices — so the suite loader can point at its line and column; it is
+// empty when the error is about no single field.
 type FieldError struct {
 	Path []any
 	msg  string
@@ -175,79 +168,88 @@ type FieldError struct {
 
 func (e *FieldError) Error() string { return e.msg }
 
+// validate rejects topologies that would build a nonsense testbed. It is the
+// one place port rates, the DUT kind, cable delay and worker counts are
+// bounded: Scenario.Validate calls it for suite files and the CLI's -task
+// flags, Build for every caller.
+func (t *Topology) validate() *FieldError {
+	bad := func(path []any, format string, args ...any) *FieldError {
+		return &FieldError{Path: path, msg: fmt.Sprintf(format, args...)}
+	}
+	if len(t.Ports) == 0 {
+		return bad(nil, "topology needs at least one port")
+	}
+	for i, g := range t.Ports {
+		if !(g > 0) { // catches NaN too
+			return bad([]any{"topology", "ports", i}, "port %d rate %v Gbps is not positive", i, g)
+		}
+		if g < minGbps || g > maxGbps {
+			return bad([]any{"topology", "ports", i}, "port %d rate %v Gbps is outside [%v, %v]", i, g, minGbps, maxGbps)
+		}
+	}
+	if g := t.DUTGbps; g < 0 || g != g || (g != 0 && (g < minGbps || g > maxGbps)) {
+		return bad([]any{"topology", "dut_gbps"}, "dut_gbps %v is invalid (0, or within [%v, %v])", g, minGbps, maxGbps)
+	}
+	if !slices.Contains(DUTKinds, t.DUT) {
+		return bad(nil, "unknown dut kind %q (want one of %s)", t.DUT, strings.Join(DUTKinds, ", "))
+	}
+	if d := t.CableDelayNs; !(d >= 0 && d <= maxCableDelayNs) { // catches NaN too
+		return bad([]any{"topology", "cable_delay_ns"}, "cable_delay_ns %v is outside [0, %v]", d, maxCableDelayNs)
+	}
+	if w := t.SimWorkers; w < 0 || w > maxSimWorkers {
+		return bad([]any{"topology", "sim_workers"}, "sim_workers %d is outside [0, %d]", w, maxSimWorkers)
+	}
+	return nil
+}
+
 // Validate rejects scenarios that would build a nonsense testbed, so every
-// error surfaces before any simulation runs. Errors about a single field are
-// *FieldError.
+// error surfaces before any simulation runs. Every error but a missing name
+// is a *FieldError.
 func (s *Scenario) Validate() error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
+	bad := func(path []any, format string, args ...any) error {
+		return &FieldError{Path: path, msg: fmt.Sprintf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))}
 	}
-	field := func(path []any, format string, args ...any) error {
-		return &FieldError{Path: path, msg: fail(format, args...).Error()}
-	}
-	topo := func(key string, idx ...any) []any { return append([]any{"topology", key}, idx...) }
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
 	}
-	if len(s.Topology.Ports) == 0 {
-		return fail("topology needs at least one port")
-	}
-	for i, g := range s.Topology.Ports {
-		if !(g > 0) { // catches NaN too
-			return field(topo("ports", i), "port %d rate %v Gbps is not positive", i, g)
-		}
-		if g < minGbps || g > maxGbps {
-			return field(topo("ports", i), "port %d rate %v Gbps is outside [%v, %v]", i, g, minGbps, maxGbps)
-		}
-	}
-	if g := s.Topology.DUTGbps; g < 0 || g != g || (g != 0 && (g < minGbps || g > maxGbps)) {
-		return field(topo("dut_gbps"), "dut_gbps %v is invalid (0, or within [%v, %v])", g, minGbps, maxGbps)
-	}
-	if !KnownDUT(s.Topology.DUT) {
-		return fail("unknown dut kind %q (want one of %s)",
-			s.Topology.DUT, strings.Join(dutKinds, ", "))
-	}
-	if d := s.Topology.CableDelayNs; !(d >= 0 && d <= maxCableDelayNs) { // catches NaN too
-		return field(topo("cable_delay_ns"), "cable_delay_ns %v is outside [0, %v]", d, maxCableDelayNs)
-	}
-	if w := s.Topology.SimWorkers; w < 0 || w > maxSimWorkers {
-		return field(topo("sim_workers"), "sim_workers %d is outside [0, %d]", w, maxSimWorkers)
+	if e := s.Topology.validate(); e != nil {
+		return bad(e.Path, "%s", e.msg)
 	}
 	if s.Program.Source == "" && s.Program.File == "" {
-		return fail("program needs inline source or a file")
+		return bad(nil, "program needs inline source or a file")
 	}
 	if s.Program.Source != "" && s.Program.File != "" {
-		return fail("program has both inline source and a file; pick one")
+		return bad(nil, "program has both inline source and a file; pick one")
 	}
 	if w := s.Traffic.WindowUs; !(w > 0) {
-		return field([]any{"traffic", "window_us"}, "traffic window %v us is not positive", w)
+		return bad([]any{"traffic", "window_us"}, "traffic window %v us is not positive", w)
 	} else if w > maxTrafficUs {
-		return field([]any{"traffic", "window_us"}, "traffic window %v us exceeds %v (one hour of virtual time)", w, maxTrafficUs)
+		return bad([]any{"traffic", "window_us"}, "traffic window %v us exceeds %v (one hour of virtual time)", w, maxTrafficUs)
 	}
 	if w := s.Traffic.WarmupUs; !(w >= 0 && w <= maxTrafficUs) {
-		return field([]any{"traffic", "warmup_us"}, "traffic warmup %v us is outside [0, %v]", w, maxTrafficUs)
+		return bad([]any{"traffic", "warmup_us"}, "traffic warmup %v us is outside [0, %v]", w, maxTrafficUs)
 	}
 	for i, c := range s.Checks {
 		if c.Metric == "" {
-			return fail("check %d (%s) names no metric", i, c.Label())
+			return bad(nil, "check %d (%s) names no metric", i, c.Label())
 		}
 		switch c.Kind {
 		case CheckThreshold:
 			switch c.Op {
 			case "", ">=", "<=", ">", "<", "==", "!=":
 			default:
-				return fail("check %d (%s): unknown op %q", i, c.Label(), c.Op)
+				return bad(nil, "check %d (%s): unknown op %q", i, c.Label(), c.Op)
 			}
 		case CheckRange:
 			if c.Min > c.Max {
-				return fail("check %d (%s): min %v > max %v", i, c.Label(), c.Min, c.Max)
+				return bad(nil, "check %d (%s): min %v > max %v", i, c.Label(), c.Min, c.Max)
 			}
 		case CheckGolden:
 			if c.Want == "" {
-				return fail("check %d (%s): golden check needs want", i, c.Label())
+				return bad(nil, "check %d (%s): golden check needs want", i, c.Label())
 			}
 		default:
-			return fail("check %d (%s): unknown check kind %q (want %s, %s or %s)",
+			return bad(nil, "check %d (%s): unknown check kind %q (want %s, %s or %s)",
 				i, c.Label(), c.Kind, CheckThreshold, CheckRange, CheckGolden)
 		}
 	}

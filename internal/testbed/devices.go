@@ -25,12 +25,19 @@ type Reflector struct {
 	phv asic.PHV
 }
 
-// NewReflector builds a reflector behind one interface.
+// NewReflector builds a reflector behind one interface. Its jitter stream is
+// seeded with 1 until Seed says otherwise.
 func NewReflector(sim *netsim.Sim, name string, gbps float64) *Reflector {
-	r := &Reflector{Iface: NewIface(sim, name, gbps), sim: sim,
-		rng: netsim.NewRNG(1, "reflector/"+name)}
+	r := &Reflector{Iface: NewIface(sim, name, gbps), sim: sim}
+	r.Seed(1)
 	r.Iface.OnReceive(r.receive)
 	return r
+}
+
+// Seed restarts the ExtraJitter stream from the run's seed, so a jittery
+// reflector follows the testbed's seed like every other random stream.
+func (r *Reflector) Seed(seed int64) {
+	r.rng = netsim.NewRNG(seed, "reflector/"+r.Iface.Name)
 }
 
 // receive bounces the delivered frame itself: a delivered frame belongs to

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/netproto"
@@ -146,6 +147,42 @@ func TestReflectorSwapsEndpoints(t *testing.T) {
 	}
 	if refl.Reflected != 1 {
 		t.Fatalf("Reflected = %d", refl.Reflected)
+	}
+}
+
+// TestReflectorJitterFollowsTheSeed: the bounce jitter is a seeded stream like
+// every other in the testbed — one seed repeats, two seeds differ — and a
+// reflector nobody seeded still draws what NewReflector always drew (seed 1).
+func TestReflectorJitterFollowsTheSeed(t *testing.T) {
+	bounces := func(seed func(*Reflector)) []netsim.Time {
+		sim := netsim.New()
+		src := NewIface(sim, "src", 100)
+		refl := NewReflector(sim, "refl", 100)
+		refl.ExtraJitter = 4 * netsim.Microsecond
+		seed(refl)
+		var at []netsim.Time
+		src.OnReceive(func(pkt *netproto.Packet) { at = append(at, sim.Now()) })
+		Connect(sim, src, refl.Iface, 0)
+		for i := 0; i < 16; i++ {
+			src.Send(udpFrame(t, 64, 1111, 2222))
+			sim.RunFor(10 * netsim.Microsecond)
+		}
+		if len(at) != 16 {
+			t.Fatalf("%d of 16 frames came back", len(at))
+		}
+		return at
+	}
+	unseeded := bounces(func(*Reflector) {})
+	one := bounces(func(r *Reflector) { r.Seed(1) })
+	two := bounces(func(r *Reflector) { r.Seed(2) })
+	if !slices.Equal(one, bounces(func(r *Reflector) { r.Seed(1) })) {
+		t.Error("seed 1 did not repeat its bounce times")
+	}
+	if slices.Equal(one, two) {
+		t.Error("seeds 1 and 2 gave the same bounce times: the jitter ignores the seed")
+	}
+	if !slices.Equal(unseeded, one) {
+		t.Error("an unseeded reflector no longer draws the seed-1 stream existing callers see")
 	}
 }
 
