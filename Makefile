@@ -17,15 +17,24 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Replay the fuzz targets' seeds (decoder corpus, shipped .nt programs) as
-# regression tests.
-fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/netproto/ ./internal/core/compiler/
+# Every byte-level loader's fuzz target, one per package.
+FUZZ_PKGS = ./internal/netproto/ ./internal/core/compiler/ ./internal/scenario/ \
+	./internal/testbed/ ./internal/core/htpr/
 
-# Open-ended fuzzing sessions: the packet decoder, then the .nt front end.
+# Replay the fuzz targets' seeds (testdata/fuzz plus in-harness seeds: the
+# decoder corpus, shipped .nt programs and suites, pcaps, eviction digests)
+# as regression tests.
+fuzz-seeds:
+	$(GO) test -run Fuzz $(FUZZ_PKGS)
+
+# Open-ended fuzzing sessions, 60 s each: the packet decoder, the .nt front
+# end, the suite loader, the pcap reader, the eviction-digest decoder.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStackDecode -fuzztime 60s ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz FuzzParseCompile -fuzztime 60s ./internal/core/compiler/
+	$(GO) test -run '^$$' -fuzz FuzzSuiteParse -fuzztime 60s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzReadPcap -fuzztime 60s ./internal/testbed/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEviction -fuzztime 60s ./internal/core/htpr/
 
 # Full-trace differential oracle: the per-packet lifecycle trace must be
 # bit-identical between the sequential and parallel engines.
@@ -61,12 +70,12 @@ vet:
 	$(GO) vet ./...
 
 # Path-sensitive symbolic verification of the 18-program experiment corpus
-# (htverify), then the witness-packet differential, which lives in the test
-# alone: every extracted witness must replay bit-identically through the
-# compiled ASIC plan and the naive IR interpreter and match the committed
-# goldens (DESIGN.md §12.4–12.5).
+# (no diagnostic of any severity; table5_ipscan's truncated header space is
+# the one expected note), then the witness-packet differential: every
+# extracted witness must replay bit-identically through the compiled ASIC
+# plan and the naive IR interpreter and match the committed goldens
+# (DESIGN.md §12.4–12.5).
 verify:
-	$(GO) run ./cmd/htverify
 	$(GO) test -race -run 'TestCorpusVerifiesClean|TestWitnessDifferential' -count=1 ./internal/experiments/
 
 # Run the committed scenario suites on both engines (sequential, then the

@@ -14,8 +14,9 @@
 //	//htlint:ignore poolsafety the scheduler owns queued events
 //
 // The IR-level symbolic verifier is separate: it runs inside the compiler
-// on every Compile call (internal/core/compiler, internal/verify) and has
-// its own corpus driver, cmd/htverify.
+// on every Compile call (internal/core/compiler, internal/verify), and
+// TestCorpusVerifiesClean in internal/experiments holds the experiment
+// corpus to zero diagnostics.
 package main
 
 import (

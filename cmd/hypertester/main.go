@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/p4ir"
 	"github.com/hypertester/hypertester/internal/scenario"
 	"github.com/hypertester/hypertester/internal/testbed"
@@ -171,9 +172,9 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 	}
 
 	// The DUTs' own view, under the names suite checks use.
-	var m scenario.Metrics
+	m := obs.NewRegistry()
 	for _, d := range rig.DUTs {
-		d.Collect(&m)
+		d.Describe(m)
 	}
 	fmt.Fprintln(stdout)
 	for _, x := range m.All() {

@@ -116,9 +116,9 @@ func (t *Tester) observeProgram() {
 	}
 }
 
-// Describe registers the tester's health metrics (switch counters, pools,
-// digest channel) on r.
-func (t *Tester) Describe(r *obs.Registry) { t.Switch.Describe(r) }
+// Describe records the tester's health metrics (switch counters, pools,
+// digest channel) on r under the switch name.
+func (t *Tester) Describe(r *obs.Registry) { t.Switch.Describe(r, t.Switch.Name) }
 
 // LoadTask compiles a task and deploys it onto the switch, replacing any
 // previously loaded task.

@@ -172,19 +172,21 @@ func TestLoopModelSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDescribeSaysWhereThePassesWent: the registry carries the loop gauges,
-// and a recirculation port's gauges sync the model before they read — a
-// snapshot taken inside an event, between boundaries, is exact.
+// TestDescribeSaysWhereThePassesWent: the walk carries the loop counters, and
+// it syncs the model before it reads a recirculation port — a walk taken
+// inside an event, between boundaries, is exact.
 func TestDescribeSaysWhereThePassesWent(t *testing.T) {
 	simA, a := loopSwitch(10)
 	simB, b := loopSwitch(10)
 	b.SetIdleOracle(&bounceOracle{})
-	ra, rb := obs.NewRegistry(), obs.NewRegistry()
-	a.Describe(ra)
-	b.Describe(rb)
 	var inEventA, inEventB map[string]any
-	simA.At(netsim.Time(30*netsim.Microsecond+123), func() { inEventA = ra.Snapshot() })
-	simB.At(netsim.Time(30*netsim.Microsecond+123), func() { inEventB = rb.Snapshot() })
+	describe := func(sw *Switch, into *map[string]any) {
+		r := obs.NewRegistry()
+		sw.Describe(r, "loop")
+		*into = r.Snapshot()
+	}
+	simA.At(netsim.Time(30*netsim.Microsecond+123), func() { describe(a, &inEventA) })
+	simB.At(netsim.Time(30*netsim.Microsecond+123), func() { describe(b, &inEventB) })
 	simA.RunFor(40 * netsim.Microsecond)
 	simB.RunFor(40 * netsim.Microsecond)
 	for _, key := range []string{"loop.recirc0.tx_packets", "loop.recirc0.rx_bytes"} {
@@ -192,14 +194,16 @@ func TestDescribeSaysWhereThePassesWent(t *testing.T) {
 			t.Errorf("%s read inside an event: %v as events, %v modelled", key, inEventA[key], inEventB[key])
 		}
 	}
-	snap := rb.Snapshot()
+	var snapA, snapB map[string]any
+	describe(a, &snapA)
+	describe(b, &snapB)
 	for _, key := range []string{"loop.loop.elided_passes", "loop.loop.wakes", "loop.loop.catchup_max_passes", "loop.loop.live_hops",
 		"loop.loop.ties", "loop.loop.residual_ties"} {
-		if _, ok := snap[key]; !ok {
-			t.Errorf("gauge %s is not registered", key)
+		if _, ok := snapB[key]; !ok {
+			t.Errorf("metric %s is not recorded", key)
 		}
 	}
-	if snap["loop.loop.elided_passes"].(float64) == 0 || ra.Snapshot()["loop.loop.elided_passes"].(float64) != 0 {
-		t.Errorf("elided passes: %v with an oracle, %v without", snap["loop.loop.elided_passes"], ra.Snapshot()["loop.loop.elided_passes"])
+	if snapB["loop.loop.elided_passes"].(float64) == 0 || snapA["loop.loop.elided_passes"].(float64) != 0 {
+		t.Errorf("elided passes: %v with an oracle, %v without", snapB["loop.loop.elided_passes"], snapA["loop.loop.elided_passes"])
 	}
 }

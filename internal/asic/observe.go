@@ -53,49 +53,42 @@ func (sw *Switch) SetTrace(tr *obs.Trace) {
 // Trace returns the attached trace stream (nil when disabled).
 func (sw *Switch) Trace() *obs.Trace { return sw.trace }
 
-// Describe registers the switch's health metrics on r under the switch
-// name: per-port TX/RX counters, drop counters, digest-channel state and
-// hot-path pool sizes. Gauges are read lazily at snapshot time; Describe
-// itself is setup-time code and may allocate freely.
-func (sw *Switch) Describe(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	prefix := sw.Name
-	r.Gauge(prefix+".pipeline_drops", func() float64 { return float64(sw.PipelineDrops) })
-	r.Gauge(prefix+".noroute_drops", func() float64 { return float64(sw.NoRouteDrops) })
-	r.Gauge(prefix+".digests_sent", func() float64 { return float64(sw.DigestsSent) })
-	r.Gauge(prefix+".digest_drops", func() float64 { return float64(sw.DigestDrops) })
-	r.Gauge(prefix+".digest_queue", func() float64 { return float64(sw.digestQueue.Len()) })
-	r.Gauge(prefix+".phv_pool", func() float64 { return float64(len(sw.phvFree)) })
-	r.Gauge(prefix+".job_pool", func() float64 { return float64(len(sw.jobFree)) })
-	// Where the loop passes went (all zero without an idle oracle).
-	r.Gauge(prefix+".loop.elided_passes", func() float64 { return float64(sw.LoopStats().ElidedPasses) })
-	r.Gauge(prefix+".loop.wakes", func() float64 { return float64(sw.LoopStats().Wakes) })
-	r.Gauge(prefix+".loop.catchup_max_passes", func() float64 { return float64(sw.LoopStats().CatchupMaxPasses) })
-	r.Gauge(prefix+".loop.live_hops", func() float64 { return float64(sw.LoopStats().LiveHops) })
-	r.Gauge(prefix+".loop.ties", func() float64 { return float64(sw.LoopStats().Ties) })
-	r.Gauge(prefix+".loop.residual_ties", func() float64 { return float64(sw.LoopStats().ResidualTies) })
+// Describe records the switch's health under prefix: drop counters,
+// digest-channel state, hot-path pool sizes, where the loop passes went, then
+// every front-panel and recirculation port. It syncs the loop model once and
+// then only reads, so a walk from inside an event is exact.
+func (sw *Switch) Describe(r *obs.Registry, prefix string) {
+	sw.SyncLoop()
+	r.Num(prefix, "pipeline_drops", float64(sw.PipelineDrops))
+	r.Num(prefix, "noroute_drops", float64(sw.NoRouteDrops))
+	r.Num(prefix, "digests_sent", float64(sw.DigestsSent))
+	r.Num(prefix, "digest_drops", float64(sw.DigestDrops))
+	r.Num(prefix, "digest_queue", float64(sw.digestQueue.Len()))
+	r.Num(prefix, "phv_pool", float64(len(sw.phvFree)))
+	r.Num(prefix, "job_pool", float64(len(sw.jobFree)))
+	// All zero without an idle oracle.
+	loop := sw.LoopStats()
+	r.Num(prefix, "loop.elided_passes", float64(loop.ElidedPasses))
+	r.Num(prefix, "loop.wakes", float64(loop.Wakes))
+	r.Num(prefix, "loop.catchup_max_passes", float64(loop.CatchupMaxPasses))
+	r.Num(prefix, "loop.live_hops", float64(loop.LiveHops))
+	r.Num(prefix, "loop.ties", float64(loop.Ties))
+	r.Num(prefix, "loop.residual_ties", float64(loop.ResidualTies))
 	for _, pt := range sw.ports {
-		pt.describe(r, fmt.Sprintf("%s.port%d", prefix, pt.ID))
+		pt.Describe(r, obs.Join(prefix, fmt.Sprintf("port%d", pt.ID)))
 	}
 	for _, pt := range sw.recirc {
-		pt.describe(r, fmt.Sprintf("%s.recirc%d", prefix, pt.ID-RecircPortBase))
+		pt.Describe(r, obs.Join(prefix, fmt.Sprintf("recirc%d", pt.ID-RecircPortBase)))
 	}
 }
 
-// describe registers one port's counters under prefix. Every read syncs the
-// loop model first: a recirculation port's counters are the model's to keep.
-func (pt *Port) describe(r *obs.Registry, prefix string) {
-	gauge := func(name string, v *uint64) {
-		r.Gauge(prefix+name, func() float64 {
-			pt.sw.SyncLoop()
-			return float64(*v)
-		})
-	}
-	gauge(".tx_packets", &pt.TxPackets)
-	gauge(".tx_bytes", &pt.TxBytes)
-	gauge(".rx_packets", &pt.RxPackets)
-	gauge(".rx_bytes", &pt.RxBytes)
-	gauge(".tx_drops", &pt.TxDrops)
+// Describe records the port's counters under prefix. It only reads: a
+// recirculation port's counters are the loop model's to keep, so reach it
+// through Switch.Port or Switch.Describe, which sync the model first.
+func (pt *Port) Describe(r *obs.Registry, prefix string) {
+	r.Num(prefix, "tx_packets", float64(pt.TxPackets))
+	r.Num(prefix, "tx_bytes", float64(pt.TxBytes))
+	r.Num(prefix, "rx_packets", float64(pt.RxPackets))
+	r.Num(prefix, "rx_bytes", float64(pt.RxBytes))
+	r.Num(prefix, "tx_drops", float64(pt.TxDrops))
 }

@@ -136,19 +136,33 @@ func (r *txRig) build(t *testing.T, sim *netsim.Sim) (*asic.Switch, *[]delivery)
 	return sw, log
 }
 
-// portCounts is a port's counters as the oracle compares them.
-type portCounts struct{ TxPackets, TxBytes, TxDrops, RxPackets uint64 }
-
-func countsOf(pt *asic.Port) portCounts {
-	return portCounts{pt.TxPackets, pt.TxBytes, pt.TxDrops, pt.RxPackets}
+// walkPorts is the ports' counters as the oracle compares them: what each
+// port's walk records, under port<i>.
+func walkPorts(ports ...*asic.Port) []obs.Metric {
+	r := obs.NewRegistry()
+	for i, pt := range ports {
+		pt.Describe(r, fmt.Sprintf("port%d", i))
+	}
+	return r.All()
 }
 
-// expectedCounts is what the reference says every port reads at time now.
-func (r *txRig) expectedCounts(fates []txFate, now netsim.Time) []portCounts {
-	want := make([]portCounts, len(r.gbps))
+// switchPorts walks every front-panel port of sw.
+func switchPorts(sw *asic.Switch) []obs.Metric {
+	var ports []*asic.Port
+	for id := 0; id < sw.NumPorts(); id++ {
+		ports = append(ports, sw.Port(id))
+	}
+	return walkPorts(ports...)
+}
+
+// expectedCounts is what the reference says every port's walk reads at time
+// now: it fills the counters of ports that never ran and walks them.
+func (r *txRig) expectedCounts(fates []txFate, now netsim.Time) []obs.Metric {
+	want := make([]asic.Port, len(r.gbps))
 	for i, f := range r.frames {
 		if f.at <= now {
 			want[f.in].RxPackets++
+			want[f.in].RxBytes += uint64(f.size)
 		}
 		switch ft := fates[i]; {
 		case ft.dropped && ft.tx <= now:
@@ -158,7 +172,11 @@ func (r *txRig) expectedCounts(fates []txFate, now netsim.Time) []portCounts {
 			want[f.out].TxBytes += uint64(f.size)
 		}
 	}
-	return want
+	ports := make([]*asic.Port, len(want))
+	for i := range want {
+		ports[i] = &want[i]
+	}
+	return walkPorts(ports...)
 }
 
 // (a) TestTxPathMatchesReferenceFIFO: randomized switches against the
@@ -179,9 +197,9 @@ func TestTxPathMatchesReferenceFIFO(t *testing.T) {
 		for now := netsim.Time(0); now <= last.Add(100*netsim.Nanosecond); now = now.Add(50 * netsim.Nanosecond) {
 			sim.RunUntil(now)
 			want := r.expectedCounts(fates, now)
-			for id := range r.gbps {
-				if got := countsOf(sw.Port(id)); got != want[id] {
-					t.Fatalf("seed %d, cut %v, port %d (%v Gbps): counters %+v, reference %+v", seed, now, id, r.gbps[id], got, want[id])
+			for i, got := range switchPorts(sw) {
+				if got != want[i] {
+					t.Fatalf("seed %d, cut %v, ports %v Gbps: %s = %s, reference %s", seed, now, r.gbps, got.Name, got.Text, want[i].Text)
 				}
 			}
 		}
@@ -335,7 +353,7 @@ func tracedRig() *txRig {
 func TestTxPathTracedEqualsUntraced(t *testing.T) {
 	r := tracedRig()
 	type outcome struct {
-		counts     []portCounts
+		counts     []obs.Metric
 		deliveries []delivery
 	}
 	run := func(tr *obs.Trace) outcome {
@@ -343,12 +361,7 @@ func TestTxPathTracedEqualsUntraced(t *testing.T) {
 		sw, log := r.build(t, sim)
 		sw.SetTrace(tr)
 		sim.Run()
-		var o outcome
-		for id := range r.gbps {
-			o.counts = append(o.counts, countsOf(sw.Port(id)))
-		}
-		o.deliveries = *log
-		return o
+		return outcome{switchPorts(sw), *log}
 	}
 	tr := obs.NewTraceSet().New("txrig")
 	traced, untraced := run(tr), run(nil)
@@ -431,7 +444,7 @@ func TestTxPathEventsPerFrame(t *testing.T) {
 // lookahead.
 func TestTxPathWorkersDeterminism(t *testing.T) {
 	type snapshot struct {
-		Cuts      [][]portCounts
+		Cuts      [][]obs.Metric
 		SrcRx     uint64
 		SrcTimes  []int64
 		Reflected uint64
@@ -466,7 +479,7 @@ func TestTxPathWorkersDeterminism(t *testing.T) {
 		}
 		for now := netsim.Time(0); now < at.Add(5*netsim.Microsecond); now = now.Add(137 * netsim.Nanosecond) {
 			p.RunUntil(now)
-			snap.Cuts = append(snap.Cuts, []portCounts{countsOf(sw.Port(0)), countsOf(sw.Port(1))})
+			snap.Cuts = append(snap.Cuts, switchPorts(sw))
 		}
 		snap.Reflected = refl.Reflected
 		return snap

@@ -234,6 +234,14 @@ func (s *Sender) FiredCount(templateID int) uint64 {
 	return 0
 }
 
+// Describe records every template's fire count under prefix, in program
+// order.
+func (s *Sender) Describe(r *obs.Registry, prefix string) {
+	for _, tmpl := range s.prog.Templates {
+		r.Num(prefix, fmt.Sprintf("template%d.fired", tmpl.ID), float64(s.FiredCount(tmpl.ID)))
+	}
+}
+
 // Observe binds every template's SALU register arrays (accelerator inflight
 // counter, replication timer) to a trace stream, emitting one salu record
 // per access.

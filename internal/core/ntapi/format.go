@@ -85,7 +85,7 @@ func Format(task *Task) string {
 			fmt.Fprintf(&b, "\n    .set(length, %d)", tr.Length)
 		}
 		if len(tr.PayloadV) > 0 {
-			fmt.Fprintf(&b, "\n    .set(payload, %q)", string(tr.PayloadV))
+			fmt.Fprintf(&b, "\n    .set(payload, \"%s\")", tr.PayloadV)
 		}
 		if len(tr.Ports) == 1 {
 			fmt.Fprintf(&b, "\n    .set(port, %d)", tr.Ports[0])
@@ -148,12 +148,16 @@ func formatValue(field string, v Value) string {
 	case Ref:
 		// The source query's name is not stored in the ref; Parse
 		// resolves any query prefix, so emit a stable placeholder.
-		if val.Offset == 0 {
-			return "q." + val.Field
+		switch {
+		case val.Offset > 0:
+			return fmt.Sprintf("q.%s + %d", val.Field, val.Offset)
+		case val.Offset < 0:
+			return fmt.Sprintf("q.%s - %d", val.Field, -val.Offset)
 		}
-		return fmt.Sprintf("q.%s + %d", val.Field, val.Offset)
+		return "q." + val.Field
 	case Payload:
-		return fmt.Sprintf("%q", string(val))
+		// Verbatim, as Parse reads it: the text between the quotes.
+		return `"` + string(val) + `"`
 	}
 	return v.String()
 }

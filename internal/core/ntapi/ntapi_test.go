@@ -253,11 +253,46 @@ func TestParseErrors(t *testing.T) {
 		{"unbalanced", "T1 = trigger().set([a, [1)"},
 		{"bad reduce", "Q1 = query().reduce(func=avg)"},
 		{"bad interval", "T1 = trigger().set(interval, soon)"},
+		// Format cannot print these back: a call chained without its '.'
+		// (whose field list is then not names) and one chained by two.
+		{"call without dot", "T1=trigger() set((0,0,0,0,0),[1,2,3,4,5])"},
+		{"two dots", "T1 = trigger()..set(dip, 1.1.1.1)"},
+		{"field not a name", "T1 = trigger().set([dip, 9x], [1.1.1.1, 2])"},
+		{"map field not a name", "Q1 = query().map(p -> (ipv4.id, -))"},
+		{"key not a name", "Q1 = query().reduce(keys={ipv4..sip}, func=sum)"},
+		{"filter field not a name", "Q1 = query().filter(tcp flag == 2)"},
+		{"statement name not an identifier", "0 = trigger()"},
+		{"reference field not a name", "Q1 = query()\nT1 = trigger(Q1).set(dip, Q1.(x))"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.name, c.src); err == nil {
 			t.Errorf("%s: parsed without error", c.name)
 		}
+	}
+}
+
+// TestFormatRoundTripsEdgeValues: a negative reference offset and a payload
+// holding quotes print as text that parses back to the same program.
+func TestFormatRoundTripsEdgeValues(t *testing.T) {
+	src := `Q1 = query().filter(udp.dport == 7)
+T1 = trigger(Q1)
+    .set(seq_no, Q1.seq_no - 3)
+    .set(payload, "say "hi"")
+`
+	task, err := Parse("edge", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := Format(task)
+	again, err := Parse("edge", printed)
+	if err != nil {
+		t.Fatalf("Format printed text Parse rejects: %v\n%s", err, printed)
+	}
+	if reprinted := Format(again); reprinted != printed {
+		t.Fatalf("printed\n%s\nprints again as\n%s", printed, reprinted)
+	}
+	if got := string(again.Triggers[0].PayloadV); got != `say "hi"` {
+		t.Errorf("payload %q after a round trip", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"github.com/hypertester/hypertester/internal/netproto"
 )
@@ -89,6 +90,9 @@ func parseStatement(task *Task, stmt string) error {
 	if name == "" {
 		return fmt.Errorf("missing statement name")
 	}
+	if !isIdent(name) {
+		return fmt.Errorf("statement name %q is not an identifier", name)
+	}
 
 	calls, err := splitCalls(rest)
 	if err != nil {
@@ -141,16 +145,24 @@ type call struct {
 }
 
 // splitCalls decomposes "trigger().set(a, b).set(c, d)" into calls,
-// respecting nesting inside parentheses and brackets.
+// respecting nesting inside parentheses and brackets. Every call after the
+// first is chained by exactly one '.', and every call is named by an
+// identifier.
 func splitCalls(s string) ([]call, error) {
 	var out []call
 	i := 0
-	for i < len(s) {
-		for i < len(s) && (s[i] == '.' || s[i] == ' ') {
+	for {
+		for i < len(s) && s[i] == ' ' {
 			i++
 		}
 		if i >= len(s) {
 			break
+		}
+		if len(out) > 0 {
+			if s[i] != '.' {
+				return nil, fmt.Errorf("expected '.' before %q", s[i:])
+			}
+			i++
 		}
 		j := i
 		for j < len(s) && s[j] != '(' {
@@ -160,6 +172,9 @@ func splitCalls(s string) ([]call, error) {
 			return nil, fmt.Errorf("expected '(' after %q", s[i:])
 		}
 		fn := strings.TrimSpace(s[i:j])
+		if !isIdent(fn) {
+			return nil, fmt.Errorf("%q does not name a call", fn)
+		}
 		depth := 0
 		k := j
 		for ; k < len(s); k++ {
@@ -217,7 +232,10 @@ func applyTriggerCalls(task *Task, tr *Trigger, calls []call) error {
 		if len(parts) != 2 {
 			return fmt.Errorf("trigger %s: set wants (fields, values), got %q", tr.Name, c.args)
 		}
-		fields := parseNameList(parts[0])
+		fields, err := parseNameList(parts[0])
+		if err != nil {
+			return fmt.Errorf("trigger %s: set: %w", tr.Name, err)
+		}
 		var valueStrs []string
 		if len(fields) == 1 {
 			// A single field takes the whole expression — a bracketed
@@ -320,7 +338,11 @@ func applyQueryCalls(q *Query, calls []call) error {
 			arg = strings.TrimPrefix(arg, "p ->")
 			arg = strings.TrimPrefix(strings.TrimSpace(arg), "(")
 			arg = strings.TrimSuffix(arg, ")")
-			q.MapFields = parseNameList(arg)
+			fields, err := parseNameList(arg)
+			if err != nil {
+				return fmt.Errorf("query %s: map: %w", q.Name, err)
+			}
+			q.MapFields = fields
 		case "reduce":
 			fn, keys, err := parseReduceArgs(c.args)
 			if err != nil {
@@ -374,7 +396,10 @@ func parseReduceArgs(args string) (AggFunc, []string, error) {
 				return fn, nil, fmt.Errorf("unknown reduce func %q", v)
 			}
 		case "keys":
-			keys = parseNameList(strings.Trim(v, "{}"))
+			var err error
+			if keys, err = parseNameList(strings.Trim(v, "{}")); err != nil {
+				return fn, nil, err
+			}
 		default:
 			return fn, nil, fmt.Errorf("unknown reduce arg %q", k)
 		}
@@ -386,6 +411,9 @@ func parsePredicate(s string) (Predicate, error) {
 	for _, op := range []CmpOp{OpEq, OpNe, OpLe, OpGe, OpLt, OpGt} {
 		if i := strings.Index(s, string(op)); i > 0 {
 			field := strings.TrimSpace(s[:i])
+			if !isFieldName(field) {
+				return Predicate{}, fmt.Errorf("filter %q: %q is not a field name", s, field)
+			}
 			raw := strings.TrimSpace(s[i+len(op):])
 			v, err := parseScalar(raw)
 			if err != nil {
@@ -397,15 +425,43 @@ func parsePredicate(s string) (Predicate, error) {
 	return Predicate{}, fmt.Errorf("filter %q: no comparison operator", s)
 }
 
-func parseNameList(s string) []string {
+// parseNameList splits "[a, b.c]" or a single name into field names, each an
+// identifier or a dotted path of them (ipv4.id).
+func parseNameList(s string) ([]string, error) {
 	s = strings.Trim(strings.TrimSpace(s), "[]")
 	var out []string
 	for _, p := range strings.Split(s, ",") {
-		if t := strings.TrimSpace(p); t != "" {
-			out = append(out, t)
+		t := strings.TrimSpace(p)
+		if t == "" {
+			continue
+		}
+		if !isFieldName(t) {
+			return nil, fmt.Errorf("%q is not a field name", t)
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
+// isFieldName reports whether s is an identifier or a dotted path of them.
+func isFieldName(s string) bool {
+	for _, seg := range strings.Split(s, ".") {
+		if !isIdent(seg) {
+			return false
 		}
 	}
-	return out
+	return true
+}
+
+// isIdent reports whether s is a letter or '_' followed by letters, digits
+// and '_'.
+func isIdent(s string) bool {
+	for i, c := range s {
+		if c != '_' && !unicode.IsLetter(c) && (i == 0 || !unicode.IsDigit(c)) {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // parseRawList splits "[a, b, c]" or a single value into raw value strings.
@@ -571,8 +627,7 @@ func isQueryRef(s string) bool {
 		return false
 	}
 	prefix := s[:i]
-	c := prefix[0]
-	if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_') {
+	if !isIdent(prefix) {
 		return false
 	}
 	switch prefix {
@@ -597,6 +652,9 @@ func parseRef(s string) (Value, error) {
 		}
 		offset = n
 		rest = strings.TrimSpace(rest[:j])
+	}
+	if !isFieldName(rest) {
+		return nil, fmt.Errorf("%q is not a field name in reference %q", rest, s)
 	}
 	return Ref{Field: rest, Offset: offset}, nil
 }

@@ -9,8 +9,8 @@ import (
 
 // ProgramSpec names one NTAPI source from the experiment suite together
 // with the compiler options its experiment uses. The verifier corpus
-// (verify_test.go, cmd/htverify) runs the symbolic analyzer and the
-// witness differential over every spec.
+// (verify_test.go) runs the symbolic analyzer and the witness differential
+// over every spec.
 type ProgramSpec struct {
 	Name string
 	Src  string

@@ -34,7 +34,7 @@ func TestOneRigOneTestbed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		metric := make(map[string]scenario.Metric, len(res.Metrics))
+		metric := make(map[string]obs.Metric, len(res.Metrics))
 		for _, m := range res.Metrics {
 			metric[m.Name] = m
 		}
@@ -50,13 +50,13 @@ func TestOneRigOneTestbed(t *testing.T) {
 			t.Fatalf("workers=%d: %d trace records, %d frames at sink 2; the comparison is vacuous",
 				workers, ts.Len(), sinks[2].Packets)
 		}
+		gen := obs.NewRegistry()
 		for i, s := range sinks {
-			pre := fmt.Sprintf("sink%d", i)
-			if got := metric[pre+".rx_packets"].Num; got != float64(s.Packets) {
-				t.Errorf("workers=%d: %s.rx_packets: scenario %v, htGenerate %d", workers, pre, got, s.Packets)
-			}
-			if got := metric[pre+".rx_bytes"].Num; got != float64(s.Bytes) {
-				t.Errorf("workers=%d: %s.rx_bytes: scenario %v, htGenerate %d", workers, pre, got, s.Bytes)
+			s.Describe(gen, fmt.Sprintf("sink%d", i))
+		}
+		for _, g := range gen.All() {
+			if got, ok := metric[g.Name]; !ok || got.Text != g.Text {
+				t.Errorf("workers=%d: %s: scenario %q, htGenerate %s", workers, g.Name, got.Text, g.Text)
 			}
 		}
 		sum := sha256.Sum256([]byte(ts.Canonical()))

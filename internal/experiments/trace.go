@@ -28,9 +28,9 @@ T2 = trigger()
 // TraceSample runs the fixed observability workload — a line-rate multicast
 // template plus a rate-controlled header-sweeping one across three 100G
 // ports — with per-packet tracing enabled, and returns the populated trace
-// set plus a metrics registry describing the run (switch counters and pools,
-// per-sink traffic, scheduler wheel, and — with cfg.SimWorkers > 1 — the LP
-// engine).
+// set plus a metrics registry describing the run's end (switch counters and
+// pools, per-sink traffic, scheduler wheel, and — with cfg.SimWorkers > 1 —
+// the LP engine).
 //
 // The workload crosses every emission point the tracer has except digests
 // (no queries), match tables (production pipelines use processor logic, not
@@ -59,11 +59,7 @@ func TraceSample(cfg Config) (*obs.TraceSet, *obs.Registry, error) {
 		obs.DescribeEngine(reg, "engine", eng)
 	}
 	for i, s := range sinks {
-		s := s
-		prefix := fmt.Sprintf("sink%d", i)
-		reg.Gauge(prefix+".rx_packets", func() float64 { return float64(s.Packets) })
-		reg.Gauge(prefix+".rx_bytes", func() float64 { return float64(s.Bytes) })
-		reg.Gauge(prefix+".gbps", s.ThroughputGbps)
+		s.Describe(reg, fmt.Sprintf("sink%d", i))
 	}
 	return ts, reg, nil
 }

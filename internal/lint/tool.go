@@ -8,19 +8,18 @@ import (
 	"strings"
 )
 
-// Checker is one named check a Tool can run: a Go-package analyzer
-// (htlint) or a whole-corpus verification pass (htverify). Run returns
-// the findings as printable lines; a non-nil error is an internal
-// failure, not a finding.
+// Checker is one named check a Tool can run, such as one of htlint's
+// Go-package analyzers. Run returns the findings as printable lines; a
+// non-nil error is an internal failure, not a finding.
 type Checker struct {
 	Name string
 	Doc  string
 	Run  func(dir string, args []string) ([]string, error)
 }
 
-// Tool is the shared multichecker driver behind cmd/htlint and
-// cmd/htverify: flag parsing (-list, -dir), finding output, and the
-// exit-code contract — 0 clean, 1 findings, 2 usage or internal error.
+// Tool is the multichecker driver behind cmd/htlint: flag parsing (-list,
+// -dir), finding output, and the exit-code contract — 0 clean, 1 findings,
+// 2 usage or internal error.
 type Tool struct {
 	Name     string
 	Doc      string

@@ -2,38 +2,30 @@ package obs
 
 import "github.com/hypertester/hypertester/internal/netsim"
 
-// DescribeSim registers snapshot gauges for one Sim's scheduler under
-// prefix: pending/due/overflow event counts and occupied wheel buckets.
-// Gauges read WheelStats lazily at Snapshot time, so registration costs
-// nothing during the run.
+// DescribeSim records one Sim's scheduler state under prefix: pending, due
+// and overflow event counts, occupied wheel buckets and executed events.
 func DescribeSim(r *Registry, prefix string, s *netsim.Sim) {
-	if r == nil || s == nil {
-		return
-	}
-	r.Gauge(prefix+".events_pending", func() float64 { return float64(s.WheelStats().Pending) })
-	r.Gauge(prefix+".events_due", func() float64 { return float64(s.WheelStats().Due) })
-	r.Gauge(prefix+".events_overflow", func() float64 { return float64(s.WheelStats().Overflow) })
-	r.Gauge(prefix+".wheel_buckets", func() float64 { return float64(s.WheelStats().Buckets) })
-	r.Gauge(prefix+".executed", func() float64 { return float64(s.Executed) })
+	ws := s.WheelStats()
+	r.Num(prefix, "events_pending", float64(ws.Pending))
+	r.Num(prefix, "events_due", float64(ws.Due))
+	r.Num(prefix, "events_overflow", float64(ws.Overflow))
+	r.Num(prefix, "wheel_buckets", float64(ws.Buckets))
+	r.Num(prefix, "executed", float64(s.Executed))
 }
 
-// DescribeEngine registers gauges for the LP engine under prefix: epoch
-// count, last LBTS, and per-LP executed/sent/received/stall counters (keyed
-// by LP name). Call after the engine topology is built; the gauges read
-// Engine.Stats at Snapshot time, which requires the engine to be quiescent.
+// DescribeEngine records the LP engine's state under prefix: worker and
+// epoch counts, the last LBTS, and per-LP executed/sent/received/stall
+// counters (keyed by LP name). The engine must be quiescent.
 func DescribeEngine(r *Registry, prefix string, e *netsim.Engine) {
-	if r == nil || e == nil {
-		return
-	}
-	r.Gauge(prefix+".workers", func() float64 { return float64(e.Stats().Workers) })
-	r.Gauge(prefix+".epochs", func() float64 { return float64(e.Stats().Epochs) })
-	r.Gauge(prefix+".lbts_ns", func() float64 { return e.Stats().LBTS.Nanoseconds() })
-	for i, lp := range e.Stats().LPs {
-		idx := i
-		base := prefix + ".lp." + lp.Name
-		r.Gauge(base+".executed", func() float64 { return float64(e.Stats().LPs[idx].Executed) })
-		r.Gauge(base+".sent", func() float64 { return float64(e.Stats().LPs[idx].Sent) })
-		r.Gauge(base+".received", func() float64 { return float64(e.Stats().LPs[idx].Received) })
-		r.Gauge(base+".stalls", func() float64 { return float64(e.Stats().LPs[idx].Stalls) })
+	st := e.Stats()
+	r.Num(prefix, "workers", float64(st.Workers))
+	r.Num(prefix, "epochs", float64(st.Epochs))
+	r.Num(prefix, "lbts_ns", st.LBTS.Nanoseconds())
+	for _, lp := range st.LPs {
+		base := Join(prefix, "lp."+lp.Name)
+		r.Num(base, "executed", float64(lp.Executed))
+		r.Num(base, "sent", float64(lp.Sent))
+		r.Num(base, "received", float64(lp.Received))
+		r.Num(base, "stalls", float64(lp.Stalls))
 	}
 }

@@ -2,182 +2,104 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 )
 
-// Registry collects named metrics for one simulation run. It is not
-// synchronized: registration and updates happen on the owning experiment's
-// goroutine (each experiment builds its own Registry, mirroring how each
-// builds its own Partition), and Snapshot is taken after the run completes.
+// Metric is one recorded value. A numeric metric carries Num and its
+// canonical text; a text metric (a trace digest, a flow key) carries only
+// Text. The canonical text is what golden checks compare, so it is
+// locale-free and stable: integers print bare, floats with %g.
+type Metric struct {
+	Name string  `json:"name"`
+	Num  float64 `json:"num,omitempty"`
+	Text string  `json:"text"`
+	// IsNum distinguishes a numeric 0 from a text metric.
+	IsNum bool `json:"is_num,omitempty"`
+}
+
+// Registry is the one metric list of a run. Devices describe their state into
+// it — each through one Describe(r, prefix) walk that owns its leaf names and
+// their order, while the caller owns the prefix — and every reader (scenario
+// checks and results, the CLI, the sample trace, the benchmark) reads it
+// back. A value is recorded when its device is described, so a registry is
+// the state of the instant its walks ran. It is ordered, so what is rendered
+// from it is byte-identical run after run, and a name recorded twice panics:
+// a collision is a wiring bug. Not synchronized; a nil registry records
+// nothing.
 type Registry struct {
-	names    map[string]struct{}
-	counters []*Counter
-	gauges   []gauge
-	hists    []*Hist
+	list  []Metric
+	index map[string]int
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{names: make(map[string]struct{})}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) claim(name string) {
-	if _, dup := r.names[name]; dup {
-		panic(fmt.Sprintf("obs: duplicate metric %q", name))
+// Join is the name a walk gives leaf under prefix: the two joined by a dot,
+// or leaf alone under the empty prefix.
+func Join(prefix, leaf string) string {
+	if prefix == "" {
+		return leaf
 	}
-	r.names[name] = struct{}{}
+	return prefix + "." + leaf
 }
 
-// Counter is a monotonically increasing count.
-type Counter struct {
-	name string
-	v    uint64
+// Num records the numeric metric Join(prefix, leaf) with its canonical text.
+func (r *Registry) Num(prefix, leaf string, v float64) {
+	r.add(Metric{Name: Join(prefix, leaf), Num: v, Text: strconv.FormatFloat(v, 'g', -1, 64), IsNum: true})
 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
+// Text records the text metric Join(prefix, leaf).
+func (r *Registry) Text(prefix, leaf, text string) {
+	r.add(Metric{Name: Join(prefix, leaf), Text: text})
+}
+
+func (r *Registry) add(m Metric) {
+	if r == nil {
 		return
 	}
-	c.v += n
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
+	if _, dup := r.index[m.Name]; dup {
+		panic(fmt.Sprintf("obs: duplicate metric %q", m.Name))
 	}
-	return c.v
+	if r.index == nil {
+		r.index = make(map[string]int)
+	}
+	r.index[m.Name] = len(r.list)
+	r.list = append(r.list, m)
 }
 
-// Counter registers and returns a new counter. Safe on a nil registry
-// (returns a nil counter whose methods are no-ops), so instrumented code
-// can hold counters unconditionally.
-func (r *Registry) Counter(name string) *Counter {
+// Get returns a metric by name.
+func (r *Registry) Get(name string) (Metric, bool) {
+	if r == nil {
+		return Metric{}, false
+	}
+	i, ok := r.index[name]
+	if !ok {
+		return Metric{}, false
+	}
+	return r.list[i], true
+}
+
+// All returns the metrics in recording order.
+func (r *Registry) All() []Metric {
 	if r == nil {
 		return nil
 	}
-	r.claim(name)
-	c := &Counter{name: name}
-	r.counters = append(r.counters, c)
-	return c
+	return r.list
 }
 
-type gauge struct {
-	name string
-	fn   func() float64
-}
-
-// Gauge registers a read-on-snapshot gauge. The function is invoked only by
-// Snapshot, never on the hot path, so closures are fine here.
-func (r *Registry) Gauge(name string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.claim(name)
-	r.gauges = append(r.gauges, gauge{name: name, fn: fn})
-}
-
-// Hist is a fixed-bin histogram over sim-time quantities (latencies in ns,
-// queue depths, …). Out-of-range observations are clamped into the edge
-// bins rather than silently dropped, and counted in Under/Over.
-type Hist struct {
-	name     string
-	min, max float64
-	width    float64
-	counts   []uint64
-	total    uint64
-	under    uint64
-	over     uint64
-}
-
-// Histogram registers a histogram with bins equal-width buckets across
-// [min, max). It panics on degenerate shapes (bins<=0 or min>=max) —
-// registration happens at wiring time, where a loud failure beats a
-// silently empty metric. Safe on a nil registry.
-func (r *Registry) Histogram(name string, min, max float64, bins int) *Hist {
-	if r == nil {
-		return nil
-	}
-	if bins <= 0 || !(min < max) {
-		panic(fmt.Sprintf("obs: degenerate histogram %q [%g,%g) bins=%d", name, min, max, bins))
-	}
-	r.claim(name)
-	h := &Hist{name: name, min: min, max: max, width: (max - min) / float64(bins), counts: make([]uint64, bins)}
-	r.hists = append(r.hists, h)
-	return h
-}
-
-// Observe records one sample. NaN samples are dropped. Safe on a nil Hist.
-func (h *Hist) Observe(x float64) {
-	if h == nil || x != x {
-		return
-	}
-	h.total++
-	idx := int((x - h.min) / h.width)
-	switch {
-	case x < h.min:
-		h.under++
-		idx = 0
-	case x >= h.max || idx >= len(h.counts):
-		if x >= h.max {
-			h.over++
-		}
-		idx = len(h.counts) - 1
-	case idx < 0:
-		idx = 0
-	}
-	h.counts[idx]++
-}
-
-// Total returns the number of samples observed (including clamped ones).
-func (h *Hist) Total() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total
-}
-
-// Snapshot returns all metric values keyed by name. Counters marshal as
-// integers, gauges as floats, histograms as {min,max,total,under,over,
-// counts}. encoding/json sorts map keys, so a marshaled snapshot is
-// deterministic; SortedNames is provided for text output.
+// Snapshot returns every value keyed by name: numeric metrics as float64,
+// text metrics as string.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
 	}
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists))
-	for _, c := range r.counters {
-		out[c.name] = c.v
-	}
-	for _, g := range r.gauges {
-		out[g.name] = g.fn()
-	}
-	for _, h := range r.hists {
-		out[h.name] = map[string]any{
-			"min":    h.min,
-			"max":    h.max,
-			"total":  h.total,
-			"under":  h.under,
-			"over":   h.over,
-			"counts": h.counts,
+	out := make(map[string]any, len(r.list))
+	for _, m := range r.list {
+		if m.IsNum {
+			out[m.Name] = m.Num
+		} else {
+			out[m.Name] = m.Text
 		}
 	}
 	return out
-}
-
-// SortedNames returns every registered metric name in lexical order.
-func (r *Registry) SortedNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.names))
-	for n := range r.names {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -143,46 +144,42 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
-func TestRegistryCountersGaugesHists(t *testing.T) {
+// TestRegistryOrderAndValues: the registry keeps recording order, joins
+// prefix and leaf, renders numbers canonically, and snapshots numbers as
+// float64 and text as string.
+func TestRegistryOrderAndValues(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pkts")
-	c.Add(3)
-	c.Inc()
-	g := 2.5
-	r.Gauge("depth", func() float64 { return g })
-	h := r.Histogram("lat_ns", 0, 100, 10)
-	h.Observe(5)
-	h.Observe(99.999999)
-	h.Observe(-1)  // clamps into bin 0, counted under
-	h.Observe(100) // clamps into last bin, counted over
+	r.Num("sw.port0", "tx_packets", 3)
+	r.Num("", "rate", 42.5)
+	r.Text("trace", "sha256", "abc")
+	var names, texts []string
+	for _, m := range r.All() {
+		names = append(names, m.Name)
+		texts = append(texts, m.Text)
+	}
+	if fmt.Sprint(names) != "[sw.port0.tx_packets rate trace.sha256]" || fmt.Sprint(texts) != "[3 42.5 abc]" {
+		t.Fatalf("names %v, texts %v", names, texts)
+	}
+	if m, ok := r.Get("rate"); !ok || !m.IsNum || m.Num != 42.5 {
+		t.Fatalf("Get(rate) = %+v, %v", m, ok)
+	}
+	if m, _ := r.Get("trace.sha256"); m.IsNum {
+		t.Fatalf("text metric marked numeric: %+v", m)
+	}
 	snap := r.Snapshot()
-	if snap["pkts"].(uint64) != 4 {
-		t.Fatalf("counter %v", snap["pkts"])
+	if snap["sw.port0.tx_packets"].(float64) != 3 || snap["trace.sha256"].(string) != "abc" {
+		t.Fatalf("snapshot %v", snap)
 	}
-	if snap["depth"].(float64) != 2.5 {
-		t.Fatalf("gauge %v", snap["depth"])
-	}
-	hm := snap["lat_ns"].(map[string]any)
-	if hm["total"].(uint64) != 4 || hm["under"].(uint64) != 1 || hm["over"].(uint64) != 1 {
-		t.Fatalf("hist %v", hm)
-	}
-	if _, err := json.Marshal(snap); err != nil {
-		t.Fatalf("snapshot not marshalable: %v", err)
-	}
-	names := r.SortedNames()
-	if len(names) != 3 || names[0] != "depth" || names[1] != "lat_ns" || names[2] != "pkts" {
-		t.Fatalf("names %v", names)
+	if _, err := json.Marshal(r.All()); err != nil {
+		t.Fatalf("metrics not marshalable: %v", err)
 	}
 }
 
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Add(1)
-	r.Gauge("y", func() float64 { return 0 })
-	h := r.Histogram("z", 0, 1, 2)
-	h.Observe(0.5)
-	if c.Value() != 0 || h.Total() != 0 || r.Snapshot() != nil || r.SortedNames() != nil {
+	r.Num("x", "y", 1)
+	r.Text("x", "z", "t")
+	if _, ok := r.Get("x.y"); ok || r.All() != nil || r.Snapshot() != nil {
 		t.Fatal("nil registry must be inert")
 	}
 }
@@ -194,18 +191,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x")
-	r.Counter("x")
-}
-
-func TestHistEdgeRounding(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", 0, 0.1, 3)
-	// The adversarial value whose bin index rounds to exactly bins.
-	h.Observe(0.09999999999999999)
-	if h.Total() != 1 {
-		t.Fatal("sample lost")
-	}
+	r.Num("a", "x", 1)
+	r.Text("", "a.x", "again")
 }
 
 func TestDescribeSimAndEngine(t *testing.T) {
@@ -215,7 +202,7 @@ func TestDescribeSimAndEngine(t *testing.T) {
 	DescribeSim(r, "sim", s)
 	snap := r.Snapshot()
 	if snap["sim.events_pending"].(float64) != 1 {
-		t.Fatalf("pending gauge %v", snap["sim.events_pending"])
+		t.Fatalf("pending %v", snap["sim.events_pending"])
 	}
 
 	e := netsim.NewEngine(2)
@@ -225,9 +212,9 @@ func TestDescribeSimAndEngine(t *testing.T) {
 	n := 0
 	a.At(5, func() { n++ })
 	b.At(7, func() { n++ })
+	e.RunUntil(100)
 	r2 := NewRegistry()
 	DescribeEngine(r2, "eng", e)
-	e.RunUntil(100)
 	snap2 := r2.Snapshot()
 	if snap2["eng.workers"].(float64) != 2 {
 		t.Fatalf("workers %v", snap2["eng.workers"])
@@ -236,6 +223,6 @@ func TestDescribeSimAndEngine(t *testing.T) {
 		t.Fatalf("epochs %v", snap2["eng.epochs"])
 	}
 	if snap2["eng.lp.a.executed"].(float64) != 1 || snap2["eng.lp.b.executed"].(float64) != 1 {
-		t.Fatalf("lp executed gauges: %v %v", snap2["eng.lp.a.executed"], snap2["eng.lp.b.executed"])
+		t.Fatalf("lp executed: %v %v", snap2["eng.lp.a.executed"], snap2["eng.lp.b.executed"])
 	}
 }

@@ -2,63 +2,9 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
+
+	"github.com/hypertester/hypertester/internal/obs"
 )
-
-// Metric is one observed value. Numeric metrics carry Num and a canonical
-// Text rendering; text-only metrics (trace digests) carry just Text. The
-// canonical rendering is what golden checks compare, so it must be
-// locale-free and stable: integers print bare, floats with %g.
-type Metric struct {
-	Name string  `json:"name"`
-	Num  float64 `json:"num,omitempty"`
-	Text string  `json:"text"`
-	// IsNum distinguishes a numeric 0 from a text-only metric.
-	IsNum bool `json:"is_num,omitempty"`
-}
-
-// Metrics is an ordered metric list — ordered so results render and encode
-// byte-identically run after run (the package never ranges over a map to
-// produce output). Lookup is by name.
-type Metrics struct {
-	list  []Metric
-	index map[string]int
-}
-
-// AddNum records a numeric metric with its canonical text rendering.
-func (m *Metrics) AddNum(name string, v float64) {
-	text := strconv.FormatFloat(v, 'g', -1, 64)
-	m.add(Metric{Name: name, Num: v, Text: text, IsNum: true})
-}
-
-// AddText records a text-only metric (golden checks only).
-func (m *Metrics) AddText(name, text string) {
-	m.add(Metric{Name: name, Text: text})
-}
-
-func (m *Metrics) add(mm Metric) {
-	if m.index == nil {
-		m.index = make(map[string]int)
-	}
-	if i, ok := m.index[mm.Name]; ok {
-		m.list[i] = mm
-		return
-	}
-	m.index[mm.Name] = len(m.list)
-	m.list = append(m.list, mm)
-}
-
-// Get returns a metric by name.
-func (m *Metrics) Get(name string) (Metric, bool) {
-	i, ok := m.index[name]
-	if !ok {
-		return Metric{}, false
-	}
-	return m.list[i], true
-}
-
-// All returns the metrics in recording order.
-func (m *Metrics) All() []Metric { return m.list }
 
 // CheckResult is one evaluated check.
 type CheckResult struct {
@@ -76,7 +22,7 @@ type CheckResult struct {
 // fails the check rather than erroring: a typo'd metric name in a suite
 // file should read as a failed assertion with a clear message, not abort
 // the scenario.
-func (c Check) Eval(m *Metrics) CheckResult {
+func (c Check) Eval(m *obs.Registry) CheckResult {
 	res := CheckResult{Name: c.Label(), Kind: c.Kind, Metric: c.Metric}
 	got, ok := m.Get(c.Metric)
 	if !ok {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/sketch"
 	"github.com/hypertester/hypertester/internal/testbed"
 )
@@ -68,39 +69,34 @@ func (h *HHSink) Reset() {
 	h.cm = sketch.NewCountMin(hhSketchDepth, hhSketchWidth)
 }
 
-// Stats summarizes the flow population against the Count-Min shadow.
-type HHStats struct {
-	Flows    int
-	Packets  uint64
-	TopCount uint64
-	TopFlow  netproto.FlowKey
-	// Underestimates counts flows whose sketch estimate fell below the
-	// exact count — always 0 if the sketch honours its guarantee.
-	Underestimates int
-	// OverestimateTotal sums (estimate - exact) across flows: the
-	// collision error a threshold check can bound.
-	OverestimateTotal uint64
-}
-
-// Stats walks flows in first-seen order (deterministic across engines: the
-// LP engine replays the sequential per-device event order).
-func (h *HHSink) Stats() HHStats {
-	var st HHStats
-	st.Flows = len(h.order)
+// Describe records the flow population against the Count-Min shadow under
+// prefix: flows, packets, the top flow's count, underestimates (flows whose
+// estimate fell below the exact count — always 0 if the sketch honours its
+// guarantee), the summed overestimate (the collision error a threshold check
+// can bound), and the top flow itself as text. The underlying sink is
+// described on its own. Flows are walked in first-seen order, deterministic
+// across engines: the LP engine replays the sequential per-device event order.
+func (h *HHSink) Describe(r *obs.Registry, prefix string) {
+	var packets, top, over uint64
+	var under int
+	var topFlow netproto.FlowKey
 	for _, key := range h.order {
 		exact := h.counts[key]
-		st.Packets += exact
-		if exact > st.TopCount {
-			st.TopCount = exact
-			st.TopFlow = key
+		packets += exact
+		if exact > top {
+			top, topFlow = exact, key
 		}
 		kb := key.Bytes()
-		est := h.cm.Estimate(kb[:])
-		if est < exact {
-			st.Underestimates++
+		if est := h.cm.Estimate(kb[:]); est < exact {
+			under++
 		} else {
-			st.OverestimateTotal += est - exact
+			over += est - exact
 		}
 	}
-	return st
+	r.Num(prefix, "flows", float64(len(h.order)))
+	r.Num(prefix, "packets", float64(packets))
+	r.Num(prefix, "top_count", float64(top))
+	r.Num(prefix, "underestimates", float64(under))
+	r.Num(prefix, "overestimate_total", float64(over))
+	r.Text(prefix, "top_flow", topFlow.String())
 }

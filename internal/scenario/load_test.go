@@ -160,3 +160,21 @@ func TestEncodeRoundTrip(t *testing.T) {
 		t.Error("encode → parse → encode is not a fixed point")
 	}
 }
+
+// FuzzSuiteParse: the suite loader never panics on any bytes, and every
+// scenario of a suite it accepts validates. Program file references are
+// refused (no directory), as for any untrusted input. Seeds are under
+// testdata/fuzz/FuzzSuiteParse.
+func FuzzSuiteParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		suite, err := Parse(data, "fuzz.json", "")
+		if err != nil {
+			return
+		}
+		for i, sc := range suite.Scenarios {
+			if err := sc.Validate(); err != nil {
+				t.Fatalf("scenarios[%d] loaded but does not validate: %v", i, err)
+			}
+		}
+	})
+}

@@ -22,14 +22,26 @@ type Rig struct {
 	DUTs      []DUT // in port order
 }
 
-// DUT is one device-under-test instance and its metric contribution.
+// DUT is one device-under-test instance.
 type DUT struct {
 	Iface *testbed.Iface
 	Sink  *testbed.Sink           // sink and hhsink only
 	Farm  *testbed.HTTPServerFarm // httpfarm only
-	// Collect records the DUT's own metrics (see Run's catalogue) on m.
-	Collect func(m *Metrics)
-	reset   func() // clears counters at end of warmup (nil = none)
+	walks []walk
+	reset func() // clears counters at end of warmup (nil = none)
+}
+
+// walk is one device's Describe under the prefix Run's catalogue gives it.
+type walk struct {
+	prefix string
+	dev    interface{ Describe(*obs.Registry, string) }
+}
+
+// Describe records the DUT's own metrics (see Run's catalogue) on r.
+func (d DUT) Describe(r *obs.Registry) {
+	for _, w := range d.walks {
+		w.dev.Describe(r, w.prefix)
+	}
 }
 
 // Build validates topo and wires it: a partition of workers (<= 0 means
@@ -86,82 +98,29 @@ func (r *Rig) Run(warmup, window netsim.Duration) {
 }
 
 // buildDUT constructs one device instance of the given kind on its own
-// logical process, with its reset/collect behaviour — the DUT catalogue.
+// logical process, with its reset behaviour and metric prefixes — the DUT
+// catalogue.
 func buildDUT(p *testbed.Partition, kind string, i int, gbps float64, seed int64) DUT {
 	name := fmt.Sprintf("%s%d", kind, i)
 	sim := p.LP(name)
 	switch kind {
 	case DUTSink:
 		s := testbed.NewSink(sim, name, gbps)
-		return DUT{
-			Iface: s.Iface,
-			Sink:  s,
-			reset: s.Reset,
-			Collect: func(m *Metrics) {
-				collectSink(m, fmt.Sprintf("sink%d", i), s)
-			},
-		}
+		return DUT{Iface: s.Iface, Sink: s, reset: s.Reset, walks: []walk{{name, s}}}
 	case DUTHHSink:
 		h := NewHHSink(sim, name, gbps)
-		return DUT{
-			Iface: h.Sink.Iface,
-			Sink:  h.Sink,
-			reset: h.Reset,
-			Collect: func(m *Metrics) {
-				collectSink(m, fmt.Sprintf("sink%d", i), h.Sink)
-				st := h.Stats()
-				pre := fmt.Sprintf("hh%d", i)
-				m.AddNum(pre+".flows", float64(st.Flows))
-				m.AddNum(pre+".packets", float64(st.Packets))
-				m.AddNum(pre+".top_count", float64(st.TopCount))
-				m.AddNum(pre+".underestimates", float64(st.Underestimates))
-				m.AddNum(pre+".overestimate_total", float64(st.OverestimateTotal))
-				m.AddText(pre+".top_flow", st.TopFlow.String())
-			},
-		}
+		return DUT{Iface: h.Sink.Iface, Sink: h.Sink, reset: h.Reset,
+			walks: []walk{{fmt.Sprintf("sink%d", i), h.Sink}, {fmt.Sprintf("hh%d", i), h}}}
 	case DUTReflector:
 		r := testbed.NewReflector(sim, name, gbps)
 		r.Seed(seed)
-		return DUT{
-			Iface: r.Iface,
-			Collect: func(m *Metrics) {
-				m.AddNum(fmt.Sprintf("reflector%d.reflected", i), float64(r.Reflected))
-			},
-		}
+		return DUT{Iface: r.Iface, walks: []walk{{name, r}}}
 	case DUTScanTarget:
 		t := testbed.NewScanTarget(sim, name, gbps)
-		return DUT{
-			Iface: t.Iface,
-			Collect: func(m *Metrics) {
-				pre := fmt.Sprintf("scantarget%d", i)
-				m.AddNum(pre+".probes_seen", float64(t.ProbesSeen))
-				m.AddNum(pre+".synacks_sent", float64(t.SynAcksSent))
-				m.AddNum(pre+".rsts_sent", float64(t.RstsSent))
-			},
-		}
+		return DUT{Iface: t.Iface, walks: []walk{{name, t}}}
 	case DUTHTTPFarm:
 		f := testbed.NewHTTPServerFarm(sim, name, gbps)
-		return DUT{
-			Iface: f.Iface,
-			Farm:  f,
-			Collect: func(m *Metrics) {
-				pre := fmt.Sprintf("httpfarm%d", i)
-				m.AddNum(pre+".syn_received", float64(f.SynReceived))
-				m.AddNum(pre+".handshakes", float64(f.Handshakes))
-				m.AddNum(pre+".requests", float64(f.Requests))
-				m.AddNum(pre+".data_sent", float64(f.DataSent))
-				m.AddNum(pre+".fin_received", float64(f.FinReceived))
-				m.AddNum(pre+".closed", float64(f.Closed))
-				m.AddNum(pre+".open_conns", float64(f.OpenConnections()))
-			},
-		}
+		return DUT{Iface: f.Iface, Farm: f, walks: []walk{{name, f}}}
 	}
 	panic(fmt.Sprintf("scenario: unknown DUT kind %q", kind)) // Validate rejects earlier
-}
-
-func collectSink(m *Metrics, pre string, s *testbed.Sink) {
-	m.AddNum(pre+".rx_packets", float64(s.Packets))
-	m.AddNum(pre+".rx_bytes", float64(s.Bytes))
-	m.AddNum(pre+".gbps", s.ThroughputGbps())
-	m.AddNum(pre+".pps", s.RatePps())
 }

@@ -18,7 +18,7 @@ type RunResult struct {
 	Passed  int           `json:"passed"`
 	Failed  int           `json:"failed"`
 	Checks  []CheckResult `json:"checks"`
-	Metrics []Metric      `json:"metrics"`
+	Metrics []obs.Metric  `json:"metrics"`
 	// Err is set when the scenario never produced metrics (compile error,
 	// panic); such a run fails regardless of checks.
 	Err string `json:"err,omitempty"`
@@ -28,18 +28,17 @@ type RunResult struct {
 // the topology's SimWorkers (the CLI's -simworkers and the differential
 // tests use this); the observed metrics are bit-identical either way.
 //
-// Metric catalogue (names checks can reference):
+// Metric catalogue (names checks can reference), in recording order; each
+// device's walk owns its leaf names, Run the prefixes:
 //
-//	port<i>.tx_packets/.tx_bytes/.rx_packets/.rx_bytes/.tx_drops
-//	template<id>.fired
+//	port<i>.*           asic.Port.Describe (the tester's front-panel ports)
+//	template<id>.fired  htps.Sender.Describe
 //	query.<name>.matches/.bytes/.distinct/.delay_samples/.delay_mean_ns/...
-//	sink<i>.rx_packets/.rx_bytes/.gbps/.pps            (sink, hhsink)
-//	reflector<i>.reflected                             (reflector)
-//	scantarget<i>.probes_seen/.synacks_sent/.rsts_sent (scantarget)
-//	httpfarm<i>.syn_received/.handshakes/.requests/.data_sent/
-//	            .fin_received/.closed/.open_conns      (httpfarm)
-//	hh<i>.flows/.packets/.top_count/.underestimates/
-//	      .overestimate_total, hh<i>.top_flow (text)   (hhsink)
+//	sink<i>.*           testbed.Sink.Describe            (sink, hhsink)
+//	hh<i>.*             HHSink.Describe                  (hhsink)
+//	reflector<i>.*      testbed.Reflector.Describe       (reflector)
+//	scantarget<i>.*     testbed.ScanTarget.Describe      (scantarget)
+//	httpfarm<i>.*       testbed.HTTPServerFarm.Describe  (httpfarm)
 //	trace.records (num), trace.sha256 (text)
 //
 // Sink-style DUTs reset at the end of the warmup so rate metrics cover the
@@ -71,34 +70,26 @@ func Run(sc *Scenario, workers int) (*RunResult, error) {
 	traceRecords := trace.Len()
 	sum := sha256.Sum256([]byte(trace.Canonical()))
 
-	m := &Metrics{}
+	m := obs.NewRegistry()
 	for i := range sc.Topology.Ports {
-		port := ht.Port(i)
-		pre := fmt.Sprintf("port%d", i)
-		m.AddNum(pre+".tx_packets", float64(port.TxPackets))
-		m.AddNum(pre+".tx_bytes", float64(port.TxBytes))
-		m.AddNum(pre+".rx_packets", float64(port.RxPackets))
-		m.AddNum(pre+".rx_bytes", float64(port.RxBytes))
-		m.AddNum(pre+".tx_drops", float64(port.TxDrops))
+		ht.Port(i).Describe(m, fmt.Sprintf("port%d", i))
 	}
-	for _, tmpl := range ht.Program.Templates {
-		m.AddNum(fmt.Sprintf("template%d.fired", tmpl.ID), float64(ht.Sender.FiredCount(tmpl.ID)))
-	}
+	ht.Sender.Describe(m, "")
 	for _, r := range ht.Reports() {
 		pre := "query." + r.Query
-		m.AddNum(pre+".matches", float64(r.Matches))
-		m.AddNum(pre+".bytes", float64(r.Bytes))
-		m.AddNum(pre+".distinct", float64(r.Distinct))
-		m.AddNum(pre+".delay_samples", float64(r.DelaySamples))
-		m.AddNum(pre+".delay_mean_ns", r.DelayMeanNs)
-		m.AddNum(pre+".delay_min_ns", r.DelayMinNs)
-		m.AddNum(pre+".delay_max_ns", r.DelayMaxNs)
+		m.Num(pre, "matches", float64(r.Matches))
+		m.Num(pre, "bytes", float64(r.Bytes))
+		m.Num(pre, "distinct", float64(r.Distinct))
+		m.Num(pre, "delay_samples", float64(r.DelaySamples))
+		m.Num(pre, "delay_mean_ns", r.DelayMeanNs)
+		m.Num(pre, "delay_min_ns", r.DelayMinNs)
+		m.Num(pre, "delay_max_ns", r.DelayMaxNs)
 	}
 	for _, d := range rig.DUTs {
-		d.Collect(m)
+		d.Describe(m)
 	}
-	m.AddNum("trace.records", float64(traceRecords))
-	m.AddText("trace.sha256", hex.EncodeToString(sum[:]))
+	m.Num("trace", "records", float64(traceRecords))
+	m.Text("trace", "sha256", hex.EncodeToString(sum[:]))
 
 	res := &RunResult{Name: sc.Name, Title: sc.Title, Metrics: m.All()}
 	for _, c := range sc.Checks {

@@ -1,8 +1,14 @@
 package scenario
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/hypertester/hypertester/internal/obs"
 )
 
 // TestLibraryBothEngines is the package's determinism gate: every starter
@@ -44,7 +50,44 @@ func TestLibraryBothEngines(t *testing.T) {
 						i, s.Name, s.Text, p.Name, p.Text)
 				}
 			}
+			checkMetricsGolden(t, sc.Name, seq)
 		})
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the metric goldens under testdata/metrics")
+
+// checkMetricsGolden pins a run's whole catalogue — every metric name and its
+// canonical text, in recording order — to testdata/metrics/<name>.golden.
+// Regenerate only on purpose, with -update.
+func checkMetricsGolden(t *testing.T, name string, res *RunResult) {
+	t.Helper()
+	var b strings.Builder
+	for _, m := range res.Metrics {
+		fmt.Fprintf(&b, "%s %s\n", m.Name, m.Text)
+	}
+	path := filepath.Join("testdata", "metrics", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("metric line %d differs from %s:\n got %s\nwant %s", i+1, path, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%d metric lines, %s has %d", len(gl), path, len(wl))
 	}
 }
 
@@ -121,9 +164,9 @@ func TestValidate(t *testing.T) {
 // TestCheckEval covers the check evaluator, including the missing-metric
 // and non-numeric failure modes.
 func TestCheckEval(t *testing.T) {
-	m := &Metrics{}
-	m.AddNum("rate", 42.5)
-	m.AddText("digest", "abc123")
+	m := obs.NewRegistry()
+	m.Num("", "rate", 42.5)
+	m.Text("", "digest", "abc123")
 
 	cases := []struct {
 		check Check
@@ -154,24 +197,5 @@ func TestCheckEval(t *testing.T) {
 	}
 	if r := (Check{Kind: CheckThreshold, Metric: "missing"}).Eval(m); r.Got != "(missing)" {
 		t.Errorf("missing metric rendered %q", r.Got)
-	}
-}
-
-// TestMetricsOrderAndOverwrite pins that Metrics preserves recording order
-// and that re-adding a name overwrites in place.
-func TestMetricsOrderAndOverwrite(t *testing.T) {
-	m := &Metrics{}
-	m.AddNum("b", 1)
-	m.AddNum("a", 2)
-	m.AddNum("b", 3)
-	all := m.All()
-	if len(all) != 2 || all[0].Name != "b" || all[1].Name != "a" {
-		t.Fatalf("order not preserved: %+v", all)
-	}
-	if v, _ := m.Get("b"); v.Num != 3 {
-		t.Errorf("overwrite lost: %+v", v)
-	}
-	if all[0].Text != "3" {
-		t.Errorf("canonical integer text = %q, want bare digits", all[0].Text)
 	}
 }

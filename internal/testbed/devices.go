@@ -4,6 +4,7 @@ import (
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 )
 
 // Reflector bounces every frame back with L2/L3/L4 endpoints swapped, the
@@ -38,6 +39,11 @@ func NewReflector(sim *netsim.Sim, name string, gbps float64) *Reflector {
 // reflector follows the testbed's seed like every other random stream.
 func (r *Reflector) Seed(seed int64) {
 	r.rng = netsim.NewRNG(seed, "reflector/"+r.Iface.Name)
+}
+
+// Describe records the bounce count under prefix.
+func (r *Reflector) Describe(reg *obs.Registry, prefix string) {
+	reg.Num(prefix, "reflected", float64(r.Reflected))
 }
 
 // receive bounces the delivered frame itself: a delivered frame belongs to
@@ -118,6 +124,13 @@ func (t *ScanTarget) Live(ip netproto.IPv4Addr) bool {
 	var b [4]byte
 	b[0], b[1], b[2], b[3] = byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip)
 	return int(t.hash.Sum(b[:])%1000) < t.LivePermille
+}
+
+// Describe records the probe and answer counters under prefix.
+func (t *ScanTarget) Describe(r *obs.Registry, prefix string) {
+	r.Num(prefix, "probes_seen", float64(t.ProbesSeen))
+	r.Num(prefix, "synacks_sent", float64(t.SynAcksSent))
+	r.Num(prefix, "rsts_sent", float64(t.RstsSent))
 }
 
 func (t *ScanTarget) receive(pkt *netproto.Packet) {

@@ -3,6 +3,7 @@ package testbed
 import (
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 )
 
 // HTTPServerFarm emulates the server side of the paper's web-testing task
@@ -56,6 +57,17 @@ func NewHTTPServerFarm(sim *netsim.Sim, name string, gbps float64) *HTTPServerFa
 
 // OpenConnections reports connections currently tracked.
 func (f *HTTPServerFarm) OpenConnections() int { return len(f.conns) }
+
+// Describe records the farm's connection statistics under prefix.
+func (f *HTTPServerFarm) Describe(r *obs.Registry, prefix string) {
+	r.Num(prefix, "syn_received", float64(f.SynReceived))
+	r.Num(prefix, "handshakes", float64(f.Handshakes))
+	r.Num(prefix, "requests", float64(f.Requests))
+	r.Num(prefix, "data_sent", float64(f.DataSent))
+	r.Num(prefix, "fin_received", float64(f.FinReceived))
+	r.Num(prefix, "closed", float64(f.Closed))
+	r.Num(prefix, "open_conns", float64(f.OpenConnections()))
+}
 
 func (f *HTTPServerFarm) receive(pkt *netproto.Packet) {
 	if err := f.stack.Decode(pkt.Data); err != nil || !f.stack.Has(netproto.LayerTCP) {

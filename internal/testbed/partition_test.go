@@ -6,6 +6,7 @@ import (
 
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 )
 
 // The partition differential tests build the same topology twice — once on
@@ -34,12 +35,32 @@ func buildTCPFrame(t *testing.T, srcPort, dstPort uint16, flags uint8, seq uint3
 	return raw
 }
 
-// chainSnapshot captures every observable of the src -> DUT -> sink chain.
+// walked is what devices' Describe walks recorded, in order.
+type walked []obs.Metric
+
+func walk(describe func(r *obs.Registry)) walked {
+	r := obs.NewRegistry()
+	describe(r)
+	return r.All()
+}
+
+// num returns a walked metric's value (0 when absent).
+func (w walked) num(name string) float64 {
+	for _, m := range w {
+		if m.Name == name {
+			return m.Num
+		}
+	}
+	return 0
+}
+
+// chainSnapshot captures every observable of the src -> DUT -> sink chain:
+// the forwarding switch's two ports and the sink as their walks record them,
+// plus the interfaces' counters and the sink's arrivals. (The switch's own
+// walk is not compared: its job pool's size depends on the engine.)
 type chainSnapshot struct {
+	Walk                       walked
 	SrcTxPackets, SrcTxBytes   uint64
-	P0Rx, P0RxBytes            uint64
-	P1Tx, P1TxBytes            uint64
-	SinkPackets, SinkBytes     uint64
 	SinkRxPackets, SinkRxBytes uint64
 	First, Last                netsim.Time
 	Timestamps                 []float64
@@ -79,10 +100,12 @@ func runChain(t *testing.T, workers int) chainSnapshot {
 	p.RunUntil(at.Add(time1ms))
 
 	return chainSnapshot{
+		Walk: walk(func(r *obs.Registry) {
+			dut.Port(0).Describe(r, "dut.port0")
+			dut.Port(1).Describe(r, "dut.port1")
+			sink.Describe(r, "sink")
+		}),
 		SrcTxPackets: src.TxPackets, SrcTxBytes: src.TxBytes,
-		P0Rx: dut.Port(0).RxPackets, P0RxBytes: dut.Port(0).RxBytes,
-		P1Tx: dut.Port(1).TxPackets, P1TxBytes: dut.Port(1).TxBytes,
-		SinkPackets: sink.Packets, SinkBytes: sink.Bytes,
 		SinkRxPackets: sink.Iface.RxPackets, SinkRxBytes: sink.Iface.RxBytes,
 		First: sink.First, Last: sink.Last,
 		Timestamps: sink.Timestamps,
@@ -93,10 +116,11 @@ const time1ms = netsim.Millisecond
 
 func TestPartitionChainMatchesSequential(t *testing.T) {
 	want := runChain(t, 1)
-	if want.SinkPackets == 0 || len(want.Timestamps) == 0 {
+	sent := float64(want.SrcTxPackets)
+	if sent == 0 || len(want.Timestamps) == 0 {
 		t.Fatalf("sequential chain saw no traffic: %+v", want)
 	}
-	if want.SinkPackets != want.SrcTxPackets || want.P0Rx != want.SrcTxPackets {
+	if want.Walk.num("sink.rx_packets") != sent || want.Walk.num("dut.port0.rx_packets") != sent {
 		t.Fatalf("sequential chain lost frames: %+v", want)
 	}
 	for _, w := range partitionWorkers {
@@ -107,11 +131,19 @@ func TestPartitionChainMatchesSequential(t *testing.T) {
 	}
 }
 
-// pingPongSnapshot captures the observables of a reflector loop.
+// pingPongSnapshot captures the observables of a reflector loop: the
+// reflectors' walks and their interfaces' counters.
 type pingPongSnapshot struct {
-	AReflected, BReflected uint64
+	Walk                   walked
 	ATx, ARx, BTx, BRx     uint64
 	ATxB, ARxB, BTxB, BRxB uint64
+}
+
+func reflectorsWalk(ra, rb *Reflector) walked {
+	return walk(func(r *obs.Registry) {
+		ra.Describe(r, "a")
+		rb.Describe(r, "b")
+	})
 }
 
 // runPingPong bounces seed frames between two reflectors on separate LPs —
@@ -137,8 +169,8 @@ func runPingPong(t *testing.T, workers int) pingPongSnapshot {
 	p.RunUntil(netsim.Time(0).Add(3 * netsim.Millisecond))
 
 	return pingPongSnapshot{
-		AReflected: ra.Reflected, BReflected: rb.Reflected,
-		ATx: ra.Iface.TxPackets, ARx: ra.Iface.RxPackets,
+		Walk: reflectorsWalk(ra, rb),
+		ATx:  ra.Iface.TxPackets, ARx: ra.Iface.RxPackets,
 		BTx: rb.Iface.TxPackets, BRx: rb.Iface.RxPackets,
 		ATxB: ra.Iface.TxBytes, ARxB: ra.Iface.RxBytes,
 		BTxB: rb.Iface.TxBytes, BRxB: rb.Iface.RxBytes,
@@ -147,7 +179,7 @@ func runPingPong(t *testing.T, workers int) pingPongSnapshot {
 
 func TestPartitionPingPongMatchesSequential(t *testing.T) {
 	want := runPingPong(t, 1)
-	if want.AReflected < 100 {
+	if want.Walk.num("a.reflected") < 100 {
 		t.Fatalf("sequential ping-pong barely bounced: %+v", want)
 	}
 	for _, w := range partitionWorkers {
@@ -159,14 +191,13 @@ func TestPartitionPingPongMatchesSequential(t *testing.T) {
 }
 
 // farmSnapshot captures client- and server-side observables of scripted
-// HTTP exchanges.
+// HTTP exchanges: the farm's walk, its unexpected-packet count and what the
+// client received.
 type farmSnapshot struct {
-	SynReceived, Handshakes, Requests uint64
-	DataSent, FinReceived, Closed     uint64
-	Unexpected                        uint64
-	OpenConns                         int
-	ClientRx, ClientRxBytes           uint64
-	ClientTimes                       []int64
+	Walk                    walked
+	Unexpected              uint64
+	ClientRx, ClientRxBytes uint64
+	ClientTimes             []int64
 }
 
 // runFarm scripts a batch of overlapping HTTP exchanges (SYN, request, FIN
@@ -205,16 +236,14 @@ func runFarm(t *testing.T, workers int) farmSnapshot {
 	}
 	p.RunUntil(base.Add(2 * netsim.Millisecond))
 
-	snap.SynReceived, snap.Handshakes, snap.Requests = farm.SynReceived, farm.Handshakes, farm.Requests
-	snap.DataSent, snap.FinReceived, snap.Closed = farm.DataSent, farm.FinReceived, farm.Closed
+	snap.Walk = walk(func(r *obs.Registry) { farm.Describe(r, "farm") })
 	snap.Unexpected = farm.UnexpectedPkts
-	snap.OpenConns = farm.OpenConnections()
 	return snap
 }
 
 func TestPartitionHTTPFarmMatchesSequential(t *testing.T) {
 	want := runFarm(t, 1)
-	if want.Requests != 12 || want.Closed != 12 {
+	if want.Walk.num("farm.requests") != 12 || want.Walk.num("farm.closed") != 12 {
 		t.Fatalf("sequential farm script incomplete: %+v", want)
 	}
 	for _, w := range partitionWorkers {
@@ -263,13 +292,13 @@ func TestPartitionRunForComposes(t *testing.T) {
 			p.RunFor(total / netsim.Duration(steps))
 		}
 		return pingPongSnapshot{
-			AReflected: ra.Reflected, BReflected: rb.Reflected,
-			ATx: ra.Iface.TxPackets, ARx: ra.Iface.RxPackets,
+			Walk: reflectorsWalk(ra, rb),
+			ATx:  ra.Iface.TxPackets, ARx: ra.Iface.RxPackets,
 			BTx: rb.Iface.TxPackets, BRx: rb.Iface.RxPackets,
 		}
 	}
 	want := run(1)
-	if want.AReflected == 0 {
+	if want.Walk.num("a.reflected") == 0 {
 		t.Fatal("ping-pong never bounced")
 	}
 	for _, steps := range []int{2, 5} {

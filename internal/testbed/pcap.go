@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
@@ -95,6 +96,9 @@ func ReadPcap(r io.Reader) ([]CapturedFrame, error) {
 		}
 		sec := int64(binary.LittleEndian.Uint32(rec[0:4]))
 		nsec := int64(binary.LittleEndian.Uint32(rec[4:8]))
+		if sec > (math.MaxInt64-nsec*1e3)/1e12 {
+			return nil, fmt.Errorf("pcap record time %d.%09ds is past the end of simulated time", sec, nsec)
+		}
 		n := binary.LittleEndian.Uint32(rec[8:12])
 		if n > pcapSnapLen {
 			return nil, fmt.Errorf("pcap record too large: %d", n)

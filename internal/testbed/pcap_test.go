@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/netproto"
@@ -156,4 +157,28 @@ func TestPlayerFromPcapRoundTrip(t *testing.T) {
 	if sink.Packets != 1 {
 		t.Fatalf("packets = %d", sink.Packets)
 	}
+}
+
+// FuzzReadPcap: the pcap reader never panics on any bytes, and every capture
+// it accepts survives WritePcap → ReadPcap unchanged — timestamps included,
+// so a record whose time netsim cannot represent must be refused, not
+// wrapped. Seeds are under testdata/fuzz/FuzzReadPcap.
+func FuzzReadPcap(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, err := ReadPcap(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WritePcap(&buf, frames); err != nil {
+			t.Fatalf("WritePcap of an accepted capture: %v", err)
+		}
+		again, err := ReadPcap(&buf)
+		if err != nil {
+			t.Fatalf("ReadPcap rejects what WritePcap wrote: %v", err)
+		}
+		if !reflect.DeepEqual(again, frames) {
+			t.Fatalf("capture changed across a write and a read:\n got %v\nwant %v", again, frames)
+		}
+	})
 }

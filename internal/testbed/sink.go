@@ -3,6 +3,7 @@ package testbed
 import (
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 )
 
 // Sink is a measurement endpoint: it counts frames and bytes, optionally
@@ -98,6 +99,14 @@ func (s *Sink) RatePps() float64 {
 		return 0
 	}
 	return float64(s.Packets-1) / span
+}
+
+// Describe records the sink's counters and rates under prefix.
+func (s *Sink) Describe(r *obs.Registry, prefix string) {
+	r.Num(prefix, "rx_packets", float64(s.Packets))
+	r.Num(prefix, "rx_bytes", float64(s.Bytes))
+	r.Num(prefix, "gbps", s.ThroughputGbps())
+	r.Num(prefix, "pps", s.RatePps())
 }
 
 // Reset clears counters and recordings (for measuring in phases).

@@ -11,6 +11,7 @@ import (
 	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/raceflag"
 	"github.com/hypertester/hypertester/internal/testbed"
 )
@@ -224,15 +225,21 @@ func dumpRegs(w *strings.Builder, regs []*asic.RegisterArray) {
 // draw of every random stream, which both runs do at the same instants.
 func (b *loopBed) observe(final bool) string {
 	var w strings.Builder
+	// lines renders what devices' walks record, one metric a line.
+	lines := func(describe func(r *obs.Registry)) {
+		r := obs.NewRegistry()
+		describe(r)
+		for _, m := range r.All() {
+			fmt.Fprintf(&w, "%s %s\n", m.Name, m.Text)
+		}
+	}
 	sw := b.ht.Switch
-	ids := []int{0}
-	for i := 0; i < sw.RecircPaths(); i++ {
-		ids = append(ids, asic.RecircPortBase+i)
-	}
-	for _, id := range ids {
-		pt := sw.Port(id)
-		fmt.Fprintf(&w, "port %d tx %d/%d rx %d/%d drops %d\n", id, pt.TxPackets, pt.TxBytes, pt.RxPackets, pt.RxBytes, pt.TxDrops)
-	}
+	lines(func(r *obs.Registry) {
+		sw.Port(0).Describe(r, "port0")
+		for i := 0; i < sw.RecircPaths(); i++ {
+			sw.Port(asic.RecircPortBase+i).Describe(r, fmt.Sprintf("recirc%d", i))
+		}
+	})
 	fmt.Fprintf(&w, "pipeline ingress %d egress %d drops %d noroute %d digests %d/%d queued %d\n",
 		sw.Ingress.Packets, sw.Egress.Packets, sw.PipelineDrops, sw.NoRouteDrops,
 		sw.DigestsSent, sw.DigestDrops, sw.DigestQueueLen())
@@ -258,11 +265,11 @@ func (b *loopBed) observe(final bool) string {
 	fmt.Fprintf(&w, "wire %d frames %x peer rx %d/%d tx %d/%d cpu digest bytes %d\n", b.sent, b.wire,
 		b.peer.RxPackets, b.peer.RxBytes, b.peer.TxPackets, b.peer.TxBytes, b.ht.CPU.DigestBytes)
 	if f := b.farm; f != nil {
-		fmt.Fprintf(&w, "farm %d %d %d %d %d %d %d\n", f.SynReceived, f.Handshakes, f.Requests,
-			f.DataSent, f.FinReceived, f.Closed, f.UnexpectedPkts)
+		lines(func(r *obs.Registry) { f.Describe(r, "farm") })
+		fmt.Fprintf(&w, "farm unexpected %d\n", f.UnexpectedPkts)
 	}
-	if r := b.refl; r != nil {
-		fmt.Fprintf(&w, "reflector %d\n", r.Reflected)
+	if refl := b.refl; refl != nil {
+		lines(func(r *obs.Registry) { refl.Describe(r, "reflector") })
 	}
 	if final {
 		// Reports drain the FIFOs and the digest channel: last of all.
