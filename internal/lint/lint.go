@@ -13,11 +13,12 @@
 //   - a driver (driver.go) that runs analyzer suites over loaded packages
 //     and supports targeted `//htlint:ignore <analyzer> <reason>`
 //     suppression comments;
-//   - the HyperTester-specific analyzers: poolsafety, determinism, atcall.
+//   - the HyperTester-specific analyzers: poolsafety, determinism, atcall,
+//     obsalloc (DefaultAnalyzers).
 //
-// cmd/htlint is the command-line entry point; internal/lint/linttest runs
-// analyzers over `// want`-annotated fixtures in the style of
-// go/analysis/analysistest.
+// cmd/htlint is the command-line entry point (flags and exit status around
+// one Run call); internal/lint/linttest runs analyzers over
+// `// want`-annotated fixtures in the style of go/analysis/analysistest.
 package lint
 
 import (

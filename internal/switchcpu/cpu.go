@@ -66,9 +66,6 @@ func New(sim *netsim.Sim, sw *asic.Switch) *CPU {
 	return c
 }
 
-// Switch returns the attached switch.
-func (c *CPU) Switch() *asic.Switch { return c.sw }
-
 // InjectTemplate sends a CPU-built template packet into the ASIC over PCIe.
 func (c *CPU) InjectTemplate(pkt *netproto.Packet) { c.sw.InjectFromCPU(pkt) }
 
@@ -82,15 +79,6 @@ func (c *CPU) occupyPull(d netsim.Duration) netsim.Time {
 	end := start.Add(d)
 	c.pullBusyUntil = end
 	return end
-}
-
-// PullCounter reads one register cell via a control-plane RPC; done runs at
-// RPC completion with the value snapshotted at completion time.
-func (c *CPU) PullCounter(r *asic.RegisterArray, idx int, done func(v uint64, at netsim.Time)) {
-	end := c.occupyPull(SingleReadLatency)
-	c.sim.At(end, func() {
-		done(r.Read(idx), end)
-	})
 }
 
 // PullCounters reads cells [lo,hi) one RPC at a time (the paper's "w/o
@@ -120,48 +108,6 @@ func (c *CPU) PullCountersBatch(r *asic.RegisterArray, lo, hi int, done func(val
 		done(r.Snapshot(lo, hi), end)
 	})
 }
-
-// Poller periodically pulls a counter range — the "statistic collector"
-// control program of §2.1. Each round issues one batched DMA pull and hands
-// the snapshot to the callback; rounds never overlap (a slow pull delays
-// the next round).
-type Poller struct {
-	cpu      *CPU
-	reg      *asic.RegisterArray
-	lo, hi   int
-	interval netsim.Duration
-	onPull   func(vals []uint64, at netsim.Time)
-
-	stopped bool
-	// Rounds counts completed pulls.
-	Rounds uint64
-}
-
-// Poll starts pulling [lo,hi) every interval, invoking fn with each
-// snapshot. Stop the poller to cease.
-func (c *CPU) Poll(r *asic.RegisterArray, lo, hi int, interval netsim.Duration,
-	fn func(vals []uint64, at netsim.Time)) *Poller {
-	p := &Poller{cpu: c, reg: r, lo: lo, hi: hi, interval: interval, onPull: fn}
-	c.sim.After(interval, p.round)
-	return p
-}
-
-func (p *Poller) round() {
-	if p.stopped {
-		return
-	}
-	p.cpu.PullCountersBatch(p.reg, p.lo, p.hi, func(vals []uint64, at netsim.Time) {
-		if p.stopped {
-			return
-		}
-		p.Rounds++
-		p.onPull(vals, at)
-		p.cpu.sim.After(p.interval, p.round)
-	})
-}
-
-// Stop halts the poller after any in-flight pull completes.
-func (p *Poller) Stop() { p.stopped = true }
 
 // CPUInjectCost is the switch CPU's per-packet cost for direct PCIe packet
 // injection. The testbed's control CPU is a 4-core 1.6 GHz Pentium (§7);

@@ -41,12 +41,12 @@ func TestPullCounterSingle(t *testing.T) {
 	sim, _, cpu := newCPU(t)
 	r := asic.NewRegisterArray("ctr", 8)
 	r.Write(3, 42)
-	var got uint64
+	var got []uint64
 	var at netsim.Time
-	cpu.PullCounter(r, 3, func(v uint64, t netsim.Time) { got, at = v, t })
+	cpu.PullCounters(r, 3, 4, func(vals []uint64, when netsim.Time) { got, at = vals, when })
 	sim.Run()
-	if got != 42 {
-		t.Fatalf("value = %d", got)
+	if len(got) != 1 || got[0] != 42 {
+		t.Fatalf("values = %v", got)
 	}
 	if at != netsim.Time(SingleReadLatency) {
 		t.Fatalf("completion at %v, want %v", at, SingleReadLatency)
@@ -58,8 +58,9 @@ func TestPullSerialized(t *testing.T) {
 	sim, _, cpu := newCPU(t)
 	r := asic.NewRegisterArray("ctr", 8)
 	var times []netsim.Time
-	cpu.PullCounter(r, 0, func(v uint64, t netsim.Time) { times = append(times, t) })
-	cpu.PullCounter(r, 1, func(v uint64, t netsim.Time) { times = append(times, t) })
+	record := func(_ []uint64, at netsim.Time) { times = append(times, at) }
+	cpu.PullCounters(r, 0, 1, record)
+	cpu.PullCounters(r, 1, 2, record)
 	sim.Run()
 	if times[1].Sub(times[0]) != SingleReadLatency {
 		t.Fatalf("pulls not serialized: %v", times)
@@ -146,47 +147,5 @@ func TestInjectTemplate(t *testing.T) {
 	sim.Run()
 	if !seen {
 		t.Fatal("template did not reach ingress from CPU port")
-	}
-}
-
-func TestPollerRounds(t *testing.T) {
-	sim, _, cpu := newCPU(t)
-	r := asic.NewRegisterArray("ctr", 64)
-	var snapshots [][]uint64
-	p := cpu.Poll(r, 0, 64, 10*netsim.Millisecond, func(vals []uint64, at netsim.Time) {
-		snapshots = append(snapshots, vals)
-	})
-	// Grow a counter between rounds.
-	for i := 1; i <= 5; i++ {
-		v := uint64(i)
-		sim.At(netsim.Time(i)*netsim.Time(10*netsim.Millisecond)-netsim.Time(netsim.Millisecond),
-			func() { r.Write(0, v) })
-	}
-	sim.RunUntil(netsim.Time(45 * netsim.Millisecond))
-	p.Stop()
-	sim.Run()
-
-	if p.Rounds < 3 || p.Rounds > 5 {
-		t.Fatalf("rounds = %d, want ~4 in 45ms at 10ms cadence", p.Rounds)
-	}
-	// Snapshots observe monotonically growing counter values.
-	for i := 1; i < len(snapshots); i++ {
-		if snapshots[i][0] < snapshots[i-1][0] {
-			t.Fatalf("snapshot %d went backwards: %v", i, snapshots)
-		}
-	}
-	if snapshots[len(snapshots)-1][0] == 0 {
-		t.Fatal("poller never saw the counter grow")
-	}
-}
-
-func TestPollerStopPreventsRounds(t *testing.T) {
-	sim, _, cpu := newCPU(t)
-	r := asic.NewRegisterArray("ctr", 4)
-	p := cpu.Poll(r, 0, 4, netsim.Millisecond, func(vals []uint64, at netsim.Time) {})
-	p.Stop()
-	sim.RunUntil(netsim.Time(20 * netsim.Millisecond))
-	if p.Rounds != 0 {
-		t.Fatalf("stopped poller ran %d rounds", p.Rounds)
 	}
 }
