@@ -56,7 +56,7 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 	fs := flag.NewFlagSet("hypertester", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	taskFile := fs.String("task", "", "NTAPI task file (.nt)")
-	suiteFile := fs.String("suite", "", "scenario suite file (JSON); overrides -task")
+	suiteFile := fs.String("suite", "", "scenario suite file (JSON): run its scenarios instead of a -task")
 	resultsFile := fs.String("results", "", "write machine-readable suite results (JSON) here")
 	ports := fs.String("ports", "100", "comma-separated port rates in Gbps")
 	duration := fs.Duration("duration", 5*time.Millisecond, "virtual run duration")
@@ -72,6 +72,18 @@ func runWith(args []string, stdout, stderr io.Writer, runScenario func(*scenario
 	}
 
 	if *suiteFile != "" {
+		// A flag suite mode would never read is an error, not a no-op: each
+		// scenario carries its own program, topology, traffic and seed.
+		var unread []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "suite" && f.Name != "results" && f.Name != "simworkers" {
+				unread = append(unread, "-"+f.Name)
+			}
+		})
+		if len(unread) > 0 {
+			fmt.Fprintf(stderr, "hypertester: suite mode ignores %s: each scenario carries its own program, topology, traffic and seed\n", strings.Join(unread, ", "))
+			return 2
+		}
 		if *simWorkers < 0 {
 			fmt.Fprintf(stderr, "hypertester: -simworkers %d is negative\n", *simWorkers)
 			return 2

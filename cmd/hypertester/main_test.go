@@ -81,6 +81,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"pcap without sink", []string{"-task", "x.nt", "-dut", "reflector", "-pcap", "out.pcap"}, "-pcap captures at sink DUTs only"},
 		{"results without suite", []string{"-task", "x.nt", "-results", "r.json"}, "-results needs -suite"},
 		{"simworkers without suite", []string{"-task", "x.nt", "-simworkers", "4"}, "-simworkers needs -suite"},
+		// Suite scenarios carry their own program, topology, traffic and seed.
+		{"seed in suite mode", []string{"-suite", "s.json", "-seed", "7"}, "suite mode ignores -seed:"},
+		{"task in suite mode", []string{"-suite", "s.json", "-task", "x.nt"}, "suite mode ignores -task:"},
+		{"topology in suite mode", []string{"-suite", "s.json", "-ports", "100", "-duration", "1ms", "-dut", "reflector"}, "suite mode ignores -duration, -dut, -ports:"},
+		{"compile-only flags in suite mode", []string{"-suite", "s.json", "-p4", "-p4_16", "-resources"}, "suite mode ignores -p4, -p4_16, -resources:"},
+		{"pcap in suite mode", []string{"-suite", "s.json", "-pcap", "out.pcap"}, "suite mode ignores -pcap:"},
 		{"bad flag", []string{"-frobnicate"}, ""},
 	}
 	for _, tc := range cases {
