@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race lint vet verify bench benchmark clean \
-	fuzz-seeds fuzz trace-oracle elision-oracle tx-oracle trace bench-par suite
+	fuzz-seeds fuzz trace-oracle elision-oracle tx-oracle trace bench-par suite examples
 
 all: build test lint
 
@@ -88,6 +88,13 @@ suite:
 	$(GO) run ./cmd/hypertester -suite examples/suites/starter.json -simworkers 4 -results /tmp/suite-results-par.json
 	$(GO) run ./cmd/hypertester -suite examples/suites/paper-smoke.json
 	$(GO) run ./cmd/hypertester -suite examples/suites/paper-smoke.json -simworkers 4
+
+# Run every example program end to end; each must exit 0. They are the only
+# callers of some public API (ConnectLossy, Join, TopK).
+EXAMPLES = $(patsubst %/main.go,./%,$(wildcard examples/*/main.go))
+
+examples:
+	@for e in $(EXAMPLES); do echo "== $$e"; $(GO) run $$e || exit 1; done
 
 bench:
 	$(GO) run ./cmd/htbench -quick

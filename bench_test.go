@@ -113,9 +113,9 @@ func TestCompileAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
-	// About twice what each costs today (8.7k and 23k): one allocation per
+	// About twice what each costs today (3.1k and 7.4k): one allocation per
 	// tuple would add 65 536 and 32 769.
-	budgets := map[string]float64{"table5_delay": 17000, "case_webscale": 46000}
+	budgets := map[string]float64{"table5_delay": 6200, "case_webscale": 14800}
 	for _, s := range experiments.Programs() {
 		budget, ok := budgets[s.Name]
 		if !ok {

@@ -1,5 +1,7 @@
 package asic
 
+import "encoding/binary"
+
 // Hash units. Tofino pipelines compute hashes with CRC engines whose
 // polynomial is selectable per unit; HyperTester's cuckoo arrays and flow
 // digests need several independent functions over the same key bytes. We
@@ -9,8 +11,14 @@ package asic
 // HashUnit is one configured CRC engine.
 type HashUnit struct {
 	name  string
-	table [256]uint32
+	table *crcTable // shared read-only between units of one polynomial
 }
+
+// crcTable holds the slicing-by-8 tables of one reflected polynomial:
+// t[0] is the bytewise table, and t[k][b] is the CRC of byte b followed by
+// k zero bytes, so eight bytes fold into the register with eight
+// independent lookups.
+type crcTable [8][256]uint32
 
 // Standard polynomials (reflected form) available to pipelines.
 const (
@@ -20,10 +28,18 @@ const (
 	PolyQ       = 0xD5828281 // CRC-32Q (reflected)
 )
 
-// NewHashUnit builds a CRC engine for the given reflected polynomial.
-func NewHashUnit(name string, poly uint32) *HashUnit {
-	h := &HashUnit{name: name}
-	for i := range h.table {
+// standardTables are built once, so a unit over a standard polynomial
+// costs one small allocation; any other polynomial gets its own tables.
+var standardTables = map[uint32]*crcTable{
+	PolyCRC32:   makeCRCTable(PolyCRC32),
+	PolyCRC32C:  makeCRCTable(PolyCRC32C),
+	PolyKoopman: makeCRCTable(PolyKoopman),
+	PolyQ:       makeCRCTable(PolyQ),
+}
+
+func makeCRCTable(poly uint32) *crcTable {
+	t := new(crcTable)
+	for i := range t[0] {
 		crc := uint32(i)
 		for j := 0; j < 8; j++ {
 			if crc&1 != 0 {
@@ -32,16 +48,43 @@ func NewHashUnit(name string, poly uint32) *HashUnit {
 				crc >>= 1
 			}
 		}
-		h.table[i] = crc
+		t[0][i] = crc
 	}
-	return h
+	for k := 1; k < 8; k++ {
+		for i := range t[k] {
+			prev := t[k-1][i]
+			t[k][i] = t[0][byte(prev)] ^ prev>>8
+		}
+	}
+	return t
 }
 
-// Sum computes the CRC of data.
+// NewHashUnit builds a CRC engine for the given reflected polynomial.
+func NewHashUnit(name string, poly uint32) *HashUnit {
+	t, ok := standardTables[poly]
+	if !ok {
+		t = makeCRCTable(poly)
+	}
+	return &HashUnit{name: name, table: t}
+}
+
+// Sum computes the CRC of data: eight bytes per step, then four, then the
+// tail bytewise.
 func (h *HashUnit) Sum(data []byte) uint32 {
+	t := h.table
 	crc := ^uint32(0)
+	for ; len(data) >= 8; data = data[8:] {
+		crc ^= binary.LittleEndian.Uint32(data)
+		crc = t[7][byte(crc)] ^ t[6][byte(crc>>8)] ^ t[5][byte(crc>>16)] ^ t[4][crc>>24] ^
+			t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]]
+	}
+	if len(data) >= 4 {
+		crc ^= binary.LittleEndian.Uint32(data)
+		crc = t[3][byte(crc)] ^ t[2][byte(crc>>8)] ^ t[1][byte(crc>>16)] ^ t[0][crc>>24]
+		data = data[4:]
+	}
 	for _, b := range data {
-		crc = h.table[byte(crc)^b] ^ crc>>8
+		crc = t[0][byte(crc)^b] ^ crc>>8
 	}
 	return ^crc
 }

@@ -72,6 +72,8 @@ func Compile(task *ntapi.Task, opts Options) (*Program, error) {
 		prog.Templates = append(prog.Templates, tmpl)
 	}
 
+	// spaces, with the scratch of the largest key space, is unreachable
+	// after this loop: none of it is live when the gate runs.
 	spaces := newKeySpaces(prog.Templates)
 	for i, q := range task.Queries {
 		plan, err := compileQuery(q, i+1, prog, spaces, opts)

@@ -53,16 +53,38 @@ type ExactKeyKernel struct {
 	h1, halt, hd *asic.HashUnit
 	kbuf         []byte
 	sums         []uint64 // per key: array-1 CRC << 32 | digest CRC
-	set          []uint64 // scratch cell set of ExactRows
+	set          []uint32 // scratch table: a key space's dedup index, then ExactRows' cell set
 }
 
 // NewExactKeyKernel returns a kernel for the given hash polynomials.
 func NewExactKeyKernel(polyA1, polyA2, polyDigest uint32) *ExactKeyKernel {
-	return &ExactKeyKernel{
-		h1:   asic.NewHashUnit("fp-a1", polyA1),
-		halt: asic.NewHashUnit("fp-alt", polyA2),
-		hd:   asic.NewHashUnit("fp-digest", polyDigest),
+	k := &ExactKeyKernel{}
+	k.setPolys(polyA1, polyA2, polyDigest)
+	return k
+}
+
+func (k *ExactKeyKernel) setPolys(polyA1, polyA2, polyDigest uint32) {
+	k.h1 = asic.NewHashUnit("fp-a1", polyA1)
+	k.halt = asic.NewHashUnit("fp-alt", polyA2)
+	k.hd = asic.NewHashUnit("fp-digest", polyDigest)
+}
+
+// sum encodes t and returns its CRC pair, as stored in sums.
+func (k *ExactKeyKernel) sum(t []uint64) uint64 {
+	k.kbuf = AppendKey(k.kbuf[:0], t)
+	return uint64(k.h1.Sum(k.kbuf))<<32 | uint64(k.hd.Sum(k.kbuf))
+}
+
+// scratch makes the scratch table n zeroed words long, reusing its array
+// when it is large enough and dropping it before allocating otherwise.
+func (k *ExactKeyKernel) scratch(n int) {
+	if cap(k.set) < n {
+		k.set = nil
+		k.set = make([]uint32, n)
+		return
 	}
+	k.set = k.set[:n]
+	clear(k.set)
 }
 
 // Hash replaces the kernel's population with the rows of a row-major key
@@ -70,13 +92,8 @@ func NewExactKeyKernel(polyA1, polyA2, polyDigest uint32) *ExactKeyKernel {
 func (k *ExactKeyKernel) Hash(rows []uint64, width int) {
 	k.sums = slices.Grow(k.sums[:0], len(rows)/width)
 	for off := 0; off < len(rows); off += width {
-		k.hashKey(rows[off : off+width])
+		k.sums = append(k.sums, k.sum(rows[off:off+width]))
 	}
-}
-
-func (k *ExactKeyKernel) hashKey(t []uint64) {
-	k.kbuf = AppendKey(k.kbuf[:0], t)
-	k.sums = append(k.sums, uint64(k.h1.Sum(k.kbuf))<<32|uint64(k.hd.Sum(k.kbuf)))
 }
 
 // ExactRows returns, in order, the row numbers of the hashed keys that need
@@ -84,43 +101,49 @@ func (k *ExactKeyKernel) hashKey(t []uint64) {
 // with CuckooSlots bit for bit: a digestBits-wide digest is the low bits of
 // the digest CRC, and the candidate slots follow from the two CRCs alone.
 func (k *ExactKeyKernel) ExactRows(arraySize, digestBits int) (rows []int) {
-	// Occupied (slot, digest) cells, packed slot<<32|digest into an
-	// open-addressed table. A stored digest is never 0 (zero marks an empty
-	// runtime cell), so a packed cell is never 0 and 0 can mark empty probe
-	// slots here too. Sized for <=50% load at two cells per key, probed
-	// linearly from a Fibonacci-mixed home slot.
-	tableSize := 16
-	for tableSize < 4*len(k.sums) {
-		tableSize <<= 1
-	}
-	shift := uint(64 - bits.TrailingZeros(uint(tableSize)))
-	mask := uint64(tableSize - 1)
-	if cap(k.set) < tableSize {
-		k.set = make([]uint64, tableSize)
-	} else {
-		clear(k.set[:tableSize])
-	}
-	set := k.set[:tableSize]
-	// claim records c if absent and reports whether it was already present.
-	claim := func(c uint64) bool {
-		h := (c * 0x9e3779b97f4a7c15) >> shift
-		for {
-			switch set[h] {
-			case 0:
-				set[h] = c
-				return false
-			case c:
-				return true
-			}
-			h = (h + 1) & mask
-		}
-	}
-
 	digestMask := ^uint32(0)
 	if digestBits < 32 {
 		digestMask = 1<<uint(digestBits) - 1
 	}
-	for i, s := range k.sums {
+	// Occupied (slot, digest) cells, packed slot<<db | digest into an
+	// open-addressed set: one word per cell when slot and digest bits fit
+	// in 32 (2^14 slots and 16-bit digests do), else two. A stored digest
+	// is never 0 (zero marks an empty runtime cell), so a packed cell is
+	// never 0 and 0 can mark empty probe slots here too. Sized for <=50%
+	// load at two cells per key, probed linearly from the home slot.
+	db := uint(bits.Len32(digestMask))
+	wide := bits.Len(uint(arraySize-1))+int(db) > 32
+	size := max(16, 4*len(k.sums))
+	if wide {
+		k.scratch(2 * size)
+	} else {
+		k.scratch(size)
+	}
+	set := k.set
+	// claim records c if absent and reports whether it was already present.
+	claim := func(c uint64) bool {
+		for h := home(c, size); ; h = next(h, size) {
+			var v uint64
+			if wide {
+				v = uint64(set[2*h])<<32 | uint64(set[2*h+1])
+			} else {
+				v = uint64(set[h])
+			}
+			switch v {
+			case 0:
+				if wide {
+					set[2*h], set[2*h+1] = uint32(c>>32), uint32(c)
+				} else {
+					set[h] = uint32(c)
+				}
+				return false
+			case c:
+				return true
+			}
+		}
+	}
+
+	for r, s := range k.sums {
 		d := uint32(s) & digestMask
 		if d == 0 {
 			d = 1
@@ -131,19 +154,39 @@ func (k *ExactKeyKernel) ExactRows(arraySize, digestBits int) (rows []int) {
 		// by this key's own first claim, when idx1 == idx2) means a runtime
 		// lookup could land on a foreign cell, so the key needs exact-match
 		// coverage.
-		taken := claim(uint64(uint32(idx1))<<32 | uint64(d))
-		if claim(uint64(uint32(idx2))<<32|uint64(d)) || taken {
-			rows = append(rows, i)
+		taken := claim(uint64(idx1)<<db | uint64(d))
+		if claim(uint64(idx2)<<db|uint64(d)) || taken {
+			rows = append(rows, r)
 		}
 	}
 	return rows
+}
+
+// home maps a key to its home slot in an open-addressed table of size
+// slots: Fibonacci-mixed, then scaled to the size, which need not be a power
+// of two.
+func home(key uint64, size int) int {
+	return int((key * 0x9e3779b97f4a7c15 >> 32) * uint64(size) >> 32)
+}
+
+// next is the slot after h in a linear probe of a table of size slots.
+func next(h, size int) int {
+	if h++; h == size {
+		return 0
+	}
+	return h
 }
 
 // ExactKeys hashes a row-major key matrix and returns copies of the rows
 // that need exact entries.
 func (k *ExactKeyKernel) ExactKeys(rows []uint64, width, arraySize, digestBits int) [][]uint64 {
 	k.Hash(rows, width)
-	need := k.ExactRows(arraySize, digestBits)
+	return copyRows(rows, width, k.ExactRows(arraySize, digestBits))
+}
+
+// copyRows returns copies of the listed rows of a row-major matrix, backed
+// by one array.
+func copyRows(rows []uint64, width int, need []int) [][]uint64 {
 	out := make([][]uint64, len(need))
 	backing := make([]uint64, 0, len(need)*width)
 	for i, r := range need {
@@ -160,7 +203,7 @@ func ComputeExactKeys(tuples [][]uint64, arraySize, digestBits int, polyA1, poly
 	k := NewExactKeyKernel(polyA1, polyA2, polyDigest)
 	k.sums = make([]uint64, 0, len(tuples))
 	for _, t := range tuples {
-		k.hashKey(t)
+		k.sums = append(k.sums, k.sum(t))
 	}
 	need := k.ExactRows(arraySize, digestBits)
 	out := make([][]uint64, len(need))

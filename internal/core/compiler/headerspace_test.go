@@ -79,16 +79,16 @@ func randomTemplate(t *testing.T, rng *rand.Rand, id int) *Template {
 	return tmpl
 }
 
-// matrixTuples views a matrix as one slice per row.
-func matrixTuples(m *TupleMatrix) [][]uint64 {
+// setTuples views an enumerated key set as one slice per row.
+func setTuples(s *keySet) [][]uint64 {
 	var out [][]uint64
-	for r := 0; r < m.n; r++ {
-		out = append(out, m.rows[r*m.width:(r+1)*m.width])
+	for r := range s.k.sums {
+		out = append(out, s.rows[r*s.width:(r+1)*s.width])
 	}
 	return out
 }
 
-// TestHeaderSpaceDifferential pins the matrix enumeration and the row
+// TestHeaderSpaceDifferential pins the hashed enumeration and the
 // exact-key kernel to the map-based implementations they replaced: same
 // tuples in the same order, same truncated flag, same exact-key list.
 func TestHeaderSpaceDifferential(t *testing.T) {
@@ -123,9 +123,9 @@ func TestHeaderSpaceDifferential(t *testing.T) {
 			}
 
 			s := newKeySpaces(templates)
-			fields, sel := s.resolve(plan)
-			m, trunc := s.enumerate(fields, sel, cap)
-			if got := matrixTuples(m); trunc != wantTrunc || !reflect.DeepEqual(got, want) {
+			key, sel := s.resolve(plan, cap)
+			trunc := s.enumerate(key, sel)
+			if got := setTuples(&s.set); trunc != wantTrunc || !reflect.DeepEqual(got, want) {
 				t.Fatalf("case %d cap %d: enumeration diverges\n got %v truncated=%v\nwant %v truncated=%v", c, cap, got, trunc, want, wantTrunc)
 			}
 			sp := s.of(plan, cap)
@@ -209,6 +209,36 @@ func TestExactKeyKernelDifferential(t *testing.T) {
 	}
 	if !sawSameSlot || !sawZeroDigest {
 		t.Fatalf("weak coverage: idx1==idx2 seen=%v, digest 0 seen=%v", sawSameSlot, sawZeroDigest)
+	}
+
+	// Heavy load, as in Fig. 17 (256 keys per slot): 64-256 distinct keys
+	// per slot and 1-8-bit digests, so every cell is claimed many times over
+	// and the cell set's probe runs are long.
+	for c := 0; c < 60; c++ {
+		width := 1 + rng.Intn(3)
+		arraySize := 1 << rng.Intn(7)
+		n := arraySize * (64 + rng.Intn(193))
+		digestBits := 1 + rng.Intn(8)
+		rows := make([]uint64, n*width)
+		for i := range rows {
+			rows[i] = rng.Uint64()
+		}
+		tuples := make([][]uint64, n)
+		for i := range tuples {
+			tuples[i] = rows[i*width : (i+1)*width]
+		}
+		want := oracleExactKeys(tuples, arraySize, digestBits, asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman)
+		if got := ComputeExactKeys(tuples, arraySize, digestBits, asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman); !reflect.DeepEqual(got, want) {
+			t.Fatalf("heavy case %d (%d keys, %d slots, %d-bit digests): ComputeExactKeys gives %d keys, want %d",
+				c, n, arraySize, digestBits, len(got), len(want))
+		}
+		if got := k.ExactKeys(rows, width, arraySize, digestBits); !reflect.DeepEqual(got, want) {
+			t.Fatalf("heavy case %d: ExactKeys gives %d keys, want %d", c, len(got), len(want))
+		}
+		// At most 2^digestBits cells per slot can be free of collisions.
+		if free := n - len(want); free > 2*arraySize<<digestBits {
+			t.Fatalf("heavy case %d: %d of %d keys collide with nothing", c, free, n)
+		}
 	}
 }
 

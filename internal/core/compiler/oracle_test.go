@@ -25,6 +25,12 @@ func oracleHeaderSpace(plan *QueryPlan, templates []*Template, cap int) (tuples 
 	return tuples, false
 }
 
+// oracleGen binds one key field to the template modification generating its values.
+type oracleGen struct {
+	key int // index into the key tuple
+	mod *FieldMod
+}
+
 // oracleEnumCtx holds enumerateTemplate's scratch state — the working tuple, the
 // generator lists, the deduplicated random-value tables and the dedup set —
 // so enumerating a program's templates (and, in the long-pole experiments,
@@ -32,8 +38,8 @@ func oracleHeaderSpace(plan *QueryPlan, templates []*Template, cap int) (tuples 
 // instead of reallocating them per call.
 type oracleEnumCtx struct {
 	tuple     []uint64
-	seqGens   []gen
-	randGens  []gen
+	seqGens   []oracleGen
+	randGens  []oracleGen
 	randVals  [][]uint64
 	dedupSeen map[uint64]struct{}
 }
@@ -141,10 +147,10 @@ func (c *oracleEnumCtx) enumerateTemplate(plan *QueryPlan, tmpl *Template, cap i
 			}
 			switch m.Kind {
 			case ModList, ModProgression:
-				seqGens = append(seqGens, gen{ki, m})
+				seqGens = append(seqGens, oracleGen{ki, m})
 				period = oracleLCM(period, m.StreamLen())
 			case ModRandom:
-				randGens = append(randGens, gen{ki, m})
+				randGens = append(randGens, oracleGen{ki, m})
 			case ModFromRecord:
 				// Record-stamped fields echo received values; their
 				// space is the space of the source query, which is in

@@ -24,7 +24,7 @@ type Spec struct {
 var table = []Spec{
 	{"Table 5", Table5LoC, HeadlineSpec{0, 0, "NTAPI-LoC"}},
 	{"Fig. 9", Fig9SinglePort, HeadlineSpec{0, 0, "Gbps-64B@100G"}},
-	{"Fig. 10", Fig10MultiPort, HeadlineSpec{-1, 0, "Gbps-aggregate"}},
+	{"Fig. 10", Fig10MultiPort, HeadlineSpec{3, 0, "Gbps-aggregate"}}, // n=4: full windows add MoonGen-only rows
 	{"Fig. 11", Fig11RateControl40G, HeadlineSpec{1, 0, "ns-HT-MAE-1Mpps"}},
 	{"Fig. 12", Fig12RateControl100G, HeadlineSpec{1, 0, "ns-MAE-1Mpps"}},
 	{"Fig. 13", Fig13RandomQQ, HeadlineSpec{0, 0, "QQ-corr-normal"}},

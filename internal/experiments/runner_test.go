@@ -95,6 +95,23 @@ func TestHeadlineErrors(t *testing.T) {
 	}
 }
 
+// TestFig10FullWindowHeadline: at full windows Fig. 10 also sweeps MoonGen
+// to 8 cores, and the HT cell of those rows is "-" (the testbed has four
+// 100G ports). The headline is the n=4 row in both modes.
+func TestFig10FullWindowHeadline(t *testing.T) {
+	r := Fig10MultiPort(Config{Seed: 1})
+	if len(r.Rows) != 8 {
+		t.Fatalf("full-window Fig. 10 has %d rows, want n=1..8", len(r.Rows))
+	}
+	v, unit, err := Headline(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Rows[3].Label != "n=4" || v != 400 || unit != "Gbps-aggregate" {
+		t.Fatalf("headline %v %s from row %q, want 400 Gbps-aggregate from n=4", v, unit, r.Rows[3].Label)
+	}
+}
+
 // TestRunRecoversPanics pins the bugfix: a panicking experiment must become
 // a named failure in its input-order slot — on the worker-pool path, the
 // inline path, and one-by-one (TestRunRecoversPanicsSequential) — instead of

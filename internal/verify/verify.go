@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,93 +170,200 @@ func selectEdge(from, to string) (field string, val uint64, ok bool) {
 
 // state is one symbolic path: current field values, the input constraints
 // that led here, header validity, per-pass SALU ownership and the loop
-// facts recirculation is judged by. fields and input share *Value pointers
-// copy-on-write: a gateway constraint refines both while shared; an action
-// write replaces only the current value.
+// facts recirculation is judged by. Field names and headers are interned
+// once per Analyze (walker.fieldID, walker.headerID), so fields and input
+// are slices indexed by field id, nil where the path has not touched the
+// field. They share *Value pointers copy-on-write: a gateway constraint
+// refines both while shared; an action write replaces only the current
+// value. A clone copies those two short slices and shares the rest: the
+// trail is an immutable parent-linked list, and valid, applied and salu are
+// copied by whoever changes them.
 type state struct {
-	fields  map[string]*Value
-	input   map[string]*Value
-	valid   map[string]bool
-	salu    map[string]string // register -> owning table, this pipeline pass
-	applied map[int]bool      // invariant indices already applied
-	trail   []string
-	recOK   bool // a strict-increase RMW ran earlier on this path
-	guards  int  // enclosing gateways whose condition is not `true`
+	fields  []*Value
+	input   []*Value
+	valid   bitset      // header ids
+	applied bitset      // invariant indices already applied
+	salu    []saluOwner // this pipeline pass
+	trail   *step       // the latest step; nil before the first
+	recOK   bool        // a strict-increase RMW ran earlier on this path
+	guards  int         // enclosing gateways whose condition is not `true`
 }
 
-func newState() *state {
-	return &state{
-		fields:  map[string]*Value{},
-		input:   map[string]*Value{},
-		valid:   map[string]bool{},
-		salu:    map[string]string{},
-		applied: map[int]bool{},
-	}
+// saluOwner records which table touched a register on this pipeline pass.
+type saluOwner struct{ register, table string }
+
+// resize gives s fresh fields and input slices of length n, one backing
+// array, holding s's current entries.
+func (s *state) resize(n int) {
+	buf := make([]*Value, 2*n)
+	copy(buf, s.fields)
+	copy(buf[n:], s.input)
+	s.fields, s.input = buf[:n:n], buf[n:]
 }
 
 func (s *state) clone() *state {
-	c := &state{
-		fields:  make(map[string]*Value, len(s.fields)),
-		input:   make(map[string]*Value, len(s.input)),
-		valid:   make(map[string]bool, len(s.valid)),
-		salu:    make(map[string]string, len(s.salu)),
-		applied: make(map[int]bool, len(s.applied)),
-		trail:   append([]string(nil), s.trail...),
-		recOK:   s.recOK,
-		guards:  s.guards,
-	}
-	for k, v := range s.fields {
-		c.fields[k] = v
-	}
-	for k, v := range s.input {
-		c.input[k] = v
-	}
-	for k, v := range s.valid {
-		c.valid[k] = v
-	}
-	for k, v := range s.salu {
-		c.salu[k] = v
-	}
-	for k, v := range s.applied {
-		c.applied[k] = v
-	}
+	c := *s
+	c.resize(len(s.fields))
+	return &c
+}
+
+// bitset is a set of small integers. States share bitsets, so with copies.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<uint(i%64)) != 0 }
+
+// with returns b plus i, leaving b's array alone.
+func (b bitset) with(i int) bitset {
+	c := make(bitset, max(len(b), i/64+1))
+	copy(c, b)
+	c[i/64] |= 1 << uint(i%64)
 	return c
+}
+
+// step is one entry of a path's trail, formatted only when a diagnostic or
+// a witness shows it. Trails share their prefixes: each step links to the
+// one before it, so forking a path copies no trail.
+type step struct {
+	prev *step
+	kind stepKind
+	name string     // parse node, table, or an opaque gateway's condition
+	act  string     // action of a hit or entry step
+	i    int        // entry index, or the atom an else step negates
+	cond *p4ir.Cond // gateway condition of if and else steps
+}
+
+type stepKind uint8
+
+const (
+	stepParse stepKind = iota
+	stepAccept
+	stepIfOpaque
+	stepElseOpaque
+	stepIf
+	stepIfNot
+	stepHit
+	stepMiss
+	stepEntry
+)
+
+func (s *step) String() string {
+	switch s.kind {
+	case stepParse:
+		return "parse " + s.name
+	case stepAccept:
+		return "accept"
+	case stepIfOpaque:
+		return "if? " + s.name
+	case stepElseOpaque:
+		return "else? " + s.name
+	case stepIf:
+		return "if " + s.cond.String()
+	case stepIfNot:
+		return "if not(" + s.cond.Atoms[s.i].String() + ")"
+	case stepHit:
+		return s.name + ":" + s.act
+	case stepMiss:
+		return s.name + ":miss"
+	}
+	return fmt.Sprintf("%s:entry%d:%s", s.name, s.i, s.act)
+}
+
+// push appends a step to the path's trail.
+func (s *state) push(st step) {
+	st.prev = s.trail
+	s.trail = &st
+}
+
+// lastSteps formats the last n steps of a trail, oldest first: nil for an
+// empty trail, every step for n < 0.
+func lastSteps(trail *step, n int) []string {
+	var out []string
+	for p := trail; p != nil && len(out) != n; p = p.prev {
+		out = append(out, p.String())
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// fieldID interns a field name.
+func (w *walker) fieldID(name string) int {
+	id, ok := w.fieldIDs[name]
+	if !ok {
+		id = len(w.fieldNames)
+		w.fieldIDs[name] = id
+		w.fieldNames = append(w.fieldNames, name)
+	}
+	return id
+}
+
+// headerID interns a header name.
+func (w *walker) headerID(hdr string) int {
+	id, ok := w.headerIDs[hdr]
+	if !ok {
+		id = len(w.headerIDs)
+		w.headerIDs[hdr] = id
+	}
+	return id
+}
+
+// isValid reports whether the path extracted hdr.
+func (w *walker) isValid(st *state, hdr string) bool {
+	id, ok := w.headerIDs[hdr]
+	return ok && st.valid.has(id)
+}
+
+// slot returns field id's index in st, growing st's slices to every field
+// interned so far when the path has not seen id yet.
+func (w *walker) slot(st *state, name string) int {
+	id := w.fieldID(name)
+	if id >= len(st.fields) {
+		st.resize(len(w.fieldNames))
+	}
+	return id
 }
 
 // get returns the field's current value, creating an unconstrained input
 // on first touch (shared between fields and input — see state).
-func (s *state) get(name string, width int) *Value {
-	if v, ok := s.fields[name]; ok {
+func (w *walker) get(st *state, name string, width int) *Value {
+	id := w.slot(st, name)
+	if v := st.fields[id]; v != nil {
 		return v
 	}
 	v := Top(fieldWidth(name, width))
-	s.fields[name] = v
-	s.input[name] = v
+	st.fields[id] = v
+	st.input[id] = v
 	return v
 }
 
 // refine replaces the field with a constrained clone; the input constraint
 // follows only while still shared (i.e. the field was never overwritten).
-func (s *state) refine(name string, width int, fn func(*Value) bool) bool {
-	old := s.get(name, width)
+// It returns the refined value, or nil when the constraint is infeasible.
+func (w *walker) refine(st *state, name string, width int, fn func(*Value) bool) *Value {
+	old := w.get(st, name, width)
 	nv := old.Clone()
 	if !fn(nv) {
-		return false
+		return nil
 	}
-	s.fields[name] = nv
-	if s.input[name] == old {
-		s.input[name] = nv
+	id := w.fieldIDs[name]
+	st.fields[id] = nv
+	if st.input[id] == old {
+		st.input[id] = nv
 	}
-	return true
+	return nv
 }
 
 // write performs a strong update of the current value, leaving the input
 // constraint behind.
-func (s *state) write(name string, v *Value) { s.fields[name] = v }
+func (w *walker) write(st *state, name string, v *Value) {
+	id := w.slot(st, name)
+	st.fields[id] = v
+}
 
 // gwSite accumulates per-gateway feasibility counts across all paths.
 type gwSite struct {
 	pipe    p4ir.PipelineKind
+	cond    p4ir.Cond // the parsed condition
+	condOK  bool      // false: outside the generator grammar
 	visited int
 	thenOK  int
 	elseOK  int
@@ -286,6 +394,10 @@ type walker struct {
 	truncated   bool
 
 	pipe p4ir.PipelineKind // pipeline currently being walked
+
+	fieldIDs   map[string]int
+	fieldNames []string // by field id
+	headerIDs  map[string]int
 }
 
 // Analyze symbolically executes the program and returns every finding plus
@@ -305,6 +417,8 @@ func Analyze(p *p4ir.Program, opts Options) *Report {
 		tbl:         map[string]*tblSite{},
 		diagSeen:    map[string]bool{},
 		witnessSeen: map[string]bool{},
+		fieldIDs:    map[string]int{},
+		headerIDs:   map[string]int{},
 	}
 	for _, t := range p.Tables {
 		w.tables[t.Name] = t
@@ -390,14 +504,15 @@ func (w *walker) enumParsePaths() {
 	for _, e := range w.p.ParserGraph() {
 		adj[e.From] = append(adj[e.From], e.To)
 	}
-	st := newState()
+	st := &state{}
 	// Inputs with fixed or bounded initial values.
-	st.write("meta.one", Const(1, 1))
-	st.input["meta.one"] = st.fields["meta.one"]
-	st.write("meta.trigger_push", Const(1, 0))
-	pl := &Value{W: 16, Lo: 64, Hi: 1500}
-	st.fields["pkt_len"] = pl
-	st.input["pkt_len"] = pl
+	input := func(name string, v *Value) {
+		id := w.slot(st, name)
+		st.fields[id], st.input[id] = v, v
+	}
+	input("meta.one", Const(1, 1))
+	w.write(st, "meta.trigger_push", Const(1, 0))
+	input("pkt_len", &Value{W: 16, Lo: 64, Hi: 1500})
 
 	start := "ethernet"
 	if len(w.p.Headers) > 0 {
@@ -414,8 +529,8 @@ func (w *walker) parseFrom(st *state, node string, adj map[string][]string) {
 	if w.truncated {
 		return
 	}
-	st.valid[node] = true
-	st.trail = append(st.trail, "parse "+node)
+	st.valid = st.valid.with(w.headerID(node))
+	st.push(step{kind: stepParse, name: node})
 	succs := adj[node]
 	if len(succs) == 0 {
 		w.runControls(st)
@@ -435,7 +550,7 @@ func (w *walker) parseFrom(st *state, node string, adj map[string][]string) {
 		}
 	}
 	if feasible {
-		stop.trail = append(stop.trail, "accept")
+		stop.push(step{kind: stepAccept})
 		w.runControls(stop)
 	}
 	for _, to := range succs {
@@ -456,7 +571,7 @@ func (w *walker) runControls(st *state) {
 	w.pipe = p4ir.PipeIngress
 	w.seq(st, w.p.Ingress, func(st2 *state) {
 		// Egress is a fresh pipeline pass: SALU once-per-pass resets.
-		st2.salu = map[string]string{}
+		st2.salu = nil
 		w.pipe = p4ir.PipeEgress
 		w.seq(st2, w.p.Egress, func(st3 *state) { w.leaf(st3) })
 		w.pipe = p4ir.PipeIngress
@@ -499,6 +614,7 @@ func (w *walker) gwSite(s *p4ir.ControlStmt) *gwSite {
 	g, ok := w.gw[s]
 	if !ok {
 		g = &gwSite{pipe: w.pipe}
+		g.cond, g.condOK = p4ir.ParseCond(s.If)
 		w.gw[s] = g
 	}
 	return g
@@ -507,7 +623,7 @@ func (w *walker) gwSite(s *p4ir.ControlStmt) *gwSite {
 func (w *walker) gateway(st *state, s *p4ir.ControlStmt, k func(*state)) {
 	site := w.gwSite(s)
 	site.visited++
-	cond, ok := p4ir.ParseCond(s.If)
+	cond, ok := &site.cond, site.condOK
 
 	// The branches run behind this gateway — unless its condition is the
 	// literal `true`, which guards nothing.
@@ -526,13 +642,13 @@ func (w *walker) gateway(st *state, s *p4ir.ControlStmt, k func(*state)) {
 		// stay feasible and unconstrained.
 		site.opaque = true
 		thenSt := branch()
-		thenSt.trail = append(thenSt.trail, "if? "+s.If)
+		thenSt.push(step{kind: stepIfOpaque, name: s.If})
 		w.seq(thenSt, s.Then, k)
 		if w.over() {
 			return
 		}
 		elseSt := branch()
-		elseSt.trail = append(elseSt.trail, "else? "+s.If)
+		elseSt.push(step{kind: stepElseOpaque, name: s.If})
 		w.seq(elseSt, s.Else, k)
 		return
 	}
@@ -547,7 +663,7 @@ func (w *walker) gateway(st *state, s *p4ir.ControlStmt, k func(*state)) {
 	}
 	if feasible {
 		site.thenOK++
-		thenSt.trail = append(thenSt.trail, "if "+cond.String())
+		thenSt.push(step{kind: stepIf, cond: cond})
 		w.seq(thenSt, s.Then, k)
 	}
 
@@ -569,20 +685,20 @@ func (w *walker) gateway(st *state, s *p4ir.ControlStmt, k func(*state)) {
 			continue
 		}
 		site.elseOK++
-		elseSt.trail = append(elseSt.trail, "if not("+a.String()+")")
+		elseSt.push(step{kind: stepIfNot, cond: cond, i: i})
 		w.seq(elseSt, s.Else, k)
 	}
 }
 
 // resolveField canonicalizes l4.* onto the transport header the path
 // parsed, and returns the guarding header ("" = metadata).
-func resolveField(st *state, name string) (string, string) {
+func (w *walker) resolveField(st *state, name string) (string, string) {
 	if name == "l4.sport" || name == "l4.dport" {
 		suffix := name[3:]
-		if st.valid["tcp"] {
+		if w.isValid(st, "tcp") {
 			return "tcp" + suffix, "tcp"
 		}
-		if st.valid["udp"] {
+		if w.isValid(st, "udp") {
 			return "udp" + suffix, "udp"
 		}
 		return name, "l4"
@@ -594,18 +710,19 @@ func resolveField(st *state, name string) (string, string) {
 // A field of an invalid header reads as 0 in match hardware, so the atom
 // degenerates to a concrete test (no diagnostic: this is defined behavior).
 func (w *walker) constrainAtom(st *state, a p4ir.Atom) bool {
-	name, hdr := resolveField(st, a.Field)
-	if hdr != "" && !st.valid[hdr] {
+	name, hdr := w.resolveField(st, a.Field)
+	if hdr != "" && !w.isValid(st, hdr) {
 		return a.Op.Eval(0, a.Value)
 	}
 	return w.constrainField(st, name, 0, a.Op, a.Value)
 }
 
 func (w *walker) constrainField(st *state, name string, width int, op p4ir.CmpOp, c uint64) bool {
-	if !st.refine(name, width, func(v *Value) bool { return v.Constrain(op, c) }) {
+	v := w.refine(st, name, width, func(v *Value) bool { return v.Constrain(op, c) })
+	if v == nil {
 		return false
 	}
-	if cv, ok := st.fields[name].ConstValue(); ok {
+	if cv, ok := v.ConstValue(); ok {
 		return w.applyInvariants(st, name, cv)
 	}
 	return true
@@ -618,13 +735,13 @@ func (w *walker) constrainField(st *state, name string, width int, op p4ir.CmpOp
 func (w *walker) applyInvariants(st *state, name string, cv uint64) bool {
 	for i := range w.opts.Invariants {
 		inv := &w.opts.Invariants[i]
-		if st.applied[i] || inv.If.Op != p4ir.CmpEq || inv.If.Field != name || inv.If.Value != cv {
+		if st.applied.has(i) || inv.If.Op != p4ir.CmpEq || inv.If.Field != name || inv.If.Value != cv {
 			continue
 		}
-		st.applied[i] = true
+		st.applied = st.applied.with(i)
 		for _, t := range inv.Then {
-			n2, hdr := resolveField(st, t.Field)
-			if hdr != "" && !st.valid[hdr] {
+			n2, hdr := w.resolveField(st, t.Field)
+			if hdr != "" && !w.isValid(st, hdr) {
 				return false
 			}
 			if !w.constrainField(st, n2, 0, t.Op, t.Value) {
@@ -636,22 +753,23 @@ func (w *walker) applyInvariants(st *state, name string, cv uint64) bool {
 }
 
 func (w *walker) constrainKey(st *state, kd p4ir.KeyDef, op p4ir.CmpOp, c uint64) bool {
-	name, hdr := resolveField(st, kd.Field)
-	if hdr != "" && !st.valid[hdr] {
+	name, hdr := w.resolveField(st, kd.Field)
+	if hdr != "" && !w.isValid(st, hdr) {
 		return op.Eval(0, c)
 	}
 	return w.constrainField(st, name, kd.Bits, op, c)
 }
 
 func (w *walker) constrainKeyMask(st *state, kd p4ir.KeyDef, mask, bits uint64) bool {
-	name, hdr := resolveField(st, kd.Field)
-	if hdr != "" && !st.valid[hdr] {
+	name, hdr := w.resolveField(st, kd.Field)
+	if hdr != "" && !w.isValid(st, hdr) {
 		return 0&mask == bits&mask
 	}
-	if !st.refine(name, kd.Bits, func(v *Value) bool { return v.ConstrainMask(mask, bits) }) {
+	v := w.refine(st, name, kd.Bits, func(v *Value) bool { return v.ConstrainMask(mask, bits) })
+	if v == nil {
 		return false
 	}
-	if cv, ok := st.fields[name].ConstValue(); ok {
+	if cv, ok := v.ConstValue(); ok {
 		return w.applyInvariants(st, name, cv)
 	}
 	return true
@@ -673,7 +791,7 @@ func (w *walker) applyTable(st *state, name string, k func(*state)) {
 				return
 			}
 			hit := st.clone()
-			hit.trail = append(hit.trail, name+":"+an)
+			hit.push(step{kind: stepHit, name: name, act: an})
 			w.execAction(hit, t, an)
 			k(hit)
 		}
@@ -681,7 +799,7 @@ func (w *walker) applyTable(st *state, name string, k func(*state)) {
 			return
 		}
 		miss := st.clone()
-		miss.trail = append(miss.trail, name+":miss")
+		miss.push(step{kind: stepMiss, name: name})
 		k(miss)
 		return
 	}
@@ -721,7 +839,7 @@ func (w *walker) applyExact(st *state, t *p4ir.TableDef, site *tblSite, k func(*
 		}
 		site.entries[i]++
 		act := e.ActionName(t)
-		br.trail = append(br.trail, fmt.Sprintf("%s:entry%d:%s", t.Name, i, act))
+		br.push(step{kind: stepEntry, name: t.Name, i: i, act: act})
 		w.execAction(br, t, act)
 		k(br)
 	}
@@ -739,7 +857,7 @@ func (w *walker) applyExact(st *state, t *p4ir.TableDef, site *tblSite, k func(*
 		}
 	}
 	if ok {
-		miss.trail = append(miss.trail, t.Name+":miss")
+		miss.push(step{kind: stepMiss, name: t.Name})
 		k(miss)
 	}
 }
@@ -770,7 +888,7 @@ func (w *walker) applyTernary(st *state, t *p4ir.TableDef, site *tblSite, k func
 		// it — the static shadow check reports the definite cases.
 		site.entries[i]++
 		act := e.ActionName(t)
-		br.trail = append(br.trail, fmt.Sprintf("%s:entry%d:%s", t.Name, i, act))
+		br.push(step{kind: stepEntry, name: t.Name, i: i, act: act})
 		w.execAction(br, t, act)
 		k(br)
 	}
@@ -778,7 +896,7 @@ func (w *walker) applyTernary(st *state, t *p4ir.TableDef, site *tblSite, k func
 		return
 	}
 	miss := st.clone()
-	miss.trail = append(miss.trail, t.Name+":miss")
+	miss.push(step{kind: stepMiss, name: t.Name})
 	k(miss)
 }
 
@@ -802,7 +920,7 @@ func (w *walker) applyRange(st *state, t *p4ir.TableDef, site *tblSite, k func(*
 		}
 		site.entries[i]++
 		act := e.ActionName(t)
-		br.trail = append(br.trail, fmt.Sprintf("%s:entry%d:%s", t.Name, i, act))
+		br.push(step{kind: stepEntry, name: t.Name, i: i, act: act})
 		w.execAction(br, t, act)
 		k(br)
 	}
@@ -815,7 +933,7 @@ func (w *walker) applyRange(st *state, t *p4ir.TableDef, site *tblSite, k func(*
 		}
 		miss := st.clone()
 		if w.constrainKey(miss, kd, p4ir.CmpLt, minLo) {
-			miss.trail = append(miss.trail, t.Name+":miss")
+			miss.push(step{kind: stepMiss, name: t.Name})
 			k(miss)
 		}
 	}
@@ -825,7 +943,7 @@ func (w *walker) applyRange(st *state, t *p4ir.TableDef, site *tblSite, k func(*
 		}
 		miss := st.clone()
 		if w.constrainKey(miss, kd, p4ir.CmpGt, maxHi) {
-			miss.trail = append(miss.trail, t.Name+":miss")
+			miss.push(step{kind: stepMiss, name: t.Name})
 			k(miss)
 		}
 	}
@@ -859,7 +977,7 @@ func (w *walker) execAction(st *state, t *p4ir.TableDef, actName string) {
 				}
 			}
 		case p4ir.OpHash, p4ir.OpRandom:
-			st.write(op.Dst, Top(fieldWidth(op.Dst, op.Bits)))
+			w.write(st, op.Dst, Top(fieldWidth(op.Dst, op.Bits)))
 		case p4ir.OpRecirculate:
 			// Progress alone bounds nothing: the walker does not model
 			// register contents, so the least it demands is a gateway on
@@ -874,9 +992,9 @@ func (w *walker) execAction(st *state, t *p4ir.TableDef, actName string) {
 			}
 		case p4ir.OpMulticast:
 			if c, err := strconv.ParseUint(op.Src, 0, 64); err == nil {
-				st.write(op.Dst, Const(fieldWidth(op.Dst, op.Bits), c))
+				w.write(st, op.Dst, Const(fieldWidth(op.Dst, op.Bits), c))
 			} else {
-				st.write(op.Dst, Top(fieldWidth(op.Dst, op.Bits)))
+				w.write(st, op.Dst, Top(fieldWidth(op.Dst, op.Bits)))
 			}
 		case p4ir.OpGenerateDigest, p4ir.OpDropPacket, p4ir.OpNoOp:
 		}
@@ -888,11 +1006,11 @@ func (w *walker) execAction(st *state, t *p4ir.TableDef, actName string) {
 // definition), a VLIW write to an invalid header's PHV container is
 // undefined on real hardware — this is the property the verifier proves.
 func (w *walker) fieldWrite(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, op p4ir.Op) {
-	dst, dstHdr := resolveField(st, op.Dst)
-	if dstHdr != "" && !st.valid[dstHdr] {
+	dst, dstHdr := w.resolveField(st, op.Dst)
+	if dstHdr != "" && !w.isValid(st, dstHdr) {
 		w.diag(CheckInvalidAccess, SevError, t.Name,
 			"action %s writes %s, but header %s can be invalid on a feasible path (%s)",
-			a.Name, op.Dst, dstHdr, lastSteps(st.trail, 3))
+			a.Name, op.Dst, dstHdr, strings.Join(lastSteps(st.trail, 3), "; "))
 		return
 	}
 	width := fieldWidth(dst, op.Bits)
@@ -901,14 +1019,14 @@ func (w *walker) fieldWrite(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, op p
 	if c, err := strconv.ParseUint(op.Src, 0, 64); err == nil {
 		srcVal = Const(width, c)
 	} else if srcField(op.Src) {
-		src, srcHdr := resolveField(st, op.Src)
-		if srcHdr != "" && !st.valid[srcHdr] {
+		src, srcHdr := w.resolveField(st, op.Src)
+		if srcHdr != "" && !w.isValid(st, srcHdr) {
 			w.diag(CheckInvalidAccess, SevError, t.Name,
 				"action %s reads %s, but header %s can be invalid on a feasible path (%s)",
-				a.Name, op.Src, srcHdr, lastSteps(st.trail, 3))
+				a.Name, op.Src, srcHdr, strings.Join(lastSteps(st.trail, 3), "; "))
 			srcVal = Top(width)
 		} else {
-			sv := st.get(src, 0).Clone()
+			sv := w.get(st, src, 0).Clone()
 			sv.W = width
 			srcVal = sv
 		}
@@ -917,17 +1035,17 @@ func (w *walker) fieldWrite(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, op p
 	}
 
 	if op.Kind == p4ir.OpAddToField {
-		cur := st.get(dst, op.Bits)
+		cur := w.get(st, dst, op.Bits)
 		if cv, ok1 := cur.ConstValue(); ok1 {
 			if sv, ok2 := srcVal.ConstValue(); ok2 {
-				st.write(dst, Const(width, cv+sv))
+				w.write(st, dst, Const(width, cv+sv))
 				return
 			}
 		}
-		st.write(dst, Top(width))
+		w.write(st, dst, Top(width))
 		return
 	}
-	st.write(dst, srcVal)
+	w.write(st, dst, srcVal)
 }
 
 // saluTouch enforces the one-SALU-access-per-pass rule path-sensitively: a
@@ -935,11 +1053,13 @@ func (w *walker) fieldWrite(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, op p
 // touch on the same feasible pass is a conflict — whether it comes from
 // another table or from a second op of the same table's action.
 func (w *walker) saluTouch(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, register string) {
-	owner, seen := st.salu[register]
-	if !seen {
-		st.salu[register] = t.Name
+	i := slices.IndexFunc(st.salu, func(o saluOwner) bool { return o.register == register })
+	if i < 0 {
+		// Clipped: the array may be shared with a forked path.
+		st.salu = append(st.salu[:len(st.salu):len(st.salu)], saluOwner{register, t.Name})
 		return
 	}
+	owner := st.salu[i].table
 	if owner == t.Name {
 		w.diag(CheckSALU, SevError, t.Name,
 			"action %s accesses register %s twice in one pass; an RMT SALU fires at most once per packet (fold the accesses into one RMW)",
@@ -952,7 +1072,7 @@ func (w *walker) saluTouch(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, regis
 	}
 	w.diag(CheckSALU, SevError, t.Name,
 		"register %s is accessed by both %s and %s on one feasible %s pass (%s); an RMT SALU fires at most once per packet",
-		register, x, y, t.Pipeline, lastSteps(st.trail, 3))
+		register, x, y, t.Pipeline, strings.Join(lastSteps(st.trail, 3), "; "))
 }
 
 // parseIncrement recognizes the generator's strictly-increasing SALU
@@ -977,13 +1097,6 @@ func parseIncrement(src string) (inc uint64, wrap uint64, ok bool) {
 	return n, wrap, true
 }
 
-func lastSteps(trail []string, n int) string {
-	if len(trail) > n {
-		trail = trail[len(trail)-n:]
-	}
-	return strings.Join(trail, "; ")
-}
-
 // leaf finishes one feasible path: count it and concretize a witness.
 func (w *walker) leaf(st *state) {
 	w.paths++
@@ -996,17 +1109,21 @@ func (w *walker) leaf(st *state) {
 	}
 	wit := Witness{
 		Program: w.p.Name,
-		Path:    append([]string(nil), st.trail...),
+		Path:    lastSteps(st.trail, -1),
 		Fields:  map[string]uint64{},
 	}
 	for _, h := range w.p.Headers {
-		if st.valid[h] {
+		if w.isValid(st, h) {
 			wit.Headers = append(wit.Headers, h)
 		}
 	}
-	for name, v := range st.input {
+	for id, v := range st.input {
+		if v == nil {
+			continue
+		}
+		name := w.fieldNames[id]
 		hdr := headerOf(name)
-		if hdr == "l4" || (hdr != "" && !st.valid[hdr]) {
+		if hdr == "l4" || (hdr != "" && !w.isValid(st, hdr)) {
 			continue
 		}
 		wit.Fields[name] = v.Concretize()
