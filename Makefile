@@ -61,10 +61,14 @@ tx-oracle:
 trace:
 	$(GO) run ./cmd/htbench -quick -run "Fig. 10" -trace perfetto-trace.json
 
-# Project analyzers: poolsafety, determinism, atcall, obsalloc (DESIGN.md §8).
+# Project analyzers: poolsafety, determinism, atcall, obsalloc (DESIGN.md §8),
+# then the repo-wide guards CI's `go test ./...` enforces: the analyzers
+# clean on the tree, no internal export that only tests reach, and every
+# citation in the docs resolving.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/htlint ./...
+	$(GO) test -count=1 -run 'TestRepositoryIsLintClean|TestNoDeadExports|TestDocCitationsResolve' ./internal/lint .
 
 vet:
 	$(GO) vet ./...

@@ -239,15 +239,15 @@ func TestDelayQueryAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun checks that every experiment is wired into All, that
+// TestAllExperimentsRun checks that every experiment is in Specs, that
 // the parallel runner returns them in paper order, and that each headline
 // equals testdata/headlines.golden bit for bit: the experiments are
 // deterministic, so any drift is a behaviour change somewhere below them.
 func TestAllExperimentsRun(t *testing.T) {
 	var stats experiments.SimStats
-	results := experiments.All(experiments.Config{Quick: true, Seed: 1, Stats: &stats})
+	results := experiments.Run(experiments.Config{Quick: true, Seed: 1, Stats: &stats}, experiments.Specs())
 	if len(results) != 18 {
-		t.Fatalf("All() ran %d experiments, want 18", len(results))
+		t.Fatalf("Run(Specs()) ran %d experiments, want 18", len(results))
 	}
 	// The loop model's residual tie class (DESIGN.md §9.6) is counted, not
 	// assumed: a same-picosecond ordering it cannot decide would show here.

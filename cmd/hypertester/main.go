@@ -243,7 +243,7 @@ func runSuite(path, resultsPath string, workers int, stdout, stderr io.Writer,
 	}
 	fmt.Fprintln(stdout)
 
-	res := scenario.RunSuiteWith(suite, workers, runScenario)
+	res := scenario.RunSuite(suite, workers, runScenario)
 	for _, sc := range res.Scenarios {
 		verdict := "PASS"
 		if sc.Err != "" || !sc.Pass {

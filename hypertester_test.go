@@ -592,41 +592,6 @@ T1 = trigger()
 	}
 }
 
-func TestPaperTestbedFig8(t *testing.T) {
-	// The Fig. 8 topology end to end: the tester floods both DUT-facing
-	// ports; the DUT forwards to a 40G and a 10G server. The slower
-	// downstream links saturate (and the DUT tail-drops the excess),
-	// demonstrating the testbed's speed hierarchy.
-	ht := New(Config{Ports: []float64{100, 100}, Seed: 17})
-	err := ht.LoadTaskSource("fig8", `
-T1 = trigger()
-    .set([dip, sip, proto, dport, sport], [9.9.9.9, 1.1.0.1, udp, 1, 1])
-    .set(length, 256)
-    .set(port, [0, 1])
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := testbed.NewPaperTestbed(ht.Sim, ht.Switch, 17)
-	ht.Start()
-	ht.RunFor(30 * netsim.Microsecond)
-	tb.Server1.Reset()
-	tb.Server2.Reset()
-	ht.RunFor(200 * netsim.Microsecond)
-
-	if g := tb.Server1.ThroughputGbps(); g < 38 || g > 41 {
-		t.Fatalf("server1 (40G link) got %.1f Gbps, want ~40", g)
-	}
-	if g := tb.Server2.ThroughputGbps(); g < 9.5 || g > 10.5 {
-		t.Fatalf("server2 (10G link) got %.1f Gbps, want ~10", g)
-	}
-	// The DUT sheds the 100G->40G/10G overload at its egress queues.
-	if tb.DUT.Port(2).TxDrops == 0 || tb.DUT.Port(3).TxDrops == 0 {
-		t.Fatalf("DUT should tail-drop the overload: drops %d/%d",
-			tb.DUT.Port(2).TxDrops, tb.DUT.Port(3).TxDrops)
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	// The whole stack is deterministic: identical seeds produce
 	// bit-identical reports and counters.

@@ -36,12 +36,6 @@ func (m *McastEngine) SetGroup(gid int, copies []CopySpec) error {
 	return nil
 }
 
-// DeleteGroup removes a group; unknown groups are a no-op.
-func (m *McastEngine) DeleteGroup(gid int) { delete(m.groups, gid) }
-
 // Copies returns the copy list for gid, or nil when the group is not
 // configured (the hardware silently drops such packets).
 func (m *McastEngine) Copies(gid int) []CopySpec { return m.groups[gid] }
-
-// Groups returns the number of configured groups.
-func (m *McastEngine) Groups() int { return len(m.groups) }

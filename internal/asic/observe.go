@@ -50,9 +50,6 @@ func (sw *Switch) SetTrace(tr *obs.Trace) {
 	sw.trace = tr
 }
 
-// Trace returns the attached trace stream (nil when disabled).
-func (sw *Switch) Trace() *obs.Trace { return sw.trace }
-
 // Describe records the switch's health under prefix: drop counters,
 // digest-channel state, hot-path pool sizes, where the loop passes went, then
 // every front-panel and recirculation port. It syncs the loop model once and

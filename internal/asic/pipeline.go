@@ -1,7 +1,7 @@
 package asic
 
-// Processor is one step of a match-action pipeline: a table apply, a gateway
-// condition, or a register operation. Processors run in order, mirroring the
+// Processor is one step of a match-action pipeline: a table apply or a
+// register operation. Processors run in order, mirroring the
 // sequential physical stages of RMT.
 type Processor interface {
 	Process(p *PHV)
@@ -15,27 +15,6 @@ func (f ProcessorFunc) Process(p *PHV) { f(p) }
 
 // Process implements Processor for tables (apply and discard the hit flag).
 func (t *Table) Process(p *PHV) { t.Apply(p) }
-
-// Gateway is a conditional: when Cond holds, Then processors run, otherwise
-// Else processors run. It models the gateway resources RMT stages provide
-// for control flow.
-type Gateway struct {
-	Name string
-	Cond func(p *PHV) bool
-	Then []Processor
-	Else []Processor
-}
-
-// Process implements Processor.
-func (g *Gateway) Process(p *PHV) {
-	branch := g.Else
-	if g.Cond(p) {
-		branch = g.Then
-	}
-	for _, pr := range branch {
-		pr.Process(p)
-	}
-}
 
 // Pipeline is an ordered list of processors (an ingress or egress pipeline).
 type Pipeline struct {
@@ -51,9 +30,6 @@ func NewPipeline(name string) *Pipeline { return &Pipeline{Name: name} }
 
 // Add appends processors to the pipeline.
 func (pl *Pipeline) Add(ps ...Processor) { pl.procs = append(pl.procs, ps...) }
-
-// Len reports the number of processors installed.
-func (pl *Pipeline) Len() int { return len(pl.procs) }
 
 // Clear removes all processors (used when reprogramming the switch).
 func (pl *Pipeline) Clear() { pl.procs = nil }

@@ -10,17 +10,15 @@ import (
 
 // Port is a switch front-panel or internal port. It serializes frames at the
 // port rate (a busy-until model equivalent to a FIFO queue) and delivers them
-// to the attached sink — a cable towards another device, or the port's own
-// ingress when in loopback mode (§6.1's recirculation-via-loopback
-// technique).
+// to the attached sink — a cable towards another device, or, for a
+// recirculation port, its own ingress (loopback mode, §6.1).
 type Port struct {
 	sw   *Switch
 	ID   int
 	Gbps float64
 
-	// Loopback, when set, wires TX straight back into this port's RX,
-	// turning it into an extra recirculation path. Flip it with
-	// Switch.SetLoopback, which refuses a partitioned port.
+	// Loopback, when set, wires TX straight back into this port's RX: it
+	// marks the Config.RecircPaths internal recirculation ports.
 	Loopback bool
 
 	// peer receives frames after full serialization. Nil peers discard
@@ -215,16 +213,6 @@ func (pt *Port) Receive(pkt *netproto.Packet) {
 		j.ord = pt.sw.loopOrd()
 	}
 	sim.AfterCall(ingressLatency, runIngressJob, j)
-}
-
-// Utilization returns transmitted bits / (rate × elapsed) over the given
-// virtual-time window, a convenience for throughput reports.
-func (pt *Port) Utilization(window netsim.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	bits := float64(pt.TxBytes+uint64(pt.TxPackets)*netproto.WireOverheadBytes) * 8
-	return bits / (pt.Gbps * window.Nanoseconds())
 }
 
 // Deliver is Receive under the name the testbed wiring uses for any frame

@@ -1,8 +1,6 @@
 package asic
 
 import (
-	"fmt"
-
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
@@ -22,8 +20,7 @@ type Config struct {
 	// PortGbps gives per-front-panel-port rates; index is port ID.
 	PortGbps []float64
 	// RecircPaths is the number of internal recirculation paths
-	// (default 1). §6.1's loopback trick adds more by flipping front-
-	// panel ports into loopback mode instead.
+	// (default 1); each holds its share of the templates (§6.1).
 	RecircPaths int
 	// Seed drives the switch's jitter streams.
 	Seed int64
@@ -123,7 +120,7 @@ func New(cfg Config) *Switch {
 // Sim returns the simulation the switch is bound to.
 func (sw *Switch) Sim() *netsim.Sim { return sw.sim }
 
-// Port returns a front-panel, recirculation, or loopback port by ID. A
+// Port returns a front-panel or recirculation port by ID. A
 // recirculation port's counters are brought up to the clock first (the loop
 // model may be holding passes it has not accounted yet).
 func (sw *Switch) Port(id int) *Port {
@@ -150,21 +147,6 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
 // RecircPaths returns the number of internal recirculation paths.
 func (sw *Switch) RecircPaths() int { return len(sw.recirc) }
-
-// SetLoopback flips a front-panel port into loopback mode, trading its
-// bandwidth for extra recirculation capacity (§6.1). A port cabled across a
-// partition (Port.SetRemote) cannot loop back.
-func (sw *Switch) SetLoopback(portID int, on bool) error {
-	p := sw.port(portID)
-	if p == nil || portID >= RecircPortBase {
-		return fmt.Errorf("asic: no front-panel port %d", portID)
-	}
-	if on && p.remote != nil {
-		return fmt.Errorf("asic: port %d is partitioned onto another LP and cannot loop back", portID)
-	}
-	p.Loopback = on
-	return nil
-}
 
 // NextUID returns a fresh packet UID.
 func (sw *Switch) NextUID() uint64 {

@@ -206,12 +206,8 @@ func TestMcastGroupValidation(t *testing.T) {
 	if err := m.SetGroup(1, []CopySpec{{Port: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Groups() != 1 {
-		t.Fatal("group count")
-	}
-	m.DeleteGroup(1)
-	if m.Copies(1) != nil {
-		t.Fatal("deleted group still resolves")
+	if len(m.Copies(1)) != 1 || m.Copies(2) != nil {
+		t.Fatal("group lookup")
 	}
 }
 
@@ -260,28 +256,15 @@ func TestLoopbackPortRecirculates(t *testing.T) {
 	sw.Ingress.Add(ProcessorFunc(func(p *PHV) {
 		seen++
 		if seen < 5 {
-			p.EgressPort = 1 // loopback port
+			p.EgressPort = RecircPortBase
 		} else {
 			p.Drop = true
 		}
 	}))
-	if err := sw.SetLoopback(1, true); err != nil {
-		t.Fatal(err)
-	}
 	sw.Port(0).Receive(frame(t, 64))
 	sim.Run()
 	if seen != 5 {
 		t.Fatalf("ingress saw packet %d times, want 5", seen)
-	}
-}
-
-func TestSetLoopbackValidation(t *testing.T) {
-	_, sw := newTestSwitch(t, 1)
-	if err := sw.SetLoopback(9, true); err == nil {
-		t.Fatal("bad port accepted")
-	}
-	if err := sw.SetLoopback(RecircPortBase, true); err == nil {
-		t.Fatal("recirc port accepted")
 	}
 }
 
@@ -293,28 +276,12 @@ func TestLoopbackAndRemoteExclude(t *testing.T) {
 	_, sw := newTestSwitch(t, 2)
 	remote := func(*netproto.Packet, netsim.Time) {}
 	sw.Port(0).SetRemote(remote)
-	if err := sw.SetLoopback(0, true); err == nil {
-		t.Fatal("SetLoopback accepted a partitioned port")
-	}
-	if sw.Port(0).Loopback {
-		t.Fatal("the refused SetLoopback flipped the port anyway")
-	}
-	if err := sw.SetLoopback(0, false); err != nil {
-		t.Fatalf("switching loopback off on a partitioned port: %v", err)
-	}
-	if err := sw.SetLoopback(1, true); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int{1, RecircPortBase} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetRemote on loopback port %d did not panic", id)
-				}
-			}()
-			sw.Port(id).SetRemote(remote)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetRemote on a loopback port did not panic")
+		}
+	}()
+	sw.Port(RecircPortBase).SetRemote(remote)
 }
 
 func TestInjectFromCPU(t *testing.T) {
@@ -408,21 +375,5 @@ func TestEgressPipelineRunsAndEdits(t *testing.T) {
 	}
 	if s.UDP.DstPort != 9999 {
 		t.Fatalf("egress edit lost: dport = %d", s.UDP.DstPort)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	sim, sw := newTestSwitch(t, 2)
-	sw.Ingress.Add(ProcessorFunc(func(p *PHV) { p.EgressPort = 1 }))
-	sw.Port(1).SetPeer(func(pkt *netproto.Packet, at netsim.Time) {})
-	// Saturate: send 64B frames back-to-back for 10us at 100G = 1562 frames.
-	n := 1500
-	for i := 0; i < n; i++ {
-		sw.Port(0).Receive(frame(t, 64))
-	}
-	sim.Run()
-	u := sw.Port(1).Utilization(10 * netsim.Microsecond)
-	if u < 0.90 || u > 1.01 {
-		t.Fatalf("utilization = %.3f, want ~0.96", u)
 	}
 }

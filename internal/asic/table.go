@@ -127,13 +127,6 @@ func (t *Table) AddExact(values []uint64, a Action) error {
 	return nil
 }
 
-// DeleteExact removes an exact entry; unknown keys are a no-op.
-func (t *Table) DeleteExact(values []uint64) {
-	if t.Kind == MatchExact {
-		delete(t.exact, exactKey(values))
-	}
-}
-
 // AddTernary installs a value/mask entry with a priority (higher wins).
 func (t *Table) AddTernary(value, mask []uint64, priority int, a Action) error {
 	if t.Kind != MatchTernary {
@@ -167,43 +160,6 @@ func (t *Table) AddRange(lo, hi uint64, priority int, a Action) error {
 	t.ranges = append(t.ranges, rangeEntry{lo: lo, hi: hi, priority: priority, action: a})
 	t.dirty = true
 	return nil
-}
-
-// DeleteTernary removes the first entry matching value/mask exactly, in
-// priority order — so the index is brought up to date first.
-func (t *Table) DeleteTernary(value, mask []uint64) {
-	t.ensureIndex()
-	for i := range t.ternary {
-		if equalU64(t.ternary[i].value, value) && equalU64(t.ternary[i].mask, mask) {
-			t.ternary = append(t.ternary[:i], t.ternary[i+1:]...)
-			t.dirty = true
-			return
-		}
-	}
-}
-
-// DeleteRange removes the first [lo,hi] entry in priority order.
-func (t *Table) DeleteRange(lo, hi uint64) {
-	t.ensureIndex()
-	for i := range t.ranges {
-		if t.ranges[i].lo == lo && t.ranges[i].hi == hi {
-			t.ranges = append(t.ranges[:i], t.ranges[i+1:]...)
-			t.dirty = true
-			return
-		}
-	}
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Apply looks the PHV up and runs the matching action (or the default).

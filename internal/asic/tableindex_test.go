@@ -36,12 +36,18 @@ func (t *Table) lookupRangeLinear(key uint64) (int, bool) {
 	return 0, false
 }
 
-// randTernaryTable fills a ternary table with a mix of structured entries
-// (shared mask shapes, as real compilers emit), overlapping priorities, and
-// the occasional catch-all that zeroes the common mask.
+// randTernaryTable fills a ternary table with n random entries.
 func randTernaryTable(t *testing.T, rng *rand.Rand, n int) *Table {
-	t.Helper()
 	tbl := NewTable("diff-tern", MatchTernary, FieldIPv4Dst, FieldIPv4Proto)
+	addRandTernary(t, rng, tbl, n)
+	return tbl
+}
+
+// addRandTernary adds n entries with a mix of structured masks (shared mask
+// shapes, as real compilers emit), overlapping priorities, and the
+// occasional catch-all that zeroes the common mask.
+func addRandTernary(t *testing.T, rng *rand.Rand, tbl *Table, n int) {
+	t.Helper()
 	maskShapes := [][]uint64{
 		{0xffffffff, 0xff},
 		{0xffffff00, 0xff},
@@ -58,13 +64,12 @@ func randTernaryTable(t *testing.T, rng *rand.Rand, n int) *Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
 }
 
 // TestTernaryIndexMatchesLinearScan drives randomized tables and keys
 // through both the indexed lookup and the retained linear-scan oracle,
 // asserting they pick the identical entry, including across interleaved
-// deletes that force index rebuilds.
+// inserts that force index rebuilds.
 func TestTernaryIndexMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -88,10 +93,11 @@ func TestTernaryIndexMatchesLinearScan(t *testing.T) {
 			}
 		}
 		probe()
-		// Delete a few entries (marking the index dirty) and re-probe.
-		for d := 0; d < 5 && len(tbl.ternary) > 0; d++ {
-			e := tbl.ternary[rng.Intn(len(tbl.ternary))]
-			tbl.DeleteTernary(e.value, e.mask)
+		// Add a few entries after the lookups (marking the index dirty) and
+		// re-probe.
+		addRandTernary(t, rng, tbl, 5)
+		if !tbl.dirty {
+			t.Fatal("AddTernary after a lookup left the index clean")
 		}
 		probe()
 	}
@@ -99,22 +105,24 @@ func TestTernaryIndexMatchesLinearScan(t *testing.T) {
 
 // TestRangeIndexMatchesLinearScan does the same for range tables: random
 // overlapping intervals with random priorities, probed at boundaries and
-// random points, before and after deletes.
+// random points, before and after further inserts.
 func TestRangeIndexMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 500))
 		tbl := NewTable("diff-range", MatchRange, FieldTCPDstPort)
-		n := 1 + rng.Intn(64)
-		for i := 0; i < n; i++ {
-			lo := rng.Uint64() & 0xffff
-			hi := lo + uint64(rng.Intn(1024))
-			if rng.Intn(16) == 0 {
-				hi = ^uint64(0) // open-ended tail entry
-			}
-			if err := tbl.AddRange(lo, hi, rng.Intn(8), nil); err != nil {
-				t.Fatal(err)
+		addRanges := func(n int) {
+			for i := 0; i < n; i++ {
+				lo := rng.Uint64() & 0xffff
+				hi := lo + uint64(rng.Intn(1024))
+				if rng.Intn(16) == 0 {
+					hi = ^uint64(0) // open-ended tail entry
+				}
+				if err := tbl.AddRange(lo, hi, rng.Intn(8), nil); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		addRanges(1 + rng.Intn(64))
 		probe := func() {
 			tbl.ensureIndex()
 			check := func(key uint64) {
@@ -145,9 +153,9 @@ func TestRangeIndexMatchesLinearScan(t *testing.T) {
 			check(^uint64(0))
 		}
 		probe()
-		for d := 0; d < 5 && len(tbl.ranges) > 0; d++ {
-			e := tbl.ranges[rng.Intn(len(tbl.ranges))]
-			tbl.DeleteRange(e.lo, e.hi)
+		addRanges(5)
+		if !tbl.dirty {
+			t.Fatal("AddRange after a lookup left the index clean")
 		}
 		probe()
 	}

@@ -1,8 +1,7 @@
 // Package asic simulates a Tofino-class RMT switching ASIC: a programmable
 // parser, match-action pipelines with stateful registers and SALUs, a traffic
 // manager with a multicast engine and per-port serialization, recirculation
-// and loopback ports, MAC timestamping, and a digest engine towards the
-// switch CPU.
+// ports, MAC timestamping, and a digest engine towards the switch CPU.
 //
 // The simulator is calibrated against the micro-benchmarks HyperTester
 // reports for its Tofino testbed (§7.3); see the constants in this file.

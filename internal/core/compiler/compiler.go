@@ -13,8 +13,8 @@ import (
 // Options tunes compilation.
 type Options struct {
 	// RecircPaths is how many recirculation paths the target switch has
-	// (internal path plus loopback-mode ports); bounds the template
-	// count via the accelerator capacity (§6.1).
+	// (hypertester.Config.RecircPaths); bounds the template count via the
+	// accelerator capacity (§6.1).
 	RecircPaths int
 	// DigestBits is the stored partial-key width for reduce/distinct
 	// (§5.2; Fig. 17 studies 16 vs 32).

@@ -3,6 +3,7 @@ package compiler
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
@@ -286,15 +287,19 @@ func TestCompileRejections(t *testing.T) {
 
 func TestCompileRejectsTooManyTemplates(t *testing.T) {
 	// One recirculation path holds AcceleratorCapacity(1500) large
-	// templates; one more must be rejected with a pointer to loopback
-	// ports (§6.1).
+	// templates; one more must be rejected with an error naming
+	// RecircPaths, the route to more capacity (§6.1).
 	capacity := asic.AcceleratorCapacity(1500)
 	task := ntapi.NewTask("many")
 	for i := 0; i <= capacity; i++ {
 		task.Trigger().Set("dip", ntapi.IP("9.9.9.9")).WithLength(1500).WithPorts(0)
 	}
-	if _, err := Compile(task, Options{RecircPaths: 1}); err == nil {
+	_, err := Compile(task, Options{RecircPaths: 1})
+	if err == nil {
 		t.Fatal("over-capacity template count accepted")
+	}
+	if !strings.Contains(err.Error(), "RecircPaths") {
+		t.Fatalf("rejection %q does not name RecircPaths", err)
 	}
 	// With enough paths it compiles.
 	if _, err := Compile(task, Options{RecircPaths: 2}); err != nil {
@@ -335,14 +340,14 @@ func TestExactKeysNoFalsePositivesByConstruction(t *testing.T) {
 	}
 	inExact := map[string]bool{}
 	for _, e := range exact {
-		inExact[string(EncodeKey(e))] = true
+		inExact[string(AppendKey(nil, e))] = true
 	}
 	h1 := asic.NewHashUnit("t1", asic.PolyCRC32)
 	halt := asic.NewHashUnit("t2", asic.PolyCRC32C)
 	hd := asic.NewHashUnit("td", asic.PolyKoopman)
 	seen := map[[2]uint32]bool{}
 	for _, tu := range tuples {
-		k := EncodeKey(tu)
+		k := AppendKey(nil, tu)
 		if inExact[string(k)] {
 			continue
 		}

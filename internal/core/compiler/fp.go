@@ -213,14 +213,9 @@ func ComputeExactKeys(tuples [][]uint64, arraySize, digestBits int, polyA1, poly
 	return out
 }
 
-// EncodeKey serializes a key tuple into hash-input bytes, the canonical
-// form shared by the compiler's precomputation and the runtime's lookups.
-func EncodeKey(t []uint64) []byte {
-	return AppendKey(make([]byte, 0, 8*len(t)), t)
-}
-
 // AppendKey appends t's canonical hash-input encoding to dst and returns the
-// extended slice, letting hot loops reuse one buffer across keys.
+// extended slice: the form shared by the compiler's precomputation and the
+// runtime's lookups, one buffer reused across keys.
 func AppendKey(dst []byte, t []uint64) []byte {
 	for _, v := range t {
 		dst = binary.BigEndian.AppendUint64(dst, v)

@@ -330,9 +330,6 @@ func NewTupleMatrix(width, capacity int) *TupleMatrix {
 	}
 }
 
-// Len returns the number of rows.
-func (m *TupleMatrix) Len() int { return m.n }
-
 // Row returns row r. It aliases the matrix, which never rewrites a row.
 func (m *TupleMatrix) Row(r int) []uint64 {
 	return m.rows[r*m.width : (r+1)*m.width : (r+1)*m.width]

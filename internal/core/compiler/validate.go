@@ -29,7 +29,8 @@ var ChipBudget = p4ir.Resources{
 func validateProgram(prog *Program, opts Options) error {
 	// Template count against accelerator capacity: every template must
 	// keep at least one copy in flight, and capacity shrinks with frame
-	// size. Loopback ports extend it linearly (§6.1).
+	// size. Each recirculation path (RecircPaths) adds one path's worth
+	// (§6.1).
 	if len(prog.Templates) > 0 {
 		minSize := 1500
 		for _, t := range prog.Templates {
@@ -40,7 +41,7 @@ func validateProgram(prog *Program, opts Options) error {
 		capacity := opts.RecircPaths * asic.AcceleratorCapacity(minSize)
 		if len(prog.Templates) > capacity {
 			return fmt.Errorf(
-				"compiler: %d template packets exceed the accelerator capacity of %d (%d path(s), %d-byte templates); configure more loopback ports (§6.1)",
+				"compiler: %d template packets exceed the accelerator capacity of %d (%d path(s), %d-byte templates); raise RecircPaths (§6.1)",
 				len(prog.Templates), capacity, opts.RecircPaths, minSize)
 		}
 	}

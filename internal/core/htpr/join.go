@@ -20,7 +20,7 @@ type JoinedResult struct {
 	Right uint64
 }
 
-// indexResults indexes a result set by key tuple for the joins: a key's row
+// indexResults indexes a result set by key tuple for Join: a key's row
 // in keys indexes its value. A key met twice keeps its last value.
 func indexResults(results []Result) (keys *compiler.TupleMatrix, vals []uint64) {
 	width := 0
@@ -42,7 +42,7 @@ func indexResults(results []Result) (keys *compiler.TupleMatrix, vals []uint64) 
 }
 
 // Join inner-joins two result sets on their full key tuples. Keys present
-// in only one side are dropped (use LeftJoin to keep them).
+// in only one side are dropped.
 func Join(left, right []Result) []JoinedResult {
 	keys, vals := indexResults(right)
 	var out []JoinedResult
@@ -50,20 +50,6 @@ func Join(left, right []Result) []JoinedResult {
 		if row := keys.Find(l.Key); row >= 0 {
 			out = append(out, JoinedResult{Key: l.Key, Left: l.Value, Right: vals[row]})
 		}
-	}
-	return out
-}
-
-// LeftJoin keeps every left key; missing right values are zero.
-func LeftJoin(left, right []Result) []JoinedResult {
-	keys, vals := indexResults(right)
-	out := make([]JoinedResult, 0, len(left))
-	for _, l := range left {
-		j := JoinedResult{Key: l.Key, Left: l.Value}
-		if row := keys.Find(l.Key); row >= 0 {
-			j.Right = vals[row]
-		}
-		out = append(out, j)
 	}
 	return out
 }
@@ -83,13 +69,4 @@ func TopK(results []Result, k int) []Result {
 		k = len(sorted)
 	}
 	return sorted[:k]
-}
-
-// SumValues totals a result set (the scalar a keyless reduce reports).
-func SumValues(results []Result) uint64 {
-	var total uint64
-	for _, r := range results {
-		total += r.Value
-	}
-	return total
 }

@@ -27,18 +27,6 @@ func TestJoinInner(t *testing.T) {
 	}
 }
 
-func TestLeftJoinKeepsAll(t *testing.T) {
-	left := rs([2]uint64{1, 10}, [2]uint64{2, 20})
-	right := rs([2]uint64{2, 200})
-	j := LeftJoin(left, right)
-	if len(j) != 2 {
-		t.Fatalf("left join %d rows", len(j))
-	}
-	if j[0].Right != 0 || j[1].Right != 200 {
-		t.Fatalf("rows: %+v", j)
-	}
-}
-
 func TestJoinMultiFieldKeys(t *testing.T) {
 	left := []Result{{Key: []uint64{1, 2}, Value: 5}}
 	right := []Result{{Key: []uint64{1, 2}, Value: 7}, {Key: []uint64{2, 1}, Value: 9}}
@@ -67,15 +55,6 @@ func TestTopK(t *testing.T) {
 	}
 	if got := TopK(in, 99); len(got) != 4 {
 		t.Fatalf("clamped topk: %d", len(got))
-	}
-}
-
-func TestSumValues(t *testing.T) {
-	if SumValues(rs([2]uint64{1, 5}, [2]uint64{2, 7})) != 12 {
-		t.Fatal("sum")
-	}
-	if SumValues(nil) != 0 {
-		t.Fatal("empty sum")
 	}
 }
 

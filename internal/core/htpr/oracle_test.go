@@ -107,7 +107,7 @@ func newOracleTable(plan *compiler.QueryPlan) *oracleTable {
 	}
 	for _, k := range plan.ExactKeys {
 		key := append([]uint64(nil), k...)
-		ct.exact[string(compiler.EncodeKey(key))] = &oracleExactEntry{key: key}
+		ct.exact[string(compiler.AppendKey(nil, key))] = &oracleExactEntry{key: key}
 	}
 	return ct
 }
@@ -123,7 +123,7 @@ func oracleCellID(array, slot int) uint64 { return uint64(array)<<40 | uint64(sl
 // post-update aggregate for the key, which post-reduce filters evaluate.
 func (ct *oracleTable) Update(key []uint64, delta uint64) uint64 {
 	ct.Updates++
-	kb := compiler.EncodeKey(key)
+	kb := compiler.AppendKey(nil, key)
 
 	// Exact key matching first: precomputed collisions resolve here and
 	// never touch the hashed arrays (Figure 4).
@@ -316,7 +316,7 @@ func (ct *oracleTable) evict(key []uint64, value uint64) {
 		ct.OnEvict(append([]uint64(nil), key...), value)
 		return
 	}
-	ct.mergeInto(ct.evicted, string(compiler.EncodeKey(key)), value)
+	ct.mergeInto(ct.evicted, string(compiler.AppendKey(nil, key)), value)
 }
 
 // SweepIdle is the control-plane aging pass: every occupied cell whose last
@@ -376,7 +376,7 @@ func (ct *oracleTable) Collect() []Result {
 	merged := make(map[string]uint64)
 	keyOf := make(map[string][]uint64)
 	add := func(key []uint64, v uint64) {
-		kb := string(compiler.EncodeKey(key))
+		kb := string(compiler.AppendKey(nil, key))
 		ct.mergeInto(merged, kb, v)
 		keyOf[kb] = key
 	}

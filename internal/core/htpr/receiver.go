@@ -54,6 +54,8 @@ type QueryState struct {
 
 // Registers lists every register array the query owns on the data plane:
 // its counter table's, its trigger FIFO's and its delay-timestamp store.
+//
+//htlint:ignore deadexport inspection tap: the elision oracle compares query register cells
 func (st *QueryState) Registers() []*asic.RegisterArray {
 	var out []*asic.RegisterArray
 	if st.Table != nil {
@@ -69,6 +71,8 @@ func (st *QueryState) Registers() []*asic.RegisterArray {
 }
 
 // PendingDigests reports evictions queued for the digest channel.
+//
+//htlint:ignore deadexport inspection tap: the elision oracle compares the digests waiting for room
 func (st *QueryState) PendingDigests() int { return st.pendingDigests.len() }
 
 // digestFIFO queues encoded eviction messages with slot reuse: popping

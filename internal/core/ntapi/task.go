@@ -44,28 +44,42 @@ func (t *Trigger) Set(field string, v Value) *Trigger {
 
 // SetMany assigns values to several fields at once, mirroring the paper's
 // set([f1, f2], [v1, v2]) form.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (t *Trigger) SetMany(fields []string, values []Value) *Trigger {
 	t.Sets = append(t.Sets, SetOp{Fields: fields, Values: values})
 	return t
 }
 
 // WithInterval sets the inter-departure interval (rate control).
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (t *Trigger) WithInterval(d time.Duration) *Trigger { t.Interval = d; return t }
 
 // WithIntervalDist draws inter-departure intervals from a distribution
 // whose parameters are in nanoseconds.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (t *Trigger) WithIntervalDist(r Random) *Trigger { t.IntervalDist = &r; return t }
 
 // WithPorts sets the injection ports.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (t *Trigger) WithPorts(ports ...int) *Trigger { t.Ports = ports; return t }
 
 // WithLoop sets how many packets to generate before stopping (0 = forever).
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (t *Trigger) WithLoop(n uint64) *Trigger { t.Loop = n; return t }
 
 // WithLength sets the generated frame length.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (t *Trigger) WithLength(n int) *Trigger { t.Length = n; return t }
 
 // WithPayload sets the constant payload.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (t *Trigger) WithPayload(p []byte) *Trigger { t.PayloadV = p; return t }
 
 // CmpOp is a filter comparison operator.
@@ -150,6 +164,8 @@ type Query struct {
 }
 
 // Filter appends a packet-field predicate.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (q *Query) Filter(field string, op CmpOp, v uint64) *Query {
 	if q.Kind == KindReduce || q.Kind == KindDistinct {
 		q.Post = append(q.Post, Predicate{Field: field, Op: op, Value: v})
@@ -160,6 +176,8 @@ func (q *Query) Filter(field string, op CmpOp, v uint64) *Query {
 }
 
 // Map sets the projection.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func (q *Query) Map(fields ...string) *Query { q.MapFields = fields; return q }
 
 // Reduce turns the query into a keyed aggregation.

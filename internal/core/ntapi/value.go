@@ -36,6 +36,8 @@ func (Const) value()           {}
 func (c Const) String() string { return fmt.Sprintf("%d", uint64(c)) }
 
 // IP builds a Const from dotted-quad notation.
+//
+//htlint:ignore deadexport NTAPI's fluent Go API: tests build tasks without the .nt parser
 func IP(s string) Const { return Const(netproto.MustIPv4(s)) }
 
 // List assigns values from a pre-defined list, one per generated packet,

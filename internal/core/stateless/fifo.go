@@ -61,9 +61,6 @@ func New(name string, fields []asic.Field, capacity int) *FIFO {
 	return f
 }
 
-// Cap returns the FIFO capacity in records.
-func (f *FIFO) Cap() int { return f.size }
-
 // Len returns the number of queued records. Like Snapshot it is a
 // control-plane peek: no SALU access is counted and no trace record emitted.
 func (f *FIFO) Len() int {

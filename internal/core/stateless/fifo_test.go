@@ -89,8 +89,8 @@ func TestFieldIndex(t *testing.T) {
 	if f.FieldIndex(asic.FieldTCPAck) != -1 {
 		t.Fatal("missing field should be -1")
 	}
-	if f.Cap() != 4 {
-		t.Fatal("Cap")
+	if f.size != 4 {
+		t.Fatal("capacity")
 	}
 }
 

@@ -34,27 +34,6 @@ var (
 	}
 )
 
-// The §2.2 context platforms: commodity testers and FPGA-based open
-// hardware, priced from the figures the paper cites.
-var (
-	// CommodityTester is a proprietary tester priced from the paper's
-	// "$25,000 for a dual-10Gbps-port packet generation module" [21].
-	CommodityTester = Platform{
-		Name:           "Commodity tester (dual 10G module)",
-		EquipmentUSD:   25000,
-		PowerWatts:     300,
-		ThroughputTbps: 0.020,
-	}
-	// NetFPGATester is a NetFPGA-SUME board ("$6,999 ... four 10Gbps
-	// ports" [42]).
-	NetFPGATester = Platform{
-		Name:           "NetFPGA-SUME (4x10G)",
-		EquipmentUSD:   6999,
-		PowerWatts:     60,
-		ThroughputTbps: 0.040,
-	}
-)
-
 // PerTbps is a platform's cost normalized by throughput (Table 6's rows).
 type PerTbps struct {
 	EquipmentUSD float64

@@ -56,20 +56,3 @@ func TestTable8SynFlood(t *testing.T) {
 		t.Fatalf("estimated agents = %.0f, want 5.2e6", est.EmulatedAgents)
 	}
 }
-
-func TestContextPlatformsPerTbps(t *testing.T) {
-	// §2.2's price points: commodity testers are the most expensive per
-	// Tbps; NetFPGA cheaper but still far above the programmable switch.
-	c := CommodityTester.Normalize()
-	n := NetFPGATester.Normalize()
-	h := HyperTesterSwitch.Normalize()
-	if c.EquipmentUSD != 1.25e6 {
-		t.Fatalf("commodity $/Tbps = %v, want $1.25M (25k per 20G)", c.EquipmentUSD)
-	}
-	if n.EquipmentUSD < 170000 || n.EquipmentUSD > 180000 {
-		t.Fatalf("NetFPGA $/Tbps = %v, want ~175k", n.EquipmentUSD)
-	}
-	if !(c.EquipmentUSD > n.EquipmentUSD && n.EquipmentUSD > h.EquipmentUSD) {
-		t.Fatal("per-Tbps cost ordering commodity > NetFPGA > HyperTester must hold")
-	}
-}

@@ -18,6 +18,8 @@ type ProgramSpec struct {
 }
 
 // Compile compiles the spec exactly as its experiment would.
+//
+//htlint:ignore deadexport the corpus tests compile each program exactly as its experiment does
 func (s ProgramSpec) Compile() (*compiler.Program, error) {
 	task, err := ntapi.Parse(s.Name, s.Src)
 	if err != nil {

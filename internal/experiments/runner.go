@@ -85,9 +85,6 @@ func Run(cfg Config, specs []Spec) []*Result {
 	return out
 }
 
-// All runs the whole suite on the parallel runner.
-func All(cfg Config) []*Result { return Run(cfg, table) }
-
 // HeadlineSpec locates an experiment's headline metric inside its result
 // table. Row < 0 counts from the end (-1 = last row). Unit doubles as the
 // custom-metric name the bench suite reports.

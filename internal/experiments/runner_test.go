@@ -33,7 +33,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	c := Config{Quick: true, Seed: 1}
 	seq := sequential(c, Specs())
-	par := All(c)
+	par := Run(c, Specs())
 	if len(seq) != len(par) {
 		t.Fatalf("sequential ran %d experiments, parallel %d", len(seq), len(par))
 	}

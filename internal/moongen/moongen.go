@@ -128,9 +128,6 @@ func (g *Generator) Start(until netsim.Time) {
 	}
 }
 
-// Stop halts generation at the current virtual time.
-func (g *Generator) Stop() { g.running = false }
-
 // scheduleBurst models max-speed generation: the core spends per-packet CPU
 // time assembling BurstSize descriptors, then hands the burst to the NIC,
 // which serializes back to back.
@@ -244,24 +241,4 @@ func (g *Generator) SWTimestamp(t netsim.Time) netsim.Time {
 // HWTimestamp returns a NIC hardware timestamp for an event at true time t.
 func (g *Generator) HWTimestamp(t netsim.Time) netsim.Time {
 	return t.Add(g.rng.Jitter(HWTimestampSpread))
-}
-
-// MaxPpsPerCore returns the CPU-bound packet rate of one core.
-func MaxPpsPerCore() float64 { return 1e12 / float64(CPUCostPerPacket) }
-
-// LineRatePps returns the wire-limited packet rate for a frame size on a
-// port rate.
-func LineRatePps(frameLen int, gbps float64) float64 {
-	return 1e9 / netproto.WireTimeNs(frameLen, gbps)
-}
-
-// ExpectedPps returns the rate the model predicts for one core on one port:
-// min(CPU budget, line rate), the curve Figs. 9b/10b trace.
-func ExpectedPps(frameLen int, gbps float64) float64 {
-	cpu := MaxPpsPerCore()
-	line := LineRatePps(frameLen, gbps)
-	if cpu < line {
-		return cpu
-	}
-	return line
 }

@@ -139,18 +139,6 @@ func TestTimestampModels(t *testing.T) {
 	}
 }
 
-func TestExpectedPpsModel(t *testing.T) {
-	if pps := ExpectedPps(64, 10); math.Abs(pps-LineRatePps(64, 10)) > 1 {
-		t.Fatalf("64B@10G should be line-rate bound: %.0f", pps)
-	}
-	if pps := ExpectedPps(64, 40); math.Abs(pps-MaxPpsPerCore()) > 1 {
-		t.Fatalf("64B@40G should be CPU bound: %.0f", pps)
-	}
-	if pps := ExpectedPps(1500, 40); math.Abs(pps-LineRatePps(1500, 40)) > 1 {
-		t.Fatalf("1500B@40G should be line-rate bound: %.0f", pps)
-	}
-}
-
 func TestScriptLoCCounts(t *testing.T) {
 	// Table 5's MoonGen column: tens of lines per app, delay the largest.
 	counts := map[string]int{}

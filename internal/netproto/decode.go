@@ -5,6 +5,7 @@ type LayerType uint8
 
 // Layer types produced by Stack.Decode.
 const (
+	//htlint:ignore deadexport the zero LayerType
 	LayerNone LayerType = iota
 	LayerEthernet
 	LayerVLAN

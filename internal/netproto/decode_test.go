@@ -187,17 +187,6 @@ func TestStackReuseNoStaleLayers(t *testing.T) {
 	}
 }
 
-func TestFlowKeyReverse(t *testing.T) {
-	k := FlowKey{SrcIP: 1, DstIP: 2, Proto: IPProtoTCP, SrcPort: 10, DstPort: 20}
-	r := k.Reverse()
-	if r.SrcIP != 2 || r.DstIP != 1 || r.SrcPort != 20 || r.DstPort != 10 || r.Proto != IPProtoTCP {
-		t.Fatalf("reverse: %+v", r)
-	}
-	if r.Reverse() != k {
-		t.Fatal("double reverse is not identity")
-	}
-}
-
 func TestFlowKeyBytesCanonical(t *testing.T) {
 	k := FlowKey{SrcIP: 0x01020304, DstIP: 0x05060708, Proto: 6, SrcPort: 0x0a0b, DstPort: 0x0c0d}
 	b := k.Bytes()
@@ -220,15 +209,15 @@ func TestFlowFromStackNonIP(t *testing.T) {
 
 func TestSerializeBufferGrowth(t *testing.T) {
 	b := NewSerializeBuffer()
-	// Force several growth cycles with large prepends and appends.
+	// Force several growth cycles with large prepends.
 	copy(b.PrependBytes(3000), bytes.Repeat([]byte{0xaa}, 3000))
-	copy(b.AppendBytes(5000), bytes.Repeat([]byte{0xbb}, 5000))
+	copy(b.PrependBytes(5000), bytes.Repeat([]byte{0xbb}, 5000))
 	copy(b.PrependBytes(100), bytes.Repeat([]byte{0xcc}, 100))
 	out := b.Bytes()
 	if len(out) != 8100 {
 		t.Fatalf("len = %d, want 8100", len(out))
 	}
-	if out[0] != 0xcc || out[100] != 0xaa || out[3100] != 0xbb {
+	if out[0] != 0xcc || out[100] != 0xbb || out[5100] != 0xaa {
 		t.Fatal("content misplaced after growth")
 	}
 	b.Clear()

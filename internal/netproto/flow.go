@@ -31,14 +31,6 @@ func FlowFromStack(s *Stack) (FlowKey, bool) {
 	return k, true
 }
 
-// Reverse returns the key with endpoints swapped (the response direction).
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{
-		SrcIP: k.DstIP, DstIP: k.SrcIP, Proto: k.Proto,
-		SrcPort: k.DstPort, DstPort: k.SrcPort,
-	}
-}
-
 // Bytes serializes the key into a fixed 13-byte canonical form used as hash
 // input by the pipeline (SrcIP, DstIP, SrcPort, DstPort, Proto, big-endian).
 func (k FlowKey) Bytes() [13]byte {

@@ -153,6 +153,8 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
 }
 
 // VerifyChecksum recomputes the header checksum over raw header bytes.
+//
+//htlint:ignore deadexport the reference the checksum-update tests compare against
 func (ip *IPv4) VerifyChecksum(hdr []byte) bool {
 	if len(hdr) < IPv4MinLen {
 		return false
@@ -166,6 +168,7 @@ const (
 	IPProtoHopByHop     uint8 = 0
 	IPProtoIPv6Routing  uint8 = 43
 	IPProtoIPv6Fragment uint8 = 44
+	//htlint:ignore deadexport RFC 8200's terminator, which the decoder's fuzz seeds name
 	IPProtoIPv6NoNext   uint8 = 59
 	IPProtoIPv6DestOpts uint8 = 60
 )

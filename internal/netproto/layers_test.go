@@ -49,20 +49,6 @@ func TestMACFromUint64(t *testing.T) {
 	}
 }
 
-func TestFlagName(t *testing.T) {
-	cases := map[uint8]string{
-		TCPSyn:          "SYN",
-		TCPSyn | TCPAck: "SYN+ACK",
-		TCPFin | TCPAck: "ACK+FIN",
-		0:               "NONE",
-	}
-	for f, want := range cases {
-		if got := FlagName(f); got != want {
-			t.Errorf("FlagName(%#x) = %q, want %q", f, got, want)
-		}
-	}
-}
-
 func TestEthernetRoundTrip(t *testing.T) {
 	in := Ethernet{Dst: MACFromUint64(1), Src: MACFromUint64(2), EtherType: EtherTypeIPv4}
 	b := NewSerializeBuffer()

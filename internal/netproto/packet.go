@@ -162,30 +162,6 @@ const (
 	TCPUrg uint8 = 1 << 5
 )
 
-// FlagName renders TCP flags the way the paper writes them (SYN+ACK).
-func FlagName(f uint8) string {
-	names := []struct {
-		bit  uint8
-		name string
-	}{
-		{TCPSyn, "SYN"}, {TCPAck, "ACK"}, {TCPFin, "FIN"},
-		{TCPRst, "RST"}, {TCPPsh, "PSH"}, {TCPUrg, "URG"},
-	}
-	out := ""
-	for _, n := range names {
-		if f&n.bit != 0 {
-			if out != "" {
-				out += "+"
-			}
-			out += n.name
-		}
-	}
-	if out == "" {
-		out = "NONE"
-	}
-	return out
-}
-
 // checksum computes the ones-complement sum used by IPv4/TCP/UDP/ICMP.
 func checksum(sum uint32, data []byte) uint32 {
 	n := len(data)

@@ -28,19 +28,16 @@ func (s *SerializeBuffer) Clear() {
 // mutation of the buffer.
 func (s *SerializeBuffer) Bytes() []byte { return s.store[s.start:s.end] }
 
-// Len reports the current content length.
-func (s *SerializeBuffer) Len() int { return s.end - s.start }
-
-// grow reallocates storage with at least front free bytes before the content
-// and back free bytes after it.
-func (s *SerializeBuffer) grow(front, back int) {
+// grow reallocates storage with at least front free bytes before the
+// content.
+func (s *SerializeBuffer) grow(front int) {
 	contentLen := s.end - s.start
 	newCap := 2 * len(s.store)
-	for newCap < front+contentLen+back {
+	for newCap < front+contentLen {
 		newCap *= 2
 	}
 	store := make([]byte, newCap)
-	newStart := front + (newCap-front-contentLen-back)/2
+	newStart := front + (newCap-front-contentLen)/2
 	copy(store[newStart:], s.store[s.start:s.end])
 	s.store = store
 	s.start = newStart
@@ -51,20 +48,10 @@ func (s *SerializeBuffer) grow(front, back int) {
 // returns that region for the caller to fill.
 func (s *SerializeBuffer) PrependBytes(n int) []byte {
 	if n > s.start {
-		s.grow(n, 0)
+		s.grow(n)
 	}
 	s.start -= n
 	return s.store[s.start : s.start+n]
-}
-
-// AppendBytes extends the packet at the tail by n bytes and returns the new
-// region. Used for payloads written before headers.
-func (s *SerializeBuffer) AppendBytes(n int) []byte {
-	if s.end+n > len(s.store) {
-		s.grow(0, n)
-	}
-	s.end += n
-	return s.store[s.end-n : s.end]
 }
 
 // SerializableLayer is any layer that can prepend itself onto a buffer. The

@@ -41,7 +41,7 @@ func TestPaperSmokeSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		res := scenario.RunSuite(suite, workers)
+		res := scenario.RunSuite(suite, workers, scenario.Run)
 		if !res.Pass {
 			for _, sc := range res.Scenarios {
 				if sc.Err != "" {

@@ -31,20 +31,14 @@ func (r *SuiteResult) Encode() ([]byte, error) {
 }
 
 // RunSuite executes every scenario of a suite across a GOMAXPROCS-bounded
-// pool (netsim.ParMap — the pool experiments.Run uses) and reports them in
-// input order. workers overrides each scenario's SimWorkers when > 0. A
-// scenario that cannot run — compile failure, panic — fails alone, with the
-// error or the panic value in its own RunResult.Err; it fails the suite,
-// never the process.
-func RunSuite(suite *Suite, workers int) *SuiteResult {
-	return RunSuiteWith(suite, workers, Run)
-}
-
-// RunSuiteWith is RunSuite with the per-scenario runner supplied by the
-// caller (RunSuite passes Run). Validation rejects every input known to make
-// Run panic, so the containment tests — here and in cmd/hypertester — bring
-// their own panicking runner through this seam.
-func RunSuiteWith(suite *Suite, workers int, run func(*Scenario, int) (*RunResult, error)) *SuiteResult {
+// pool (netsim.ParMap — the pool experiments.Run uses) with the per-scenario
+// runner run (Run, or a wrapper around it) and reports them in input order.
+// workers overrides each scenario's SimWorkers when > 0. A scenario that
+// cannot run — compile failure, panic — fails alone, with the error or the
+// panic value in its own RunResult.Err; it fails the suite, never the
+// process. Validation rejects every input known to make Run panic, so the
+// containment tests bring their own panicking runner.
+func RunSuite(suite *Suite, workers int, run func(*Scenario, int) (*RunResult, error)) *SuiteResult {
 	out := &SuiteResult{Suite: suite.Name, SimWorkers: workers, Pass: true,
 		Scenarios: make([]*RunResult, len(suite.Scenarios))}
 	netsim.ParMap(runtime.GOMAXPROCS(0), len(suite.Scenarios), func(i int) {

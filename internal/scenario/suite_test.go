@@ -38,7 +38,7 @@ func TestRunSuite(t *testing.T) {
 		}),
 		bad,
 	}}
-	res := RunSuite(suite, 0)
+	res := RunSuite(suite, 0, Run)
 	if res.Pass || res.Passed != 1 || res.Failed != 2 {
 		t.Fatalf("suite tally = pass=%v %d/%d, want fail 1/2", res.Pass, res.Passed, res.Failed)
 	}
@@ -93,7 +93,7 @@ func TestRunSuiteContainsPanic(t *testing.T) {
 		quickScenario("boom", flows),
 		quickScenario("after", flows),
 	}}
-	res := RunSuiteWith(suite, 0, run)
+	res := RunSuite(suite, 0, run)
 	if res.Pass || res.Passed != 2 || res.Failed != 1 {
 		t.Fatalf("suite tally = pass=%v %d/%d, want fail 2/1", res.Pass, res.Passed, res.Failed)
 	}

@@ -56,9 +56,6 @@ func (cm *CountMin) Estimate(key []byte) uint64 {
 	return min
 }
 
-// MemoryBytes reports the sketch's counter memory.
-func (cm *CountMin) MemoryBytes() int { return len(cm.rows) * cm.width * 8 }
-
 // Bloom is a Bloom filter with k hash functions over m bits.
 type Bloom struct {
 	bits    []uint64
@@ -103,17 +100,3 @@ func (b *Bloom) AddIfNew(key []byte) bool {
 	}
 	return isNew
 }
-
-// Contains reports whether key is (probably) present.
-func (b *Bloom) Contains(key []byte) bool {
-	for i, h := range b.hashers {
-		pos := b.idx(h, key, uint32(i))
-		if b.bits[pos/64]&(1<<uint(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MemoryBytes reports the filter's bit-array memory.
-func (b *Bloom) MemoryBytes() int { return len(b.bits) * 8 }

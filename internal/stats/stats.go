@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -106,18 +105,8 @@ func Gaps(ts []float64) []float64 {
 	return out
 }
 
-// Quantile returns the q-quantile (0..1) of xs by linear interpolation on a
-// sorted copy.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return sortedQuantile(s, q)
-}
-
+// sortedQuantile returns the q-quantile (0..1) of the sorted, non-empty s
+// by linear interpolation.
 func sortedQuantile(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
@@ -231,43 +220,4 @@ func ExponentialInvCDF(rate float64) func(p float64) float64 {
 		}
 		return -math.Log(1-p) / rate
 	}
-}
-
-// Histogram bins xs into n equal-width buckets across [min,max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram builds a histogram of xs with n bins. A degenerate request
-// (n<=0 or a range where min is not strictly below max, including NaN bounds)
-// yields an empty histogram rather than a panic; NaN samples are skipped, and
-// the bin index is clamped so values a half-ulp below max — where
-// (x-min)/width rounds up to exactly n — land in the last bin instead of one
-// past it.
-func NewHistogram(xs []float64, n int, min, max float64) *Histogram {
-	if n <= 0 || !(min < max) {
-		return &Histogram{Min: min, Max: max}
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, n)}
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		if !(x >= min) || x >= max { // !(x>=min) also rejects NaN
-			continue
-		}
-		idx := int((x - min) / width)
-		if idx >= n {
-			idx = n - 1
-		} else if idx < 0 {
-			idx = 0
-		}
-		h.Counts[idx]++
-		h.Total++
-	}
-	return h
-}
-
-func (h *Histogram) String() string {
-	return fmt.Sprintf("hist[%g,%g) n=%d total=%d", h.Min, h.Max, len(h.Counts), h.Total)
 }

@@ -30,7 +30,7 @@ type Sink struct {
 	// OnPacket, when set, runs for each arriving frame.
 	OnPacket func(pkt *netproto.Packet, at netsim.Time)
 
-	// Capture state (see EnableCapture / WritePcap).
+	// Capture state (see EnableCapture, Captured and WritePcap).
 	capturing  bool
 	captureMax int
 	captured   []CapturedFrame

@@ -369,6 +369,30 @@ func TestForwardingDUT(t *testing.T) {
 	}
 }
 
+// TestForwardingDUTTailDropsAtSlowerEgress: a DUT forwarding a 100G flood
+// onto a 40G port delivers the slower link's line rate and tail-drops the
+// excess at its egress queue (the speed hierarchy of the paper's Fig. 8).
+func TestForwardingDUTTailDropsAtSlowerEgress(t *testing.T) {
+	sim := netsim.New()
+	dut := NewForwardingDUT(sim, "dut", []float64{100, 40}, map[int]int{0: 1}, 7)
+	src := NewIface(sim, "src", 100)
+	sink := NewSink(sim, "sink", 40)
+	Connect(sim, src, dut.Port(0), DefaultCableDelay)
+	Connect(sim, dut.Port(1), sink.Iface, DefaultCableDelay)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		src.Send(udpFrame(t, 256, 1, 2))
+	}
+	sim.Run()
+	if g := sink.ThroughputGbps(); g < 39 || g > 40.5 {
+		t.Fatalf("40G egress delivered %.2f Gbps, want ~40", g)
+	}
+	drops := dut.Port(1).TxDrops
+	if drops == 0 || sink.Packets+drops != n {
+		t.Fatalf("delivered %d + tail-dropped %d, want %d with drops", sink.Packets, drops, n)
+	}
+}
+
 // TestReflectorBouncesTheDeliveredFrame pins the reflector's pool
 // discipline: the frame that comes back is the frame that was delivered —
 // no clone, so nothing is left for the GC — and a frame bouncing between two

@@ -64,11 +64,6 @@ func (v *Value) Clone() *Value {
 	return &c
 }
 
-// IsTop reports whether the value is wholly unconstrained.
-func (v *Value) IsTop() bool {
-	return v.Lo == 0 && v.Hi == maxVal(v.W) && v.Mask == 0 && len(v.Ne) == 0
-}
-
 // ConstValue returns the single admitted value, if there is exactly one.
 func (v *Value) ConstValue() (uint64, bool) {
 	if v.Lo == v.Hi {
@@ -200,6 +195,8 @@ func (v *Value) Concretize() uint64 {
 }
 
 // Admits reports whether the value admits the concrete x.
+//
+//htlint:ignore deadexport the membership predicate the domain tests check Concretize against
 func (v *Value) Admits(x uint64) bool {
 	return x >= v.Lo && x <= v.Hi && x&v.Mask == v.Bits&v.Mask && !v.excluded(x)
 }

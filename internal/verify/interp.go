@@ -48,6 +48,8 @@ type Outcome struct {
 }
 
 // Canonical renders the outcome deterministically for diffing.
+//
+//htlint:ignore deadexport the witness differential's transcript of the naive reference
 func (o *Outcome) Canonical() string {
 	var b strings.Builder
 	names := make([]string, 0, len(o.Fields))
@@ -384,6 +386,8 @@ type Interp struct {
 }
 
 // Run replays one witness and returns the outcome.
+//
+//htlint:ignore deadexport the naive reference the witness differential replays against the compiled plan
 func (in *Interp) Run(wit Witness) *Outcome {
 	m := NewMapMachine(wit)
 	st := NewExecState()
