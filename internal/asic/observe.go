@@ -53,7 +53,8 @@ func (sw *Switch) SetTrace(tr *obs.Trace) {
 // Describe records the switch's health under prefix: drop counters,
 // digest-channel state, hot-path pool sizes, where the loop passes went, then
 // every front-panel and recirculation port. It syncs the loop model once and
-// then only reads, so a walk from inside an event is exact.
+// each port's far-end frames as it walks the port, so a walk from inside an
+// event is exact.
 func (sw *Switch) Describe(r *obs.Registry, prefix string) {
 	sw.SyncLoop()
 	r.Num(prefix, "pipeline_drops", float64(sw.PipelineDrops))
@@ -79,10 +80,12 @@ func (sw *Switch) Describe(r *obs.Registry, prefix string) {
 	}
 }
 
-// Describe records the port's counters under prefix. It only reads: a
-// recirculation port's counters are the loop model's to keep, so reach it
-// through Switch.Port or Switch.Describe, which sync the model first.
+// Describe records the port's counters under prefix, crediting the frames
+// it accounts to a far end first (Sync). A recirculation port's counters are
+// the loop model's to keep, so reach it through Switch.Port or
+// Switch.Describe, which sync the model first.
 func (pt *Port) Describe(r *obs.Registry, prefix string) {
+	pt.Sync()
 	r.Num(prefix, "tx_packets", float64(pt.TxPackets))
 	r.Num(prefix, "tx_bytes", float64(pt.TxBytes))
 	r.Num(prefix, "rx_packets", float64(pt.RxPackets))

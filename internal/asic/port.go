@@ -49,14 +49,62 @@ type Port struct {
 	TxPackets, TxBytes uint64
 	RxPackets, RxBytes uint64
 	TxDrops            uint64
+
+	// far, once SetFarEnd has given the port a counting far end, holds the
+	// frames it accounts instead of scheduling (DESIGN.md §9.8).
+	far *farQueue
 }
 
 // DefaultMaxBacklog approximates Tofino's per-port share of packet buffer:
 // at 100 Gbps, 50 us of backlog is ~625 KB.
 const DefaultMaxBacklog = 50 * netsim.Microsecond
 
-// SetPeer attaches the frame sink called at serialization end.
-func (pt *Port) SetPeer(fn func(pkt *netproto.Packet, at netsim.Time)) { pt.peer = fn }
+// SetPeer attaches the frame sink called at serialization end. Frames leaving
+// egress after the call go to fn, not to a far end SetFarEnd attached.
+func (pt *Port) SetPeer(fn func(pkt *netproto.Packet, at netsim.Time)) {
+	pt.peer = fn
+	if pt.far != nil {
+		pt.far.on = false
+	}
+}
+
+// FarEnd is a port's far end that does nothing with a frame but count it: a
+// measurement endpoint at the other end of a cable on the port's Sim. While
+// Counting holds when a frame leaves egress, the port accounts the frame's
+// serialization end and its arrival instead of scheduling them (DESIGN.md
+// §9.8), and credits both when a sync reaches their instants.
+type FarEnd interface {
+	// Counting reports whether a frame leaving egress now may be accounted.
+	Counting() bool
+	// Arrive credits one frame of frameLen bytes whose last bit arrived at
+	// at. Calls come in arrival order, at or before the clock.
+	Arrive(at netsim.Time, frameLen int)
+}
+
+// SetFarEnd makes end, one cable delay of propagation away, the port's
+// counting far end; testbed.Connect calls it for a port cabled to a sink.
+// Loopback ports keep every hop an event, and a partitioned port's frames
+// cross to another LP, so neither takes one.
+func (pt *Port) SetFarEnd(end FarEnd, propagation netsim.Duration) {
+	if pt.Loopback || pt.remote != nil {
+		panic(fmt.Sprintf("asic: port %d of %s cannot account its frames at a far end", pt.ID, pt.sw.Name))
+	}
+	if pt.far == nil {
+		pt.far = &farQueue{}
+		pt.sw.sim.OnBoundary(pt.Sync)
+	}
+	pt.far.end, pt.far.prop, pt.far.on = end, propagation, true
+}
+
+// Sync credits the frames the port accounts to its far end (SetFarEnd) up to
+// the clock: TX counters for every serialization end at or before Now, the
+// far end for every arrival by then. Run boundaries, Switch.Port and the walks call
+// it, so counters read there are exact.
+func (pt *Port) Sync() {
+	if pt.far != nil {
+		pt.far.sync(pt, pt.sw.sim.Now())
+	}
+}
 
 // SetRemote diverts this port's transmissions to a cross-LP staging hook
 // (see the remote field). Used by testbed.Partition for partitioned links;
@@ -158,11 +206,102 @@ func (pt *Port) serialize(pkt *netproto.Packet, tx, end netsim.Time) {
 		pt.remote(pkt, end)
 		return
 	}
+	if q := pt.far; q != nil && q.on && pt.sw.trace == nil && (q.n > 0 || q.end.Counting()) {
+		// Nothing happens at serialization end or at the arrival but
+		// counting (DESIGN.md §9.8): both are accounted, the buffer goes
+		// back to the pool now, and one tail event per port keeps the
+		// scheduler's clock running to the last arrival. A far end that
+		// stopped counting with frames queued fails their Arrive, so
+		// asking it again before the queue drains would change nothing.
+		q.push(end, pkt.Len())
+		pkt.Release()
+		if !q.armed {
+			q.armed = true
+			sim.AtCall(end.Add(q.prop), runFarTail, pt)
+		}
+		return
+	}
 	j := pt.sw.job(pkt, pt)
 	if pt.Loopback {
 		j.ord = pt.sw.loopOrd()
 	}
 	sim.AtCallStamped(end, tx, runTxDoneJob, j)
+}
+
+// farQueue is the frames a port has accounted to its counting far end and
+// not yet credited in full, oldest first: a ring of (serialization end,
+// length) with power-of-two capacity. The busy-until FIFO makes ends strictly
+// increasing, and the cable delay is constant, so arrivals come in the same
+// order, and the ring holds only the frames in flight since the last sync.
+type farQueue struct {
+	end  FarEnd
+	prop netsim.Duration
+	// on is whether frames leaving egress may still be accounted (SetPeer
+	// turns it off; frames already queued are credited all the same).
+	on    bool
+	buf   []farFrame
+	head  int
+	n     int
+	sent  int  // frames from head whose serialization end is credited
+	armed bool // a tail event is pending
+}
+
+type farFrame struct {
+	end netsim.Time
+	n   int
+}
+
+func (q *farQueue) at(i int) *farFrame { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *farQueue) push(end netsim.Time, n int) {
+	if q.n == len(q.buf) {
+		grown := make([]farFrame, max(2*len(q.buf), 64))
+		for i := 0; i < q.n; i++ {
+			grown[i] = *q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	*q.at(q.n) = farFrame{end, n}
+	q.n++
+}
+
+// sync credits pt's TX counters for every queued frame whose serialization
+// ends at or before t, and the far end for every one that has arrived by t,
+// dropping those from the queue.
+func (q *farQueue) sync(pt *Port, t netsim.Time) {
+	for ; q.sent < q.n; q.sent++ {
+		f := q.at(q.sent)
+		if f.end > t {
+			break
+		}
+		pt.TxPackets++
+		pt.TxBytes += uint64(f.n)
+	}
+	for q.n > 0 {
+		f := q.at(0)
+		at := f.end.Add(q.prop)
+		if at > t {
+			break
+		}
+		q.end.Arrive(at, f.n)
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.n--
+		q.sent--
+	}
+}
+
+// runFarTail runs at the newest arrival queued when it was armed: it credits
+// everything due and re-arms at the newest arrival still queued, so a drained
+// Sim stops at the last arrival, as it does when every arrival is an event.
+func runFarTail(a any) {
+	pt := a.(*Port)
+	q := pt.far
+	q.armed = false
+	q.sync(pt, pt.sw.sim.Now())
+	if q.n > 0 {
+		q.armed = true
+		pt.sw.sim.AtCall(q.at(q.n-1).end.Add(q.prop), runFarTail, pt)
+	}
 }
 
 // stripBridge removes the internal bridge header (template ID, replication

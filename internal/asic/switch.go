@@ -120,14 +120,20 @@ func New(cfg Config) *Switch {
 // Sim returns the simulation the switch is bound to.
 func (sw *Switch) Sim() *netsim.Sim { return sw.sim }
 
-// Port returns a front-panel or recirculation port by ID. A
-// recirculation port's counters are brought up to the clock first (the loop
-// model may be holding passes it has not accounted yet).
+// Port returns a front-panel or recirculation port by ID, its counters
+// brought up to the clock first: the loop model may be holding passes a
+// recirculation port has not accounted yet, and a front-panel port may hold
+// frames it has accounted to its far end and not yet credited (DESIGN.md
+// §9.8).
 func (sw *Switch) Port(id int) *Port {
 	if id >= RecircPortBase {
 		sw.SyncLoop()
 	}
-	return sw.port(id)
+	pt := sw.port(id)
+	if pt != nil {
+		pt.Sync()
+	}
+	return pt
 }
 
 // port is Port for the switch's own hot paths, which sync the loop model at

@@ -11,6 +11,7 @@ import (
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
+	"github.com/hypertester/hypertester/internal/raceflag"
 	"github.com/hypertester/hypertester/internal/testbed"
 )
 
@@ -20,7 +21,9 @@ import (
 // frames are tail-dropped and when, what every counter reads at any instant,
 // and the slot each serialization end takes among the events of its
 // picosecond — to a reference that knows nothing of events, to a record
-// sequence taken before the change, and to itself across engines.
+// sequence taken before the change, and to itself across engines. A frame
+// bound for a sink that only counts has its serialization end and arrival
+// accounted too (§9.8); (f) holds that to the scheduled path.
 
 // pipeToMAC is the fixed latency from a frame's wire arrival to the moment it
 // reaches the egress MAC: ingress, traffic manager, egress and MAC transmit.
@@ -387,29 +390,28 @@ func TestTxPathTracedEqualsUntraced(t *testing.T) {
 	}
 }
 
-// (d) TestTxPathEventsPerFrame: the events pin. A template circling the
-// recirculation loop and multicast to four front-panel ports, each cabled to a
-// sink, costs four loop hops per pass and, per emitted frame, three events:
-// egress, serialization end, cable arrival — 4.0 per frame with the loop's
-// share. A MAC hop scheduled again makes it 5.0.
-func TestTxPathEventsPerFrame(t *testing.T) {
-	const passes = 1000
+// genRig is a template circling the recirculation loop in copies copies,
+// multicast on every pass to four 100 G front-panel ports, each cabled to a
+// sink: the generator's data path without a task. After passes passes (0 =
+// never) the template is dropped.
+func genRig(t *testing.T, copies, passes int) (*netsim.Sim, []*testbed.Sink) {
+	t.Helper()
 	sim := netsim.New()
 	sw := asic.New(asic.Config{Name: "gen", Sim: sim, PortGbps: []float64{100, 100, 100, 100}, Seed: 1})
-	copies := []asic.CopySpec{{Port: asic.RecircPortBase, Rid: 0}}
+	group := []asic.CopySpec{{Port: asic.RecircPortBase, Rid: 0}}
 	var sinks []*testbed.Sink
 	for id := 0; id < sw.NumPorts(); id++ {
-		copies = append(copies, asic.CopySpec{Port: id, Rid: id + 1})
+		group = append(group, asic.CopySpec{Port: id, Rid: id + 1})
 		s := testbed.NewSink(sim, fmt.Sprintf("sink%d", id), 100)
 		testbed.Connect(sim, sw.Port(id), s.Iface, testbed.DefaultCableDelay)
 		sinks = append(sinks, s)
 	}
-	if err := sw.Mcast.SetGroup(1, copies); err != nil {
+	if err := sw.Mcast.SetGroup(1, group); err != nil {
 		t.Fatal(err)
 	}
 	fired := 0
 	sw.Ingress.Add(asic.ProcessorFunc(func(p *asic.PHV) {
-		if fired == passes {
+		if passes > 0 && fired == passes {
 			p.Drop = true
 			return
 		}
@@ -422,19 +424,54 @@ func TestTxPathEventsPerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.InjectFromCPU(&netproto.Packet{Data: raw})
-	sim.Run()
-	var frames uint64
-	for _, s := range sinks {
-		frames += s.Packets
+	for i := 0; i < copies; i++ {
+		sw.InjectFromCPU(&netproto.Packet{Data: append([]byte(nil), raw...)})
 	}
+	return sim, sinks
+}
+
+func sinkPackets(sinks []*testbed.Sink) (n uint64) {
+	for _, s := range sinks {
+		n += s.Packets
+	}
+	return n
+}
+
+// (d) TestTxPathEventsPerFrame: the events pin. One template copy circling
+// the loop costs four loop hops per pass; each of the four frames a pass
+// emits costs its egress, and — alone on its port and its cable, accounted
+// at its sink (DESIGN.md §9.8) — the one tail event that credits its arrival:
+// exactly 3.0 per frame. A MAC hop scheduled again makes it 4.0; serialization
+// end and arrival scheduled again, 5.0. Back to back at line rate, one tail
+// covers every frame in flight on the port, and the loop's share is one hop
+// per frame: at most 2.05.
+func TestTxPathEventsPerFrame(t *testing.T) {
+	const passes = 1000
+	sim, sinks := genRig(t, 1, passes)
+	sim.Run()
+	frames := sinkPackets(sinks)
 	if frames != 4*passes {
 		t.Fatalf("sinks saw %d frames, want %d", frames, 4*passes)
 	}
 	// One event injects the template; its last pass drops it.
-	if got, want := sim.Executed-1, 4*frames; got != want {
-		t.Fatalf("%d events for %d emitted frames (%.2f per frame), want exactly 4.0", got, frames, float64(got)/float64(frames))
+	if got, want := sim.Executed-1, 3*frames; got != want {
+		t.Fatalf("%d events for %d isolated frames (%.2f per frame), want exactly 3.0", got, frames, float64(got)/float64(frames))
 	}
+
+	sim, sinks = genRig(t, asic.AcceleratorCapacity(64), 0)
+	sim.RunFor(20 * netsim.Microsecond)
+	events, before := sim.Executed, sinkPackets(sinks)
+	sim.RunFor(200 * netsim.Microsecond)
+	frames = sinkPackets(sinks) - before
+	// 200 µs at 6.72 ns per 64 B frame is 29761 frames per port.
+	if frames < 4*29000 {
+		t.Fatalf("sinks saw %d frames in 200 µs, want line rate on four ports", frames)
+	}
+	per := float64(sim.Executed-events) / float64(frames)
+	if per > 2.05 {
+		t.Fatalf("%d events for %d back-to-back frames (%.3f per frame), want at most 2.05", sim.Executed-events, frames, per)
+	}
+	t.Logf("back to back: %d frames, %.4f events per frame", frames, per)
 }
 
 // (e) TestTxPathWorkersDeterminism: a switch whose ports are partitioned in
@@ -493,4 +530,139 @@ func TestTxPathWorkersDeterminism(t *testing.T) {
 			t.Errorf("workers=%d diverged from the sequential run", w)
 		}
 	}
+}
+
+// TestSinkFoldSteadyStateZeroAllocs: a port accounting its sink's arrivals at
+// line rate allocates nothing per frame once its queue has grown to the
+// frames in flight.
+func TestSinkFoldSteadyStateZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	sim, sinks := genRig(t, asic.AcceleratorCapacity(64), 0)
+	sim.RunFor(20 * netsim.Microsecond)
+	before := sinkPackets(sinks)
+	allocs := testing.AllocsPerRun(50, func() { sim.RunFor(netsim.Microsecond) })
+	frames := sinkPackets(sinks) - before
+	if frames < 50*4*140 {
+		t.Fatalf("%d frames in 50 µs, want line rate on four ports", frames)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per µs of line-rate traffic (%d frames), want 0", allocs, frames)
+	}
+}
+
+// sinkRig is a txRig whose every port is cabled to a sink of its own, at a
+// cable delay of 0-20 ns at any picosecond phase.
+type sinkRig struct {
+	*txRig
+	delays      []netsim.Duration
+	maxRecorded int
+}
+
+func randomSinkRig(seed int64) *sinkRig {
+	rng := netsim.NewRNG(seed, "sink-fold")
+	r := &sinkRig{txRig: randomRig(seed), maxRecorded: []int{0, 5, 40}[rng.Intn(3)]}
+	for range r.gbps {
+		r.delays = append(r.delays, netsim.Duration(rng.Int63n(int64(20*netsim.Nanosecond)+1)))
+	}
+	return r
+}
+
+// sinkBed is a built sinkRig: the ports as Connect left them, so reading
+// their fields does not sync.
+type sinkBed struct {
+	sim   *netsim.Sim
+	ports []*asic.Port
+	sinks []*testbed.Sink
+}
+
+// build makes the rig; hooked installs a no-op OnPacket on every sink before
+// traffic, which keeps every serialization end and arrival an event.
+func (r *sinkRig) build(t *testing.T, hooked bool) *sinkBed {
+	b := &sinkBed{sim: netsim.New()}
+	sw, _ := r.txRig.build(t, b.sim)
+	for id := range r.gbps {
+		s := testbed.NewSink(b.sim, fmt.Sprintf("sink%d", id), r.gbps[id])
+		s.RecordTimestamps, s.MaxRecorded = true, r.maxRecorded
+		if hooked {
+			s.OnPacket = func(pkt *netproto.Packet, at netsim.Time) { pkt.Release() }
+		}
+		testbed.Connect(b.sim, sw.Port(id), s.Iface, r.delays[id])
+		b.ports = append(b.ports, sw.Port(id))
+		b.sinks = append(b.sinks, s)
+	}
+	return b
+}
+
+// sinkView is everything the fold credits, read from the fields.
+type sinkView struct {
+	Port                  [5]uint64 // Tx packets/bytes, Rx packets/bytes, TxDrops
+	IfaceRx, IfaceRxBytes uint64
+	Packets, Bytes        uint64
+	First, Last           netsim.Time
+	Timestamps            []float64
+}
+
+func (b *sinkBed) view() []sinkView {
+	var out []sinkView
+	for i, pt := range b.ports {
+		s := b.sinks[i]
+		out = append(out, sinkView{
+			Port:    [5]uint64{pt.TxPackets, pt.TxBytes, pt.RxPackets, pt.RxBytes, pt.TxDrops},
+			IfaceRx: s.Iface.RxPackets, IfaceRxBytes: s.Iface.RxBytes,
+			Packets: s.Packets, Bytes: s.Bytes, First: s.First, Last: s.Last,
+			Timestamps: append([]float64(nil), s.Timestamps...),
+		})
+	}
+	return out
+}
+
+// (f) TestTxPathSinkFold: randomised switches whose ports feed sinks that
+// only count (DESIGN.md §9.8), against the same rigs with a hook on every
+// sink, where every serialization end and arrival is an event: port, interface
+// and sink counters, First/Last and recorded timestamps at cuts 50 ns apart,
+// the clock a drained run stops at, and the counts after a Reset between two
+// runs.
+func TestTxPathSinkFold(t *testing.T) {
+	var frames, drops uint64
+	for seed := int64(1); seed <= 60; seed++ {
+		r := randomSinkRig(seed)
+		fold, sched := r.build(t, false), r.build(t, true)
+		last := r.frames[len(r.frames)-1].at.Add(pipeToMAC + 20*netsim.Microsecond)
+		for now := netsim.Time(0); now <= last; now = now.Add(50 * netsim.Nanosecond) {
+			fold.sim.RunUntil(now)
+			sched.sim.RunUntil(now)
+			if got, want := fold.view(), sched.view(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, cut %v, delays %v: folded %+v\nscheduled %+v", seed, now, r.delays, got, want)
+			}
+		}
+		fold.sim.Run()
+		sched.sim.Run()
+		if fold.sim.Now() != sched.sim.Now() {
+			t.Fatalf("seed %d: a drained run stops at %v folded, %v scheduled", seed, fold.sim.Now(), sched.sim.Now())
+		}
+		for _, v := range sched.view() {
+			frames += v.Packets
+			drops += v.Port[4]
+		}
+
+		// A Reset between two runs, cut mid-burst.
+		fold, sched = r.build(t, false), r.build(t, true)
+		mid := r.frames[len(r.frames)/2].at.Add(pipeToMAC)
+		for _, b := range []*sinkBed{fold, sched} {
+			b.sim.RunUntil(mid)
+			for _, s := range b.sinks {
+				s.Reset()
+			}
+			b.sim.Run()
+		}
+		if got, want := fold.view(), sched.view(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, Reset at %v: folded %+v\nscheduled %+v", seed, mid, got, want)
+		}
+	}
+	if frames == 0 || drops == 0 {
+		t.Fatalf("scripts too tame: %d frames reached a sink, %d tail-dropped", frames, drops)
+	}
+	t.Logf("%d frames reached a sink, %d tail-dropped", frames, drops)
 }

@@ -173,19 +173,31 @@ func (r *Result) String() string {
 func htGenerate(cfg Config, src string, portGbps []float64, seed int64,
 	warmup, window netsim.Duration, record bool) ([]*testbed.Sink, *hypertester.Tester, *testbed.Partition, error) {
 
+	rig, sinks, err := htRig(cfg, src, portGbps, seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, s := range sinks {
+		s.RecordTimestamps = record
+	}
+	rig.Run(warmup, window)
+	return sinks, rig.Tester, rig.Partition, nil
+}
+
+// htRig builds htGenerate's testbed, its task loaded and not started, and
+// returns it with its sinks.
+func htRig(cfg Config, src string, portGbps []float64, seed int64) (*scenario.Rig, []*testbed.Sink, error) {
 	rig, err := scenario.Build(scenario.Topology{Ports: portGbps, DUT: scenario.DUTSink},
 		"exp", src, seed, cfg.simWorkers(), cfg.Trace)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cfg.Stats.track(rig.Tester)
 	sinks := make([]*testbed.Sink, len(rig.DUTs))
 	for i, d := range rig.DUTs {
 		sinks[i] = d.Sink
-		sinks[i].RecordTimestamps = record
 	}
-	rig.Run(warmup, window)
-	return sinks, rig.Tester, rig.Partition, nil
+	return rig, sinks, nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

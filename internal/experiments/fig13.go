@@ -66,22 +66,28 @@ func Fig13RandomQQ(cfg Config) *Result {
 }
 
 // collectField runs a generation task and extracts one numeric field per
-// generated packet. The mid-run hook installation means virtual time must
-// advance through the Partition, which drives every logical process — the
-// tester's own clock alone would leave the sink idle under the parallel
-// engine.
+// packet the sink receives after a 30 µs warm-up. The hook is installed
+// before traffic starts, as Sink.OnPacket requires, and samples only once
+// the warm-up has run.
 func collectField(cfg Config, src string, seed int64, window netsim.Duration, extract func(*netproto.Stack) float64) ([]float64, error) {
-	sinks, _, p, err := htGenerate(cfg, src, []float64{100}, seed, 30*netsim.Microsecond, 0, false)
+	rig, sinks, err := htRig(cfg, src, []float64{100}, seed)
 	if err != nil {
 		return nil, err
 	}
 	var samples []float64
 	var stack netproto.Stack
+	sampling := false
 	sinks[0].OnPacket = func(pkt *netproto.Packet, at netsim.Time) {
+		defer pkt.Release() // the hook owns the packet and keeps nothing of it
+		if !sampling {
+			return
+		}
 		if err := stack.Decode(pkt.Data); err == nil {
 			samples = append(samples, extract(&stack))
 		}
 	}
-	p.RunFor(window)
+	rig.Run(30*netsim.Microsecond, 0)
+	sampling = true
+	rig.Partition.RunFor(window)
 	return samples, nil
 }

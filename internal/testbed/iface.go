@@ -165,6 +165,8 @@ type Iface struct {
 	sim  *netsim.Sim
 	peer func(pkt *netproto.Packet, at netsim.Time)
 	recv func(pkt *netproto.Packet)
+	// sink is the Sink whose receive is recv, nil once anything else is.
+	sink *Sink
 
 	// remote, when set, diverts outgoing frames to a cross-LP channel of
 	// the parallel engine at Send time (with the computed serialization-end
@@ -203,7 +205,7 @@ func (i *Iface) Sim() *netsim.Sim { return i.sim }
 func (i *Iface) SetTrace(tr *obs.Trace) { i.trace = tr }
 
 // OnReceive installs the device's frame handler.
-func (i *Iface) OnReceive(fn func(pkt *netproto.Packet)) { i.recv = fn }
+func (i *Iface) OnReceive(fn func(pkt *netproto.Packet)) { i.recv, i.sink = fn, nil }
 
 // Deliver implements Attach: a frame has fully arrived now.
 func (i *Iface) Deliver(pkt *netproto.Packet) {
@@ -244,11 +246,26 @@ func (i *Iface) Send(pkt *netproto.Packet) {
 }
 
 // Connect joins two attachment points with a full-duplex cable of the given
-// propagation delay.
+// propagation delay. A switch port cabled to a sink's interface on the same
+// Sim gets the sink as its counting far end (asic.FarEnd, DESIGN.md §9.8).
 func Connect(sim *netsim.Sim, a, b Attach, propagation netsim.Duration) {
 	c := &cable{sim: sim, propagation: propagation}
 	a.SetPeer(func(pkt *netproto.Packet, at netsim.Time) { c.carry(b, pkt, at) })
 	b.SetPeer(func(pkt *netproto.Packet, at netsim.Time) { c.carry(a, pkt, at) })
+	farEnd(sim, a, b, propagation)
+	farEnd(sim, b, a, propagation)
+}
+
+// farEnd makes dst the counting far end of src when src is a front-panel
+// switch port and dst a sink's interface, both on sim.
+func farEnd(sim *netsim.Sim, src, dst Attach, propagation netsim.Duration) {
+	pt, ok := src.(*asic.Port)
+	i, isIface := dst.(*Iface)
+	if !ok || !isIface || i.sink == nil || pt.Loopback || pt.Sim() != sim || i.sim != sim {
+		return
+	}
+	pt.SetFarEnd(sinkEnd{i.sink}, propagation)
+	i.sink.feeds = append(i.sink.feeds, pt)
 }
 
 // DefaultCableDelay is the propagation delay of a short DAC cable.

@@ -20,7 +20,9 @@ type CapturedFrame struct {
 	Data []byte
 }
 
-// EnableCapture makes the sink retain up to max frames (0 = unlimited).
+// EnableCapture makes the sink retain up to max frames (0 = unlimited). Call
+// it before traffic starts: like Sink.OnPacket, enabling it while frames a
+// switch port accounts to the sink are in flight panics at the next sync.
 func (s *Sink) EnableCapture(max int) {
 	s.captureMax = max
 	s.capturing = true

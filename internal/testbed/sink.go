@@ -1,6 +1,9 @@
 package testbed
 
 import (
+	"fmt"
+
+	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
@@ -27,13 +30,19 @@ type Sink struct {
 	// MaxRecorded bounds timestamp recording (0 = unlimited).
 	MaxRecorded int
 
-	// OnPacket, when set, runs for each arriving frame.
+	// OnPacket, when set before traffic starts, runs for each arriving
+	// frame. A switch port cabled to a sink without one accounts the
+	// sink's arrivals instead of delivering them (DESIGN.md §9.8), so
+	// setting it while such frames are in flight panics at the next sync.
 	OnPacket func(pkt *netproto.Packet, at netsim.Time)
 
 	// Capture state (see EnableCapture, Captured and WritePcap).
 	capturing  bool
 	captureMax int
 	captured   []CapturedFrame
+
+	// feeds are the switch ports that account frames to this sink.
+	feeds []*asic.Port
 
 	sim *netsim.Sim
 }
@@ -42,21 +51,13 @@ type Sink struct {
 func NewSink(sim *netsim.Sim, name string, gbps float64) *Sink {
 	s := &Sink{Iface: NewIface(sim, name, gbps), sim: sim}
 	s.Iface.OnReceive(s.receive)
+	s.Iface.sink = s
 	return s
 }
 
 func (s *Sink) receive(pkt *netproto.Packet) {
 	now := s.sim.Now()
-	if s.Packets == 0 {
-		s.First = now
-		s.firstBytes = uint64(pkt.Len())
-	}
-	s.Last = now
-	s.Packets++
-	s.Bytes += uint64(pkt.Len())
-	if s.RecordTimestamps && (s.MaxRecorded == 0 || len(s.Timestamps) < s.MaxRecorded) {
-		s.Timestamps = append(s.Timestamps, now.Nanoseconds())
-	}
+	s.count(now, pkt.Len())
 	s.captureFrame(pkt, now)
 	if s.OnPacket != nil {
 		// The hook may retain the packet, so ownership passes to it and
@@ -71,6 +72,55 @@ func (s *Sink) receive(pkt *netproto.Packet) {
 	// line-rate throughput runs recirculate buffers instead of growing the
 	// heap.
 	pkt.Release()
+}
+
+// count credits one frame of n bytes arriving at at.
+func (s *Sink) count(at netsim.Time, n int) {
+	if s.Packets == 0 {
+		s.First = at
+		s.firstBytes = uint64(n)
+	}
+	s.Last = at
+	s.Packets++
+	s.Bytes += uint64(n)
+	if s.RecordTimestamps && (s.MaxRecorded == 0 || len(s.Timestamps) < s.MaxRecorded) {
+		s.Timestamps = append(s.Timestamps, at.Nanoseconds())
+	}
+}
+
+// counting reports whether an arriving frame would do nothing but count:
+// no hook, no capture, no trace on the interface, and the interface still
+// delivering to this sink.
+func (s *Sink) counting() bool {
+	return s.OnPacket == nil && !s.capturing && s.Iface.trace == nil && s.Iface.sink == s
+}
+
+// sync credits every frame the feeding ports have accounted to this sink up
+// to the clock.
+func (s *Sink) sync() {
+	for _, pt := range s.feeds {
+		pt.Sync()
+	}
+}
+
+// sinkEnd is a sink as the counting far end of a switch port (asic.FarEnd).
+type sinkEnd struct{ s *Sink }
+
+func (e sinkEnd) Counting() bool { return e.s.counting() }
+
+// Arrive credits a frame the port accounted: the interface's RX counters and
+// the sink's, as Iface.Deliver and receive would have at the arrival. A sink
+// that stopped only counting while the frame was in flight would have seen
+// it otherwise, so that is a panic, never a silently missed frame.
+func (e sinkEnd) Arrive(at netsim.Time, n int) {
+	s := e.s
+	if !s.counting() {
+		panic(fmt.Sprintf("testbed: sink %s got an OnPacket hook, a capture, a trace or another receiver "+
+			"with frames in flight; set it before traffic starts", s.Iface.Name))
+	}
+	s.Iface.RxPackets++
+	s.Iface.RxBytes += uint64(n)
+	s.count(at, n)
 }
 
 // ThroughputGbps returns the goodput plus wire overhead over the window the
@@ -103,6 +153,7 @@ func (s *Sink) RatePps() float64 {
 
 // Describe records the sink's counters and rates under prefix.
 func (s *Sink) Describe(r *obs.Registry, prefix string) {
+	s.sync()
 	r.Num(prefix, "rx_packets", float64(s.Packets))
 	r.Num(prefix, "rx_bytes", float64(s.Bytes))
 	r.Num(prefix, "gbps", s.ThroughputGbps())
@@ -111,6 +162,7 @@ func (s *Sink) Describe(r *obs.Registry, prefix string) {
 
 // Reset clears counters and recordings (for measuring in phases).
 func (s *Sink) Reset() {
+	s.sync()
 	s.Packets, s.Bytes, s.firstBytes = 0, 0, 0
 	s.First, s.Last = 0, 0
 	s.Timestamps = s.Timestamps[:0]

@@ -3,10 +3,12 @@ package testbed
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
@@ -425,5 +427,46 @@ func TestReflectorBouncesTheDeliveredFrame(t *testing.T) {
 	}
 	if a.Reflected-before < 100 {
 		t.Fatalf("only %d bounces measured", a.Reflected-before)
+	}
+}
+
+// TestSinkModeFixedWhileFramesInFlight: a switch port cabled to a sink that
+// only counts accounts the sink's arrivals (DESIGN §9.8). Giving the sink a
+// hook, a capture or a trace while such frames are in flight would let them
+// bypass it, so the next sync panics and names the sink instead.
+func TestSinkModeFixedWhileFramesInFlight(t *testing.T) {
+	run := func(change func(*Sink)) (sink *Sink, panicked any) {
+		sim := netsim.New()
+		dut := NewForwardingDUT(sim, "dut", []float64{100, 100}, map[int]int{0: 1}, 7)
+		src := NewIface(sim, "src", 100)
+		sink = NewSink(sim, "sink-under-test", 100)
+		Connect(sim, src, dut.Port(0), 0)
+		Connect(sim, dut.Port(1), sink.Iface, 20*netsim.Nanosecond)
+		for i := 0; i < 10; i++ {
+			src.Send(udpFrame(t, 64, 1, 2))
+		}
+		// Every frame has left egress, and none has reached the MAC.
+		sim.RunUntil(netsim.Time(550 * netsim.Nanosecond))
+		if sink.Packets != 0 || dut.Port(1).TxPackets != 0 {
+			t.Fatalf("frames arrived before the cut: sink %d, port tx %d", sink.Packets, dut.Port(1).TxPackets)
+		}
+		change(sink)
+		defer func() { panicked = recover() }()
+		sim.Run()
+		return sink, nil
+	}
+	if sink, p := run(func(s *Sink) { s.OnPacket = nil; s.RecordTimestamps = true }); p != nil || sink.Packets != 10 || len(sink.Timestamps) != 10 {
+		t.Fatalf("a counting sink: %d packets, %d timestamps, panic %v; want 10, 10, none", sink.Packets, len(sink.Timestamps), p)
+	}
+	for name, change := range map[string]func(*Sink){
+		"OnPacket": func(s *Sink) { s.OnPacket = func(*netproto.Packet, netsim.Time) {} },
+		"capture":  func(s *Sink) { s.EnableCapture(0) },
+		"trace":    func(s *Sink) { s.Iface.SetTrace(obs.NewTraceSet().New("sink")) },
+	} {
+		sink, p := run(change)
+		msg, _ := p.(string)
+		if !strings.Contains(msg, "sink sink-under-test") || !strings.Contains(msg, "before traffic starts") {
+			t.Errorf("%s set with frames in flight: panic %v, %d packets counted; want a panic naming the sink", name, p, sink.Packets)
+		}
 	}
 }
