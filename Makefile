@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: all build test race lint vet verify bench benchmark clean \
-	fuzz-seeds fuzz trace-oracle elision-oracle tx-oracle trace bench-par suite examples
+.PHONY: all build test race lint vet verify benchmark clean \
+	fuzz-seeds fuzz trace-oracle elision-oracle tx-oracle trace suite examples
 
 all: build test lint
 
@@ -59,7 +59,7 @@ tx-oracle:
 # Traced sample run: writes a Perfetto-loadable trace of the observability
 # workload (load at https://ui.perfetto.dev).
 trace:
-	$(GO) run ./cmd/htbench -quick -run "Fig. 10" -trace perfetto-trace.json
+	$(GO) run ./examples/perfetto perfetto-trace.json
 
 # Project analyzers: poolsafety, determinism, atcall, obsalloc (DESIGN.md §8),
 # then the repo-wide guards CI's `go test ./...` enforces: the analyzers
@@ -100,18 +100,10 @@ EXAMPLES = $(patsubst %/main.go,./%,$(wildcard examples/*/main.go))
 examples:
 	@for e in $(EXAMPLES); do echo "== $$e"; $(GO) run $$e || exit 1; done
 
-bench:
-	$(GO) run ./cmd/htbench -quick
-
 # The repo benchmark (BENCHMARK.json): five workloads, each checked against
 # benchmark/testdata/golden.json; non-zero exit on any failed check.
 benchmark:
 	$(GO) run ./benchmark
-
-# Same suite with each testbed partitioned onto the parallel LP engine;
-# headlines are bit-identical to `bench`.
-bench-par:
-	$(GO) run ./cmd/htbench -quick -simworkers 4
 
 clean:
 	$(GO) clean ./...

@@ -1,66 +1,21 @@
 package hypertester_test
 
-// One sub-benchmark per table and figure of the paper's evaluation (§7).
-// `go test -bench=Experiments -benchmem` regenerates every result; each one
-// prints its paper-style table once and reports the experiment's headline
-// number (shared with cmd/htbench via experiments.Headline) as a custom
-// metric. Quick-mode experiment windows keep the suite fast; run
-// cmd/htbench without -quick for tighter statistics.
+// Host-cost guards that need the whole stack: allocation budgets for the
+// compiler, a counter-table-heavy experiment and the delay query path, and
+// BenchmarkHeaderSpace, the one compile cost without a row in the repo
+// benchmark's per-layer ledger (`go run ./benchmark -trace 1`).
 
 import (
-	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
 	hypertester "github.com/hypertester/hypertester"
 	"github.com/hypertester/hypertester/internal/core/compiler"
-	"github.com/hypertester/hypertester/internal/core/htpr"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/experiments"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/raceflag"
 	"github.com/hypertester/hypertester/internal/testbed"
 )
-
-var benchCfg = experiments.Config{Quick: true, Seed: 1}
-
-// runExperiment executes fn once per benchmark invocation, prints the table
-// on the first run, and reports the experiment's headline metric. A result
-// whose headline cell is missing or unparseable FAILS the benchmark — a
-// broken experiment must not report a fake 0 as its number of record.
-func runExperiment(b *testing.B, fn func(experiments.Config) *experiments.Result) {
-	b.Helper()
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = fn(benchCfg)
-	}
-	if res == nil {
-		b.Fatal("experiment returned nil")
-	}
-	for _, n := range res.Notes {
-		if strings.HasPrefix(n, "ERROR") {
-			b.Fatal(n)
-		}
-	}
-	b.StopTimer()
-	v, unit, err := experiments.Headline(res)
-	if err != nil {
-		b.Fatalf("headline metric: %v", err)
-	}
-	b.ReportMetric(v, unit)
-	b.Logf("\n%s", res.String())
-}
-
-// BenchmarkExperiments is the evaluation suite, one sub-benchmark per row of
-// experiments.Specs(): `-bench 'Experiments/Fig._11'` regenerates Fig. 11
-// (the testing package prints spaces in sub-benchmark names as underscores).
-func BenchmarkExperiments(b *testing.B) {
-	for _, sp := range experiments.Specs() {
-		b.Run(sp.ID, func(b *testing.B) { runExperiment(b, sp.Fn) })
-	}
-}
 
 // BenchmarkHeaderSpace compiles a task whose one query sees a 65 536-tuple
 // progression, through a 1-wide key and through the default 5-tuple: the
@@ -88,21 +43,6 @@ func BenchmarkHeaderSpace(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkCompileCorpus is one parse+compile of every corpus program with
-// its experiment's options — what the `compile` workload of ./benchmark
-// repeats, less printing.
-func BenchmarkCompileCorpus(b *testing.B) {
-	specs := experiments.Programs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, s := range specs {
-			if _, err := s.Compile(); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 
@@ -148,52 +88,6 @@ Q2 = query().map(p -> (ipv4.id)).reduce(keys={ipv4.id}, func=max)
 Q3 = query().map(p -> (pkt_len)).reduce(func=sum)
 `
 
-func delayPlan(tb testing.TB) *compiler.QueryPlan {
-	tb.Helper()
-	task, err := ntapi.Parse("delay", delayTask)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	prog, err := compiler.Compile(task, compiler.Options{RecircPaths: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return prog.QueryByID(1)
-}
-
-// BenchmarkCounterTableUpdate is the loop behind the benchmark's
-// htpr.counter_update_ns: one update cycling over 65536 keys plus the KV
-// drain a template pass would do.
-func BenchmarkCounterTableUpdate(b *testing.B) {
-	ct := htpr.NewCounterTable(delayPlan(b))
-	key := make([]uint64, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key[0] = uint64(i) & 0xffff
-		ct.Update(key, uint64(i))
-		ct.DrainOne()
-	}
-}
-
-// BenchmarkCounterTableCollect collects a table holding 65536 keys.
-func BenchmarkCounterTableCollect(b *testing.B) {
-	ct := htpr.NewCounterTable(delayPlan(b))
-	key := make([]uint64, 1)
-	for id := uint64(0); id < 1<<16; id++ {
-		key[0] = id
-		ct.Update(key, id)
-		ct.DrainOne()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := len(ct.Collect()); rows != 1<<16 {
-			b.Fatalf("collected %d keys, want 65536", rows)
-		}
-	}
-}
-
 // TestAblationAAllocBudget holds Ablation A to ROADMAP item 2's number. It
 // drives a counter table with 8 updates for each of 4096 + 16384 flows:
 // one allocation per update would be 164k, one per flow 20k.
@@ -201,7 +95,7 @@ func TestAblationAAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
-	allocs := testing.AllocsPerRun(2, func() { experiments.AblationSketchAccuracy(benchCfg) })
+	allocs := testing.AllocsPerRun(2, func() { experiments.AblationSketchAccuracy(experiments.Config{Quick: true, Seed: 1}) })
 	t.Logf("Ablation A: %.0f allocs", allocs)
 	if allocs > 20000 {
 		t.Errorf("Ablation A: %.0f allocs/run, budget 20000", allocs)
@@ -236,61 +130,5 @@ func TestDelayQueryAllocBudget(t *testing.T) {
 	}
 	if allocs > packets {
 		t.Errorf("%.0f allocs for %.0f packets, budget 1 per packet", allocs, packets)
-	}
-}
-
-// TestAllExperimentsRun checks that every experiment is in Specs, that
-// the parallel runner returns them in paper order, and that each headline
-// equals testdata/headlines.golden bit for bit: the experiments are
-// deterministic, so any drift is a behaviour change somewhere below them.
-func TestAllExperimentsRun(t *testing.T) {
-	var stats experiments.SimStats
-	results := experiments.Run(experiments.Config{Quick: true, Seed: 1, Stats: &stats}, experiments.Specs())
-	if len(results) != 18 {
-		t.Fatalf("Run(Specs()) ran %d experiments, want 18", len(results))
-	}
-	// The loop model's residual tie class (DESIGN.md §9.6) is counted, not
-	// assumed: a same-picosecond ordering it cannot decide would show here.
-	if _, loop := stats.Totals(); loop.ResidualTies != 0 {
-		t.Errorf("%d of %d foreign same-picosecond ties were undecided by (schedAt, parent schedAt)",
-			loop.ResidualTies, loop.Ties)
-	}
-	seen := map[string]bool{}
-	var got strings.Builder
-	for _, r := range results {
-		if r == nil || len(r.Rows) == 0 {
-			t.Fatalf("experiment %+v has no rows", r)
-		}
-		for _, n := range r.Notes {
-			if strings.HasPrefix(n, "ERROR") {
-				t.Fatalf("%s failed: %s", r.ID, n)
-			}
-		}
-		if seen[r.ID] {
-			t.Fatalf("duplicate experiment ID %s", r.ID)
-		}
-		seen[r.ID] = true
-		if testing.Verbose() {
-			fmt.Println(r.String())
-		}
-		v, unit, err := experiments.Headline(r)
-		if err != nil {
-			t.Fatalf("headline metric: %v", err)
-		}
-		fmt.Fprintf(&got, "%s\t%s\t%s\n", r.ID, strconv.FormatFloat(v, 'g', -1, 64), unit)
-	}
-
-	golden, err := os.ReadFile("testdata/headlines.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want strings.Builder
-	for _, line := range strings.SplitAfter(string(golden), "\n") {
-		if !strings.HasPrefix(line, "#") {
-			want.WriteString(line)
-		}
-	}
-	if got.String() != want.String() {
-		t.Errorf("headlines drifted from testdata/headlines.golden:\n--- got\n%s--- want\n%s", got.String(), want.String())
 	}
 }

@@ -92,8 +92,9 @@ func TestDocCitationsResolve(t *testing.T) {
 		if src == "Makefile" {
 			text = strings.ReplaceAll(text, "$$", "$")
 		}
-		// A -run pattern counts when a `test` command precedes it (htbench
-		// has a -run flag of its own); its names are checked as a pattern.
+		// A -run pattern counts when a `test` command precedes it (a
+		// program's own -run flag is not one); its names are checked as a
+		// pattern.
 		names := text
 		for _, loc := range runFlagRe.FindAllStringSubmatchIndex(text, -1) {
 			if !strings.Contains(text[max(0, loc[0]-50):loc[0]], "test ") {

@@ -36,7 +36,7 @@ func obsTestPipeline(t *testing.T) (*netsim.Sim, *Switch, *Table, *RegisterArray
 // observability layer, measured end to end: a full ingress→table→SALU→TM→
 // egress→wire traversal with tracing disabled (nil trace everywhere — the
 // default) must not allocate. Together with the pipeline/replication tests
-// in bench_test.go this pins that adding the trace callsites costs untraced
+// in zeroalloc_test.go this pins that adding the trace callsites costs untraced
 // runs nothing but a few predictable branches.
 func TestDisabledTracingZeroAllocs(t *testing.T) {
 	if raceflag.Enabled {

@@ -9,46 +9,6 @@ import (
 	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
-func benchSwitch(b *testing.B, ports int) (*netsim.Sim, *Switch) {
-	b.Helper()
-	sim := netsim.New()
-	gbps := make([]float64, ports)
-	for i := range gbps {
-		gbps[i] = 100
-	}
-	return sim, New(Config{Name: "bench", Sim: sim, PortGbps: gbps, Seed: 1})
-}
-
-func benchFrame(b *testing.B, size int) *netproto.Packet {
-	b.Helper()
-	raw, err := netproto.BuildUDP(netproto.UDPSpec{
-		SrcIP: netproto.MustIPv4("10.0.0.1"), DstIP: netproto.MustIPv4("10.0.0.2"),
-		SrcPort: 1, DstPort: 2, FrameLen: size,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &netproto.Packet{Data: raw}
-}
-
-// BenchmarkIngressPipeline measures one full unicast traversal: ingress
-// pipeline, traffic manager, egress pipeline, and port serialization.
-func BenchmarkIngressPipeline(b *testing.B) {
-	sim, sw := benchSwitch(b, 2)
-	sw.Ingress.Add(ProcessorFunc(func(p *PHV) { p.EgressPort = 1 }))
-	// The peer models a consuming sink: it owns the delivered frame and
-	// returns it to the packet pool, closing the steady-state cycle.
-	sw.Port(1).SetPeer(func(pkt *netproto.Packet, at netsim.Time) { pkt.Release() })
-	base := benchFrame(b, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt := base.Clone()
-		sw.Port(0).Receive(pkt)
-		sim.Run()
-	}
-}
-
 // TestIngressPipelineZeroAllocs pins the steady-state allocation contract of
 // the unicast hot path: with pooled events, jobs, PHVs, and packets, a full
 // ingress→TM→egress→wire traversal must not touch the heap. GC is paused so
@@ -126,28 +86,6 @@ func testFrame(t *testing.T, size int) *netproto.Packet {
 	return &netproto.Packet{Data: raw}
 }
 
-// BenchmarkMcastReplicate measures a 4-way multicast replication per op.
-func BenchmarkMcastReplicate(b *testing.B) {
-	sim, sw := benchSwitch(b, 5)
-	if err := sw.Mcast.SetGroup(1, []CopySpec{
-		{Port: 1, Rid: 1}, {Port: 2, Rid: 2}, {Port: 3, Rid: 3}, {Port: 4, Rid: 4},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	sw.Ingress.Add(ProcessorFunc(func(p *PHV) { p.McastGroup = 1 }))
-	for i := 1; i <= 4; i++ {
-		sw.Port(i).SetPeer(func(pkt *netproto.Packet, at netsim.Time) { pkt.Release() })
-	}
-	base := benchFrame(b, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt := base.Clone()
-		sw.Port(0).Receive(pkt)
-		sim.Run()
-	}
-}
-
 // TestDigestPathZeroAllocs pins the allocation contract of the §5.2 digest
 // channel: a frame whose pipeline pass emits a generate_digest message —
 // queueing it, draining it over the rate-limited channel, and handing it to
@@ -182,24 +120,5 @@ func TestDigestPathZeroAllocs(t *testing.T) {
 	}
 	if digests == 0 || bytes == 0 {
 		t.Fatalf("digest callback never ran (digests=%d bytes=%d)", digests, bytes)
-	}
-}
-
-// BenchmarkDigestPath measures one digest-emitting pipeline pass plus its
-// channel drain (the Fig. 16a inner loop).
-func BenchmarkDigestPath(b *testing.B) {
-	sim, sw := benchSwitch(b, 1)
-	payload := make([]byte, 64)
-	sw.Ingress.Add(ProcessorFunc(func(p *PHV) {
-		p.DigestData = payload
-		p.Drop = true
-	}))
-	sw.DigestOut = func(msg []byte, at netsim.Time) {}
-	base := benchFrame(b, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.Port(0).Receive(base.Clone())
-		sim.Run()
 	}
 }

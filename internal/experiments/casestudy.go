@@ -64,7 +64,7 @@ func CaseWebScale(cfg Config) *Result {
 		return errResult(res, err)
 	}
 	ht, farm := rig.Tester, rig.DUTs[0].Farm
-	cfg.Stats.track(ht)
+	cfg.stats.track(ht)
 	rig.Run(0, window)
 
 	secs := window.Seconds()

@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§7) on the simulated testbed. Each experiment returns a
 // structured Result whose String renders the same rows/series the paper
-// reports; cmd/htbench prints them all and the repository's bench suite
-// wraps each one in a testing.B benchmark.
+// reports. EXPERIMENTS.md quotes every table at full windows, and
+// TestPaperTables holds the file to what the code renders.
 //
 // Quick mode shrinks measurement windows and sweep densities so the whole
 // suite runs in seconds; full mode uses longer windows for tighter
@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/scenario"
@@ -43,47 +42,30 @@ type Config struct {
 	// over netsim.ParMap leave it unset on inner runs (seq() strips it) — a
 	// single TraceSet is not safe for concurrent topologies.
 	Trace *obs.TraceSet
-	// Stats, when non-nil, collects every tester the experiment builds so
-	// its scheduler cost can be read afterwards (htbench prints it).
-	// Unlike Trace it survives seq(): it only reads counters once the run
-	// is over.
-	Stats *SimStats
+	// stats, when non-nil, collects every tester the experiment builds so
+	// its scheduler cost can be read afterwards (the counts line under each
+	// table in EXPERIMENTS.md). Unlike Trace it survives seq(): it only
+	// reads counters once the run is over.
+	stats *simStats
 }
 
-// SimStats says where an experiment's tester passes went: events the tester's
-// scheduler executed, next to the recirculation passes its loop model
+// simStats collects the testers an experiment builds, so that afterwards
+// their counters can say where the passes went: events the testers'
+// schedulers executed, next to the recirculation passes their loop models
 // accounted without scheduling them (DESIGN.md §9.6).
-type SimStats struct {
+type simStats struct {
 	mu      sync.Mutex
 	testers []*hypertester.Tester
 }
 
 // track registers a tester; a nil receiver ignores it.
-func (s *SimStats) track(ht *hypertester.Tester) {
+func (s *simStats) track(ht *hypertester.Tester) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.testers = append(s.testers, ht)
 	s.mu.Unlock()
-}
-
-// Totals sums the tracked testers' counters. Call once the experiment is
-// over.
-func (s *SimStats) Totals() (events uint64, loop asic.LoopStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ht := range s.testers {
-		events += ht.Sim.Executed
-		st := ht.Switch.LoopStats()
-		loop.ElidedPasses += st.ElidedPasses
-		loop.Wakes += st.Wakes
-		loop.LiveHops += st.LiveHops
-		loop.Ties += st.Ties
-		loop.ResidualTies += st.ResidualTies
-		loop.CatchupMaxPasses = max(loop.CatchupMaxPasses, st.CatchupMaxPasses)
-	}
-	return events, loop
 }
 
 // simWorkers normalizes the worker budget.
@@ -192,7 +174,7 @@ func htRig(cfg Config, src string, portGbps []float64, seed int64) (*scenario.Ri
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.Stats.track(rig.Tester)
+	cfg.stats.track(rig.Tester)
 	sinks := make([]*testbed.Sink, len(rig.DUTs))
 	for i, d := range rig.DUTs {
 		sinks[i] = d.Sink

@@ -1,10 +1,54 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/hypertester/hypertester/internal/asic"
+	"github.com/hypertester/hypertester/internal/netsim"
 )
+
+// runSpec executes one experiment, containing any panic as a named failure:
+// the panicking experiment reports a result whose notes carry the panic
+// value, and headline() on that result errors (so a crashed experiment can
+// never masquerade as a measurement), while the rest of the suite keeps
+// running. The recovery note deliberately omits the stack trace — results
+// render bit-identically across engines and worker counts, and goroutine
+// stacks do not.
+func runSpec(cfg Config, sp Spec) (res *Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			res = &Result{
+				ID:    sp.ID,
+				Title: "experiment failed",
+				Notes: []string{fmt.Sprintf("PANIC: %v", p)},
+			}
+		}
+	}()
+	res = sp.Fn(cfg)
+	if res == nil {
+		res = &Result{ID: sp.ID, Title: "experiment failed",
+			Notes: []string{"experiment returned no result"}}
+	}
+	return res
+}
+
+// Run executes specs across a GOMAXPROCS-bounded worker pool and returns
+// results in input order regardless of completion order. Every experiment
+// builds its own netsim.Sim and derives every random stream from cfg.Seed
+// plus a component label, so no state is shared between workers and the
+// output is bit-identical to a sequential run (TestParallelDeterminism pins
+// this). A panicking experiment fails alone (runSpec).
+func Run(cfg Config, specs []Spec) []*Result {
+	out := make([]*Result, len(specs))
+	netsim.ParMap(runtime.GOMAXPROCS(0), len(specs), func(i int) {
+		out[i] = runSpec(cfg, specs[i])
+	})
+	return out
+}
 
 // sequential runs specs one after another on the calling goroutine — the
 // reference ordering the determinism tests compare the pool and the parallel
@@ -15,6 +59,53 @@ func sequential(cfg Config, specs []Spec) []*Result {
 		out[i] = runSpec(cfg, sp)
 	}
 	return out
+}
+
+// headline extracts sp's headline metric from r. It returns an error —
+// rather than a silent zero — when the result has no such cell or the cell
+// does not start with a number, so a broken experiment cannot masquerade as
+// a real measurement.
+func headline(sp Spec, r *Result) (value float64, unit string, err error) {
+	spec := sp.Headline
+	row := spec.Row
+	if row < 0 {
+		row += len(r.Rows)
+	}
+	if row < 0 || row >= len(r.Rows) || spec.Col >= len(r.Rows[row].Values) {
+		return 0, "", fmt.Errorf("%s has no cell (%d,%d): %d rows",
+			r.ID, spec.Row, spec.Col, len(r.Rows))
+	}
+	cell := r.Rows[row].Values[spec.Col]
+	fields := strings.Fields(cell)
+	if len(fields) == 0 {
+		return 0, "", fmt.Errorf("%s cell (%d,%d) is empty", r.ID, spec.Row, spec.Col)
+	}
+	num := strings.TrimPrefix(fields[0], "$")
+	num = strings.TrimSuffix(strings.TrimSuffix(num, "%"), "x")
+	v, perr := strconv.ParseFloat(num, 64)
+	if perr != nil {
+		return 0, "", fmt.Errorf("%s cell (%d,%d) %q is not numeric",
+			r.ID, spec.Row, spec.Col, cell)
+	}
+	return v, spec.Unit, nil
+}
+
+// totals sums the counters of the testers s tracked. Call once the
+// experiment is over.
+func (s *simStats) totals() (events uint64, loop asic.LoopStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ht := range s.testers {
+		events += ht.Sim.Executed
+		st := ht.Switch.LoopStats()
+		loop.ElidedPasses += st.ElidedPasses
+		loop.Wakes += st.Wakes
+		loop.LiveHops += st.LiveHops
+		loop.Ties += st.Ties
+		loop.ResidualTies += st.ResidualTies
+		loop.CatchupMaxPasses = max(loop.CatchupMaxPasses, st.CatchupMaxPasses)
+	}
+	return events, loop
 }
 
 // TestParallelDeterminism is the regression gate for the parallel suite
@@ -48,9 +139,9 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	// Piggyback the headline audit on the results already computed: every
 	// experiment must expose a parseable headline metric — the number
-	// TestAllExperimentsRun pins and the bench suite reports.
-	for _, r := range par {
-		v, unit, err := Headline(r)
+	// TestPaperTables/quick pins.
+	for i, r := range par {
+		v, unit, err := headline(Specs()[i], r)
 		if err != nil {
 			t.Errorf("%s: %v", r.ID, err)
 			continue
@@ -80,35 +171,20 @@ func TestRunPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestHeadlineErrors pins the failure mode: unknown IDs and non-numeric
-// cells must error instead of silently reporting 0.
+// TestHeadlineErrors pins the failure mode: non-numeric cells and missing
+// rows must error instead of silently reporting 0.
 func TestHeadlineErrors(t *testing.T) {
-	if _, _, err := Headline(&Result{ID: "nope"}); err == nil {
-		t.Error("unknown experiment ID did not error")
-	}
+	fig9 := Spec{ID: "Fig. 9", Headline: HeadlineSpec{0, 0, "Gbps-64B@100G"}}
 	r := &Result{ID: "Fig. 9", Rows: []Row{{Label: "64B", Values: []string{"not-a-number"}}}}
-	if _, _, err := Headline(r); err == nil {
+	if _, _, err := headline(fig9, r); err == nil {
 		t.Error("non-numeric headline cell did not error")
 	}
-	if _, _, err := Headline(&Result{ID: "Fig. 9"}); err == nil {
+	if _, _, err := headline(fig9, &Result{ID: "Fig. 9"}); err == nil {
 		t.Error("missing rows did not error")
 	}
-}
-
-// TestFig10FullWindowHeadline: at full windows Fig. 10 also sweeps MoonGen
-// to 8 cores, and the HT cell of those rows is "-" (the testbed has four
-// 100G ports). The headline is the n=4 row in both modes.
-func TestFig10FullWindowHeadline(t *testing.T) {
-	r := Fig10MultiPort(Config{Seed: 1})
-	if len(r.Rows) != 8 {
-		t.Fatalf("full-window Fig. 10 has %d rows, want n=1..8", len(r.Rows))
-	}
-	v, unit, err := Headline(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Rows[3].Label != "n=4" || v != 400 || unit != "Gbps-aggregate" {
-		t.Fatalf("headline %v %s from row %q, want 400 Gbps-aggregate from n=4", v, unit, r.Rows[3].Label)
+	r = &Result{ID: "Fig. 9", Rows: []Row{{Label: "64B", Values: []string{""}}}}
+	if _, _, err := headline(fig9, r); err == nil {
+		t.Error("empty headline cell did not error")
 	}
 }
 
@@ -150,7 +226,7 @@ func TestRunRecoversPanics(t *testing.T) {
 		if len(out) > 3 && out[3].Title != "experiment failed" {
 			t.Errorf("nil-result spec title = %q, want failure", out[3].Title)
 		}
-		if _, _, err := Headline(out[1]); err == nil {
+		if _, _, err := headline(in[1], out[1]); err == nil {
 			t.Error("failed experiment produced a headline")
 		}
 	}

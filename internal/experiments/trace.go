@@ -37,8 +37,8 @@ T2 = trigger()
 // asic.Table) and drops (line-rate sinks): parse, SALU timer/accelerator
 // accesses, multicast replication, recirculation, TM enqueue/dequeue,
 // deparse, and wire tx/rx across LP boundaries. That makes it the trace
-// oracle's differential workload (TestTraceDifferential) and htbench's
-// -trace sample.
+// oracle's differential workload (TestTraceDifferential) and the trace
+// examples/perfetto writes.
 func TraceSample(cfg Config) (*obs.TraceSet, *obs.Registry, error) {
 	ts := obs.NewTraceSet()
 	cfg.Trace = ts

@@ -13,7 +13,7 @@ import (
 	"github.com/hypertester/hypertester/internal/verify"
 )
 
-var updateWitness = flag.Bool("update", false, "rewrite the golden witness corpus under testdata/witness")
+var update = flag.Bool("update", false, "rewrite the goldens: the witness corpus under testdata/witness and the tables in EXPERIMENTS.md")
 
 // TestCorpusVerifiesClean runs the path-sensitive verifier over all 18
 // experiment programs: no diagnostic of any severity (no false positives,
@@ -114,7 +114,7 @@ func TestWitnessDifferential(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			dump := witnessDump(t, spec)
 			golden := filepath.Join("testdata", "witness", spec.Name+".golden")
-			if *updateWitness {
+			if *update {
 				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 					t.Fatal(err)
 				}

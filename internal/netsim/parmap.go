@@ -7,8 +7,8 @@ import (
 
 // ParMap runs fn(0..n-1) across up to workers goroutines (inline, on the
 // calling goroutine, when the budget or n is 1). It is the one ordered
-// worker pool above the engine: experiments.Run, the experiments' point
-// sweeps and scenario.RunSuite all fan out through it. Ordering comes from
+// worker pool above the engine: the experiments' point sweeps and
+// scenario.RunSuite fan out through it. Ordering comes from
 // slot ownership, not scheduling: each index must write only its own slot of
 // any shared output slice, so results land in input order however the
 // workers interleave. A panic in fn is not contained here — callers that

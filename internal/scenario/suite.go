@@ -31,7 +31,7 @@ func (r *SuiteResult) Encode() ([]byte, error) {
 }
 
 // RunSuite executes every scenario of a suite across a GOMAXPROCS-bounded
-// pool (netsim.ParMap — the pool experiments.Run uses) with the per-scenario
+// pool (netsim.ParMap — the experiments' sweeps use it too) with the per-scenario
 // runner run (Run, or a wrapper around it) and reports them in input order.
 // workers overrides each scenario's SimWorkers when > 0. A scenario that
 // cannot run — compile failure, panic — fails alone, with the error or the
