@@ -11,9 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The experiments package alone runs >10m under the race detector (it
-# re-executes the whole suite at several worker counts), so the default
-# per-package timeout needs raising.
+# The experiments package runs for minutes under the race detector (the
+# quick suite four times: sequential and pooled once each, shared by the
+# determinism tests, plus its SimWorkers=4 and traced comparisons), which
+# on slow machines exceeds the default per-package timeout.
 race:
 	$(GO) test -race -timeout 30m ./...
 

@@ -44,7 +44,8 @@ type Config struct {
 	RecircPaths int
 	// Seed drives all of the tester's randomness.
 	Seed int64
-	// Compiler tunes compilation (digest width, array sizes, ...).
+	// Compiler tunes compilation (array size, header-space cap); the
+	// recirculation paths compiled for are always the switch's own.
 	Compiler compiler.Options
 }
 
@@ -70,9 +71,6 @@ func New(cfg Config) *Tester {
 	}
 	if len(cfg.Ports) == 0 {
 		cfg.Ports = []float64{100}
-	}
-	if cfg.RecircPaths == 0 {
-		cfg.RecircPaths = 1
 	}
 	// The switch's name labels diagnostics and seeds its RNG streams
 	// ("hypertester/recirc", …): one constant, so every testbed draws alike.
@@ -124,9 +122,7 @@ func (t *Tester) Describe(r *obs.Registry) { t.Switch.Describe(r, t.Switch.Name)
 // previously loaded task.
 func (t *Tester) LoadTask(task *ntapi.Task) error {
 	opts := t.cfg.Compiler
-	if opts.RecircPaths == 0 {
-		opts.RecircPaths = t.cfg.RecircPaths
-	}
+	opts.RecircPaths = t.Switch.RecircPaths()
 	prog, err := compiler.Compile(task, opts)
 	if err != nil {
 		return err
@@ -167,13 +163,7 @@ func (o idleOracle) AccountIdle(templateID int, passes uint64) {
 }
 
 func (t *Tester) deploy(prog *compiler.Program) error {
-	recv := htpr.NewReceiver(prog)
-	// Evictions from counter tables travel to the switch CPU as digest
-	// messages over the rate-limited PCIe channel (§5.2 push mode).
-	recv.EnableDigestEvictions()
-	recv.DigestRoom = func() bool { return t.Switch.DigestQueueLen() < 4096 }
-	t.CPU.OnDigest = func(msg []byte, _ netsim.Time) { recv.MergeDigest(msg) }
-
+	recv := htpr.NewReceiver(prog, t.Switch)
 	fifos := map[int]*stateless.FIFO{}
 	for _, q := range prog.Queries {
 		if f := recv.TriggerFIFO(q.ID); f != nil {
@@ -186,9 +176,12 @@ func (t *Tester) deploy(prog *compiler.Program) error {
 	}
 
 	// The pipelines are about to change under whatever still circles the
-	// loop: settle the loop model's account under the old program first.
-	t.Switch.WakeLoop()
-	recv.SetLoopHooks(t.Switch.WakeLoop, t.Switch.SyncLoop)
+	// loop: the flush settles the loop model's account under the old
+	// program first, and hands the digests the old program queued to the
+	// old receiver, which is still the one the CPU merges into. Only then
+	// do evictions travel to the new receiver (§5.2 push mode).
+	t.Switch.FlushDigests()
+	t.CPU.OnDigest = func(msg []byte, _ netsim.Time) { recv.MergeDigest(msg) }
 
 	// Pipeline layout (§5.2): ingress runs the receiver first (received
 	// traffic + KV-FIFO drains on template passes), then the sender

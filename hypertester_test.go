@@ -776,3 +776,60 @@ Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
 		t.Fatalf("digest drops %d despite backpressure", ht.Switch.DigestDrops)
 	}
 }
+
+func TestRedeployKeepsOldDigestsOutOfNewReports(t *testing.T) {
+	// Task A floods the digest channel with evictions; task B is loaded
+	// while thousands of A's messages still wait on it. They are A's to
+	// merge: B's Q1 (received traffic, which B's sink never returns) must
+	// report nothing, and A's receiver must still account for every
+	// packet A sent.
+	ht := New(Config{Ports: []float64{100}, Seed: 22,
+		Compiler: compiler.Options{ArraySize: 64}})
+	err := ht.LoadTaskSource("a", `
+T1 = trigger()
+    .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
+    .set(dip, range(167772160, 167774207, 1))
+    .set(loop, 3)
+    .set(port, 0)
+Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := testbed.NewSink(ht.Sim, "sink", 100)
+	testbed.Connect(ht.Sim, ht.Port(0), sink.Iface, 0)
+	ht.Start()
+	ht.RunFor(300 * netsim.Microsecond)
+	queued := ht.Switch.DigestQueueLen()
+	if queued < 1000 {
+		t.Fatalf("%d digests queued at the redeploy; the scenario needs a backlog", queued)
+	}
+	a := ht.Receiver
+
+	err = ht.LoadTaskSource("b", `
+T1 = trigger()
+    .set([sip, proto, dport, sport], [1.1.0.2, udp, 8, 8])
+    .set(dip, range(167772160, 167772415, 1))
+    .set(port, 0)
+Q1 = query().reduce(func=count, keys={ipv4.dip})
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ht.Start()
+	ht.RunFor(100 * netsim.Microsecond)
+	if q1, _ := ht.Report("Q1"); len(q1.Results) != 0 {
+		t.Fatalf("task B's Q1 reports %d keys its own traffic never fed (%d of task A's digests were queued at the redeploy)",
+			len(q1.Results), queued)
+	}
+
+	reports := a.Collect()
+	if len(reports) != 1 || len(reports[0].Results) != 2048 {
+		t.Fatalf("task A collected %d reports, want 1 of 2048 keys", len(reports))
+	}
+	for _, r := range reports[0].Results {
+		if r.Value != 3 {
+			t.Fatalf("task A key %v count %d, want 3 (loop=3)", r.Key, r.Value)
+		}
+	}
+}

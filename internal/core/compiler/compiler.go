@@ -16,25 +16,26 @@ type Options struct {
 	// (hypertester.Config.RecircPaths); bounds the template count via the
 	// accelerator capacity (§6.1).
 	RecircPaths int
-	// DigestBits is the stored partial-key width for reduce/distinct
-	// (§5.2; Fig. 17 studies 16 vs 32).
-	DigestBits int
 	// ArraySize is the per-array cuckoo slot count.
 	ArraySize int
 	// MaxHeaderSpace caps header-space enumeration for false-positive
 	// precomputation.
 	MaxHeaderSpace int
-	// RandTableSize is the inverse-transform table size (§5.1's
-	// two-table method).
-	RandTableSize int
 }
+
+const (
+	// digestBits is the stored partial-key width for reduce/distinct
+	// (§5.2); Fig. 17 and the ablations vary QueryPlan.DigestBits on
+	// compiled plans.
+	digestBits = 16
+	// randTableSize is the inverse-transform table size (§5.1's two-table
+	// method).
+	randTableSize = 512
+)
 
 func (o Options) withDefaults() Options {
 	if o.RecircPaths == 0 {
 		o.RecircPaths = 1
-	}
-	if o.DigestBits == 0 {
-		o.DigestBits = 16
 	}
 	if o.ArraySize == 0 {
 		o.ArraySize = 1 << 14
@@ -46,9 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxHeaderSpace == 0 {
 		o.MaxHeaderSpace = 1 << 21
-	}
-	if o.RandTableSize == 0 {
-		o.RandTableSize = 512
 	}
 	return o
 }
@@ -65,7 +63,7 @@ func Compile(task *ntapi.Task, opts Options) (*Program, error) {
 	}
 
 	for i, tr := range task.Triggers {
-		tmpl, err := compileTrigger(tr, i+1, queryIDs, opts)
+		tmpl, err := compileTrigger(tr, i+1, queryIDs)
 		if err != nil {
 			return nil, fmt.Errorf("compiler: trigger %s: %w", tr.Name, err)
 		}
@@ -114,7 +112,7 @@ func Compile(task *ntapi.Task, opts Options) (*Program, error) {
 
 // compileTrigger builds a template packet plus its replicator and editor
 // configuration.
-func compileTrigger(tr *ntapi.Trigger, id int, queryIDs map[*ntapi.Query]int, opts Options) (*Template, error) {
+func compileTrigger(tr *ntapi.Trigger, id int, queryIDs map[*ntapi.Query]int) (*Template, error) {
 	tmpl := &Template{ID: id, Trigger: tr}
 
 	if tr.From != nil {
@@ -184,7 +182,7 @@ func compileTrigger(tr *ntapi.Trigger, id int, queryIDs map[*ntapi.Query]int, op
 	// Editor program: every non-constant value becomes a modification.
 	streamLen := uint64(1)
 	for _, p := range pairs {
-		mod, err := compileMod(p.field, p.value, opts)
+		mod, err := compileMod(p.field, p.value)
 		if err != nil {
 			return nil, fmt.Errorf("field %v: %w", p.field, err)
 		}
@@ -202,7 +200,7 @@ func compileTrigger(tr *ntapi.Trigger, id int, queryIDs map[*ntapi.Query]int, op
 	}
 	tmpl.IntervalPs = int64(tr.Interval) * 1000 // time.Duration ns -> ps
 	if tr.IntervalDist != nil {
-		table, err := intervalTable(*tr.IntervalDist, opts)
+		table, err := intervalTable(*tr.IntervalDist)
 		if err != nil {
 			return nil, fmt.Errorf("interval distribution: %w", err)
 		}
@@ -315,7 +313,7 @@ func firstOf(initial map[asic.Field]uint64, fields ...asic.Field) uint64 {
 
 // compileMod translates one set value into an editor modification; nil for
 // constants (already in the template packet).
-func compileMod(f asic.Field, v ntapi.Value, opts Options) (*FieldMod, error) {
+func compileMod(f asic.Field, v ntapi.Value) (*FieldMod, error) {
 	// The editor's port alias: when a TCP-named alias lands on a UDP
 	// template the runtime resolves via the L4 union fields.
 	switch val := v.(type) {
@@ -342,7 +340,7 @@ func compileMod(f asic.Field, v ntapi.Value, opts Options) (*FieldMod, error) {
 		}
 		return &FieldMod{Field: f, Kind: ModProgression, Start: val.Start, End: val.End, Step: val.Step}, nil
 	case ntapi.Random:
-		return compileRandom(f, val, opts)
+		return compileRandom(f, val)
 	case ntapi.Ref:
 		rf, err := asic.FieldByName(val.Field)
 		if err != nil {
@@ -357,7 +355,7 @@ func compileMod(f asic.Field, v ntapi.Value, opts Options) (*FieldMod, error) {
 // random draw indexes a quantized inverse CDF. Honouring the Tofino
 // limitation (§6.1), the uniform generator width is a power of two and the
 // table adds the offset.
-func compileRandom(f asic.Field, r ntapi.Random, opts Options) (*FieldMod, error) {
+func compileRandom(f asic.Field, r ntapi.Random) (*FieldMod, error) {
 	bits := r.Bits
 	if bits <= 0 || bits > f.Width() {
 		bits = f.Width()
@@ -386,7 +384,7 @@ func compileRandom(f asic.Field, r ntapi.Random, opts Options) (*FieldMod, error
 	default:
 		return nil, fmt.Errorf("unknown distribution %q", r.Dist)
 	}
-	n := opts.RandTableSize
+	n := randTableSize
 	table := make([]uint64, n)
 	maxV := float64(f.MaxValue())
 	for i := 0; i < n; i++ {
@@ -405,7 +403,7 @@ func compileRandom(f asic.Field, r ntapi.Random, opts Options) (*FieldMod, error
 
 // intervalTable builds the inverse-transform table of interval thresholds
 // (ps) for a random inter-departure distribution with nanosecond parameters.
-func intervalTable(r ntapi.Random, opts Options) ([]int64, error) {
+func intervalTable(r ntapi.Random) ([]int64, error) {
 	var inv func(p float64) float64
 	switch r.Dist {
 	case ntapi.DistUniform:
@@ -426,7 +424,7 @@ func intervalTable(r ntapi.Random, opts Options) ([]int64, error) {
 	default:
 		return nil, fmt.Errorf("unknown interval distribution %q", r.Dist)
 	}
-	n := opts.RandTableSize
+	n := randTableSize
 	table := make([]int64, n)
 	for i := 0; i < n; i++ {
 		p := (float64(i) + 0.5) / float64(n)
@@ -449,7 +447,7 @@ func compileQuery(q *ntapi.Query, id int, prog *Program, spaces *keySpaces, opts
 		Kind:  q.Kind,
 		Func:  q.Func,
 
-		DigestBits: opts.DigestBits,
+		DigestBits: digestBits,
 		ArraySize:  opts.ArraySize,
 		PolyArray1: asic.PolyCRC32,
 		PolyArray2: asic.PolyCRC32C,

@@ -126,12 +126,12 @@ T1 = trigger()
 func TestCompileRandomInvTableShape(t *testing.T) {
 	task := ntapi.NewTask("rand")
 	task.Trigger().Set("sport", ntapi.Random{Dist: ntapi.DistNormal, P1: 30000, P2: 2000, Bits: 16}).WithPorts(0)
-	prog, err := Compile(task, Options{RandTableSize: 1024})
+	prog, err := Compile(task, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := prog.Templates[0].Mods[0].InvTable
-	if len(table) != 1024 {
+	if len(table) != 512 {
 		t.Fatalf("table size = %d", len(table))
 	}
 	// Median of the table should be near the mean; tails spread.
@@ -142,7 +142,7 @@ func TestCompileRandomInvTableShape(t *testing.T) {
 	if table[0] >= table[len(table)-1] {
 		t.Fatal("inverse CDF not increasing")
 	}
-	lo := stats.NormalInvCDF(30000, 2000)(0.5 / 1024)
+	lo := stats.NormalInvCDF(30000, 2000)(0.5 / 512)
 	if math.Abs(float64(table[0])-lo) > 2 {
 		t.Fatalf("low tail %d vs theory %.0f", table[0], lo)
 	}
@@ -490,12 +490,12 @@ T1 = trigger()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(task, Options{RandTableSize: 256})
+	prog, err := Compile(task, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := prog.Templates[0].IntervalTablePs
-	if len(table) != 256 {
+	if len(table) != 512 {
 		t.Fatalf("interval table size = %d", len(table))
 	}
 	// Monotonically nondecreasing (inverse CDF) with a plausible mean.
@@ -511,8 +511,8 @@ T1 = trigger()
 		t.Fatalf("interval table mean = %.0fns, want ~5000", meanNs)
 	}
 	// Initial threshold seeded from the median.
-	if prog.Templates[0].IntervalPs != table[128] {
-		t.Fatalf("initial interval = %d, want median %d", prog.Templates[0].IntervalPs, table[128])
+	if prog.Templates[0].IntervalPs != table[256] {
+		t.Fatalf("initial interval = %d, want median %d", prog.Templates[0].IntervalPs, table[256])
 	}
 	// Bad distributions rejected.
 	for _, src := range []string{

@@ -81,8 +81,7 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(sport, range(1, 1024, 1)).set(port, 0)
 Q1 = query().reduce(func=count, keys={ipv4.sip})
 `)
-	r := NewReceiver(prog)
-	r.EnableDigestEvictions()
+	r := testReceiver(prog)
 	st := r.State(1)
 	p := tcpPHV(t, 7, 80, netproto.TCPSyn, 0)
 	r.process(st, p)

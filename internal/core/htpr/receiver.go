@@ -30,9 +30,9 @@ type QueryState struct {
 	// RecordsPushed counts records handed to HTPS.
 	RecordsPushed uint64
 
-	// Push-mode eviction reporting (enabled by EnableDigestEvictions):
-	// encoded digest messages awaiting a packet to carry them. The switch
-	// CPU folds what arrives into Table's CPU-side store (MergeDigest).
+	// Push-mode eviction reporting: encoded digest messages awaiting a
+	// packet to carry them. The switch CPU folds what arrives into Table's
+	// CPU-side store (MergeDigest).
 	pendingDigests digestFIFO
 
 	// Per-packet scratch, overwritten by the next packet through this
@@ -97,17 +97,24 @@ func (f *digestFIFO) pop() []byte {
 	return m
 }
 
+// digestChannelRoom gates push-mode digest attachment on channel
+// backpressure (a learn filter's pipeline-visible signal): a pending message
+// rides a packet only while fewer than this many wait on the switch's digest
+// channel; otherwise it waits on the data plane, or the CPU drains it at
+// collection time.
+const digestChannelRoom = 4096
+
 // Receiver deploys compiled queries onto a switch's pipelines: ingress for
 // received traffic, egress for sent traffic (§5.2's component layout).
 type Receiver struct {
 	prog   *compiler.Program
 	states []*QueryState
 
-	// DigestRoom, when set, gates push-mode digest attachment on channel
-	// backpressure (a learn filter's pipeline-visible signal): pending
-	// messages wait on the data plane until the channel has room, or the
-	// CPU drains them at collection time.
-	DigestRoom func() bool
+	// sw is the switch the receiver is built for: its digest channel
+	// carries the evictions, and its idle-loop model is woken (WakeLoop)
+	// before any mutation that gives a template pass work to do and synced
+	// (SyncLoop) before register statistics are read out.
+	sw *asic.Switch
 
 	// digestFree recycles encoded-eviction buffers: a message returns here
 	// once consumed (copied by the ASIC digest channel, or decoded at
@@ -125,11 +132,6 @@ type Receiver struct {
 
 	// evKey is the decoded key of the digest message being merged.
 	evKey []uint64
-
-	// wake and sync are the switch's loop-model hooks (SetLoopHooks): wake
-	// runs before any mutation that gives a template pass work to do, sync
-	// before register statistics are read out.
-	wake, sync func()
 }
 
 // digestSlabBytes is how much buffer storage one allocation buys: messages
@@ -163,9 +165,13 @@ func (r *Receiver) recycleDigestBuf(b []byte) {
 }
 
 // NewReceiver builds runtime state for every query in the program,
-// including the trigger FIFOs for stateless connections.
-func NewReceiver(prog *compiler.Program) *Receiver {
-	r := &Receiver{prog: prog}
+// including the trigger FIFOs for stateless connections, bound to sw:
+// counter-table evictions become push-mode digest messages (§5.2) that ride
+// outgoing packets onto sw's digest channel while it has room, and sw's
+// idle-loop model is woken before a KV or trigger FIFO stops being empty and
+// before an eviction is queued. The switch CPU's side is MergeDigest.
+func NewReceiver(prog *compiler.Program, sw *asic.Switch) *Receiver {
+	r := &Receiver{prog: prog, sw: sw}
 	r.recycleFn = r.recycleDigestBuf
 	for _, plan := range prog.Queries {
 		st := &QueryState{
@@ -175,6 +181,11 @@ func NewReceiver(prog *compiler.Program) *Receiver {
 		}
 		if plan.Kind == ntapi.KindReduce || plan.Kind == ntapi.KindDistinct {
 			st.Table = NewCounterTable(plan)
+			st.Table.kvFIFO.OnFill(sw.WakeLoop)
+			st.Table.OnEvict = func(key []uint64, value uint64) {
+				sw.WakeLoop() // a queued eviction is work for the next template pass
+				st.pendingDigests.push(r.newEviction(plan.ID, key, value))
+			}
 		}
 		if plan.Kind == ntapi.KindDelay {
 			st.delayStore = asic.NewRegisterArray("delay-ts", plan.ArraySize)
@@ -183,33 +194,20 @@ func NewReceiver(prog *compiler.Program) *Receiver {
 		if plan.TriggerTemplateID != 0 {
 			st.TriggerFIFO = stateless.New(
 				fmt.Sprintf("trigger-fifo-q%d", plan.ID), plan.RecordFields, 4096)
+			st.TriggerFIFO.OnFill(sw.WakeLoop)
 		}
 		r.states = append(r.states, st)
 	}
 	return r
 }
 
-// SetLoopHooks connects the receiver to the switch's idle-loop model. wake
-// (asic.Switch.WakeLoop) is called before a KV or trigger FIFO stops being
-// empty and before an eviction is queued for the digest channel; sync
-// (asic.Switch.SyncLoop) before State/States hand out counters the model may
-// still owe passes to.
-func (r *Receiver) SetLoopHooks(wake, sync func()) {
-	r.wake, r.sync = wake, sync
-	for _, st := range r.states {
-		if st.Table != nil {
-			st.Table.kvFIFO.OnFill(wake)
-		}
-		if st.TriggerFIFO != nil {
-			st.TriggerFIFO.OnFill(wake)
-		}
-	}
-}
+// digestRoom reports whether the digest channel admits another message.
+func (r *Receiver) digestRoom() bool { return r.sw.DigestQueueLen() < digestChannelRoom }
 
 // TemplatePassIdle reports whether a template packet's pass through the
 // ingress processor does nothing: every counter table's KV FIFO is empty and
 // no queued eviction would be attached (none pending, or the channel has no
-// room). It reads only state whose every mutation calls the wake hook first.
+// room). It reads only state whose every mutation calls sw.WakeLoop first.
 func (r *Receiver) TemplatePassIdle() bool {
 	pending := false
 	for _, st := range r.states {
@@ -220,7 +218,7 @@ func (r *Receiver) TemplatePassIdle() bool {
 			pending = true
 		}
 	}
-	return !pending || (r.DigestRoom != nil && !r.DigestRoom())
+	return !pending || !r.digestRoom()
 }
 
 // AccountIdlePasses credits n template passes that found TemplatePassIdle
@@ -235,9 +233,7 @@ func (r *Receiver) AccountIdlePasses(n uint64) {
 
 // State returns the runtime state of a query by 1-based ID, or nil.
 func (r *Receiver) State(queryID int) *QueryState {
-	if r.sync != nil {
-		r.sync()
-	}
+	r.sw.SyncLoop()
 	for _, st := range r.states {
 		if st.Plan.ID == queryID {
 			return st
@@ -248,9 +244,7 @@ func (r *Receiver) State(queryID int) *QueryState {
 
 // States returns all query states.
 func (r *Receiver) States() []*QueryState {
-	if r.sync != nil {
-		r.sync()
-	}
+	r.sw.SyncLoop()
 	return r.states
 }
 
@@ -264,25 +258,6 @@ func (r *Receiver) Observe(clock *netsim.Sim, tr *obs.Trace) {
 		}
 		if st.delayStore != nil {
 			st.delayStore.Observe(clock, tr)
-		}
-	}
-}
-
-// EnableDigestEvictions switches counter-table eviction reporting onto the
-// push-mode digest path (§5.2): evictions become generate_digest messages
-// that ride outgoing packets to the switch CPU, which decodes and merges
-// them (the facade wires the CPU side to MergeDigest).
-func (r *Receiver) EnableDigestEvictions() {
-	for _, st := range r.states {
-		if st.Table == nil {
-			continue
-		}
-		st := st
-		st.Table.OnEvict = func(key []uint64, value uint64) {
-			if r.wake != nil {
-				r.wake() // a queued eviction is work for the next template pass
-			}
-			st.pendingDigests.push(r.newEviction(st.Plan.ID, key, value))
 		}
 	}
 }
@@ -308,7 +283,7 @@ func (r *Receiver) attachDigest(p *asic.PHV) {
 	if p.DigestData != nil {
 		return
 	}
-	if r.DigestRoom != nil && !r.DigestRoom() {
+	if !r.digestRoom() {
 		return
 	}
 	for _, st := range r.states {

@@ -8,6 +8,7 @@ import (
 	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/netproto"
+	"github.com/hypertester/hypertester/internal/netsim"
 )
 
 func compileTask(t *testing.T, src string) *compiler.Program {
@@ -21,6 +22,13 @@ func compileTask(t *testing.T, src string) *compiler.Program {
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// testReceiver builds a receiver for prog bound to a one-port switch that
+// carries no pipeline: tests drive the processors directly.
+func testReceiver(prog *compiler.Program) *Receiver {
+	sw := asic.New(asic.Config{Name: "sw", Sim: netsim.New(), PortGbps: []float64{100}, Seed: 1})
+	return NewReceiver(prog, sw)
 }
 
 func tcpPHV(t *testing.T, sip netproto.IPv4Addr, sport uint16, flags uint8, inPort int) *asic.PHV {
@@ -42,7 +50,7 @@ func TestReceiverFiltersAndCounts(t *testing.T) {
 T1 = trigger().set([dip, proto, flag], [9.9.9.9, tcp, SYN]).set(port, 0)
 Q1 = query().filter(tcp_flag == SYN+ACK)
 `)
-	r := NewReceiver(prog)
+	r := testReceiver(prog)
 	proc := r.IngressProcessor()
 	proc.Process(tcpPHV(t, 2, 80, netproto.TCPSyn|netproto.TCPAck, 0))
 	proc.Process(tcpPHV(t, 2, 80, netproto.TCPRst, 0))
@@ -60,7 +68,7 @@ func TestReceiverPortFilter(t *testing.T) {
 T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(port, 0)
 Q1 = query().port(2).filter(tcp_flag == SYN)
 `)
-	r := NewReceiver(prog)
+	r := testReceiver(prog)
 	proc := r.IngressProcessor()
 	proc.Process(tcpPHV(t, 2, 80, netproto.TCPSyn, 1)) // wrong port
 	proc.Process(tcpPHV(t, 2, 80, netproto.TCPSyn, 2)) // right port
@@ -74,7 +82,7 @@ func TestReceiverTemplatePacketsDrainNotCount(t *testing.T) {
 T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(sport, range(1, 1024, 1)).set(port, 0)
 Q1 = query().reduce(func=count, keys={ipv4.sip})
 `)
-	r := NewReceiver(prog)
+	r := testReceiver(prog)
 	proc := r.IngressProcessor()
 	// A recirculating template packet must not be counted as received
 	// traffic; it drains the KV FIFO instead.
@@ -92,7 +100,7 @@ T1 = trigger().set([dip, proto], [9.9.9.1, tcp]).set(port, 0)
 T2 = trigger().set([dip, proto], [9.9.9.2, tcp]).set(port, 0)
 Q1 = query(T2).reduce(func=count)
 `)
-	r := NewReceiver(prog)
+	r := testReceiver(prog)
 	proc := r.EgressProcessor()
 
 	mk := func(tid, rid int) *asic.PHV {
@@ -116,7 +124,7 @@ T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(port, 0)
 Q1 = query().filter(tcp_flag == ACK).reduce(func=count).filter(count >= 3)
 T2 = trigger(Q1).set([dip, flag], [Q1.sip, FIN])
 `)
-	r := NewReceiver(prog)
+	r := testReceiver(prog)
 	proc := r.IngressProcessor()
 	fifo := r.TriggerFIFO(1)
 	if fifo == nil {
@@ -140,7 +148,7 @@ T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(port, 0)
 Q1 = query().filter(tcp_flag == SYN).distinct(keys={ipv4.sip})
 Q2 = query().filter(tcp_flag == SYN)
 `)
-	r := NewReceiver(prog)
+	r := testReceiver(prog)
 	proc := r.IngressProcessor()
 	for i := 0; i < 10; i++ {
 		proc.Process(tcpPHV(t, netproto.IPv4Addr(i%4), 80, netproto.TCPSyn, 0))
@@ -223,8 +231,7 @@ func TestDigestBufferLifecycle(t *testing.T) {
 T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(sport, range(1, 1024, 1)).set(port, 0)
 Q1 = query().reduce(func=count, keys={ipv4.sip})
 `)
-	r := NewReceiver(prog)
-	r.EnableDigestEvictions()
+	r := testReceiver(prog)
 	st := r.State(1)
 	evict := func(k uint64) { st.Table.OnEvict([]uint64{k}, 1) }
 

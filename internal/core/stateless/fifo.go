@@ -33,7 +33,8 @@ type FIFO struct {
 	Pushed, Popped uint64
 
 	// wake, when set, runs before a push into an empty queue — the one
-	// transition that can end a consumer's idleness (asic.Switch.WakeLoop).
+	// transition that can end a consumer's idleness. htpr.NewReceiver sets
+	// it (OnFill) to its switch's WakeLoop; a standalone FIFO has none.
 	wake func()
 }
 

@@ -32,9 +32,6 @@ func Fig16StatCollection(cfg Config) *Result {
 		sim := netsim.New()
 		sw := asic.New(asic.Config{Name: "sw", Sim: sim, PortGbps: []float64{100}, Seed: cfg.Seed})
 		cpu := switchcpu.New(sim, sw)
-		// The experiment only counts digest bytes, so skip retaining copies
-		// of every message (the pooled digest buffers then recirculate).
-		cpu.RetainDigests = false
 		msg := make([]byte, msgSize)
 		sw.Ingress.Add(asic.ProcessorFunc(func(p *asic.PHV) {
 			p.DigestData = msg

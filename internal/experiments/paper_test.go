@@ -18,9 +18,10 @@ const experimentsDoc = "../../EXPERIMENTS.md"
 
 // TestPaperTables is the paper evaluation's one harness, in three halves.
 //
-// quick runs every experiment in quick mode on the worker pool and holds
-// each headline cell to testdata/headlines.golden bit for bit; no
-// same-picosecond tie may be left undecided (DESIGN.md §9.6).
+// quick runs every experiment in quick mode on the worker pool (the run
+// TestParallelDeterminism shares, quickPool) and holds each headline cell
+// to testdata/headlines.golden bit for bit; no same-picosecond tie may be
+// left undecided (DESIGN.md §9.6).
 //
 // simworkers=1 runs each experiment at full windows, seed 1, on the
 // sequential engine, and holds its rendered table plus the counts line of
@@ -91,12 +92,11 @@ func TestPaperTables(t *testing.T) {
 
 // quickHeadlines is TestPaperTables' quick half.
 func quickHeadlines(t *testing.T, specs []Spec) {
-	var stats simStats
-	results := Run(Config{Quick: true, Seed: 1, stats: &stats}, specs)
+	results, loop := quickPool()
 	if len(results) != 18 {
 		t.Fatalf("Run(Specs()) ran %d experiments, want 18", len(results))
 	}
-	if _, loop := stats.totals(); loop.ResidualTies != 0 {
+	if loop.ResidualTies != 0 {
 		t.Errorf("%d of %d foreign same-picosecond ties were undecided by (schedAt, parent schedAt)",
 			loop.ResidualTies, loop.Ties)
 	}

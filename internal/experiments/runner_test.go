@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
@@ -61,6 +62,42 @@ func sequential(cfg Config, specs []Spec) []*Result {
 	return out
 }
 
+// The quick suite at seed 1 in its two reference runs, each executed at most
+// once per test binary and shared by every test that compares against it:
+// quickSequential on the calling goroutine and the sequential engine,
+// untraced; quickPool on a worker pool of at least 4 (TestPaperTables/quick
+// pins its headlines). The other configurations — SimWorkers 4, traced —
+// are each run by the one test that compares them with quickSequential.
+var (
+	quickSeqOnce, quickPoolOnce sync.Once
+	quickSeq, quickPar          []*Result
+	quickPoolLoop               asic.LoopStats
+)
+
+func quickSequential() []*Result {
+	quickSeqOnce.Do(func() {
+		quickSeq = sequential(Config{Quick: true, Seed: 1, SimWorkers: 1}, Specs())
+	})
+	return quickSeq
+}
+
+// quickPool also returns its testers' loop-model totals.
+func quickPool() ([]*Result, asic.LoopStats) {
+	quickPoolOnce.Do(func() {
+		// Force a genuinely concurrent pool even on single-CPU machines,
+		// so the comparison (and its -race run in CI) always exercises
+		// the parallel path rather than Run's sequential fallback.
+		if prev := runtime.GOMAXPROCS(0); prev < 4 {
+			runtime.GOMAXPROCS(4)
+			defer runtime.GOMAXPROCS(prev)
+		}
+		var stats simStats
+		quickPar = Run(Config{Quick: true, Seed: 1, stats: &stats}, Specs())
+		_, quickPoolLoop = stats.totals()
+	})
+	return quickPar, quickPoolLoop
+}
+
 // headline extracts sp's headline metric from r. It returns an error —
 // rather than a silent zero — when the result has no such cell or the cell
 // does not start with a number, so a broken experiment cannot masquerade as
@@ -115,16 +152,8 @@ func (s *simStats) totals() (events uint64, loop asic.LoopStats) {
 // from (seed, label), so any divergence here means someone introduced shared
 // mutable state between experiments.
 func TestParallelDeterminism(t *testing.T) {
-	// Force a genuinely concurrent pool even on single-CPU machines, so
-	// this test (and its -race run in CI) always exercises the parallel
-	// path rather than Run's sequential fallback.
-	if prev := runtime.GOMAXPROCS(0); prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	c := Config{Quick: true, Seed: 1}
-	seq := sequential(c, Specs())
-	par := Run(c, Specs())
+	seq := quickSequential()
+	par, _ := quickPool()
 	if len(seq) != len(par) {
 		t.Fatalf("sequential ran %d experiments, parallel %d", len(seq), len(par))
 	}

@@ -9,15 +9,15 @@ import (
 // and therefore all 18 headline metrics — must be bit-identical whether the
 // testbeds run on the sequential reference engine (SimWorkers=1) or are
 // partitioned into per-device logical processes on the conservative
-// parallel engine (SimWorkers=4). The full quick suite runs both ways so
-// the per-packet timestamp streams behind Fig. 11–13's error metrics, the
+// parallel engine (SimWorkers=4). The full quick suite runs at 4 workers
+// against the shared sequential run (quickSequential), so the per-packet timestamp streams behind Fig. 11–13's error metrics, the
 // digest traffic behind Fig. 16, and the stateful case-study counters all
 // participate in the comparison.
 func TestSimWorkersDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run")
 	}
-	seq := sequential(Config{Quick: true, Seed: 1}, Specs())
+	seq := quickSequential()
 	par := sequential(Config{Quick: true, Seed: 1, SimWorkers: 4}, Specs())
 	if len(seq) != len(par) {
 		t.Fatalf("sequential ran %d experiments, parallel %d", len(seq), len(par))

@@ -93,14 +93,15 @@ func TestTraceWorkerCountInvariance(t *testing.T) {
 
 // TestTraceDoesNotPerturbHeadlines pins the "observational only" contract:
 // running the full quick suite with tracing enabled must render every one of
-// the 18 experiment results byte-identically to an untraced run. Streams are
+// the 18 experiment results byte-identically to the shared untraced run
+// (quickSequential). Streams are
 // capped so the traced run's memory stays bounded; the cap is count-based
 // and therefore deterministic too.
 func TestTraceDoesNotPerturbHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run")
 	}
-	plain := sequential(Config{Quick: true, Seed: 1}, Specs())
+	plain := quickSequential()
 
 	ts := obs.NewTraceSet()
 	ts.SetLimit(4096)

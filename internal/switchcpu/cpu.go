@@ -31,17 +31,8 @@ type CPU struct {
 
 	// OnDigest, when set, runs for every digest message after the PCIe
 	// channel delay. The msg slice is pooled by the ASIC's digest channel
-	// and valid only during the call; retain a copy if needed. Messages are
-	// also retained in Digests while RetainDigests is set.
+	// and valid only during the call; retain a copy if needed.
 	OnDigest func(msg []byte, at netsim.Time)
-
-	// RetainDigests (default true) keeps a copy of every received message
-	// in Digests. Goodput-only measurements (Fig. 16a) switch it off to
-	// keep the digest path allocation-free.
-	RetainDigests bool
-
-	// Digests accumulates received push-mode messages.
-	Digests [][]byte
 
 	// DigestBytes totals goodput for the Fig. 16a measurement.
 	DigestBytes uint64
@@ -53,11 +44,8 @@ type CPU struct {
 
 // New attaches a CPU to a switch, wiring the digest channel.
 func New(sim *netsim.Sim, sw *asic.Switch) *CPU {
-	c := &CPU{sim: sim, sw: sw, RetainDigests: true}
+	c := &CPU{sim: sim, sw: sw}
 	sw.DigestOut = func(data []byte, at netsim.Time) {
-		if c.RetainDigests {
-			c.Digests = append(c.Digests, append([]byte(nil), data...))
-		}
 		c.DigestBytes += uint64(len(data))
 		if c.OnDigest != nil {
 			c.OnDigest(data, at)

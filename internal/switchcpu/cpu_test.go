@@ -1,11 +1,13 @@
 package switchcpu
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
 func newCPU(t *testing.T) (*netsim.Sim, *asic.Switch, *CPU) {
@@ -17,8 +19,12 @@ func newCPU(t *testing.T) (*netsim.Sim, *asic.Switch, *CPU) {
 
 func TestDigestReceive(t *testing.T) {
 	sim, sw, cpu := newCPU(t)
+	var got []string
 	var gotAt netsim.Time
-	cpu.OnDigest = func(msg []byte, at netsim.Time) { gotAt = at }
+	cpu.OnDigest = func(msg []byte, at netsim.Time) {
+		got = append(got, string(msg)) // msg is valid only during the call
+		gotAt = at
+	}
 	sw.Ingress.Add(asic.ProcessorFunc(func(p *asic.PHV) {
 		p.DigestData = []byte("report!")
 		p.Drop = true
@@ -26,14 +32,49 @@ func TestDigestReceive(t *testing.T) {
 	raw, _ := netproto.BuildUDP(netproto.UDPSpec{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, FrameLen: 64})
 	sw.Port(0).Receive(&netproto.Packet{Data: raw})
 	sim.Run()
-	if len(cpu.Digests) != 1 || string(cpu.Digests[0]) != "report!" {
-		t.Fatalf("digests = %q", cpu.Digests)
+	if len(got) != 1 || got[0] != "report!" {
+		t.Fatalf("digests = %q", got)
 	}
 	if cpu.DigestBytes != 7 {
 		t.Fatalf("DigestBytes = %d", cpu.DigestBytes)
 	}
 	if gotAt == 0 {
 		t.Fatal("OnDigest not invoked")
+	}
+}
+
+// TestCPUDigestPathZeroAllocs pins the switch-CPU end of push-mode reporting:
+// once the ASIC's channel buffers are warm, a digest message crossing the
+// channel into DigestOut and on to OnDigest allocates nothing — the CPU
+// keeps no copy of what it is handed.
+func TestCPUDigestPathZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; the contract holds in non-race builds")
+	}
+	sim, sw, cpu := newCPU(t)
+	var digests uint64
+	cpu.OnDigest = func(msg []byte, at netsim.Time) { digests++ }
+	payload := make([]byte, 64)
+	sw.Ingress.Add(asic.ProcessorFunc(func(p *asic.PHV) {
+		p.DigestData = payload
+		p.Drop = true
+	}))
+	raw, _ := netproto.BuildUDP(netproto.UDPSpec{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, FrameLen: 64})
+	base := &netproto.Packet{Data: raw}
+	run := func() {
+		sw.Port(0).Receive(base.Clone())
+		sim.Run() // includes the channel-service drain event
+	}
+	for i := 0; i < 32; i++ { // warm the pools
+		run()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if avg := testing.AllocsPerRun(200, run); avg != 0 {
+		t.Fatalf("digest channel -> DigestOut -> OnDigest allocates %v allocs/op, want 0", avg)
+	}
+	if digests != 32+201 || cpu.DigestBytes != 64*digests {
+		t.Fatalf("OnDigest ran %d times for %d bytes, want %d messages of 64 bytes",
+			digests, cpu.DigestBytes, 32+201)
 	}
 }
 
