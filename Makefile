@@ -77,8 +77,8 @@ vet:
 # Path-sensitive symbolic verification of the 18-program experiment corpus
 # (no diagnostic of any severity; table5_ipscan's truncated header space is
 # the one expected note), then the witness-packet differential: every
-# extracted witness must replay bit-identically through the compiled ASIC
-# plan and the naive IR interpreter and match the committed goldens
+# extracted witness must replay bit-identically over a real asic frame and
+# over the IR field map, and match the committed goldens
 # (DESIGN.md §12.4–12.5).
 verify:
 	$(GO) test -race -run 'TestCorpusVerifiesClean|TestWitnessDifferential' -count=1 ./internal/experiments/

@@ -44,9 +44,6 @@ type Config struct {
 	RecircPaths int
 	// Seed drives all of the tester's randomness.
 	Seed int64
-	// Compiler tunes compilation (array size, header-space cap); the
-	// recirculation paths compiled for are always the switch's own.
-	Compiler compiler.Options
 }
 
 // Tester is one HyperTester instance: a programmable switch plus its switch
@@ -121,9 +118,7 @@ func (t *Tester) Describe(r *obs.Registry) { t.Switch.Describe(r, t.Switch.Name)
 // LoadTask compiles a task and deploys it onto the switch, replacing any
 // previously loaded task.
 func (t *Tester) LoadTask(task *ntapi.Task) error {
-	opts := t.cfg.Compiler
-	opts.RecircPaths = t.Switch.RecircPaths()
-	prog, err := compiler.Compile(task, opts)
+	prog, err := compiler.Compile(task, compiler.Options{RecircPaths: t.Switch.RecircPaths()})
 	if err != nil {
 		return err
 	}

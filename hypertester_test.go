@@ -23,6 +23,22 @@ Q1 = query(T1).map(p -> (pkt_len)).reduce(func=sum)
 Q2 = query().map(p -> (pkt_len)).reduce(func=sum)
 `
 
+// loadWithArraySize is LoadTaskSource with a register-array size other than
+// the compiler default: parse, compile for the switch's own recirculation
+// paths, deploy. Small arrays force counter-table evictions; large ones keep
+// a big key space exact.
+func loadWithArraySize(ht *Tester, name, src string, arraySize int) error {
+	task, err := ntapi.Parse(name, src)
+	if err != nil {
+		return err
+	}
+	prog, err := compiler.Compile(task, compiler.Options{ArraySize: arraySize, RecircPaths: ht.Switch.RecircPaths()})
+	if err != nil {
+		return err
+	}
+	return ht.deploy(prog)
+}
+
 func TestLineRateGeneration(t *testing.T) {
 	// The headline capability: a single 100G port generates 64-byte
 	// packets at line rate (Fig. 9a).
@@ -701,16 +717,15 @@ func TestMillionFlowReduceStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	ht := New(Config{Ports: []float64{100}, Seed: 20,
-		Compiler: compiler.Options{ArraySize: 1 << 19}})
-	err := ht.LoadTaskSource("stress", `
+	ht := New(Config{Ports: []float64{100}, Seed: 20})
+	err := loadWithArraySize(ht, "stress", `
 T1 = trigger()
     .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
     .set(dip, range(167772160, 168820735, 1))
     .set(loop, 1)
     .set(port, 0)
 Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
-`)
+`, 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,16 +757,15 @@ func TestEvictionDigestsStayExactUnderPressure(t *testing.T) {
 	// the push-mode digest path; the collected report must stay exact
 	// because backpressured messages wait on the data plane and the CPU
 	// drains the channel at collection (§5.2's push mode end to end).
-	ht := New(Config{Ports: []float64{100}, Seed: 22,
-		Compiler: compiler.Options{ArraySize: 64}})
-	err := ht.LoadTaskSource("pressure", `
+	ht := New(Config{Ports: []float64{100}, Seed: 22})
+	err := loadWithArraySize(ht, "pressure", `
 T1 = trigger()
     .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
     .set(dip, range(167772160, 167774207, 1))
     .set(loop, 3)
     .set(port, 0)
 Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
-`)
+`, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,16 +797,15 @@ func TestRedeployKeepsOldDigestsOutOfNewReports(t *testing.T) {
 	// merge: B's Q1 (received traffic, which B's sink never returns) must
 	// report nothing, and A's receiver must still account for every
 	// packet A sent.
-	ht := New(Config{Ports: []float64{100}, Seed: 22,
-		Compiler: compiler.Options{ArraySize: 64}})
-	err := ht.LoadTaskSource("a", `
+	ht := New(Config{Ports: []float64{100}, Seed: 22})
+	err := loadWithArraySize(ht, "a", `
 T1 = trigger()
     .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
     .set(dip, range(167772160, 167774207, 1))
     .set(loop, 3)
     .set(port, 0)
 Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
-`)
+`, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

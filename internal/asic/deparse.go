@@ -35,7 +35,7 @@ func writeIPv4(b []byte, ip *netproto.IPv4) {
 	binary.BigEndian.PutUint32(b[12:16], uint32(ip.Src))
 	binary.BigEndian.PutUint32(b[16:20], uint32(ip.Dst))
 	b[10], b[11] = 0, 0
-	binary.BigEndian.PutUint16(b[10:12], ipChecksum(b[:netproto.IPv4MinLen]))
+	binary.BigEndian.PutUint16(b[10:12], netproto.FoldChecksum(netproto.Checksum(0, b[:netproto.IPv4MinLen])))
 }
 
 func writeTCP(b []byte, t *netproto.TCP, ip *netproto.IPv4, segLen int) {
@@ -49,8 +49,8 @@ func writeTCP(b []byte, t *netproto.TCP, ip *netproto.IPv4, segLen int) {
 		segLen = len(b)
 	}
 	b[16], b[17] = 0, 0
-	sum := pseudoSum(ip.Src, ip.Dst, netproto.IPProtoTCP, segLen)
-	binary.BigEndian.PutUint16(b[16:18], foldSum(addBytes(sum, b[:segLen])))
+	sum := netproto.PseudoHeaderSum(uint32(ip.Src), uint32(ip.Dst), netproto.IPProtoTCP, segLen)
+	binary.BigEndian.PutUint16(b[16:18], netproto.FoldChecksum(netproto.Checksum(sum, b[:segLen])))
 }
 
 func writeUDP(b []byte, u *netproto.UDP, ip *netproto.IPv4) {
@@ -61,8 +61,8 @@ func writeUDP(b []byte, u *netproto.UDP, ip *netproto.IPv4) {
 		segLen = len(b)
 	}
 	b[6], b[7] = 0, 0
-	sum := pseudoSum(ip.Src, ip.Dst, netproto.IPProtoUDP, segLen)
-	cs := foldSum(addBytes(sum, b[:segLen]))
+	sum := netproto.PseudoHeaderSum(uint32(ip.Src), uint32(ip.Dst), netproto.IPProtoUDP, segLen)
+	cs := netproto.FoldChecksum(netproto.Checksum(sum, b[:segLen]))
 	if cs == 0 {
 		cs = 0xffff
 	}
@@ -78,36 +78,5 @@ func writeICMP(b []byte, ic *netproto.ICMP, msgLen int) {
 		msgLen = len(b)
 	}
 	b[2], b[3] = 0, 0
-	binary.BigEndian.PutUint16(b[2:4], foldSum(addBytes(0, b[:msgLen])))
-}
-
-func addBytes(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i:]))
-	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
-	}
-	return sum
-}
-
-func foldSum(sum uint32) uint16 {
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
-
-func ipChecksum(hdr []byte) uint16 { return foldSum(addBytes(0, hdr)) }
-
-func pseudoSum(src, dst netproto.IPv4Addr, proto uint8, length int) uint32 {
-	var sum uint32
-	sum += uint32(src) >> 16
-	sum += uint32(src) & 0xffff
-	sum += uint32(dst) >> 16
-	sum += uint32(dst) & 0xffff
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
+	binary.BigEndian.PutUint16(b[2:4], netproto.FoldChecksum(netproto.Checksum(0, b[:msgLen])))
 }

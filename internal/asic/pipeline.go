@@ -13,9 +13,6 @@ type ProcessorFunc func(p *PHV)
 // Process implements Processor.
 func (f ProcessorFunc) Process(p *PHV) { f(p) }
 
-// Process implements Processor for tables (apply and discard the hit flag).
-func (t *Table) Process(p *PHV) { t.Apply(p) }
-
 // Pipeline is an ordered list of processors (an ingress or egress pipeline).
 type Pipeline struct {
 	Name  string

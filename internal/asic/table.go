@@ -3,6 +3,8 @@ package asic
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/hypertester/hypertester/internal/obs"
 )
@@ -36,31 +38,16 @@ func (k MatchKind) String() string {
 
 // Table is a runtime match-action table. Entries are installed by the
 // control plane (switch CPU) and matched per packet by the pipeline.
+// Ternary and range entries are kept in priority order (higher first, ties
+// in insertion order), so a lookup is a scan that stops at the first match.
 type Table struct {
 	Name string
 	Kind MatchKind
 	Keys []Field
 
-	// Default runs when no entry matches. Nil means no-op.
-	Default Action
-
-	// MaxEntries, when >0, bounds the table size as the compiler's
-	// resource allocation would; AddEntry fails beyond it.
-	MaxEntries int
-
 	exact   map[string]Action
 	ternary []ternaryEntry
 	ranges  []rangeEntry
-
-	// dirty marks the sorted order and lookup indexes stale after a
-	// control-plane change; ensureIndex rebuilds them once per batch
-	// instead of re-sorting on every insert.
-	dirty bool
-	tern  ternaryIndex
-	rng   rangeIndex
-
-	// Hits and Misses count lookups for statistics and tests.
-	Hits, Misses uint64
 }
 
 type ternaryEntry struct {
@@ -84,25 +71,6 @@ func NewTable(name string, kind MatchKind, keys ...Field) *Table {
 	return t
 }
 
-// Size reports the number of installed entries.
-func (t *Table) Size() int {
-	switch t.Kind {
-	case MatchExact:
-		return len(t.exact)
-	case MatchTernary:
-		return len(t.ternary)
-	default:
-		return len(t.ranges)
-	}
-}
-
-func (t *Table) checkRoom() error {
-	if t.MaxEntries > 0 && t.Size() >= t.MaxEntries {
-		return fmt.Errorf("asic: table %s full (%d entries)", t.Name, t.MaxEntries)
-	}
-	return nil
-}
-
 func exactKey(values []uint64) string {
 	b := make([]byte, 8*len(values))
 	for i, v := range values {
@@ -112,7 +80,8 @@ func exactKey(values []uint64) string {
 }
 
 // AddExact installs an exact-match entry keyed on the given values (one per
-// key field, in Keys order).
+// key field, in Keys order). A key that is already installed is refused, as
+// P4Runtime refuses a duplicate entry.
 func (t *Table) AddExact(values []uint64, a Action) error {
 	if t.Kind != MatchExact {
 		return fmt.Errorf("asic: AddExact on %s table %s", t.Kind, t.Name)
@@ -120,10 +89,11 @@ func (t *Table) AddExact(values []uint64, a Action) error {
 	if len(values) != len(t.Keys) {
 		return fmt.Errorf("asic: table %s wants %d key values, got %d", t.Name, len(t.Keys), len(values))
 	}
-	if err := t.checkRoom(); err != nil {
-		return err
+	k := exactKey(values)
+	if _, dup := t.exact[k]; dup {
+		return fmt.Errorf("asic: table %s already has an entry for key %v", t.Name, values)
 	}
-	t.exact[exactKey(values)] = a
+	t.exact[k] = a
 	return nil
 }
 
@@ -135,11 +105,9 @@ func (t *Table) AddTernary(value, mask []uint64, priority int, a Action) error {
 	if len(value) != len(t.Keys) || len(mask) != len(t.Keys) {
 		return fmt.Errorf("asic: table %s wants %d key values", t.Name, len(t.Keys))
 	}
-	if err := t.checkRoom(); err != nil {
-		return err
-	}
-	t.ternary = append(t.ternary, ternaryEntry{value: value, mask: mask, priority: priority, action: a})
-	t.dirty = true
+	// After every entry of at least this priority: ties keep insertion order.
+	i := sort.Search(len(t.ternary), func(i int) bool { return t.ternary[i].priority < priority })
+	t.ternary = slices.Insert(t.ternary, i, ternaryEntry{value: value, mask: mask, priority: priority, action: a})
 	return nil
 }
 
@@ -154,16 +122,13 @@ func (t *Table) AddRange(lo, hi uint64, priority int, a Action) error {
 	if lo > hi {
 		return fmt.Errorf("asic: range table %s entry lo>hi", t.Name)
 	}
-	if err := t.checkRoom(); err != nil {
-		return err
-	}
-	t.ranges = append(t.ranges, rangeEntry{lo: lo, hi: hi, priority: priority, action: a})
-	t.dirty = true
+	i := sort.Search(len(t.ranges), func(i int) bool { return t.ranges[i].priority < priority })
+	t.ranges = slices.Insert(t.ranges, i, rangeEntry{lo: lo, hi: hi, priority: priority, action: a})
 	return nil
 }
 
-// Apply looks the PHV up and runs the matching action (or the default).
-// It reports whether an entry hit.
+// Apply looks the PHV up and runs the matching action, if any. It reports
+// whether an entry hit.
 func (t *Table) Apply(p *PHV) bool {
 	var keyBuf [4]uint64
 	keys := keyBuf[:0]
@@ -184,21 +149,24 @@ func (t *Table) Apply(p *PHV) bool {
 			act, hit = a, true
 		}
 	case MatchTernary:
-		t.ensureIndex()
-		if i, ok := t.lookupTernary(keys); ok {
-			act, hit = t.ternary[i].action, true
+	scan:
+		for i := range t.ternary {
+			e := &t.ternary[i]
+			for j, k := range keys {
+				if k&e.mask[j] != e.value[j]&e.mask[j] {
+					continue scan
+				}
+			}
+			act, hit = e.action, true
+			break
 		}
 	case MatchRange:
-		t.ensureIndex()
-		if i, ok := t.lookupRange(keys[0]); ok {
-			act, hit = t.ranges[i].action, true
+		for i := range t.ranges {
+			if e := &t.ranges[i]; keys[0] >= e.lo && keys[0] <= e.hi {
+				act, hit = e.action, true
+				break
+			}
 		}
-	}
-	if hit {
-		t.Hits++
-	} else {
-		t.Misses++
-		act = t.Default
 	}
 	if p.Trace != nil {
 		kind := obs.KindTableMiss

@@ -37,7 +37,11 @@ func TestExactTable(t *testing.T) {
 	if err := tbl.AddExact([]uint64{53}, func(p *PHV) { hitPort = 53; p.EgressPort = 7 }); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Default = func(p *PHV) { p.Drop = true }
+	// A duplicate key is refused and the first entry stays: the IR is
+	// first-match, and P4Runtime rejects a duplicate entry.
+	if err := tbl.AddExact([]uint64{53}, func(p *PHV) { p.EgressPort = 9 }); err == nil {
+		t.Fatal("duplicate exact key accepted")
+	}
 
 	p := udpPHV(t, 1000, 53)
 	if !tbl.Apply(p) {
@@ -48,14 +52,12 @@ func TestExactTable(t *testing.T) {
 	}
 
 	p2 := udpPHV(t, 1000, 80)
+	p2.EgressPort = 3
 	if tbl.Apply(p2) {
 		t.Fatal("expected miss")
 	}
-	if !p2.Drop {
-		t.Fatal("default action did not run")
-	}
-	if tbl.Hits != 1 || tbl.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", tbl.Hits, tbl.Misses)
+	if p2.EgressPort != 3 {
+		t.Fatal("a miss ran an action")
 	}
 }
 
@@ -80,20 +82,6 @@ func TestExactTableKeyArityChecked(t *testing.T) {
 	tbl := NewTable("pair", MatchExact, FieldUDPSrcPort, FieldUDPDstPort)
 	if err := tbl.AddExact([]uint64{1}, nil); err == nil {
 		t.Fatal("wrong arity accepted")
-	}
-}
-
-func TestTableCapacity(t *testing.T) {
-	tbl := NewTable("small", MatchExact, FieldUDPDstPort)
-	tbl.MaxEntries = 2
-	if err := tbl.AddExact([]uint64{1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.AddExact([]uint64{2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.AddExact([]uint64{3}, nil); err == nil {
-		t.Fatal("overflow insert accepted")
 	}
 }
 
@@ -159,6 +147,34 @@ func TestRangeTableSingleKeyOnly(t *testing.T) {
 	tbl := NewTable("bad", MatchRange, FieldTCPDstPort, FieldTCPSrcPort)
 	if err := tbl.AddRange(1, 2, 0, nil); err == nil {
 		t.Fatal("multi-key range table accepted")
+	}
+}
+
+// TestTableApplyZeroAllocs pins that Apply stays off the heap for all three
+// match kinds.
+func TestTableApplyZeroAllocs(t *testing.T) {
+	p := tcpPHV(t, 1, 80, 0)
+
+	exact := NewTable("z-exact", MatchExact, FieldTCPDstPort)
+	if err := exact.AddExact([]uint64{80}, nil); err != nil {
+		t.Fatal(err)
+	}
+	tern := NewTable("z-tern", MatchTernary, FieldTCPDstPort, FieldTCPSrcPort)
+	if err := tern.AddTernary([]uint64{80, 0}, []uint64{0xffff, 0}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	rng := NewTable("z-range", MatchRange, FieldTCPDstPort)
+	if err := rng.AddRange(1, 1024, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tbl  *Table
+	}{{"exact", exact}, {"ternary", tern}, {"range", rng}} {
+		tbl := tc.tbl
+		if avg := testing.AllocsPerRun(200, func() { tbl.Apply(p) }); avg != 0 {
+			t.Fatalf("%s Apply allocates %v allocs/op, want 0", tc.name, avg)
+		}
 	}
 }
 
@@ -340,8 +356,8 @@ func TestPHVDeparseUDPChecksum(t *testing.T) {
 	// Verify the UDP checksum over the rewritten datagram.
 	off := netproto.EthernetLen + netproto.IPv4MinLen
 	seg := p.Pkt.Data[off : off+int(s.UDP.Length)]
-	sum := pseudoSum(s.IP4.Src, s.IP4.Dst, netproto.IPProtoUDP, len(seg))
-	if foldSum(addBytes(sum, seg)) != 0 {
+	sum := netproto.PseudoHeaderSum(uint32(s.IP4.Src), uint32(s.IP4.Dst), netproto.IPProtoUDP, len(seg))
+	if netproto.FoldChecksum(netproto.Checksum(sum, seg)) != 0 {
 		t.Fatal("UDP checksum invalid after deparse")
 	}
 }

@@ -2,20 +2,17 @@ package compiler
 
 // exec.go is the compiled-plan half of the witness differential oracle.
 // internal/verify's symbolic walker extracts witness packets — one concrete
-// input per feasible leaf path of the generated p4ir program — and two
-// executors replay each:
+// input per feasible leaf path of the generated p4ir program — and
+// verify.Interp replays each over two field stores:
 //
 //   - ReplayPlan (here): serializes the witness into a real wire frame,
-//     parses it with the asic PHV/field codec, matches through real
-//     asic.Table index structures where the keys are PHV fields, and walks
-//     the control flow on the parsed representation;
-//   - verify.Interp: the naive reference, a flat field map with
-//     linear-scan matching and no packet bytes at all.
+//     parses it into a real asic.PHV, and reads and writes fields through
+//     the asic field codec (phvMachine);
+//   - verify.NewMapMachine: a flat field map with no packet bytes at all.
 //
-// Both sides share only the deterministic op semantics (verify.ExecOp) and
-// gateway evaluation; everything else — codec, widths, header validity,
-// match structures — is independent, so a disagreement pinpoints a real
-// divergence between the ASIC model and the IR's intended meaning.
+// The control walk, the table matcher and the op semantics are one
+// implementation, so a disagreement pinpoints a divergence between the
+// asic frame and field codec and the IR's field map.
 
 import (
 	"fmt"
@@ -66,9 +63,9 @@ func AnalyzePlan(prog *Program, opts verify.Options) *verify.Report {
 
 // SyntheticEntries builds one hit entry per runtime-populated table (a table
 // the IR declares without compile-time entries) from the witness's initial
-// key values. Installing the same map on both executors keeps the
-// differential meaningful: each side must reach the same hit-or-miss verdict
-// through its own matching machinery.
+// key values. Installing the same map on both replays keeps the
+// differential meaningful: each must reach the same hit-or-miss verdict from
+// the key values its own field store holds.
 func SyntheticEntries(p *p4ir.Program, wit verify.Witness) map[string][]p4ir.Entry {
 	m := verify.NewMapMachine(wit)
 	out := map[string][]p4ir.Entry{}
@@ -99,7 +96,7 @@ func SyntheticEntries(p *p4ir.Program, wit verify.Witness) map[string][]p4ir.Ent
 // witnessPacket serializes a normalized witness into a wire frame. The
 // layers are assembled by hand — not through the netproto builders, whose
 // convenience defaults (TTL 64, TCP window 65535) would diverge from the
-// zero defaults the naive executor assumes for unconstrained fields.
+// zero defaults the field map assumes for unconstrained fields.
 func witnessPacket(wit *verify.Witness) (*netproto.Packet, error) {
 	has := map[string]bool{}
 	for _, h := range wit.Headers {
@@ -163,7 +160,7 @@ func witnessPacket(wit *verify.Witness) (*netproto.Packet, error) {
 	pkt.Meta.InPort = int(f("meta.in_port"))
 	pkt.Meta.IngressPs = int64(f("meta.ingress_ts"))
 	pkt.Meta.ReplicaID = int(f("eg_intr_md.rid"))
-	// The frame is the authoritative length; expose it to the naive side.
+	// The frame is the authoritative length; expose it to the field map.
 	wit.Fields["pkt_len"] = uint64(pkt.Len())
 	return pkt, nil
 }
@@ -221,161 +218,12 @@ func (m *phvMachine) Set(name string, v uint64) {
 	m.side[name] = v & verify.WidthMask(name)
 }
 
-// planTable is one table prepared for replay: its effective entries and,
-// when every key is an asic PHV field, a real indexed asic.Table whose
-// action closures record which entry matched.
-type planTable struct {
-	def     *p4ir.TableDef
-	entries []p4ir.Entry
-	asicT   *asic.Table
-	fired   int
-}
-
-// buildPlanTables compiles the IR tables into replay form. Tables keyed on
-// compiler metadata (meta.one, pkt_id, ...) fall back to linear matching
-// through the machine interface; exact tables with duplicate key tuples also
-// fall back, because the asic's hash map would resolve the duplicate by
-// overwrite where the IR semantics are first-match.
-func buildPlanTables(p *p4ir.Program, overrides map[string][]p4ir.Entry) (map[string]*planTable, error) {
-	out := map[string]*planTable{}
-	for _, t := range p.Tables {
-		pt := &planTable{def: t, entries: t.Entries}
-		if over, ok := overrides[t.Name]; ok {
-			pt.entries = over
-		}
-		out[t.Name] = pt
-		if len(pt.entries) == 0 {
-			continue
-		}
-		fields := make([]asic.Field, len(t.Keys))
-		resolvable := true
-		for i, kd := range t.Keys {
-			fd, err := asic.FieldByName(kd.Field)
-			if err != nil {
-				resolvable = false
-				break
-			}
-			fields[i] = fd
-		}
-		if !resolvable || (t.Match == p4ir.MatchExact && (len(t.Keys) > 4 || hasDuplicateKeys(pt.entries))) {
-			// asic.Table.Apply packs exact keys into a 4-word stack buffer,
-			// so wider key tuples (the 5-tuple query tables) stay on the
-			// linear path.
-			continue
-		}
-		var kind asic.MatchKind
-		switch t.Match {
-		case p4ir.MatchExact:
-			kind = asic.MatchExact
-		case p4ir.MatchTernary:
-			kind = asic.MatchTernary
-		case p4ir.MatchRange:
-			kind = asic.MatchRange
-		default:
-			continue
-		}
-		at := asic.NewTable(t.Name, kind, fields...)
-		ok := true
-		for i := range pt.entries {
-			e := &pt.entries[i]
-			idx := i
-			act := func(*asic.PHV) { pt.fired = idx }
-			var err error
-			switch t.Match {
-			case p4ir.MatchExact:
-				err = at.AddExact(e.Values, act)
-			case p4ir.MatchTernary:
-				masks := e.Masks
-				if masks == nil {
-					masks = make([]uint64, len(t.Keys))
-					for k, kd := range t.Keys {
-						masks[k] = verify.WidthMask(kd.Field)
-					}
-				}
-				err = at.AddTernary(e.Values, masks, e.Priority, act)
-			case p4ir.MatchRange:
-				err = at.AddRange(e.Lo, e.Hi, e.Priority, act)
-			}
-			if err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			pt.asicT = at
-		}
-	}
-	return out, nil
-}
-
-func hasDuplicateKeys(entries []p4ir.Entry) bool {
-	seen := map[string]bool{}
-	for i := range entries {
-		key := fmt.Sprint(entries[i].Values)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-	}
-	return false
-}
-
-// planExec walks the compiled control flow over the parsed PHV.
-type planExec struct {
-	prog    *p4ir.Program
-	tables  map[string]*planTable
-	actions map[string]*p4ir.ActionDef
-}
-
-func (pe *planExec) walk(m *phvMachine, st *verify.ExecState, stmts []p4ir.ControlStmt) {
-	for i := range stmts {
-		s := &stmts[i]
-		if s.Apply != "" {
-			pe.applyTable(m, st, s.Apply)
-			continue
-		}
-		if verify.EvalCondString(m, s.If) {
-			pe.walk(m, st, s.Then)
-		} else {
-			pe.walk(m, st, s.Else)
-		}
-	}
-}
-
-func (pe *planExec) applyTable(m *phvMachine, st *verify.ExecState, name string) {
-	pt := pe.tables[name]
-	if pt == nil {
-		return
-	}
-	idx, hit := -1, false
-	if pt.asicT != nil {
-		pt.fired = -1
-		hit = pt.asicT.Apply(m.phv)
-		idx = pt.fired
-	} else {
-		keys := make([]uint64, len(pt.def.Keys))
-		for i, kd := range pt.def.Keys {
-			keys[i] = m.Get(kd.Field)
-		}
-		idx, hit = verify.MatchEntries(pt.def, pt.entries, keys)
-	}
-	if !hit || idx < 0 {
-		st.Out.Tables = append(st.Out.Tables, name+":miss")
-		return
-	}
-	act := pt.entries[idx].ActionName(pt.def)
-	st.Out.Tables = append(st.Out.Tables, name+":"+act)
-	if a := pe.actions[act]; a != nil {
-		verify.RunAction(m, st, a)
-	}
-}
-
 // ReplayPlan replays one witness through the compiled plan: real frame,
-// real parser, real field codec, real match tables. The witness is
-// normalized in place (and its pkt_len pinned to the actual frame length),
-// so running verify.Interp on the same witness afterwards replays the
-// identical input. entries supplies synthetic rows for runtime-populated
-// tables; pass the same map to the naive side.
+// real parser, real field codec. The witness is normalized in place (and its
+// pkt_len pinned to the actual frame length), so running verify.Interp on
+// the same witness afterwards replays the identical input. entries supplies
+// synthetic rows for runtime-populated tables; pass the same map to the
+// naive side.
 func ReplayPlan(prog *Program, wit *verify.Witness, entries map[string][]p4ir.Entry) (*verify.Outcome, error) {
 	if prog.P4 == nil {
 		return nil, fmt.Errorf("compiler: program has no generated P4 to replay")
@@ -385,25 +233,6 @@ func ReplayPlan(prog *Program, wit *verify.Witness, entries map[string][]p4ir.En
 	if err != nil {
 		return nil, err
 	}
-	tables, err := buildPlanTables(prog.P4, entries)
-	if err != nil {
-		return nil, err
-	}
-	pe := &planExec{prog: prog.P4, tables: tables, actions: map[string]*p4ir.ActionDef{}}
-	for _, a := range prog.P4.Actions {
-		pe.actions[a.Name] = a
-	}
-
-	m := newPHVMachine(asic.NewPHV(pkt), *wit)
-	st := verify.NewExecState()
-	for pass := 0; ; pass++ {
-		st.RecircReq = false
-		pe.walk(m, st, prog.P4.Ingress)
-		pe.walk(m, st, prog.P4.Egress)
-		if !st.RecircReq || pass >= verify.RecircCap {
-			break
-		}
-	}
-	st.Out.Fields = verify.CaptureFields(m)
-	return st.Out, nil
+	in := &verify.Interp{Prog: prog.P4, Entries: entries}
+	return in.Exec(newPHVMachine(asic.NewPHV(pkt), *wit)), nil
 }

@@ -63,7 +63,7 @@ func validateProgram(prog *Program, opts Options) error {
 	if err := VerifyPlan(prog.P4, TofinoStageModel); err != nil {
 		return err
 	}
-	return checkPlanSafety(prog, verify.Options{})
+	return checkPlanSafety(prog)
 }
 
 // checkPlanSafety is the one safety verdict of the compile gate: the
@@ -72,8 +72,8 @@ func validateProgram(prog *Program, opts Options) error {
 // bounded recirculation, on every feasible path. A walk that hit its path
 // cap proved nothing about the paths it never reached, so it is a rejection
 // too — an unverified plan must not deploy.
-func checkPlanSafety(prog *Program, opts verify.Options) error {
-	rep := AnalyzePlan(prog, opts)
+func checkPlanSafety(prog *Program) error {
+	rep := AnalyzePlan(prog, verify.Options{})
 	if errs := rep.Errors(); len(errs) > 0 {
 		return fmt.Errorf("compiler: symbolic verifier: %s", errs[0])
 	}

@@ -1,12 +1,12 @@
 package compiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/p4ir"
-	"github.com/hypertester/hypertester/internal/verify"
 )
 
 // gate runs a hand-built plan through the compile gate exactly as Compile
@@ -260,7 +260,7 @@ func TestVerifyAcceptsCompiledPlans(t *testing.T) {
 		if err := VerifyPlan(prog.P4, TofinoStageModel); err != nil {
 			t.Errorf("%s: compiled plan cannot be placed: %v", name, err)
 		}
-		if err := checkPlanSafety(prog, verify.Options{}); err != nil {
+		if err := checkPlanSafety(prog); err != nil {
 			t.Errorf("%s: compiled plan rejected: %v", name, err)
 		}
 	}
@@ -268,17 +268,22 @@ func TestVerifyAcceptsCompiledPlans(t *testing.T) {
 
 // TestTruncatedWalkFailsCompilation: a walk that hits its path cap has not
 // verified the plan, and the gate must say so rather than pass a partial
-// verdict. The cap is forced below what a real plan needs.
+// verdict. Twenty stacked two-way gateways make 2^20 paths, far past the cap.
 func TestTruncatedWalkFailsCompilation(t *testing.T) {
-	task, err := ntapi.Parse("throughput", gateSpecs["throughput"])
-	if err != nil {
-		t.Fatal(err)
+	p := &p4ir.Program{Name: "boom", Headers: []string{"ethernet"}}
+	p.AddAction(&p4ir.ActionDef{Name: "a", Ops: []p4ir.Op{{Kind: p4ir.OpNoOp}}})
+	p.AddTable(&p4ir.TableDef{
+		Name: "t", Pipeline: p4ir.PipeIngress, Match: p4ir.MatchExact,
+		Keys:    []p4ir.KeyDef{{Field: "meta.one", Bits: 1}},
+		Actions: []string{"a"}, Size: 1,
+		Entries: []p4ir.Entry{{Values: []uint64{1}}},
+	})
+	stmt := []p4ir.ControlStmt{{Apply: "t"}}
+	for i := 0; i < 20; i++ {
+		stmt = []p4ir.ControlStmt{{If: fmt.Sprintf("meta.f%d != 0", i), Then: stmt, Else: stmt}}
 	}
-	prog, err := Compile(task, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = checkPlanSafety(prog, verify.Options{MaxPaths: 2})
+	p.Ingress = stmt
+	err := checkPlanSafety(&Program{P4: p})
 	if err == nil || !strings.Contains(err.Error(), "walk truncated") {
 		t.Fatalf("want the truncated-walk compile error, got %v", err)
 	}

@@ -105,8 +105,8 @@ func witnessDump(t *testing.T, spec ProgramSpec) string {
 
 // TestWitnessDifferential is the committed CI gate: every witness packet
 // the verifier concretizes from every corpus program must replay
-// bit-identically through the compiled ASIC plan and the naive IR
-// interpreter, and the whole transcript must match the golden corpus
+// bit-identically over a real asic frame and over the IR field map, and
+// the whole transcript must match the golden corpus
 // under testdata/witness (regenerate with `go test -run Witness -update`).
 func TestWitnessDifferential(t *testing.T) {
 	for _, spec := range Programs() {

@@ -145,7 +145,7 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
 	h[10], h[11] = 0, 0
 	binary.BigEndian.PutUint32(h[12:16], uint32(ip.Src))
 	binary.BigEndian.PutUint32(h[16:20], uint32(ip.Dst))
-	binary.BigEndian.PutUint16(h[10:12], foldChecksum(checksum(0, h)))
+	binary.BigEndian.PutUint16(h[10:12], FoldChecksum(Checksum(0, h)))
 	ip.TotalLen = uint16(total)
 	ip.Checksum = binary.BigEndian.Uint16(h[10:12])
 	ip.hdrLen = IPv4MinLen
@@ -159,7 +159,7 @@ func (ip *IPv4) VerifyChecksum(hdr []byte) bool {
 	if len(hdr) < IPv4MinLen {
 		return false
 	}
-	return foldChecksum(checksum(0, hdr[:IPv4MinLen])) == 0
+	return FoldChecksum(Checksum(0, hdr[:IPv4MinLen])) == 0
 }
 
 // IPv6 extension-header protocol numbers the decoder walks, plus the
@@ -355,8 +355,8 @@ func (t *TCP) SerializeTo(b *SerializeBuffer) error {
 	h[16], h[17] = 0, 0
 	binary.BigEndian.PutUint16(h[18:20], t.Urgent)
 	seg := b.Bytes() // header + payload
-	sum := pseudoHeaderSum(uint32(t.PseudoSrc), uint32(t.PseudoDst), IPProtoTCP, TCPMinLen+payloadLen)
-	binary.BigEndian.PutUint16(h[16:18], foldChecksum(checksum(sum, seg[:TCPMinLen+payloadLen])))
+	sum := PseudoHeaderSum(uint32(t.PseudoSrc), uint32(t.PseudoDst), IPProtoTCP, TCPMinLen+payloadLen)
+	binary.BigEndian.PutUint16(h[16:18], FoldChecksum(Checksum(sum, seg[:TCPMinLen+payloadLen])))
 	t.Checksum = binary.BigEndian.Uint16(h[16:18])
 	t.hdrLen = TCPMinLen
 	return nil
@@ -398,8 +398,8 @@ func (u *UDP) SerializeTo(b *SerializeBuffer) error {
 	binary.BigEndian.PutUint16(h[4:6], uint16(length))
 	h[6], h[7] = 0, 0
 	seg := b.Bytes()
-	sum := pseudoHeaderSum(uint32(u.PseudoSrc), uint32(u.PseudoDst), IPProtoUDP, length)
-	cs := foldChecksum(checksum(sum, seg[:length]))
+	sum := PseudoHeaderSum(uint32(u.PseudoSrc), uint32(u.PseudoDst), IPProtoUDP, length)
+	cs := FoldChecksum(Checksum(sum, seg[:length]))
 	if cs == 0 {
 		cs = 0xffff // RFC 768: transmitted zero checksum means "none"
 	}
@@ -442,7 +442,7 @@ func (ic *ICMP) SerializeTo(b *SerializeBuffer) error {
 	h[2], h[3] = 0, 0
 	binary.BigEndian.PutUint16(h[4:6], ic.Ident)
 	binary.BigEndian.PutUint16(h[6:8], ic.Seq)
-	binary.BigEndian.PutUint16(h[2:4], foldChecksum(checksum(0, b.Bytes())))
+	binary.BigEndian.PutUint16(h[2:4], FoldChecksum(Checksum(0, b.Bytes())))
 	ic.Checksum = binary.BigEndian.Uint16(h[2:4])
 	return nil
 }

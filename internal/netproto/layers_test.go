@@ -124,15 +124,15 @@ func TestTCPChecksumMatchesReference(t *testing.T) {
 	seg := make([]byte, len(raw))
 	copy(seg, raw)
 	seg[16], seg[17] = 0, 0
-	sum := pseudoHeaderSum(uint32(src), uint32(dst), IPProtoTCP, len(seg))
-	want := foldChecksum(checksum(sum, seg))
+	sum := PseudoHeaderSum(uint32(src), uint32(dst), IPProtoTCP, len(seg))
+	want := FoldChecksum(Checksum(sum, seg))
 	got := binary.BigEndian.Uint16(raw[16:18])
 	if got != want {
 		t.Fatalf("checksum = %#x, want %#x", got, want)
 	}
 	// And the standard verification property: summing over the segment
 	// including the transmitted checksum folds to zero.
-	if foldChecksum(checksum(sum, raw)) != 0 {
+	if FoldChecksum(Checksum(sum, raw)) != 0 {
 		t.Fatal("segment checksum does not verify")
 	}
 }
@@ -187,7 +187,7 @@ func TestICMPRoundTrip(t *testing.T) {
 	if out.Type != 8 || out.Ident != 77 || out.Seq != 3 {
 		t.Fatalf("fields: %+v", out)
 	}
-	if foldChecksum(checksum(0, raw)) != 0 {
+	if FoldChecksum(Checksum(0, raw)) != 0 {
 		t.Fatal("ICMP checksum does not verify")
 	}
 }

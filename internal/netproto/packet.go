@@ -162,8 +162,9 @@ const (
 	TCPUrg uint8 = 1 << 5
 )
 
-// checksum computes the ones-complement sum used by IPv4/TCP/UDP/ICMP.
-func checksum(sum uint32, data []byte) uint32 {
+// Checksum adds data, as big-endian 16-bit words, to the running
+// ones'-complement sum used by IPv4/TCP/UDP/ICMP.
+func Checksum(sum uint32, data []byte) uint32 {
 	n := len(data)
 	for i := 0; i+1 < n; i += 2 {
 		sum += uint32(binary.BigEndian.Uint16(data[i:]))
@@ -174,16 +175,18 @@ func checksum(sum uint32, data []byte) uint32 {
 	return sum
 }
 
-func foldChecksum(sum uint32) uint16 {
+// FoldChecksum folds a running sum's carries and complements it into the
+// 16-bit checksum field value.
+func FoldChecksum(sum uint32) uint16 {
 	for sum>>16 != 0 {
 		sum = (sum & 0xffff) + (sum >> 16)
 	}
 	return ^uint16(sum)
 }
 
-// pseudoHeaderSum computes the IPv4 pseudo-header contribution for TCP/UDP
+// PseudoHeaderSum computes the IPv4 pseudo-header contribution for TCP/UDP
 // checksums.
-func pseudoHeaderSum(src, dst uint32, proto uint8, length int) uint32 {
+func PseudoHeaderSum(src, dst uint32, proto uint8, length int) uint32 {
 	var sum uint32
 	sum += src >> 16
 	sum += src & 0xffff

@@ -66,7 +66,7 @@ func TestPaperSmokeSuite(t *testing.T) {
 // that creeps towards the cap shows up here long before users hit the
 // error.
 func TestEveryShippedProgramWalksWithHeadroom(t *testing.T) {
-	const maxPaths = 8192 / 16 // verify.Options.MaxPaths default / headroom
+	const maxPaths = 8192 / 16 // the verifier's path cap / headroom
 
 	corpus := experiments.Programs()
 	suites := []*scenario.Suite{scenario.Library()}

@@ -14,8 +14,7 @@
 //     strictly increases on every recirculating path);
 //   - and, for every feasible leaf path, a concrete witness packet that
 //     the differential harness (interp.go plus compiler.ReplayPlan)
-//     replays through both the compiled ASIC plan and a naive IR
-//     interpreter.
+//     replays over both a real asic frame and a flat field map.
 //
 // Everything is stdlib-only; the path condition domain is a bitvector
 // interval plus known-bits lattice with a small disequality set.

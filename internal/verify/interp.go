@@ -10,26 +10,25 @@ import (
 	"github.com/hypertester/hypertester/internal/p4ir"
 )
 
-// This file is the execution half of the differential oracle. The witness
-// packets Analyze extracts are replayed through two executors:
+// This file is the execution half of the differential oracle. Interp
+// walks the p4ir control flow, matches tables by linear scan and runs the
+// deterministic op semantics over a Machine, the field store. The witness
+// packets Analyze extracts are replayed over two stores:
 //
-//   - the compiled ASIC plan (compiler.ReplayPlan), which drives the real
-//     asic PHV, field codec, and indexed match tables;
-//   - the naive interpreter below, which walks the p4ir control directly
-//     over a flat field map with linear-scan matching.
+//   - MapMachine below, a flat field map that models the asic codec's
+//     width and masking quirks independently;
+//   - the compiled plan's store (compiler.ReplayPlan), a real frame parsed
+//     into an asic.PHV and read through the asic field codec.
 //
-// The two share ONLY the primitives that would be unverifiable if modeled
-// twice (the deterministic op semantics in ExecOp, gateway evaluation in
-// EvalCondString) — everything the differential is meant to check (packet
-// codec, field width/masking quirks, table lookup structures, control
-// walking) is implemented independently on each side.
+// The walk is shared, so what the differential checks is the packet codec:
+// serialization, parsing, header validity, field widths and masking.
 
-// RecircCap bounds the recirculation passes both executors run; the
+// recircCap bounds the recirculation passes a replay runs; the
 // verifier's termination check keeps real programs from depending on it.
-const RecircCap = 3
+const recircCap = 3
 
-// Machine abstracts the PHV: the compiled side wraps an asic.PHV, the
-// naive side a field map.
+// Machine abstracts the PHV: the compiled plan's store wraps an asic.PHV,
+// the naive one is a field map.
 type Machine interface {
 	Get(field string) uint64
 	Set(field string, v uint64)
@@ -37,7 +36,7 @@ type Machine interface {
 
 // Outcome is everything observable about one replay: final field values,
 // the table decisions in order, SALU activity, digests, and the packet's
-// fate. Two executors agree iff their Canonical() strings are equal.
+// fate. Two replays agree iff their Canonical() strings are equal.
 type Outcome struct {
 	Fields  map[string]uint64 `json:"fields"`
 	Tables  []string          `json:"tables"` // "table:action" or "table:miss"
@@ -67,22 +66,22 @@ func (o *Outcome) Canonical() string {
 	return b.String()
 }
 
-// ExecState is the per-replay mutable state outside the PHV: register
+// execState is the per-replay mutable state outside the PHV: register
 // arrays (cell 0 carries the deterministic semantics), the RNG sequence
 // counter, and the pending-recirculation flag.
-type ExecState struct {
+type execState struct {
 	Regs      map[string][]uint64
 	Seq       uint64
 	RecircReq bool
 	Out       *Outcome
 }
 
-// NewExecState returns a fresh state with an empty outcome.
-func NewExecState() *ExecState {
-	return &ExecState{Regs: map[string][]uint64{}, Out: &Outcome{Fields: map[string]uint64{}}}
+// newExecState returns a fresh state with an empty outcome.
+func newExecState() *execState {
+	return &execState{Regs: map[string][]uint64{}, Out: &Outcome{Fields: map[string]uint64{}}}
 }
 
-func (st *ExecState) reg(name string) []uint64 {
+func (st *execState) reg(name string) []uint64 {
 	r, ok := st.Regs[name]
 	if !ok {
 		r = make([]uint64, 1)
@@ -91,9 +90,9 @@ func (st *ExecState) reg(name string) []uint64 {
 	return r
 }
 
-// EvalCondString evaluates a gateway condition concretely. Conditions
-// outside the generator grammar evaluate to false on both executors.
-func EvalCondString(m Machine, s string) bool {
+// evalCondString evaluates a gateway condition concretely. Conditions
+// outside the generator grammar evaluate to false.
+func evalCondString(m Machine, s string) bool {
 	cond, ok := p4ir.ParseCond(s)
 	if !ok {
 		return false
@@ -130,7 +129,7 @@ func fnvU64(seed string, vals ...uint64) uint64 {
 
 // srcValue resolves an op's Src operand: a numeric constant, a PHV field,
 // or — for opaque expressions (list lookups, record slots) — a
-// deterministic digest of the expression text, identical on both sides.
+// deterministic digest of the expression text.
 func srcValue(m Machine, op p4ir.Op) uint64 {
 	if c, err := strconv.ParseUint(op.Src, 0, 64); err == nil {
 		return c
@@ -148,10 +147,10 @@ func opMask(op p4ir.Op) uint64 {
 	return ^uint64(0)
 }
 
-// ExecOp runs one primitive with deterministic semantics. RMW programs the
+// execOp runs one primitive with deterministic semantics. RMW programs the
 // generator emits as "+N"/"+N wrap M" increment cell 0 (wrapping to 0 past
 // M); every other SALU program bumps the cell and is recorded opaquely.
-func ExecOp(m Machine, st *ExecState, op p4ir.Op) {
+func execOp(m Machine, st *execState, op p4ir.Op) {
 	switch op.Kind {
 	case p4ir.OpModifyField:
 		m.Set(op.Dst, srcValue(m, op)&opMask(op))
@@ -197,17 +196,17 @@ func ExecOp(m Machine, st *ExecState, op p4ir.Op) {
 	}
 }
 
-// RunAction executes an action's ops in order.
-func RunAction(m Machine, st *ExecState, a *p4ir.ActionDef) {
+// runAction executes an action's ops in order.
+func runAction(m Machine, st *execState, a *p4ir.ActionDef) {
 	for _, op := range a.Ops {
-		ExecOp(m, st, op)
+		execOp(m, st, op)
 	}
 }
 
-// MatchEntries finds the matching entry with the IR-level semantics the
-// ASIC tables implement: exact first-match, ternary and range by priority
+// matchEntries finds the matching entry with the IR-level semantics the
+// asic tables share: exact first-match, ternary and range by priority
 // (higher wins, insertion order breaks ties).
-func MatchEntries(t *p4ir.TableDef, entries []p4ir.Entry, keys []uint64) (int, bool) {
+func matchEntries(t *p4ir.TableDef, entries []p4ir.Entry, keys []uint64) (int, bool) {
 	best, bestPri := -1, 0
 	for i := range entries {
 		e := &entries[i]
@@ -245,10 +244,10 @@ func MatchEntries(t *p4ir.TableDef, entries []p4ir.Entry, keys []uint64) (int, b
 	return 0, false
 }
 
-// OutcomeFields is the deterministic field set both executors report: every
+// outcomeFields is the deterministic field set a replay reports: every
 // name the width table knows, minus the l4 aliases (already captured via
 // the transport header they resolve to).
-func OutcomeFields() []string {
+func outcomeFields() []string {
 	names := make([]string, 0, len(fieldWidths))
 	for n := range fieldWidths {
 		if n == "l4.sport" || n == "l4.dport" {
@@ -260,14 +259,14 @@ func OutcomeFields() []string {
 	return names
 }
 
-// WidthMask returns the all-ones mask of a named field's width, for
-// executors outside this package that mirror the PHV masking rules.
+// WidthMask returns the all-ones mask of a named field's width, for field
+// stores outside this package that mirror the PHV masking rules.
 func WidthMask(name string) uint64 { return maxVal(fieldWidth(name, 0)) }
 
-// CaptureFields reads the outcome field set off a machine.
-func CaptureFields(m Machine) map[string]uint64 {
+// captureFields reads the outcome field set off a machine.
+func captureFields(m Machine) map[string]uint64 {
 	out := map[string]uint64{}
-	for _, n := range OutcomeFields() {
+	for _, n := range outcomeFields() {
 		out[n] = m.Get(n)
 	}
 	return out
@@ -303,7 +302,7 @@ func NormalizeWitness(wit *Witness) {
 	}
 }
 
-// MapMachine is the naive interpreter's PHV: a flat field map plus derived
+// MapMachine is the reference field store: a flat field map plus derived
 // header validity. It mirrors the asic field codec's quirks independently:
 // width masking per field, tcp.flag's 6 flag bits, VLAN writes dropped
 // unless the header is present, read-only intrinsics never written.
@@ -376,8 +375,8 @@ func (m *MapMachine) Set(name string, v uint64) {
 	m.Vals[name] = v & maxVal(fieldWidth(name, 0))
 }
 
-// Interp is the naive reference interpreter: it walks the IR control flow
-// directly, matching tables by linear scan.
+// Interp is the IR interpreter: it walks the control flow directly,
+// matching tables by linear scan.
 type Interp struct {
 	Prog *p4ir.Program
 	// Entries overrides/extends per-table entries (synthetic entries for
@@ -385,32 +384,35 @@ type Interp struct {
 	Entries map[string][]p4ir.Entry
 }
 
-// Run replays one witness and returns the outcome.
+// Run replays one witness over a field map and returns the outcome.
 //
 //htlint:ignore deadexport the naive reference the witness differential replays against the compiled plan
-func (in *Interp) Run(wit Witness) *Outcome {
-	m := NewMapMachine(wit)
-	st := NewExecState()
+func (in *Interp) Run(wit Witness) *Outcome { return in.Exec(NewMapMachine(wit)) }
+
+// Exec runs the program over m, recirculating up to recircCap times, and
+// returns the outcome.
+func (in *Interp) Exec(m Machine) *Outcome {
+	st := newExecState()
 	for pass := 0; ; pass++ {
 		st.RecircReq = false
 		in.walk(m, st, in.Prog.Ingress)
 		in.walk(m, st, in.Prog.Egress)
-		if !st.RecircReq || pass >= RecircCap {
+		if !st.RecircReq || pass >= recircCap {
 			break
 		}
 	}
-	st.Out.Fields = CaptureFields(m)
+	st.Out.Fields = captureFields(m)
 	return st.Out
 }
 
-func (in *Interp) walk(m Machine, st *ExecState, stmts []p4ir.ControlStmt) {
+func (in *Interp) walk(m Machine, st *execState, stmts []p4ir.ControlStmt) {
 	for i := range stmts {
 		s := &stmts[i]
 		if s.Apply != "" {
 			in.applyTable(m, st, s.Apply)
 			continue
 		}
-		if EvalCondString(m, s.If) {
+		if evalCondString(m, s.If) {
 			in.walk(m, st, s.Then)
 		} else {
 			in.walk(m, st, s.Else)
@@ -418,7 +420,7 @@ func (in *Interp) walk(m Machine, st *ExecState, stmts []p4ir.ControlStmt) {
 	}
 }
 
-func (in *Interp) applyTable(m Machine, st *ExecState, name string) {
+func (in *Interp) applyTable(m Machine, st *execState, name string) {
 	var t *p4ir.TableDef
 	for _, cand := range in.Prog.Tables {
 		if cand.Name == name {
@@ -437,7 +439,7 @@ func (in *Interp) applyTable(m Machine, st *ExecState, name string) {
 	for i, kd := range t.Keys {
 		keys[i] = m.Get(kd.Field)
 	}
-	idx, hit := MatchEntries(t, entries, keys)
+	idx, hit := matchEntries(t, entries, keys)
 	if !hit {
 		st.Out.Tables = append(st.Out.Tables, name+":miss")
 		return
@@ -446,7 +448,7 @@ func (in *Interp) applyTable(m Machine, st *ExecState, name string) {
 	st.Out.Tables = append(st.Out.Tables, name+":"+act)
 	for _, a := range in.Prog.Actions {
 		if a.Name == act {
-			RunAction(m, st, a)
+			runAction(m, st, a)
 			break
 		}
 	}

@@ -19,7 +19,7 @@ func newTestPHV(t *testing.T) *asic.PHV {
 	return asic.NewPHV(&netproto.Packet{Data: raw})
 }
 
-// TestMatchEntriesExactAgainstASIC drives MatchEntries and asic.Table with
+// TestMatchEntriesExactAgainstASIC drives matchEntries and asic.Table with
 // the same exact entries and random keys; the chosen action must agree.
 func TestMatchEntriesExactAgainstASIC(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -32,17 +32,26 @@ func TestMatchEntriesExactAgainstASIC(t *testing.T) {
 	}
 	fired := -1
 	seen := map[[2]uint64]bool{}
+	dups := 0
 	for i := 0; i < 16; i++ {
 		k := [2]uint64{uint64(rng.Intn(8)), uint64(rng.Intn(8))}
-		if seen[k] {
-			continue // asic exact is a map: duplicates overwrite, linear scan doesn't
-		}
-		seen[k] = true
+		// Both sides get every entry. The IR is first-match, so a duplicate
+		// key is shadowed; the asic must refuse it and keep the first.
 		idx := len(ir.Entries)
-		if err := at.AddExact([]uint64{k[0], k[1]}, func(*asic.PHV) { fired = idx }); err != nil {
+		err := at.AddExact([]uint64{k[0], k[1]}, func(*asic.PHV) { fired = idx })
+		if seen[k] {
+			dups++
+			if err == nil {
+				t.Fatalf("entry %d: duplicate key %v accepted", i, k)
+			}
+		} else if err != nil {
 			t.Fatal(err)
 		}
+		seen[k] = true
 		ir.Entries = append(ir.Entries, p4ir.Entry{Values: []uint64{k[0], k[1]}})
+	}
+	if dups == 0 {
+		t.Fatal("no duplicate key drawn; the refusal is untested")
 	}
 
 	for trial := 0; trial < 500; trial++ {
@@ -51,7 +60,7 @@ func TestMatchEntriesExactAgainstASIC(t *testing.T) {
 		asic.FieldIPv4Dst.Set(phv, dip)
 		fired = -1
 		hitA := at.Apply(phv)
-		idxI, hitI := MatchEntries(ir, ir.Entries, []uint64{sip, dip})
+		idxI, hitI := matchEntries(ir, ir.Entries, []uint64{sip, dip})
 		if hitA != hitI {
 			t.Fatalf("trial %d keys (%d,%d): asic hit=%v interp hit=%v", trial, sip, dip, hitA, hitI)
 		}
@@ -88,19 +97,18 @@ func TestMatchEntriesTernaryAgainstASIC(t *testing.T) {
 		asic.FieldIPv4Src.Set(phv, key)
 		fired = -1
 		hitA := at.Apply(phv)
-		idxI, hitI := MatchEntries(ir, ir.Entries, []uint64{key})
+		idxI, hitI := matchEntries(ir, ir.Entries, []uint64{key})
 		if hitA != hitI {
 			t.Fatalf("trial %d key %d: asic hit=%v interp hit=%v", trial, key, hitA, hitI)
 		}
 		if !hitA {
 			continue
 		}
-		// The asic table re-sorts entries; agreement is on the selected
-		// entry's identity, recorded through the action closure.
-		if a, b := ir.Entries[fired], ir.Entries[idxI]; a.Priority != b.Priority ||
-			a.Values[0]&a.Masks[0] != key&a.Masks[0] || b.Values[0]&b.Masks[0] != key&b.Masks[0] {
+		// Agreement is on the selected entry's identity, recorded through
+		// the action closure: priority ties break in insertion order.
+		if fired != idxI {
 			t.Fatalf("trial %d key %d: asic entry %d (pri %d), interp entry %d (pri %d)",
-				trial, key, fired, a.Priority, idxI, b.Priority)
+				trial, key, fired, ir.Entries[fired].Priority, idxI, ir.Entries[idxI].Priority)
 		}
 	}
 }
@@ -132,15 +140,14 @@ func TestMatchEntriesRangeAgainstASIC(t *testing.T) {
 		asic.FieldL4DstPort.Set(phv, key)
 		fired = -1
 		hitA := at.Apply(phv)
-		idxI, hitI := MatchEntries(ir, ir.Entries, []uint64{key})
+		idxI, hitI := matchEntries(ir, ir.Entries, []uint64{key})
 		if hitA != hitI {
 			t.Fatalf("trial %d key %d: asic hit=%v interp hit=%v", trial, key, hitA, hitI)
 		}
 		if !hitA {
 			continue
 		}
-		a, b := ir.Entries[fired], ir.Entries[idxI]
-		if a.Priority != b.Priority || key < b.Lo || key > b.Hi {
+		if a, b := ir.Entries[fired], ir.Entries[idxI]; fired != idxI {
 			t.Fatalf("trial %d key %d: asic [%d,%d] pri %d, interp [%d,%d] pri %d",
 				trial, key, a.Lo, a.Hi, a.Priority, b.Lo, b.Hi, b.Priority)
 		}
@@ -162,8 +169,8 @@ func TestEvalCondString(t *testing.T) {
 		{"now - last >= interval", false}, // opaque: false on both executors
 	}
 	for _, c := range cases {
-		if got := EvalCondString(m, c.cond); got != c.want {
-			t.Errorf("EvalCondString(%q) = %v, want %v", c.cond, got, c.want)
+		if got := evalCondString(m, c.cond); got != c.want {
+			t.Errorf("evalCondString(%q) = %v, want %v", c.cond, got, c.want)
 		}
 	}
 }
@@ -229,11 +236,11 @@ func TestInterpSmoke(t *testing.T) {
 		Fields:  map[string]uint64{"eth.type": 0x0800, "meta.template_id": 3},
 	}
 	out := in.Run(wit)
-	// One initial pass plus RecircCap recirculated passes, each hitting.
-	if want := RecircCap + 1; out.Recircs != want {
+	// One initial pass plus recircCap recirculated passes, each hitting.
+	if want := recircCap + 1; out.Recircs != want {
 		t.Fatalf("recircs = %d, want %d (capped)", out.Recircs, want)
 	}
-	if len(out.Tables) != RecircCap+1 || out.Tables[0] != "accel:spin" {
+	if len(out.Tables) != recircCap+1 || out.Tables[0] != "accel:spin" {
 		t.Fatalf("table log wrong: %v", out.Tables)
 	}
 	if len(out.SALU) == 0 || out.SALU[len(out.SALU)-1] != "cnt:+1:4" {

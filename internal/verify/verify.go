@@ -58,11 +58,16 @@ type Implication struct {
 
 // Options tunes an Analyze run.
 type Options struct {
-	Invariants   []Implication
-	MaxPaths     int  // feasible leaf paths to enumerate (default 8192)
-	Witnesses    bool // concretize a witness per feasible leaf path
-	MaxWitnesses int  // cap on distinct witnesses kept (default 256)
+	Invariants []Implication
+	Witnesses  bool // concretize a witness per feasible leaf path
 }
+
+// The walk's caps: feasible leaf paths enumerated, and distinct witnesses
+// kept. Hitting either marks the report Truncated.
+const (
+	maxPaths     = 8192
+	maxWitnesses = 256
+)
 
 // Witness is a concrete input that drives the program down one feasible
 // leaf path: which headers the packet carries and the value of every field
@@ -79,7 +84,7 @@ type Report struct {
 	Diagnostics []Diagnostic
 	Witnesses   []Witness
 	Paths       int  // feasible leaf paths enumerated
-	Truncated   bool // MaxPaths or MaxWitnesses hit
+	Truncated   bool // maxPaths or maxWitnesses hit
 }
 
 // Errors returns the error-severity diagnostics.
@@ -403,12 +408,6 @@ type walker struct {
 // Analyze symbolically executes the program and returns every finding plus
 // (optionally) one concrete witness per feasible leaf path.
 func Analyze(p *p4ir.Program, opts Options) *Report {
-	if opts.MaxPaths <= 0 {
-		opts.MaxPaths = 8192
-	}
-	if opts.MaxWitnesses <= 0 {
-		opts.MaxWitnesses = 256
-	}
 	w := &walker{
 		p: p, opts: opts,
 		tables:      map[string]*p4ir.TableDef{},
@@ -579,7 +578,7 @@ func (w *walker) runControls(st *state) {
 }
 
 func (w *walker) over() bool {
-	if w.paths >= w.opts.MaxPaths {
+	if w.paths >= maxPaths {
 		w.truncated = true
 		return true
 	}
@@ -1103,7 +1102,7 @@ func (w *walker) leaf(st *state) {
 	if !w.opts.Witnesses {
 		return
 	}
-	if len(w.witnesses) >= w.opts.MaxWitnesses {
+	if len(w.witnesses) >= maxWitnesses {
 		w.truncated = true
 		return
 	}

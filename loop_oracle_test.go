@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
-	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
@@ -179,9 +178,8 @@ func metaKey(m netproto.Meta) [4]int64 {
 
 func buildLoopBed(t testing.TB, s loopSpec, elide bool) *loopBed {
 	b := &loopBed{passes: map[[4]int64]bool{}}
-	b.ht = New(Config{Ports: []float64{100}, Seed: s.seed, RecircPaths: s.paths,
-		Compiler: compiler.Options{ArraySize: s.array}})
-	if err := b.ht.LoadTaskSource("loop", s.src); err != nil {
+	b.ht = New(Config{Ports: []float64{100}, Seed: s.seed, RecircPaths: s.paths})
+	if err := loadWithArraySize(b.ht, "loop", s.src, s.array); err != nil {
 		t.Fatalf("%v\n%v", err, s)
 	}
 	if !elide {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
-	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/testbed"
@@ -226,12 +225,12 @@ T%d = trigger()
 // on it, and the statistics and reports must be the same.
 func TestSALUSequenceUnderElision(t *testing.T) {
 	run := func(traced bool) (*Tester, map[string]uint64, string) {
-		ht := New(Config{Ports: []float64{100}, Seed: 7, Compiler: compiler.Options{ArraySize: 64}})
+		ht := New(Config{Ports: []float64{100}, Seed: 7})
 		ts := obs.NewTraceSet()
 		if traced {
 			ht.EnableTrace(ts.New("tester"))
 		}
-		if err := ht.LoadTaskSource("salu", saluTask); err != nil {
+		if err := loadWithArraySize(ht, "salu", saluTask, 64); err != nil {
 			t.Fatal(err)
 		}
 		refl := testbed.NewReflector(ht.Sim, "refl", 100)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
 	"github.com/hypertester/hypertester/internal/testbed"
@@ -40,11 +39,10 @@ Q3 = query().delay(keys={ipv4.id})
 // value), then each table's statistics and the sorted reports. (The KV FIFO
 // never overflows here; TestCounterTableDifferential covers that branch.)
 func TestSALUSequencePinned(t *testing.T) {
-	ht := New(Config{Ports: []float64{100}, Seed: 7,
-		Compiler: compiler.Options{ArraySize: 64}})
+	ht := New(Config{Ports: []float64{100}, Seed: 7})
 	ts := obs.NewTraceSet()
 	ht.EnableTrace(ts.New("tester"))
-	err := ht.LoadTaskSource("salu", saluTask)
+	err := loadWithArraySize(ht, "salu", saluTask, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
