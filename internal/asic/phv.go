@@ -9,10 +9,12 @@ import (
 // PHV is the packet header vector: the parsed representation of a packet
 // plus intrinsic metadata, carried through the match-action pipelines.
 // The pipeline may read and write header fields and metadata but — like the
-// hardware it models — never the payload bytes.
+// hardware it models — never the payload bytes, and never Pkt.
 type PHV struct {
 	// Pkt is the underlying wire packet. Its Data is only rewritten by
-	// the deparser after the egress pipeline.
+	// the deparser after the egress pipeline. It is nil in the egress pass
+	// of a multicast copy bound for a far end that only counts (DESIGN.md
+	// §9.9): nothing would read that copy's bytes.
 	Pkt *netproto.Packet
 
 	// Stack holds the parsed headers.
@@ -76,6 +78,14 @@ func (p *PHV) init(pkt *netproto.Packet) {
 	p.Pkt = pkt
 	p.FrameLen = pkt.Len()
 	p.Meta = pkt.Meta
+	p.reset()
+	// The parser stops at unknown layers without failing the packet.
+	_ = p.Stack.Decode(pkt.Data)
+}
+
+// reset clears the pipeline controls and scratch containers, as a fresh
+// parse leaves them.
+func (p *PHV) reset() {
 	p.EgressPort = -1
 	p.McastGroup = 0
 	p.Drop = false
@@ -86,8 +96,57 @@ func (p *PHV) init(pkt *netproto.Packet) {
 	p.Scratch = [8]uint64{}
 	p.Trace = nil
 	p.TraceAt = 0
-	// The parser stops at unknown layers without failing the packet.
-	_ = p.Stack.Decode(pkt.Data)
+}
+
+// settle deparses p and leaves its headers what a parse of its frame reads,
+// checksums included, so an egress pass can start from them instead of
+// parsing the frame again. A clean PHV already holds that parse; a dirty one
+// is parsed once more after the deparse, because the deparser writes the
+// checksums it computes only to the frame.
+func (p *PHV) settle() {
+	if p.Dirty {
+		p.Deparse()
+		_ = p.Stack.Decode(p.Pkt.Data)
+	}
+}
+
+// initCopy makes p the egress PHV of one multicast copy of src, a settled
+// PHV: src's headers, with the payload window rebased onto pkt's frame (nil
+// for a copy without one). The caller fills Meta; toEgress resets the
+// controls.
+func (p *PHV) initCopy(src *PHV, pkt *netproto.Packet) {
+	d, s := &p.Stack, &src.Stack
+	// Only the decoded layers: the others are as unset as a parse leaves them.
+	for _, l := range s.Decoded {
+		switch l {
+		case netproto.LayerEthernet:
+			d.Eth = s.Eth
+		case netproto.LayerVLAN:
+			d.VLAN = s.VLAN
+		case netproto.LayerARP:
+			d.ARP = s.ARP
+		case netproto.LayerIPv4:
+			d.IP4 = s.IP4
+		case netproto.LayerIPv6:
+			d.IP6 = s.IP6
+		case netproto.LayerIPv6Ext:
+			d.IP6Ext = s.IP6Ext
+		case netproto.LayerICMP:
+			d.ICMP = s.ICMP
+		case netproto.LayerTCP:
+			d.TCP = s.TCP
+		case netproto.LayerUDP:
+			d.UDP = s.UDP
+		}
+	}
+	d.Decoded = append(d.Decoded[:0], s.Decoded...)
+	d.PayloadOffset = s.PayloadOffset
+	d.Payload = nil
+	if pkt != nil && s.Payload != nil {
+		d.Payload = pkt.Data[s.PayloadOffset : s.PayloadOffset+len(s.Payload)]
+	}
+	p.Pkt = pkt
+	p.FrameLen = src.FrameLen
 }
 
 // Has reports whether the parser extracted the given layer.

@@ -11,25 +11,44 @@ import (
 // determinism when experiment suites run in parallel.
 //
 // Pooling invariants (see DESIGN.md "Pooling invariants"):
-//   - A PHV lives from acquirePHV to releasePHV within one pipeline pass;
-//     processors must not retain a *PHV past their Process call.
+//   - A PHV lives from acquirePHV (ingress) or acquireCopy (replication) to
+//     releasePHV at the end of the packet's egress pass: a forwarded or
+//     replicated packet's PHV rides its egress job, so egress starts from its
+//     headers instead of parsing the frame again. Processors must not retain
+//     a *PHV past their Process call.
 //   - A pktJob lives from job() to putJob() across exactly one scheduled
 //     callback.
 //   - A Packet is released only by its exclusive owner, on paths where the
 //     packet's journey ends inside the switch (pipeline drop, no-route drop,
-//     TX tail-drop, the replaced original of a multicast replication).
-//     Delivered packets belong to the receiver and are never released here.
+//     TX tail-drop, a multicast replication none of whose copies needs the
+//     frame). Delivered packets belong to the receiver and are never released
+//     here.
 
 // acquirePHV returns a parsed PHV for pkt, reusing pooled storage (including
 // the decoded-layer list capacity) when available.
 func (sw *Switch) acquirePHV(pkt *netproto.Packet) *PHV {
-	if n := len(sw.phvFree); n > 0 {
-		p := sw.phvFree[n-1]
-		sw.phvFree = sw.phvFree[:n-1]
-		p.init(pkt)
-		return p
+	p := sw.pooledPHV()
+	p.init(pkt)
+	return p
+}
+
+// acquireCopy returns a pooled PHV for one multicast copy of the settled PHV
+// src (PHV.initCopy), carrying pkt, or no frame when pkt is nil.
+func (sw *Switch) acquireCopy(src *PHV, pkt *netproto.Packet) *PHV {
+	p := sw.pooledPHV()
+	p.initCopy(src, pkt)
+	return p
+}
+
+// pooledPHV takes a PHV off the free list, or makes one.
+func (sw *Switch) pooledPHV() *PHV {
+	n := len(sw.phvFree)
+	if n == 0 {
+		return &PHV{}
 	}
-	return NewPHV(pkt)
+	p := sw.phvFree[n-1]
+	sw.phvFree = sw.phvFree[:n-1]
+	return p
 }
 
 // releasePHV recycles a PHV after its pipeline pass. The caller must not
@@ -54,6 +73,9 @@ type pktJob struct {
 	sw   *Switch
 	pkt  *netproto.Packet
 	port *Port
+	// phv is the egress PHV an egress hop carries (nil for a hop the loop
+	// model hands back, which parses its frame at egress).
+	phv *PHV
 	// n and uid carry a byte count and packet UID for jobs that outlive
 	// their packet (the packet is already handed across an LP boundary when
 	// the job fires).
@@ -86,7 +108,7 @@ func (sw *Switch) jobN(n int, uid uint64, port *Port) *pktJob {
 
 // putJob recycles a hop descriptor at the start of its callback.
 func (sw *Switch) putJob(j *pktJob) {
-	j.pkt, j.port, j.n, j.uid, j.ord = nil, nil, 0, 0, 0
+	j.pkt, j.port, j.phv, j.n, j.uid, j.ord = nil, nil, nil, 0, 0, 0
 	sw.jobFree = append(sw.jobFree, j)
 }
 
@@ -114,9 +136,9 @@ func runIngressJob(a any) {
 // runEgressJob runs the egress pipeline after the traffic-manager delay.
 func runEgressJob(a any) {
 	j := a.(*pktJob)
-	sw, pkt, port, ord := j.sw, j.pkt, j.port, j.ord
+	sw, pkt, phv, port, ord := j.sw, j.pkt, j.phv, j.port, j.ord
 	sw.putJob(j)
-	sw.runEgress(pkt, port, ord)
+	sw.runEgress(pkt, phv, port, ord)
 }
 
 // runTransmitJob is the MAC hop as an event, after the egress+MAC latency: a
@@ -128,6 +150,17 @@ func runTransmitJob(a any) {
 	pkt, port, ord := j.pkt, j.port, j.ord
 	j.sw.putJob(j)
 	port.transmit(pkt, ord)
+}
+
+// runTxDropJob is the tail drop of a multicast copy without a frame
+// (DESIGN.md §9.9), at the instant it reaches the MAC: Port.transmit's drop
+// branch, which a framed copy runEgress finds the queue too long for takes.
+func runTxDropJob(a any) {
+	j := a.(*pktJob)
+	sw, port, n, uid := j.sw, j.port, j.n, j.uid
+	sw.putJob(j)
+	port.TxDrops++
+	sw.trace.Emit(sw.sim.Now(), obs.KindDrop, uid, dropTx, int64(port.ID), int64(n))
 }
 
 // runTxCountJob credits TX counters at serialization end for frames staged

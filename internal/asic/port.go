@@ -61,7 +61,14 @@ const DefaultMaxBacklog = 50 * netsim.Microsecond
 
 // SetPeer attaches the frame sink called at serialization end. Frames leaving
 // egress after the call go to fn, not to a far end SetFarEnd attached.
+// Multicast copies replication sent towards the far end without a frame
+// (DESIGN.md §9.9) could not reach fn, so a call while one is still on its
+// way to egress panics.
 func (pt *Port) SetPeer(fn func(pkt *netproto.Packet, at netsim.Time)) {
+	if q := pt.far; q != nil && q.copies > 0 {
+		panic(fmt.Sprintf("asic: port %d of %s got a new peer with %d frameless multicast copies in flight; wire it before traffic starts",
+			pt.ID, pt.sw.Name, q.copies))
+	}
 	pt.peer = fn
 	if pt.far != nil {
 		pt.far.on = false
@@ -206,19 +213,9 @@ func (pt *Port) serialize(pkt *netproto.Packet, tx, end netsim.Time) {
 		pt.remote(pkt, end)
 		return
 	}
-	if q := pt.far; q != nil && q.on && pt.sw.trace == nil && (q.n > 0 || q.end.Counting()) {
-		// Nothing happens at serialization end or at the arrival but
-		// counting (DESIGN.md §9.8): both are accounted, the buffer goes
-		// back to the pool now, and one tail event per port keeps the
-		// scheduler's clock running to the last arrival. A far end that
-		// stopped counting with frames queued fails their Arrive, so
-		// asking it again before the queue drains would change nothing.
-		q.push(end, pkt.Len())
+	if pt.accounting() {
+		pt.account(end, pkt.Len())
 		pkt.Release()
-		if !q.armed {
-			q.armed = true
-			sim.AtCall(end.Add(q.prop), runFarTail, pt)
-		}
 		return
 	}
 	j := pt.sw.job(pkt, pt)
@@ -226,6 +223,41 @@ func (pt *Port) serialize(pkt *netproto.Packet, tx, end netsim.Time) {
 		j.ord = pt.sw.loopOrd()
 	}
 	sim.AtCallStamped(end, tx, runTxDoneJob, j)
+}
+
+// accounting reports whether a frame leaving egress for pt now is accounted
+// at its counting far end instead of delivered (DESIGN.md §9.8): a far end
+// that still takes frames, no trace on the switch, and frames or frameless
+// copies already in flight to it, or a far end that only counts. A far end
+// that stopped counting with either in flight fails their Arrive, so asking
+// it again before the queue drains would change nothing.
+func (pt *Port) accounting() bool {
+	q := pt.far
+	return q != nil && q.on && pt.remote == nil && pt.sw.trace == nil && (q.n > 0 || q.copies > 0 || q.end.Counting())
+}
+
+// account files a frame of n bytes whose serialization ends at end with the
+// far end: nothing happens at serialization end or at the arrival but
+// counting, so both are credited by a sync, and one tail event per port keeps
+// the scheduler's clock running to the last arrival.
+func (pt *Port) account(end netsim.Time, n int) {
+	q := pt.far
+	q.push(end, n)
+	if !q.armed {
+		q.armed = true
+		pt.sw.sim.AtCall(end.Add(q.prop), runFarTail, pt)
+	}
+}
+
+// accountCopy is the MAC hop of a multicast copy without a frame (DESIGN.md
+// §9.9), computed at its egress end as runEgress computes a framed one's:
+// booked and accounted, or tail-dropped at the instant it reaches the MAC.
+func (pt *Port) accountCopy(tx netsim.Time, n int, uid uint64) {
+	if end, ok := pt.reserve(tx, n); ok {
+		pt.account(end, n)
+		return
+	}
+	pt.sw.sim.AtCall(tx, runTxDropJob, pt.sw.jobN(n, uid, pt))
 }
 
 // farQueue is the frames a port has accounted to its counting far end and
@@ -238,12 +270,15 @@ type farQueue struct {
 	prop netsim.Duration
 	// on is whether frames leaving egress may still be accounted (SetPeer
 	// turns it off; frames already queued are credited all the same).
-	on    bool
-	buf   []farFrame
-	head  int
-	n     int
-	sent  int  // frames from head whose serialization end is credited
-	armed bool // a tail event is pending
+	on bool
+	// copies is the multicast copies replication sent towards the far end
+	// without a frame that have not left egress yet (DESIGN.md §9.9).
+	copies int
+	buf    []farFrame
+	head   int
+	n      int
+	sent   int  // frames from head whose serialization end is credited
+	armed  bool // a tail event is pending
 }
 
 type farFrame struct {

@@ -58,6 +58,10 @@ type Switch struct {
 	phvFree []*PHV
 	jobFree []*pktJob
 
+	// copyFramed is replicate's scratch: which copies of the group being
+	// replicated need a frame.
+	copyFramed []bool
+
 	// trace, when non-nil, receives per-packet lifecycle records (see
 	// observe.go for the emission-point contract).
 	trace *obs.Trace
@@ -200,16 +204,14 @@ func (sw *Switch) ingressPass(pkt *netproto.Packet) {
 		sw.replicate(phv)
 		sw.releasePHV(phv)
 	case phv.Recirculate:
-		phv.Deparse()
+		phv.settle()
 		port := sw.recircPortFor(phv)
 		sw.trace.Emit(phv.TraceAt, obs.KindRecirculate, pkt.Meta.UID, "", int64(port.ID), 0)
-		sw.releasePHV(phv)
-		sw.toEgress(pkt, port, tmLatency)
+		sw.toEgress(phv, port, tmLatency)
 	case phv.EgressPort >= 0:
-		phv.Deparse()
+		phv.settle()
 		port := sw.port(phv.EgressPort)
-		sw.releasePHV(phv)
-		sw.toEgress(pkt, port, tmLatency)
+		sw.toEgress(phv, port, tmLatency)
 	default:
 		sw.NoRouteDrops++
 		sw.trace.Emit(phv.TraceAt, obs.KindDrop, pkt.Meta.UID, dropNoRoute, 0, int64(pkt.Len()))
@@ -228,9 +230,11 @@ func (sw *Switch) recircPortFor(phv *PHV) *Port {
 }
 
 // replicate hands the PHV to the multicast engine: one copy per CopySpec,
-// each delayed by the replication-engine latency. Every copy — including the
-// rid-0 continuation — is a fresh clone; the original packet's journey ends
-// here and its buffer returns to the pool.
+// each delayed by the replication-engine latency. The replicated PHV is
+// settled once, and every copy's egress PHV starts from its headers. A copy
+// bound for a far end that only counts carries no frame (DESIGN.md §9.9);
+// the original frame goes to the last copy that needs bytes, earlier ones
+// get a clone, and when none does the original's journey ends here.
 func (sw *Switch) replicate(phv *PHV) {
 	pkt := phv.Pkt
 	copies := sw.Mcast.Copies(phv.McastGroup)
@@ -240,15 +244,42 @@ func (sw *Switch) replicate(phv *PHV) {
 		pkt.Release()
 		return
 	}
-	phv.Deparse()
+	phv.settle()
+	framed, last := sw.copyFramed[:0], -1
+	for i, c := range copies {
+		pt := sw.port(c.Port)
+		framed = append(framed, pt != nil && !pt.accounting())
+		if framed[i] {
+			last = i
+		}
+	}
+	sw.copyFramed = framed
 	base := tmLatency
-	mcast := sw.mcastDelay(pkt.Len())
-	for _, c := range copies {
-		dup := pkt.Clone()
-		dup.Meta.UID = sw.NextUID()
-		dup.Meta.Replica = true
-		dup.Meta.ReplicaID = c.Rid
-		sw.trace.Emit(phv.TraceAt, obs.KindMcastCopy, dup.Meta.UID, "", int64(c.Port), int64(c.Rid))
+	mcast := sw.mcastDelay(phv.FrameLen)
+	for i, c := range copies {
+		var cp *PHV
+		if framed[i] {
+			dup := pkt
+			if i != last {
+				dup = pkt.Clone()
+			}
+			dup.Meta.UID = sw.NextUID()
+			dup.Meta.Replica = true
+			dup.Meta.ReplicaID = c.Rid
+			cp = sw.acquireCopy(phv, dup)
+			cp.Meta = dup.Meta
+		} else {
+			cp = sw.acquireCopy(phv, nil)
+			m := &cp.Meta
+			*m = phv.Meta
+			m.UID = sw.NextUID()
+			m.Replica = true
+			m.ReplicaID = c.Rid
+			if m.Record != nil {
+				m.Record = append([]uint64(nil), m.Record...)
+			}
+		}
+		sw.trace.Emit(phv.TraceAt, obs.KindMcastCopy, cp.Meta.UID, "", int64(c.Port), int64(c.Rid))
 		d := base
 		if c.Rid != 0 {
 			// Replication-engine latency applies to generated copies;
@@ -257,9 +288,11 @@ func (sw *Switch) replicate(phv *PHV) {
 			// paper's 570 ns RTT while firing every arrival).
 			d += mcast + sw.rngMcast.Jitter(McastJitterSpreadNs*netsim.Nanosecond)
 		}
-		sw.toEgress(dup, sw.port(c.Port), d)
+		sw.toEgress(cp, sw.port(c.Port), d)
 	}
-	pkt.Release()
+	if last < 0 {
+		pkt.Release()
+	}
 }
 
 // mcastDelay is netsim.Ns(McastDelayNs(frameLen)), remembered for the last
@@ -272,21 +305,30 @@ func (sw *Switch) mcastDelay(frameLen int) netsim.Duration {
 	return sw.mcastDur
 }
 
-// toEgress schedules the egress pipeline for pkt on port after tmDelay — or,
-// for an idle template's copy bound for its recirculation path, hands the
-// hop to the loop model.
-func (sw *Switch) toEgress(pkt *netproto.Packet, port *Port, tmDelay netsim.Duration) {
+// toEgress schedules the egress pipeline for the packet phv carries (none for
+// a frameless multicast copy) on port after tmDelay, the PHV's controls
+// reset — or, for an idle template's copy bound for its recirculation path,
+// hands the hop to the loop model.
+func (sw *Switch) toEgress(phv *PHV, port *Port, tmDelay netsim.Duration) {
+	pkt := phv.Pkt
+	phv.reset()
 	if port == nil {
 		sw.NoRouteDrops++
-		sw.trace.Emit(sw.sim.Now(), obs.KindDrop, pkt.Meta.UID, dropNoRoute, 0, int64(pkt.Len()))
+		sw.trace.Emit(sw.sim.Now(), obs.KindDrop, phv.Meta.UID, dropNoRoute, 0, int64(phv.FrameLen))
+		sw.releasePHV(phv)
 		pkt.Release()
 		return
 	}
-	sw.trace.Emit(sw.sim.Now(), obs.KindTMEnqueue, pkt.Meta.UID, "", int64(port.ID), int64(pkt.Len()))
+	sw.trace.Emit(sw.sim.Now(), obs.KindTMEnqueue, phv.Meta.UID, "", int64(port.ID), int64(phv.FrameLen))
 	if port.Loopback && sw.loop != nil && sw.loop.absorb(pkt, port, tmDelay) {
+		sw.releasePHV(phv)
 		return
 	}
+	if pkt == nil {
+		port.far.copies++
+	}
 	j := sw.job(pkt, port)
+	j.phv = phv
 	if port.Loopback {
 		j.ord = sw.loopOrd()
 	}
@@ -294,25 +336,43 @@ func (sw *Switch) toEgress(pkt *netproto.Packet, port *Port, tmDelay netsim.Dura
 }
 
 // runEgress executes the egress pipeline for pkt bound to port and sends the
-// frame on through the MAC. Called at traffic-manager completion time. On a
-// loopback port the hop shares the loop-jitter stream with the loop model,
-// which therefore catches up to it first.
-func (sw *Switch) runEgress(pkt *netproto.Packet, port *Port, ord uint64) {
+// frame on through the MAC. Called at traffic-manager completion time, with
+// the PHV toEgress gave the hop, or none for a hop the loop model handed
+// back. On a loopback port the hop shares the loop-jitter stream with the
+// loop model, which therefore catches up to it first. A frameless multicast
+// copy (pkt nil) runs the pipeline on its headers and is accounted at the
+// port's far end (DESIGN.md §9.9).
+func (sw *Switch) runEgress(pkt *netproto.Packet, phv *PHV, port *Port, ord uint64) {
 	if port.Loopback {
 		sw.loopSync(loopEgress, ord)
 	}
-	sw.trace.Emit(sw.sim.Now(), obs.KindTMDequeue, pkt.Meta.UID, "", int64(port.ID), int64(pkt.Len()))
-	phv := sw.acquirePHV(pkt)
-	phv.Trace, phv.TraceAt = sw.trace, sw.sim.Now()
+	if phv == nil {
+		phv = sw.acquirePHV(pkt)
+	}
+	now := sw.sim.Now()
+	n := phv.FrameLen
+	sw.trace.Emit(now, obs.KindTMDequeue, phv.Meta.UID, "", int64(port.ID), int64(n))
+	phv.Trace, phv.TraceAt = sw.trace, now
 	phv.EgressPort = port.ID
 	sw.Egress.Run(phv)
-	pkt.Meta = phv.Meta
+	if pkt != nil {
+		pkt.Meta = phv.Meta
+	} else {
+		port.far.copies--
+	}
 	sw.takeDigest(phv)
+	uid := phv.Meta.UID
 	if phv.Drop {
 		sw.PipelineDrops++
-		sw.trace.Emit(phv.TraceAt, obs.KindDrop, pkt.Meta.UID, dropPipeline, 1, int64(pkt.Len()))
+		sw.trace.Emit(now, obs.KindDrop, uid, dropPipeline, 1, int64(n))
 		sw.releasePHV(phv)
 		pkt.Release()
+		return
+	}
+	if pkt == nil {
+		// Nothing reads the bytes of this copy: no deparse.
+		sw.releasePHV(phv)
+		port.accountCopy(now.Add(egressLatency), n, uid)
 		return
 	}
 	phv.Deparse()
@@ -331,8 +391,8 @@ func (sw *Switch) runEgress(pkt *netproto.Packet, port *Port, ord uint64) {
 	// egress before it and ahead of every one that will, so the serializer
 	// booking the transmit event would make is known already. Only a tail
 	// drop has something left to do at that instant.
-	tx := sw.sim.Now().Add(egressLatency)
-	if end, ok := port.reserve(tx, pkt.Len()); ok {
+	tx := now.Add(egressLatency)
+	if end, ok := port.reserve(tx, n); ok {
 		port.serialize(pkt, tx, end)
 		return
 	}

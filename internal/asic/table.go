@@ -62,8 +62,16 @@ type rangeEntry struct {
 	action   Action
 }
 
-// NewTable constructs an empty table.
+// maxTableKeys is the widest key a table accepts, in fields: Apply gathers
+// the key on the stack.
+const maxTableKeys = 8
+
+// NewTable constructs an empty table. It panics on a key wider than
+// maxTableKeys fields.
 func NewTable(name string, kind MatchKind, keys ...Field) *Table {
+	if len(keys) > maxTableKeys {
+		panic(fmt.Sprintf("asic: table %s has %d key fields, more than %d", name, len(keys), maxTableKeys))
+	}
 	t := &Table{Name: name, Kind: kind, Keys: keys}
 	if kind == MatchExact {
 		t.exact = make(map[string]Action)
@@ -130,7 +138,7 @@ func (t *Table) AddRange(lo, hi uint64, priority int, a Action) error {
 // Apply looks the PHV up and runs the matching action, if any. It reports
 // whether an entry hit.
 func (t *Table) Apply(p *PHV) bool {
-	var keyBuf [4]uint64
+	var keyBuf [maxTableKeys]uint64
 	keys := keyBuf[:0]
 	for _, f := range t.Keys {
 		keys = append(keys, f.Get(p))
@@ -141,7 +149,7 @@ func (t *Table) Apply(p *PHV) bool {
 	case MatchExact:
 		// Key bytes stay on the stack: indexing the map with a converted
 		// byte slice does not allocate.
-		var kb [32]byte
+		var kb [8 * maxTableKeys]byte
 		for i, v := range keys {
 			binary.BigEndian.PutUint64(kb[i*8:], v)
 		}

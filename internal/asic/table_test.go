@@ -1,6 +1,7 @@
 package asic
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,34 @@ func TestExactTableMultiKey(t *testing.T) {
 	}
 }
 
+// TestExactTableFiveTuple: a 5-tuple key hits on its flow and misses on a
+// flow that differs in the last field, and a key wider than the table
+// accepts is refused at NewTable.
+func TestExactTableFiveTuple(t *testing.T) {
+	tbl := NewTable("flows", MatchExact, FieldIPv4Src, FieldIPv4Dst, FieldIPv4Proto, FieldL4SrcPort, FieldL4DstPort)
+	src, dst := uint64(netproto.MustIPv4("10.0.0.1")), uint64(netproto.MustIPv4("10.0.0.2"))
+	hits := 0
+	if err := tbl.AddExact([]uint64{src, dst, uint64(netproto.IPProtoUDP), 1000, 53}, func(p *PHV) { hits++ }); err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.Apply(udpPHV(t, 1000, 53)) || hits != 1 {
+		t.Fatalf("5-tuple flow missed its entry (%d action runs)", hits)
+	}
+	if tbl.Apply(udpPHV(t, 1000, 54)) || hits != 1 {
+		t.Fatalf("a flow differing in the destination port hit (%d action runs)", hits)
+	}
+	wide := make([]Field, maxTableKeys+1)
+	for i := range wide {
+		wide[i] = FieldIPv4Src
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewTable accepted a %d-field key", len(wide))
+		}
+	}()
+	NewTable("wide", MatchExact, wide...)
+}
+
 func TestExactTableKeyArityChecked(t *testing.T) {
 	tbl := NewTable("pair", MatchExact, FieldUDPSrcPort, FieldUDPDstPort)
 	if err := tbl.AddExact([]uint64{1}, nil); err == nil {
@@ -151,7 +180,7 @@ func TestRangeTableSingleKeyOnly(t *testing.T) {
 }
 
 // TestTableApplyZeroAllocs pins that Apply stays off the heap for all three
-// match kinds.
+// match kinds, and for an exact key wider than four fields.
 func TestTableApplyZeroAllocs(t *testing.T) {
 	p := tcpPHV(t, 1, 80, 0)
 
@@ -167,10 +196,14 @@ func TestTableApplyZeroAllocs(t *testing.T) {
 	if err := rng.AddRange(1, 1024, 1, nil); err != nil {
 		t.Fatal(err)
 	}
+	wide := NewTable("z-wide", MatchExact, FieldIPv4Src, FieldIPv4Dst, FieldIPv4Proto, FieldL4SrcPort, FieldL4DstPort)
+	if err := wide.AddExact([]uint64{uint64(netproto.MustIPv4("1.1.0.1")), uint64(netproto.MustIPv4("9.9.9.9")), uint64(netproto.IPProtoTCP), 1, 80}, nil); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		tbl  *Table
-	}{{"exact", exact}, {"ternary", tern}, {"range", rng}} {
+	}{{"exact", exact}, {"ternary", tern}, {"range", rng}, {"5-key exact", wide}} {
 		tbl := tc.tbl
 		if avg := testing.AllocsPerRun(200, func() { tbl.Apply(p) }); avg != 0 {
 			t.Fatalf("%s Apply allocates %v allocs/op, want 0", tc.name, avg)
@@ -408,4 +441,109 @@ func TestDeparseRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+
+	// After replication (DESIGN.md §9.9): the replicated PHV's headers are
+	// a fresh parse of its frame, checksums included, and so are those of
+	// every copy's egress PHV, over UDP, TCP, ICMP and VLAN frames.
+	sim, sw := benchTestSwitch(t, 3)
+	if err := sw.Mcast.SetGroup(1, []CopySpec{{Port: 1, Rid: 1}, {Port: 2, Rid: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	var writes []func(p *PHV)
+	sw.Ingress.Add(ProcessorFunc(func(p *PHV) {
+		for _, w := range writes {
+			w(p)
+		}
+		p.McastGroup = 1
+	}))
+	var mismatch string
+	copies := 0
+	sw.Egress.Add(ProcessorFunc(func(p *PHV) {
+		copies++
+		if got, want := parsedHeaders(&p.Stack), framesParse(p.Pkt.Data); got != want {
+			mismatch = fmt.Sprintf("copy %d egress PHV\n%s\nparse of its frame\n%s", p.Meta.ReplicaID, got, want)
+		}
+	}))
+	frames := map[string]func(seed uint16) ([]byte, error){
+		"udp": func(seed uint16) ([]byte, error) {
+			return netproto.BuildUDP(netproto.UDPSpec{SrcIP: 1, DstIP: 2, SrcPort: seed, DstPort: 9, FrameLen: 64 + int(seed%900)})
+		},
+		"tcp": func(seed uint16) ([]byte, error) {
+			return netproto.BuildTCP(netproto.TCPSpec{SrcIP: 1, DstIP: 2, SrcPort: seed, DstPort: 80, Flags: netproto.TCPSyn, FrameLen: 64 + int(seed%900)})
+		},
+		"icmp": func(seed uint16) ([]byte, error) {
+			return netproto.BuildICMP(netproto.ICMPSpec{SrcIP: 1, DstIP: 2, Type: 8, Ident: seed, FrameLen: 64 + int(seed%900)})
+		},
+		"vlan": func(seed uint16) ([]byte, error) {
+			return netproto.BuildTCP(netproto.TCPSpec{SrcIP: 1, DstIP: 2, SrcPort: seed, DstPort: 80, FrameLen: 68 + int(seed%900), VLAN: true, VlanID: 7})
+		},
+	}
+	fields := []Field{FieldEthSrc, FieldVlanID, FieldVlanPCP, FieldIPv4Src, FieldIPv4Dst, FieldIPv4TTL, FieldIPv4TOS, FieldIPv4ID,
+		FieldTCPSrcPort, FieldTCPSeq, FieldTCPAck, FieldTCPFlags, FieldTCPWindow, FieldUDPSrcPort, FieldUDPDstPort,
+		FieldICMPType, FieldICMPIdent, FieldICMPSeq}
+	for name, build := range frames {
+		g := func(seed uint16, picks uint32, vals [4]uint64) bool {
+			raw, err := build(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes = writes[:0]
+			for i := 0; i < int(picks%5); i++ {
+				fld, v := fields[(picks>>(3+5*i))%uint32(len(fields))], vals[i%4]
+				writes = append(writes, func(p *PHV) { fld.Set(p, v&(1<<fld.Width()-1)) })
+			}
+			// What replicate does to the replicated PHV.
+			p := NewPHV(&netproto.Packet{Data: append([]byte(nil), raw...)})
+			for _, w := range writes {
+				w(p)
+			}
+			p.settle()
+			if got, want := parsedHeaders(&p.Stack), framesParse(p.Pkt.Data); got != want {
+				t.Errorf("%s: replicated PHV\n%s\nparse of its frame\n%s", name, got, want)
+				return false
+			}
+			copies, mismatch = 0, ""
+			sw.Port(0).Receive(&netproto.Packet{Data: raw})
+			sim.Run()
+			if mismatch != "" || copies != 2 {
+				t.Errorf("%s: %d copies; %s", name, copies, mismatch)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(g, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatal(name, err)
+		}
+	}
+}
+
+// parsedHeaders renders every header a parse extracted, checksums included.
+func parsedHeaders(s *netproto.Stack) string {
+	out := fmt.Sprintf("%v payload@%d+%d", s.Decoded, s.PayloadOffset, len(s.Payload))
+	for _, l := range s.Decoded {
+		switch l {
+		case netproto.LayerEthernet:
+			out += fmt.Sprintf("\n%+v", s.Eth)
+		case netproto.LayerVLAN:
+			out += fmt.Sprintf("\n%+v", s.VLAN)
+		case netproto.LayerIPv4:
+			out += fmt.Sprintf("\n%+v", s.IP4)
+		case netproto.LayerTCP:
+			out += fmt.Sprintf("\n%+v", s.TCP)
+		case netproto.LayerUDP:
+			out += fmt.Sprintf("\n%+v", s.UDP)
+		case netproto.LayerICMP:
+			out += fmt.Sprintf("\n%+v", s.ICMP)
+		case netproto.LayerPayload:
+			out += fmt.Sprintf("\n%x", s.Payload)
+		}
+	}
+	return out
+}
+
+// framesParse is parsedHeaders of a fresh parse of frame.
+func framesParse(frame []byte) string {
+	var s netproto.Stack
+	_ = s.Decode(frame)
+	return parsedHeaders(&s)
 }

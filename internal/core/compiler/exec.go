@@ -65,30 +65,20 @@ func AnalyzePlan(prog *Program, opts verify.Options) *verify.Report {
 // the IR declares without compile-time entries) from the witness's initial
 // key values. Installing the same map on both replays keeps the
 // differential meaningful: each must reach the same hit-or-miss verdict from
-// the key values its own field store holds.
+// the key values its own field store holds. Generated programs hold exact
+// tables only (TestCorpusVerifiesClean pins it), so an entry is an exact key.
 func SyntheticEntries(p *p4ir.Program, wit verify.Witness) map[string][]p4ir.Entry {
 	m := verify.NewMapMachine(wit)
 	out := map[string][]p4ir.Entry{}
 	for _, t := range p.Tables {
-		if len(t.Entries) > 0 || len(t.Keys) == 0 {
+		if len(t.Entries) > 0 || len(t.Keys) == 0 || t.Match != p4ir.MatchExact {
 			continue
 		}
 		vals := make([]uint64, len(t.Keys))
 		for i, kd := range t.Keys {
 			vals[i] = m.Get(kd.Field)
 		}
-		switch t.Match {
-		case p4ir.MatchExact:
-			out[t.Name] = []p4ir.Entry{{Values: vals}}
-		case p4ir.MatchTernary:
-			masks := make([]uint64, len(t.Keys))
-			for i, kd := range t.Keys {
-				masks[i] = verify.WidthMask(kd.Field)
-			}
-			out[t.Name] = []p4ir.Entry{{Values: vals, Masks: masks}}
-		case p4ir.MatchRange:
-			out[t.Name] = []p4ir.Entry{{Lo: vals[0], Hi: vals[0]}}
-		}
+		out[t.Name] = []p4ir.Entry{{Values: vals}}
 	}
 	return out
 }

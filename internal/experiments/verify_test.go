@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/core/compiler"
+	"github.com/hypertester/hypertester/internal/p4ir"
 	"github.com/hypertester/hypertester/internal/verify"
 )
 
@@ -40,6 +41,12 @@ func TestCorpusVerifiesClean(t *testing.T) {
 			}
 			if rep.Paths == 0 {
 				t.Error("no feasible paths — the verifier proved the program unreachable")
+			}
+			// compiler.SyntheticEntries builds exact keys only.
+			for _, tbl := range prog.P4.Tables {
+				if tbl.Match != p4ir.MatchExact {
+					t.Errorf("table %s is %s; generated programs hold exact tables only", tbl.Name, tbl.Match)
+				}
 			}
 			// table5_ipscan sweeps a /13 (2^19 addresses) under a 1<<16
 			// cap: the one corpus query knowingly compiled without §5.2's

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
@@ -433,7 +434,9 @@ func TestReflectorBouncesTheDeliveredFrame(t *testing.T) {
 // TestSinkModeFixedWhileFramesInFlight: a switch port cabled to a sink that
 // only counts accounts the sink's arrivals (DESIGN §9.8). Giving the sink a
 // hook, a capture or a trace while such frames are in flight would let them
-// bypass it, so the next sync panics and names the sink instead.
+// bypass it, so the next sync panics and names the sink instead. The same
+// holds while multicast copies replication sent towards the sink without a
+// frame (DESIGN §9.9) are still on their way to egress.
 func TestSinkModeFixedWhileFramesInFlight(t *testing.T) {
 	run := func(change func(*Sink)) (sink *Sink, panicked any) {
 		sim := netsim.New()
@@ -467,6 +470,47 @@ func TestSinkModeFixedWhileFramesInFlight(t *testing.T) {
 		msg, _ := p.(string)
 		if !strings.Contains(msg, "sink sink-under-test") || !strings.Contains(msg, "before traffic starts") {
 			t.Errorf("%s set with frames in flight: panic %v, %d packets counted; want a panic naming the sink", name, p, sink.Packets)
+		}
+	}
+
+	// A template replicated to the sink's port and to an unplugged one: the
+	// change comes after replication and before either copy's egress.
+	mcast := func(change func(*Sink)) (sink *Sink, panicked any) {
+		sim := netsim.New()
+		sw := asic.New(asic.Config{Name: "mcast", Sim: sim, PortGbps: []float64{100, 100, 100}, Seed: 7})
+		if err := sw.Mcast.SetGroup(1, []asic.CopySpec{{Port: 1, Rid: 1}, {Port: 2, Rid: 2}}); err != nil {
+			t.Fatal(err)
+		}
+		replicated := 0
+		sw.Ingress.Add(asic.ProcessorFunc(func(p *asic.PHV) { p.McastGroup = 1; replicated++ }))
+		sink = NewSink(sim, "sink-under-test", 100)
+		Connect(sim, sw.Port(1), sink.Iface, 20*netsim.Nanosecond)
+		for i := 0; i < 10; i++ {
+			sw.Port(0).Receive(udpFrame(t, 64, 1, 2))
+		}
+		for replicated < 10 {
+			sim.RunFor(netsim.Nanosecond)
+		}
+		if sw.Egress.Packets != 0 {
+			t.Fatalf("a copy left egress before the cut")
+		}
+		change(sink)
+		defer func() { panicked = recover() }()
+		sim.Run()
+		return sink, nil
+	}
+	if sink, p := mcast(func(s *Sink) { s.RecordTimestamps = true }); p != nil || sink.Packets != 10 || len(sink.Timestamps) != 10 {
+		t.Fatalf("copies to a counting sink: %d packets, %d timestamps, panic %v; want 10, 10, none", sink.Packets, len(sink.Timestamps), p)
+	}
+	for name, change := range map[string]func(*Sink){
+		"OnPacket": func(s *Sink) { s.OnPacket = func(*netproto.Packet, netsim.Time) {} },
+		"capture":  func(s *Sink) { s.EnableCapture(0) },
+		"trace":    func(s *Sink) { s.Iface.SetTrace(obs.NewTraceSet().New("sink")) },
+	} {
+		sink, p := mcast(change)
+		msg, _ := p.(string)
+		if !strings.Contains(msg, "sink sink-under-test") || !strings.Contains(msg, "before traffic starts") {
+			t.Errorf("%s set with frameless copies in flight: panic %v, %d packets counted; want a panic naming the sink", name, p, sink.Packets)
 		}
 	}
 }
