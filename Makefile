@@ -49,13 +49,16 @@ trace-oracle:
 elision-oracle:
 	$(GO) test -race -run 'TestLoopElision|TestLoopWake|TestLoopIdles|TestSALUSequenceUnderElision' -count=1 . -v
 
-# TX-path oracle (DESIGN.md §9.7): a front-panel frame's MAC hop is computed
-# at egress end, not scheduled. Randomised switches against a reference FIFO
-# at 50 ns cuts, constructed same-picosecond ties, the traced record sequence
-# recorded before the change, the 4.0-events-per-frame pin, and workers
-# 1 = 2 = 4 with the widened lookahead.
+# TX-path oracle (DESIGN.md §9.7-§9.9): a front-panel frame's MAC step is
+# computed at egress end, not scheduled. Randomised switches against a
+# reference FIFO at 50 ns cuts, constructed same-picosecond ties, the traced
+# record sequence, the events-per-frame pin, workers 1 = 2 = 4 with the
+# widened lookahead, the sink fold; randomised multicast and unicast rigs
+# without frames on copies to counting sinks against the same rigs with a
+# hook on every sink; and a sink's mode fixed while frames are in flight.
 tx-oracle:
-	$(GO) test -race -run 'TestTxPath' -count=1 ./internal/asic/ -v
+	$(GO) test -race -run 'TestTxPath|TestMcastFrameless' -count=1 ./internal/asic/ -v
+	$(GO) test -race -run 'TestSinkModeFixedWhileFramesInFlight' -count=1 ./internal/testbed/ -v
 
 # Traced sample run: writes a Perfetto-loadable trace of the observability
 # workload (load at https://ui.perfetto.dev).

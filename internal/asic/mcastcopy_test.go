@@ -27,10 +27,12 @@ const (
 	countingSink = iota // cabled to a sink that only counts
 	hookedSink          // cabled to a sink with an OnPacket hook
 	unplugged           // no peer: framed copies are discarded at TX end
+	unhookedSink        // cabled to a sink whose no-op hook goes at a cut
 )
 
 // mcastFrame is one scripted frame: it arrives on port 0 at at and is
-// replicated to group (carried in its IPv4 ID).
+// replicated to group (carried in its IPv4 ID), or leaves unicast when group
+// is 0.
 type mcastFrame struct {
 	at          netsim.Time
 	group, size int
@@ -40,7 +42,10 @@ type mcastFrame struct {
 // mcastRig is a switch whose front-panel ports 1..n are of mixed rates,
 // backlog bounds, cable delays and kinds, fed on port 0. Groups fan out to
 // those ports, to the recirculation path (whose frames come back and leave
-// unicast) and to a port that does not exist.
+// unicast) and to a port that does not exist; group 0 frames leave unicast.
+// An unhookedSink's hook goes at unhook, in the rig without a hook on every
+// sink: copies replicated with a frame towards it before then reach egress
+// end with its port accounting.
 type mcastRig struct {
 	gbps    []float64
 	backlog []netsim.Duration
@@ -48,6 +53,7 @@ type mcastRig struct {
 	kind    []int
 	groups  [][]asic.CopySpec // group g is groups[g-1]
 	frames  []mcastFrame
+	unhook  netsim.Time
 }
 
 const missingPort = 99
@@ -59,7 +65,7 @@ func randomMcastRig(seed int64) *mcastRig {
 		r.gbps = append(r.gbps, []float64{10, 40, 100}[rng.Intn(3)])
 		r.backlog = append(r.backlog, []netsim.Duration{0, 2 * netsim.Microsecond, 400 * netsim.Nanosecond}[rng.Intn(3)])
 		r.delays = append(r.delays, netsim.Duration(rng.Int63n(int64(20*netsim.Nanosecond)+1)))
-		r.kind = append(r.kind, []int{countingSink, countingSink, hookedSink, unplugged}[rng.Intn(4)])
+		r.kind = append(r.kind, []int{countingSink, countingSink, hookedSink, unplugged, unhookedSink}[rng.Intn(5)])
 	}
 	r.kind[0] = unplugged // the feed
 	for g := 1 + rng.Intn(4); g > 0; g-- {
@@ -83,11 +89,12 @@ func randomMcastRig(seed int64) *mcastRig {
 			if rng.Intn(3) == 0 {
 				size = 64
 			}
-			r.frames = append(r.frames, mcastFrame{at: at, group: 1 + rng.Intn(len(r.groups)), size: size, proto: rng.Intn(4)})
+			r.frames = append(r.frames, mcastFrame{at: at, group: rng.Intn(len(r.groups) + 1), size: size, proto: rng.Intn(4)})
 			at = at.Add(netsim.Duration(rng.Int63n(int64(120 * netsim.Nanosecond))))
 		}
 	}
 	sort.SliceStable(r.frames, func(i, j int) bool { return r.frames[i].at < r.frames[j].at })
+	r.unhook = r.frames[rng.Intn(len(r.frames))].at.Add(netsim.Duration(rng.Int63n(int64(200 * netsim.Nanosecond))))
 	return r
 }
 
@@ -127,6 +134,9 @@ type mcastBed struct {
 	// egress is what every egress pass saw; delivered is every frame a
 	// hooked-sink port delivered, bytes included.
 	egress, delivered []string
+	// unhooked is how many multicast copies replicated with a frame reached
+	// egress end with their port accounting, an unhookedSink's hook gone.
+	unhooked int
 }
 
 // build makes the rig; allHooked puts a no-op hook on every sink before
@@ -150,6 +160,10 @@ func (r *mcastRig) build(t *testing.T, allHooked bool) *mcastBed {
 			return
 		}
 		id := asic.FieldIPv4ID.Get(p)
+		if id&0xff == 0 {
+			p.EgressPort = 1 + int(p.Meta.UID)%outs
+			return
+		}
 		p.McastGroup = int(id & 0xff)
 		if id&0xff%2 == 1 {
 			// A dirty PHV reaches replication: it is deparsed and parsed
@@ -188,6 +202,10 @@ func (r *mcastRig) build(t *testing.T, allHooked bool) *mcastBed {
 		b.egress = append(b.egress, line)
 		if (p.Meta.UID*7+uint64(p.EgressPort))%5 == 0 {
 			p.Drop = true
+		} else if id := p.EgressPort; id < len(r.kind) && r.kind[id] == unhookedSink && b.sinks[id].OnPacket == nil &&
+			p.Pkt != nil && p.Meta.Replica && p.Meta.InPort == 0 {
+			// Replicated with a frame, so before the hook went.
+			b.unhooked++
 		}
 	}))
 	for id := range r.gbps {
@@ -213,7 +231,7 @@ func (r *mcastRig) build(t *testing.T, allHooked bool) *mcastBed {
 				b.delivered = append(b.delivered, fmt.Sprintf("port %d at %v uid %d checksum ok %v bytes %x", id, at, pkt.Meta.UID, ok, pkt.Data))
 				pkt.Release()
 			}
-		} else if allHooked {
+		} else if allHooked || r.kind[id] == unhookedSink {
 			s.OnPacket = func(pkt *netproto.Packet, at netsim.Time) { pkt.Release() }
 		}
 		testbed.Connect(b.sim, pt, s.Iface, r.delays[id])
@@ -259,18 +277,26 @@ func (b *mcastBed) view() mcastView {
 	return v
 }
 
-// TestMcastFramelessMatchesFramed: randomised multicast rigs against the same
-// rigs with a hook on every sink — port, interface and sink counters, the
-// switch's drop counters and timestamps at cuts 50 ns apart, then what every
-// egress pass saw (headers, checksums, records), every frame a hooked sink got
-// byte for byte, and the clock a drained run stops at.
+// TestMcastFramelessMatchesFramed: randomised multicast and unicast rigs
+// against the same rigs with a hook on every sink — port, interface and sink
+// counters, the switch's drop counters and timestamps at cuts 50 ns apart,
+// then what every egress pass saw (headers, checksums, records), every frame
+// a hooked sink got byte for byte, and the clock a drained run stops at.
 func TestMcastFramelessMatchesFramed(t *testing.T) {
 	var copies, accounted, tailDrops, pipeDrops, noRoute uint64
+	unicast, unhooked := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		r := randomMcastRig(seed)
 		frameless, framed := r.build(t, false), r.build(t, true)
 		last := r.frames[len(r.frames)-1].at.Add(30 * netsim.Microsecond)
 		for now := netsim.Time(0); now <= last; now = now.Add(50 * netsim.Nanosecond) {
+			if now >= r.unhook {
+				for id, s := range frameless.sinks {
+					if r.kind[id] == unhookedSink {
+						s.OnPacket = nil
+					}
+				}
+			}
 			frameless.sim.RunUntil(now)
 			framed.sim.RunUntil(now)
 			if got, want := frameless.view(), framed.view(); !reflect.DeepEqual(got, want) {
@@ -300,6 +326,12 @@ func TestMcastFramelessMatchesFramed(t *testing.T) {
 		}
 		v := framed.view()
 		copies += uint64(len(framed.egress))
+		unhooked += frameless.unhooked
+		for _, f := range r.frames {
+			if f.group == 0 {
+				unicast++
+			}
+		}
 		pipeDrops += v.PipelineDrops
 		noRoute += v.NoRouteDrops
 		for id, s := range v.Sinks {
@@ -309,12 +341,12 @@ func TestMcastFramelessMatchesFramed(t *testing.T) {
 			}
 		}
 	}
-	if accounted == 0 || tailDrops == 0 || pipeDrops == 0 || noRoute == 0 {
-		t.Fatalf("rigs too tame: %d egress passes, %d frames accounted at counting sinks, %d tail-dropped on their ports, %d pipeline drops, %d no-route drops",
-			copies, accounted, tailDrops, pipeDrops, noRoute)
+	if accounted == 0 || tailDrops == 0 || pipeDrops == 0 || noRoute == 0 || unicast == 0 || unhooked == 0 {
+		t.Fatalf("rigs too tame: %d egress passes, %d frames accounted at counting sinks, %d tail-dropped on their ports, %d pipeline drops, %d no-route drops, %d unicast frames, %d framed copies accounted after an unhook",
+			copies, accounted, tailDrops, pipeDrops, noRoute, unicast, unhooked)
 	}
-	t.Logf("%d egress passes, %d frames accounted at counting sinks, %d tail-dropped on their ports, %d pipeline drops, %d no-route drops",
-		copies, accounted, tailDrops, pipeDrops, noRoute)
+	t.Logf("%d egress passes, %d frames accounted at counting sinks, %d tail-dropped on their ports, %d pipeline drops, %d no-route drops, %d unicast frames, %d framed copies accounted after an unhook",
+		copies, accounted, tailDrops, pipeDrops, noRoute, unicast, unhooked)
 }
 
 // TestMcastFramelessCopyPinsPeer: a port's peer cannot change while copies

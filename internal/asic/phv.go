@@ -34,16 +34,10 @@ type PHV struct {
 	Recirculate bool // send back through the recirculation path
 
 	// DigestData, when non-nil, is emitted to the switch CPU through the
-	// digest engine at end of ingress (generate_digest).
+	// digest engine at the end of the pass (generate_digest). The engine
+	// copies it onto its channel before the pass ends, so a producer may
+	// reuse the buffer for its next attachment.
 	DigestData []byte
-
-	// DigestFree, when non-nil, is the consumption callback for DigestData:
-	// the switch invokes it exactly once with the attached buffer, either
-	// after the digest engine has copied it onto the channel or when the
-	// PHV is released with the attachment unconsumed. Producers that pool
-	// their digest buffers set it alongside DigestData and recycle in the
-	// callback — never by inferring consumption from later pipeline passes.
-	DigestFree func([]byte)
 
 	// Dirty records that a header field changed so the deparser knows to
 	// re-serialize headers and fix checksums.
@@ -71,16 +65,23 @@ func NewPHV(pkt *netproto.Packet) *PHV {
 }
 
 // init (re)parses pkt into p, resetting every pipeline-visible field. It is
-// the reuse path behind the switch's PHV pool: Stack.Decode overwrites the
-// previous packet's layers and resets the decoded-layer list in place, so a
-// recycled PHV behaves exactly like a fresh one without reallocating.
+// the reuse path behind the switch's PHV pool: a recycled PHV behaves exactly
+// like a fresh one, and keeps its decoded-layer list's storage.
 func (p *PHV) init(pkt *netproto.Packet) {
 	p.Pkt = pkt
 	p.FrameLen = pkt.Len()
 	p.Meta = pkt.Meta
 	p.reset()
+	p.parse(pkt.Data)
+}
+
+// parse decodes data into p's headers from scratch: every layer the parser
+// does not extract reads as it does on a fresh PHV, whatever the last packet
+// through a pooled PHV left there.
+func (p *PHV) parse(data []byte) {
+	p.Stack = netproto.Stack{Decoded: p.Stack.Decoded[:0]}
 	// The parser stops at unknown layers without failing the packet.
-	_ = p.Stack.Decode(pkt.Data)
+	_ = p.Stack.Decode(data)
 }
 
 // reset clears the pipeline controls and scratch containers, as a fresh
@@ -91,7 +92,6 @@ func (p *PHV) reset() {
 	p.Drop = false
 	p.Recirculate = false
 	p.DigestData = nil
-	p.DigestFree = nil
 	p.Dirty = false
 	p.Scratch = [8]uint64{}
 	p.Trace = nil
@@ -106,7 +106,7 @@ func (p *PHV) reset() {
 func (p *PHV) settle() {
 	if p.Dirty {
 		p.Deparse()
-		_ = p.Stack.Decode(p.Pkt.Data)
+		p.parse(p.Pkt.Data)
 	}
 }
 
@@ -116,31 +116,9 @@ func (p *PHV) settle() {
 // controls.
 func (p *PHV) initCopy(src *PHV, pkt *netproto.Packet) {
 	d, s := &p.Stack, &src.Stack
-	// Only the decoded layers: the others are as unset as a parse leaves them.
-	for _, l := range s.Decoded {
-		switch l {
-		case netproto.LayerEthernet:
-			d.Eth = s.Eth
-		case netproto.LayerVLAN:
-			d.VLAN = s.VLAN
-		case netproto.LayerARP:
-			d.ARP = s.ARP
-		case netproto.LayerIPv4:
-			d.IP4 = s.IP4
-		case netproto.LayerIPv6:
-			d.IP6 = s.IP6
-		case netproto.LayerIPv6Ext:
-			d.IP6Ext = s.IP6Ext
-		case netproto.LayerICMP:
-			d.ICMP = s.ICMP
-		case netproto.LayerTCP:
-			d.TCP = s.TCP
-		case netproto.LayerUDP:
-			d.UDP = s.UDP
-		}
-	}
-	d.Decoded = append(d.Decoded[:0], s.Decoded...)
-	d.PayloadOffset = s.PayloadOffset
+	decoded := d.Decoded
+	*d = *s
+	d.Decoded = append(decoded[:0], s.Decoded...)
 	d.Payload = nil
 	if pkt != nil && s.Payload != nil {
 		d.Payload = pkt.Data[s.PayloadOffset : s.PayloadOffset+len(s.Payload)]

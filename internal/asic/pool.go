@@ -20,9 +20,9 @@ import (
 //     callback.
 //   - A Packet is released only by its exclusive owner, on paths where the
 //     packet's journey ends inside the switch (pipeline drop, no-route drop,
-//     TX tail-drop, a multicast replication none of whose copies needs the
-//     frame). Delivered packets belong to the receiver and are never released
-//     here.
+//     TX tail drop, a frame accounted at its counting far end, a multicast
+//     replication none of whose copies needs the frame). Delivered packets
+//     belong to the receiver and are never released here.
 
 // acquirePHV returns a parsed PHV for pkt, reusing pooled storage (including
 // the decoded-layer list capacity) when available.
@@ -52,17 +52,11 @@ func (sw *Switch) pooledPHV() *PHV {
 }
 
 // releasePHV recycles a PHV after its pipeline pass. The caller must not
-// touch the PHV afterwards. An unconsumed digest attachment (a path that
-// released the PHV without reaching takeDigest) is returned to its producer
-// here so pooled buffers are never left dangling.
+// touch the PHV afterwards.
 func (sw *Switch) releasePHV(p *PHV) {
-	if p.DigestData != nil && p.DigestFree != nil {
-		p.DigestFree(p.DigestData)
-	}
 	p.Pkt = nil
 	p.Meta = netproto.Meta{}
 	p.DigestData = nil
-	p.DigestFree = nil
 	sw.phvFree = append(sw.phvFree, p)
 }
 
@@ -141,10 +135,9 @@ func runEgressJob(a any) {
 	sw.runEgress(pkt, phv, port, ord)
 }
 
-// runTransmitJob is the MAC hop as an event, after the egress+MAC latency: a
-// loopback port's frame, or a front-panel frame due to be tail-dropped (every
-// other front-panel frame goes from runEgress straight to its serialization
-// end — Port.serialize).
+// runTransmitJob is a loopback port's MAC hop as an event, after the jittered
+// egress+MAC latency (Port.transmit). Front-panel frames take none: runEgress
+// computes their MAC step at egress end (DESIGN.md §9.7).
 func runTransmitJob(a any) {
 	j := a.(*pktJob)
 	pkt, port, ord := j.pkt, j.port, j.ord
@@ -152,9 +145,10 @@ func runTransmitJob(a any) {
 	port.transmit(pkt, ord)
 }
 
-// runTxDropJob is the tail drop of a multicast copy without a frame
-// (DESIGN.md §9.9), at the instant it reaches the MAC: Port.transmit's drop
-// branch, which a framed copy runEgress finds the queue too long for takes.
+// runTxDropJob is the tail drop of a front-panel frame, at the instant it
+// reaches the MAC: runEgress found the queue too long for it at egress end,
+// released its frame, if it had one, and filed this job with its length and
+// UID.
 func runTxDropJob(a any) {
 	j := a.(*pktJob)
 	sw, port, n, uid := j.sw, j.port, j.n, j.uid

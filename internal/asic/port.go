@@ -174,16 +174,13 @@ func (pt *Port) reserve(tx netsim.Time, frameLen int) (end netsim.Time, ok bool)
 	return end, true
 }
 
-// transmit is the MAC hop as an event, run when the frame reaches the MAC. Two
-// kinds of frame take it (DESIGN.md §9.7): every frame on a loopback port,
-// whose busy-until chain is shared with the loop model's transmit hops (ord is
-// the hop's loop stamp), and a front-panel frame runEgress found the queue
-// too long for — txBusyUntil never moves back, so it is still too long now,
-// and the frame's journey ends here, its buffer back in the packet pool.
+// transmit is a loopback port's MAC hop as an event, run when the frame
+// reaches the MAC (DESIGN.md §9.7). The port's busy-until chain is shared with
+// the loop model's transmit hops, which catch up first (ord is the hop's loop
+// stamp); a frame the queue is too long for ends its journey here, its buffer
+// back in the packet pool.
 func (pt *Port) transmit(pkt *netproto.Packet, ord uint64) {
-	if pt.Loopback {
-		pt.sw.loopSync(loopTransmit, ord)
-	}
+	pt.sw.loopSync(loopTransmit, ord)
 	now := pt.sw.sim.Now()
 	end, ok := pt.reserve(now, pkt.Len())
 	if !ok {
@@ -211,11 +208,6 @@ func (pt *Port) serialize(pkt *netproto.Packet, tx, end netsim.Time) {
 		pkt.Meta.EgressPs = int64(end)
 		stripBridge(&pkt.Meta)
 		pt.remote(pkt, end)
-		return
-	}
-	if pt.accounting() {
-		pt.account(end, pkt.Len())
-		pkt.Release()
 		return
 	}
 	j := pt.sw.job(pkt, pt)
@@ -247,17 +239,6 @@ func (pt *Port) account(end netsim.Time, n int) {
 		q.armed = true
 		pt.sw.sim.AtCall(end.Add(q.prop), runFarTail, pt)
 	}
-}
-
-// accountCopy is the MAC hop of a multicast copy without a frame (DESIGN.md
-// §9.9), computed at its egress end as runEgress computes a framed one's:
-// booked and accounted, or tail-dropped at the instant it reaches the MAC.
-func (pt *Port) accountCopy(tx netsim.Time, n int, uid uint64) {
-	if end, ok := pt.reserve(tx, n); ok {
-		pt.account(end, n)
-		return
-	}
-	pt.sw.sim.AtCall(tx, runTxDropJob, pt.sw.jobN(n, uid, pt))
 }
 
 // farQueue is the frames a port has accounted to its counting far end and

@@ -340,8 +340,7 @@ func (sw *Switch) toEgress(phv *PHV, port *Port, tmDelay netsim.Duration) {
 // the PHV toEgress gave the hop, or none for a hop the loop model handed
 // back. On a loopback port the hop shares the loop-jitter stream with the
 // loop model, which therefore catches up to it first. A frameless multicast
-// copy (pkt nil) runs the pipeline on its headers and is accounted at the
-// port's far end (DESIGN.md §9.9).
+// copy (pkt nil) runs the pipeline on its headers (DESIGN.md §9.9).
 func (sw *Switch) runEgress(pkt *netproto.Packet, phv *PHV, port *Port, ord uint64) {
 	if port.Loopback {
 		sw.loopSync(loopEgress, ord)
@@ -369,56 +368,59 @@ func (sw *Switch) runEgress(pkt *netproto.Packet, phv *PHV, port *Port, ord uint
 		pkt.Release()
 		return
 	}
-	if pkt == nil {
-		// Nothing reads the bytes of this copy: no deparse.
-		sw.releasePHV(phv)
-		port.accountCopy(now.Add(egressLatency), n, uid)
-		return
-	}
-	phv.Deparse()
-	sw.releasePHV(phv)
 	if port.Loopback {
 		// Calibrated loop: apply the fractional correction plus bounded
 		// jitter so measured RTTs match Fig. 14a. The jitter makes transmit
 		// order differ from egress order, so the MAC hop stays an event.
+		phv.Deparse()
+		sw.releasePHV(phv)
 		j := sw.job(pkt, port)
 		j.ord = sw.loopOrd()
 		sw.sim.AfterCall(loopEgressLatency+sw.rngLoop.Jitter(loopJitter), runTransmitJob, j)
 		return
 	}
-	// The MAC hop is arithmetic (DESIGN.md §9.7): a front-panel frame reaches
-	// the MAC a constant egressLatency from now, behind every frame that left
-	// egress before it and ahead of every one that will, so the serializer
-	// booking the transmit event would make is known already. Only a tail
-	// drop has something left to do at that instant.
+	// The front-panel MAC step (DESIGN.md §9.7): the frame reaches the MAC a
+	// constant egressLatency from now, behind every frame that left egress
+	// before it, so the serializer's booking is known already. It ends the
+	// frame's journey one of three ways.
 	tx := now.Add(egressLatency)
-	if end, ok := port.reserve(tx, n); ok {
+	end, ok := port.reserve(tx, n)
+	switch {
+	case !ok:
+		// Tail drop, counted when the frame reaches the MAC. A framed
+		// frame still deparses: a traced run records that.
+		if pkt != nil {
+			phv.Deparse()
+		}
+		sw.releasePHV(phv)
+		pkt.Release()
+		sw.sim.AtCall(tx, runTxDropJob, sw.jobN(n, uid, port))
+	case pkt == nil || port.accounting():
+		// Nothing reads the bytes: accounted at the counting far end.
+		sw.releasePHV(phv)
+		pkt.Release()
+		port.account(end, n)
+	default:
+		phv.Deparse()
+		sw.releasePHV(phv)
 		port.serialize(pkt, tx, end)
-		return
 	}
-	sw.sim.AtCall(tx, runTransmitJob, sw.job(pkt, port))
 }
 
 // DigestQueueLen reports messages currently queued on the digest channel
 // (the pipeline-visible backpressure signal a learn filter provides).
 func (sw *Switch) DigestQueueLen() int { return sw.digestQueue.Len() }
 
-// takeDigest consumes a PHV's digest attachment at end of pipeline pass:
-// the message is copied onto the digest channel, then the producer's buffer
-// is handed back through its DigestFree callback. This is the one point a
-// pooled attachment buffer is provably done with — producers must not infer
-// consumption from later pipeline activity.
+// takeDigest consumes a PHV's digest attachment at the end of its pipeline
+// pass: the message is copied onto the digest channel, and the producer's
+// buffer is its own again.
 func (sw *Switch) takeDigest(phv *PHV) {
 	if phv.DigestData == nil {
 		return
 	}
 	sw.trace.Emit(phv.TraceAt, obs.KindDigest, phv.Meta.UID, "", int64(len(phv.DigestData)), 0)
 	sw.emitDigest(phv.DigestData)
-	if phv.DigestFree != nil {
-		phv.DigestFree(phv.DigestData)
-	}
 	phv.DigestData = nil
-	phv.DigestFree = nil
 }
 
 // emitDigest queues a generate_digest message on the PCIe channel towards

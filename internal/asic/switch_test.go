@@ -323,44 +323,6 @@ func TestDigestChannelRateBound(t *testing.T) {
 	}
 }
 
-// TestDigestFreeCallback pins the digest-attachment consumption contract:
-// the producer's DigestFree callback fires exactly once per attachment,
-// after the digest engine has copied the buffer onto the channel — the point
-// the buffer is provably free for reuse.
-func TestDigestFreeCallback(t *testing.T) {
-	sim, sw := newTestSwitch(t, 1)
-	buf := []byte("pooled-digest-buffer")
-	var freed [][]byte
-	sw.DigestOut = func(data []byte, at netsim.Time) {}
-	sw.Ingress.Add(ProcessorFunc(func(p *PHV) {
-		p.DigestData = buf
-		p.DigestFree = func(b []byte) { freed = append(freed, b) }
-		p.Drop = true
-	}))
-	sw.Port(0).Receive(frame(t, 64))
-	sim.Run()
-	if len(freed) != 1 {
-		t.Fatalf("DigestFree fired %d times, want exactly once", len(freed))
-	}
-	if &freed[0][0] != &buf[0] {
-		t.Fatal("DigestFree handed back a different buffer than was attached")
-	}
-}
-
-// TestDigestFreeOnUnconsumedRelease pins the safety net: a PHV released with
-// its digest attachment unconsumed returns the buffer to its producer.
-func TestDigestFreeOnUnconsumedRelease(t *testing.T) {
-	_, sw := newTestSwitch(t, 1)
-	freed := 0
-	p := sw.acquirePHV(frame(t, 64))
-	p.DigestData = []byte("x")
-	p.DigestFree = func([]byte) { freed++ }
-	sw.releasePHV(p)
-	if freed != 1 {
-		t.Fatalf("releasePHV invoked DigestFree %d times, want 1", freed)
-	}
-}
-
 func TestEgressPipelineRunsAndEdits(t *testing.T) {
 	sim, sw := newTestSwitch(t, 2)
 	sw.Ingress.Add(ProcessorFunc(func(p *PHV) { p.EgressPort = 1 }))

@@ -316,6 +316,56 @@ func TestFieldGetSetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPooledPHVReadsLikeFresh: a PHV from the switch's pool reads every field
+// as a fresh PHV of the same frame does, whatever frame it held before — a
+// layer the parser did not extract reads zero, not the last packet's header.
+// Covered: the ingress parse (acquirePHV) and a multicast copy's headers
+// (acquireCopy), after a VLAN-tagged TCP frame with every layer written.
+func TestPooledPHVReadsLikeFresh(t *testing.T) {
+	_, sw := newTestSwitch(t, 1)
+	build := func(vlan bool) *netproto.Packet {
+		t.Helper()
+		var raw []byte
+		var err error
+		if vlan {
+			raw, err = netproto.BuildTCP(netproto.TCPSpec{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Seq: 5, Flags: netproto.TCPSyn, FrameLen: 68, VLAN: true, VlanID: 7})
+		} else {
+			raw, err = netproto.BuildICMP(netproto.ICMPSpec{SrcIP: 1, DstIP: 2, Type: 8, Ident: 9, FrameLen: 64})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &netproto.Packet{Data: raw}
+	}
+	dirty := func() *PHV {
+		p := sw.acquirePHV(build(true))
+		if got := FieldVlanID.Get(p); got != 7 {
+			t.Fatalf("tagged frame reads vlan.id %d, want 7", got)
+		}
+		for f := Field(1); f < numFields; f++ {
+			f.Set(p, 1)
+		}
+		return p
+	}
+	check := func(how string, p *PHV) {
+		t.Helper()
+		fresh := NewPHV(build(false))
+		for f := Field(1); f < numFields; f++ {
+			if got, want := f.Get(p), f.Get(fresh); got != want {
+				t.Errorf("%s: %v reads %d, a fresh PHV %d", how, f, got, want)
+			}
+		}
+	}
+
+	sw.releasePHV(dirty())
+	p := sw.acquirePHV(build(false))
+	check("re-acquired for an untagged frame", p)
+
+	sw.releasePHV(dirty())
+	cp := sw.acquireCopy(p, nil)
+	check("copy of an untagged frame's PHV", cp)
+}
+
 func TestFieldByName(t *testing.T) {
 	cases := map[string]Field{
 		"ipv4.dip":  FieldIPv4Dst,

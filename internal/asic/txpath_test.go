@@ -556,13 +556,12 @@ func TestSinkFoldSteadyStateZeroAllocs(t *testing.T) {
 // cable delay of 0-20 ns at any picosecond phase.
 type sinkRig struct {
 	*txRig
-	delays      []netsim.Duration
-	maxRecorded int
+	delays []netsim.Duration
 }
 
 func randomSinkRig(seed int64) *sinkRig {
 	rng := netsim.NewRNG(seed, "sink-fold")
-	r := &sinkRig{txRig: randomRig(seed), maxRecorded: []int{0, 5, 40}[rng.Intn(3)]}
+	r := &sinkRig{txRig: randomRig(seed)}
 	for range r.gbps {
 		r.delays = append(r.delays, netsim.Duration(rng.Int63n(int64(20*netsim.Nanosecond)+1)))
 	}
@@ -584,7 +583,7 @@ func (r *sinkRig) build(t *testing.T, hooked bool) *sinkBed {
 	sw, _ := r.txRig.build(t, b.sim)
 	for id := range r.gbps {
 		s := testbed.NewSink(b.sim, fmt.Sprintf("sink%d", id), r.gbps[id])
-		s.RecordTimestamps, s.MaxRecorded = true, r.maxRecorded
+		s.RecordTimestamps = true
 		if hooked {
 			s.OnPacket = func(pkt *netproto.Packet, at netsim.Time) { pkt.Release() }
 		}

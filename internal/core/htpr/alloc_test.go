@@ -1,12 +1,14 @@
 package htpr
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/core/stateless"
 	"github.com/hypertester/hypertester/internal/netproto"
+	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
@@ -75,8 +77,8 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 	})
 
 	// The receiver's packet path into a table, and the push-mode eviction
-	// round trip: encode into a pooled buffer, queue, decode on the CPU
-	// side, merge, recycle.
+	// round trip: queue, encode into a packet's digest slot, decode on the
+	// CPU side, merge.
 	prog := compileTask(t, `
 T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(sport, range(1, 1024, 1)).set(port, 0)
 Q1 = query().reduce(func=count, keys={ipv4.sip})
@@ -88,13 +90,55 @@ Q1 = query().reduce(func=count, keys={ipv4.sip})
 	zero("Receiver.process", func() { r.process(st, p) })
 	roundTrip := func() {
 		st.Table.OnEvict(key, 5)
-		msg := st.pendingDigests.pop()
-		r.MergeDigest(msg)
-		r.recycleDigestBuf(msg)
+		p.DigestData = nil
+		r.attachDigest(p)
+		r.MergeDigest(p.DigestData)
 	}
 	roundTrip()
-	zero("eviction digest encode + decode + merge", roundTrip)
+	zero("eviction queue + attach + decode + merge", roundTrip)
 	if got := st.Table.Collect(); len(got) != 2 {
 		t.Fatalf("collected %d keys after the round trips, want 2", len(got))
+	}
+}
+
+// TestEvictionToCPUZeroAllocs pins push-mode reporting end to end: an
+// eviction queued on the receiver, encoded into a template frame's digest
+// slot, copied onto the switch's digest channel, delivered through the
+// switch CPU's OnDigest and merged into the table's CPU store allocates
+// nothing once the pools are warm.
+func TestEvictionToCPUZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; the contract holds in non-race builds")
+	}
+	g := newDigestRig(t)
+	st := g.r.State(1)
+	key := []uint64{42}
+	merged := 0
+	g.cpu.OnDigest = func(msg []byte, _ netsim.Time) {
+		merged++
+		g.r.MergeDigest(msg)
+	}
+	raw, err := netproto.BuildUDP(netproto.UDPSpec{SrcIP: 1, DstIP: 2, SrcPort: 2, DstPort: 9, FrameLen: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := &netproto.Packet{Data: raw}
+	base.Meta.TemplateID = 1
+	run := func() {
+		st.Table.OnEvict(key, 5)
+		g.sw.Port(0).Receive(base.Clone())
+		g.sim.Run() // includes the channel-service drain event
+	}
+	for i := 0; i < 32; i++ {
+		run()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	zero := testing.AllocsPerRun(200, run)
+	if zero != 0 {
+		t.Errorf("eviction -> digest channel -> CPU -> merge: %.1f allocs/op, want 0", zero)
+	}
+	rep := g.r.Collect()[0]
+	if merged != 32+201 || rep.Distinct != 1 || rep.Results[0].Value != 5*(32+201) {
+		t.Fatalf("merged %d messages into %v, want %d evictions of 5 on key 42", merged, rep.Results, 32+201)
 	}
 }

@@ -30,10 +30,10 @@ type QueryState struct {
 	// RecordsPushed counts records handed to HTPS.
 	RecordsPushed uint64
 
-	// Push-mode eviction reporting: encoded digest messages awaiting a
-	// packet to carry them. The switch CPU folds what arrives into Table's
+	// Push-mode eviction reporting: evictions awaiting a packet to carry
+	// them, oldest first. The switch CPU folds what arrives into Table's
 	// CPU-side store (MergeDigest).
-	pendingDigests digestFIFO
+	pending evictionFIFO
 
 	// Per-packet scratch, overwritten by the next packet through this
 	// query: the key tuple, its hash-input bytes (delay queries) and the
@@ -73,28 +73,35 @@ func (st *QueryState) Registers() []*asic.RegisterArray {
 // PendingDigests reports evictions queued for the digest channel.
 //
 //htlint:ignore deadexport inspection tap: the elision oracle compares the digests waiting for room
-func (st *QueryState) PendingDigests() int { return st.pendingDigests.len() }
+func (st *QueryState) PendingDigests() int { return st.pending.len() }
 
-// digestFIFO queues encoded eviction messages with slot reuse: popping
-// advances a head index instead of reslicing, so the backing array is
-// reclaimed (and reused) once drained rather than pinned by a [1:] chain.
-type digestFIFO struct {
-	q    [][]byte
+// eviction is one evicted entry: its key aliases a never-rewritten row of the
+// table's key matrix (DESIGN.md §5), so queueing it copies nothing.
+type eviction struct {
+	key   []uint64
+	value uint64
+}
+
+// evictionFIFO queues evictions with slot reuse: popping advances a head
+// index instead of reslicing, so the backing array is reused once drained
+// rather than pinned by a [1:] chain.
+type evictionFIFO struct {
+	q    []eviction
 	head int
 }
 
-func (f *digestFIFO) len() int { return len(f.q) - f.head }
+func (f *evictionFIFO) len() int { return len(f.q) - f.head }
 
-func (f *digestFIFO) push(m []byte) { f.q = append(f.q, m) }
+func (f *evictionFIFO) push(e eviction) { f.q = append(f.q, e) }
 
-func (f *digestFIFO) pop() []byte {
-	m := f.q[f.head]
-	f.q[f.head] = nil
+func (f *evictionFIFO) pop() eviction {
+	e := f.q[f.head]
+	f.q[f.head] = eviction{}
 	f.head++
 	if f.head == len(f.q) {
 		f.q, f.head = f.q[:0], 0
 	}
-	return m
+	return e
 }
 
 // digestChannelRoom gates push-mode digest attachment on channel
@@ -116,52 +123,13 @@ type Receiver struct {
 	// (SyncLoop) before register statistics are read out.
 	sw *asic.Switch
 
-	// digestFree recycles encoded-eviction buffers: a message returns here
-	// once consumed (copied by the ASIC digest channel, or decoded at
-	// collection time) and its storage is reused by the next eviction,
-	// making sustained eviction reporting allocation-free. digestSlab is
-	// the block new buffers are cut from when none is free.
-	digestFree [][]byte
-	digestSlab []byte
-	// recycleFn is recycleDigestBuf bound once at construction, installed
-	// as PHV.DigestFree on every attachment so the ASIC hands the buffer
-	// back at the moment it is provably consumed (copied onto the digest
-	// channel, or the PHV released unconsumed) — a per-packet method-value
-	// allocation would break the zero-alloc digest path.
-	recycleFn func([]byte)
+	// msg is the digest message attachDigest encodes an eviction into. The
+	// switch copies it onto its digest channel before the pass ends, so one
+	// buffer serves every attachment.
+	msg []byte
 
 	// evKey is the decoded key of the digest message being merged.
 	evKey []uint64
-}
-
-// digestSlabBytes is how much buffer storage one allocation buys: messages
-// pile up by the thousand while the rate-limited channel is busy, and a
-// buffer each would make that pile the run's largest source of garbage.
-const digestSlabBytes = 4096
-
-// newEviction encodes an eviction into a recycled buffer when one is free,
-// else into a message-sized cut of the slab.
-func (r *Receiver) newEviction(queryID int, key []uint64, value uint64) []byte {
-	var buf []byte
-	if n := len(r.digestFree); n > 0 {
-		buf = r.digestFree[n-1][:0]
-		r.digestFree[n-1] = nil
-		r.digestFree = r.digestFree[:n-1]
-	} else {
-		size := evictionLen(len(key))
-		if len(r.digestSlab) < size {
-			r.digestSlab = make([]byte, max(size, digestSlabBytes))
-		}
-		buf, r.digestSlab = r.digestSlab[:0:size], r.digestSlab[size:]
-	}
-	return AppendEviction(buf, queryID, key, value)
-}
-
-// recycleDigestBuf returns a consumed message buffer to the freelist.
-func (r *Receiver) recycleDigestBuf(b []byte) {
-	if b != nil {
-		r.digestFree = append(r.digestFree, b)
-	}
 }
 
 // NewReceiver builds runtime state for every query in the program,
@@ -172,7 +140,6 @@ func (r *Receiver) recycleDigestBuf(b []byte) {
 // before an eviction is queued. The switch CPU's side is MergeDigest.
 func NewReceiver(prog *compiler.Program, sw *asic.Switch) *Receiver {
 	r := &Receiver{prog: prog, sw: sw}
-	r.recycleFn = r.recycleDigestBuf
 	for _, plan := range prog.Queries {
 		st := &QueryState{
 			Plan: plan,
@@ -184,7 +151,7 @@ func NewReceiver(prog *compiler.Program, sw *asic.Switch) *Receiver {
 			st.Table.kvFIFO.OnFill(sw.WakeLoop)
 			st.Table.OnEvict = func(key []uint64, value uint64) {
 				sw.WakeLoop() // a queued eviction is work for the next template pass
-				st.pendingDigests.push(r.newEviction(plan.ID, key, value))
+				st.pending.push(eviction{key, value})
 			}
 		}
 		if plan.Kind == ntapi.KindDelay {
@@ -214,7 +181,7 @@ func (r *Receiver) TemplatePassIdle() bool {
 		if st.Table != nil && !st.Table.kvFIFO.Empty() {
 			return false
 		}
-		if st.pendingDigests.len() > 0 {
+		if st.pending.len() > 0 {
 			pending = true
 		}
 	}
@@ -276,7 +243,7 @@ func (r *Receiver) MergeDigest(msg []byte) {
 	}
 }
 
-// attachDigest hands one pending eviction message to the current packet's
+// attachDigest encodes the oldest pending eviction into the current packet's
 // digest slot (one generate_digest per packet traversal), honouring channel
 // backpressure.
 func (r *Receiver) attachDigest(p *asic.PHV) {
@@ -287,11 +254,10 @@ func (r *Receiver) attachDigest(p *asic.PHV) {
 		return
 	}
 	for _, st := range r.states {
-		if st.pendingDigests.len() > 0 {
-			// The buffer comes back through DigestFree when the ASIC has
-			// copied it onto the channel (or dropped the PHV unconsumed).
-			p.DigestData = st.pendingDigests.pop()
-			p.DigestFree = r.recycleFn
+		if st.pending.len() > 0 {
+			ev := st.pending.pop()
+			r.msg = AppendEviction(r.msg[:0], st.Plan.ID, ev.key, ev.value)
+			p.DigestData = r.msg
 			return
 		}
 	}
@@ -476,13 +442,12 @@ func (r *Receiver) Collect() []Report {
 		}
 		if st.Table != nil {
 			// At collection time the CPU empties the KV FIFO and reads
-			// out any digests still queued on the data plane, so the
+			// out any evictions still queued on the data plane, so the
 			// table's CPU-side store holds everything ever evicted.
 			st.Table.DrainAll()
-			for st.pendingDigests.len() > 0 {
-				msg := st.pendingDigests.pop()
-				r.MergeDigest(msg)
-				r.recycleDigestBuf(msg)
+			for st.pending.len() > 0 {
+				ev := st.pending.pop()
+				st.Table.MergeEvicted(ev.key, ev.value)
 			}
 			rep.Results = st.Table.results()
 			rep.Distinct = len(rep.Results)

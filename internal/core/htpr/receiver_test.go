@@ -9,6 +9,7 @@ import (
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
+	"github.com/hypertester/hypertester/internal/switchcpu"
 )
 
 func compileTask(t *testing.T, src string) *compiler.Program {
@@ -220,55 +221,137 @@ func TestSweepIdleThenContinueCounting(t *testing.T) {
 	}
 }
 
-// TestDigestBufferLifecycle pins the pooled eviction-buffer contract: a
-// buffer handed to a packet's digest slot stays live — untouched by later
-// evictions — until the ASIC's DigestFree consumption callback returns it,
-// and only then is its storage reused. (The previous scheme recycled the
-// buffer at the *next* attachment, corrupting a message whose emission had
-// not happened yet.)
-func TestDigestBufferLifecycle(t *testing.T) {
+// digestRig is a receiver on a one-port switch whose CPU merges every digest
+// it is handed and keeps a copy of each; an ingress stage ahead of the
+// receiver's attaches a foreign message to every frame sent with filler set.
+type digestRig struct {
+	sim      *netsim.Sim
+	sw       *asic.Switch
+	cpu      *switchcpu.CPU
+	r        *Receiver
+	received [][]byte
+}
+
+var fillerDigest = []byte("foreign digest")
+
+func newDigestRig(t *testing.T) *digestRig {
+	t.Helper()
 	prog := compileTask(t, `
 T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(sport, range(1, 1024, 1)).set(port, 0)
 Q1 = query().reduce(func=count, keys={ipv4.sip})
 `)
-	r := testReceiver(prog)
-	st := r.State(1)
-	evict := func(k uint64) { st.Table.OnEvict([]uint64{k}, 1) }
+	g := &digestRig{sim: netsim.New()}
+	g.sw = asic.New(asic.Config{Name: "sw", Sim: g.sim, PortGbps: []float64{100}, Seed: 1})
+	g.cpu = switchcpu.New(g.sim, g.sw)
+	g.r = NewReceiver(prog, g.sw)
+	g.cpu.OnDigest = func(msg []byte, _ netsim.Time) {
+		g.received = append(g.received, append([]byte(nil), msg...))
+		g.r.MergeDigest(msg)
+	}
+	g.sw.Ingress.Add(asic.ProcessorFunc(func(p *asic.PHV) {
+		if asic.FieldL4SrcPort.Get(p) == 1 {
+			p.DigestData = fillerDigest
+		}
+	}))
+	g.sw.Ingress.Add(g.r.IngressProcessor())
+	g.sw.Ingress.Add(asic.ProcessorFunc(func(p *asic.PHV) { p.Drop = true }))
+	return g
+}
 
-	evict(11)
-	evict(22)
-	p1 := tcpPHV(t, 2, 80, netproto.TCPSyn, 0)
-	r.attachDigest(p1)
-	if p1.DigestData == nil || p1.DigestFree == nil {
-		t.Fatal("attachDigest did not install buffer and consumption callback")
+// send has a template frame reach the switch at virtual time at: a filler
+// (source port 1) or a plain carrier (source port 2).
+func (g *digestRig) send(t *testing.T, at netsim.Duration, filler bool) {
+	t.Helper()
+	sport := uint16(2)
+	if filler {
+		sport = 1
 	}
-	msg1 := append([]byte(nil), p1.DigestData...)
+	raw, err := netproto.BuildUDP(netproto.UDPSpec{SrcIP: 1, DstIP: 2, SrcPort: sport, DstPort: 9, FrameLen: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &netproto.Packet{Data: raw}
+	pkt.Meta.TemplateID = 1
+	g.sim.At(netsim.Time(at), func() { g.sw.Port(0).Receive(pkt) })
+}
 
-	// A second attachment while the first is still in flight must not
-	// recycle the first buffer.
-	p2 := tcpPHV(t, 3, 80, netproto.TCPSyn, 0)
-	r.attachDigest(p2)
-	if n := len(r.digestFree); n != 0 {
-		t.Fatalf("free list holds %d buffers while both attachments are in flight", n)
-	}
-	// A fresh eviction must not overwrite the live attachment either.
-	evict(33)
-	if !bytes.Equal(p1.DigestData, msg1) {
-		t.Fatal("eviction encoded into a buffer still attached to a packet")
+// TestEvictionDigestsArriveInOrder: evictions queued while the digest channel
+// fills to digestChannelRoom with foreign messages wait on the data plane —
+// a frame already carrying a digest keeps it — and then ride template frames
+// one per free slot. The CPU receives exactly AppendEviction(qid, key, value)
+// for each, in eviction order, behind every foreign message; Collect folds
+// the ones still queued, once however often it is called.
+func TestEvictionDigestsArriveInOrder(t *testing.T) {
+	g := newDigestRig(t)
+	st := g.r.State(1)
+	const evictions = 40
+	var want [][]byte
+	for i := 0; i < evictions; i++ {
+		key, value := []uint64{uint64(1000 + i)}, uint64(3*i+1)
+		st.Table.OnEvict(key, value)
+		want = append(want, AppendEviction(nil, 1, key, value))
 	}
 
-	// Consumption (what asic.Switch.takeDigest does after copying the
-	// message onto the digest channel) returns the buffer for reuse.
-	buf := p1.DigestData
-	p1.DigestFree(p1.DigestData)
-	p1.DigestData, p1.DigestFree = nil, nil
-	if n := len(r.digestFree); n != 1 {
-		t.Fatalf("free list holds %d buffers after consumption, want 1", n)
+	// Fill the channel with foreign messages: the frames carry them while
+	// there is room, so no eviction attaches.
+	for i := 0; i < digestChannelRoom; i++ {
+		g.send(t, netsim.Duration(i)*10*netsim.Nanosecond, true)
 	}
-	evict(44)
-	st.pendingDigests.pop() // 33's message
-	m44 := st.pendingDigests.pop()
-	if len(m44) == 0 || &m44[0] != &buf[0] {
-		t.Fatal("consumed buffer storage was not reused by the next eviction")
+	g.sim.RunUntil(netsim.Time(100 * netsim.Microsecond))
+	if n := g.sw.DigestQueueLen(); n != digestChannelRoom {
+		t.Fatalf("digest channel holds %d messages, want %d", n, digestChannelRoom)
+	}
+	if n := st.PendingDigests(); n != evictions {
+		t.Fatalf("%d evictions pending after the foreign messages, want %d", n, evictions)
+	}
+	// A full channel attaches nothing.
+	g.send(t, 110*netsim.Microsecond, false)
+	g.sim.RunUntil(netsim.Time(200 * netsim.Microsecond))
+	if n := st.PendingDigests(); n != evictions {
+		t.Fatalf("%d evictions pending after a frame met a full channel, want %d", n, evictions)
+	}
+
+	// Carriers every 100 us take each slot a channel drain frees.
+	for at := 200 * netsim.Microsecond; at < 10*netsim.Millisecond; at += 100 * netsim.Microsecond {
+		g.send(t, at, false)
+	}
+	g.sim.RunUntil(netsim.Time(10 * netsim.Millisecond))
+	pending := st.PendingDigests()
+	if pending == 0 || pending == evictions {
+		t.Fatalf("%d of %d evictions still pending: want some attached, some not", pending, evictions)
+	}
+	if n := g.sw.DigestQueueLen(); n > digestChannelRoom {
+		t.Fatalf("digest channel holds %d messages, over the room of %d", n, digestChannelRoom)
+	}
+	g.sw.FlushDigests()
+
+	if len(g.received) != digestChannelRoom+evictions-pending {
+		t.Fatalf("CPU received %d messages, want %d foreign + %d evictions", len(g.received), digestChannelRoom, evictions-pending)
+	}
+	for i, msg := range g.received[:digestChannelRoom] {
+		if !bytes.Equal(msg, fillerDigest) {
+			t.Fatalf("message %d is %x, want the foreign message", i, msg)
+		}
+	}
+	for i, msg := range g.received[digestChannelRoom:] {
+		if !bytes.Equal(msg, want[i]) {
+			t.Fatalf("eviction message %d is %x, want %x", i, msg, want[i])
+		}
+	}
+
+	for pass := 1; pass <= 2; pass++ {
+		rep := g.r.Collect()[0]
+		if rep.Distinct != evictions {
+			t.Fatalf("Collect pass %d: %d keys, want %d", pass, rep.Distinct, evictions)
+		}
+		for _, res := range rep.Results {
+			i := int(res.Key[0]) - 1000
+			if res.Value != uint64(3*i+1) {
+				t.Fatalf("Collect pass %d: key %d holds %d, want %d", pass, res.Key[0], res.Value, 3*i+1)
+			}
+		}
+	}
+	if n := st.PendingDigests(); n != 0 {
+		t.Fatalf("%d evictions pending after Collect", n)
 	}
 }

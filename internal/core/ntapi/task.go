@@ -138,9 +138,6 @@ const (
 type Query struct {
 	ID   int
 	Name string
-	// Of is the trigger whose sent traffic this query monitors; nil
-	// monitors received traffic.
-	Of *Query // unused; kept for symmetry
 	// Sent, when non-nil, selects the sent traffic of that trigger.
 	Sent *Trigger
 	// Port restricts received-traffic monitoring to one port (-1 = any).

@@ -27,9 +27,6 @@ type Sink struct {
 	RecordTimestamps bool
 	Timestamps       []float64
 
-	// MaxRecorded bounds timestamp recording (0 = unlimited).
-	MaxRecorded int
-
 	// OnPacket, when set before traffic starts, runs for each arriving
 	// frame. A switch port cabled to a sink without one accounts the
 	// sink's arrivals instead of delivering them (DESIGN.md §9.8), so
@@ -83,7 +80,7 @@ func (s *Sink) count(at netsim.Time, n int) {
 	s.Last = at
 	s.Packets++
 	s.Bytes += uint64(n)
-	if s.RecordTimestamps && (s.MaxRecorded == 0 || len(s.Timestamps) < s.MaxRecorded) {
+	if s.RecordTimestamps {
 		s.Timestamps = append(s.Timestamps, at.Nanoseconds())
 	}
 }

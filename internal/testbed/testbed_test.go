@@ -107,25 +107,6 @@ func TestSinkMetrics(t *testing.T) {
 	}
 }
 
-func TestSinkMaxRecorded(t *testing.T) {
-	sim := netsim.New()
-	src := NewIface(sim, "src", 100)
-	sink := NewSink(sim, "sink", 100)
-	sink.RecordTimestamps = true
-	sink.MaxRecorded = 10
-	Connect(sim, src, sink.Iface, 0)
-	for i := 0; i < 50; i++ {
-		src.Send(udpFrame(t, 64, 1, 2))
-	}
-	sim.Run()
-	if len(sink.Timestamps) != 10 {
-		t.Fatalf("recorded %d, want 10", len(sink.Timestamps))
-	}
-	if sink.Packets != 50 {
-		t.Fatalf("counting must continue past the cap: %d", sink.Packets)
-	}
-}
-
 func TestReflectorSwapsEndpoints(t *testing.T) {
 	sim := netsim.New()
 	src := NewIface(sim, "src", 100)
