@@ -62,36 +62,39 @@ const (
 var fieldInfo = [numFields]struct {
 	name  string
 	width int // bits
+	// layer is the header the field lives in; Set writes it only when the
+	// parser extracted that header. Zero for metadata and the l4 union.
+	layer netproto.LayerType
 }{
-	FieldNone:       {"none", 0},
-	FieldEthSrc:     {"eth.src", 48},
-	FieldEthDst:     {"eth.dst", 48},
-	FieldEthType:    {"eth.type", 16},
-	FieldVlanID:     {"vlan.id", 12},
-	FieldVlanPCP:    {"vlan.pcp", 3},
-	FieldIPv4Src:    {"ipv4.sip", 32},
-	FieldIPv4Dst:    {"ipv4.dip", 32},
-	FieldIPv4TTL:    {"ipv4.ttl", 8},
-	FieldIPv4Proto:  {"ipv4.proto", 8},
-	FieldIPv4TOS:    {"ipv4.tos", 8},
-	FieldIPv4ID:     {"ipv4.id", 16},
-	FieldTCPSrcPort: {"tcp.sport", 16},
-	FieldTCPDstPort: {"tcp.dport", 16},
-	FieldTCPSeq:     {"tcp.seq_no", 32},
-	FieldTCPAck:     {"tcp.ack_no", 32},
-	FieldTCPFlags:   {"tcp.flag", 8},
-	FieldTCPWindow:  {"tcp.window", 16},
-	FieldUDPSrcPort: {"udp.sport", 16},
-	FieldUDPDstPort: {"udp.dport", 16},
-	FieldL4SrcPort:  {"l4.sport", 16},
-	FieldL4DstPort:  {"l4.dport", 16},
-	FieldICMPType:   {"icmp.type", 8},
-	FieldICMPIdent:  {"icmp.ident", 16},
-	FieldICMPSeq:    {"icmp.seq", 16},
-	FieldInPort:     {"meta.in_port", 9},
-	FieldPktLen:     {"pkt_len", 16},
-	FieldIngressTs:  {"meta.ingress_ts", 64},
-	FieldTemplateID: {"meta.template_id", 16},
+	FieldNone:       {"none", 0, netproto.LayerNone},
+	FieldEthSrc:     {"eth.src", 48, netproto.LayerEthernet},
+	FieldEthDst:     {"eth.dst", 48, netproto.LayerEthernet},
+	FieldEthType:    {"eth.type", 16, netproto.LayerEthernet},
+	FieldVlanID:     {"vlan.id", 12, netproto.LayerVLAN},
+	FieldVlanPCP:    {"vlan.pcp", 3, netproto.LayerVLAN},
+	FieldIPv4Src:    {"ipv4.sip", 32, netproto.LayerIPv4},
+	FieldIPv4Dst:    {"ipv4.dip", 32, netproto.LayerIPv4},
+	FieldIPv4TTL:    {"ipv4.ttl", 8, netproto.LayerIPv4},
+	FieldIPv4Proto:  {"ipv4.proto", 8, netproto.LayerIPv4},
+	FieldIPv4TOS:    {"ipv4.tos", 8, netproto.LayerIPv4},
+	FieldIPv4ID:     {"ipv4.id", 16, netproto.LayerIPv4},
+	FieldTCPSrcPort: {"tcp.sport", 16, netproto.LayerTCP},
+	FieldTCPDstPort: {"tcp.dport", 16, netproto.LayerTCP},
+	FieldTCPSeq:     {"tcp.seq_no", 32, netproto.LayerTCP},
+	FieldTCPAck:     {"tcp.ack_no", 32, netproto.LayerTCP},
+	FieldTCPFlags:   {"tcp.flag", 8, netproto.LayerTCP},
+	FieldTCPWindow:  {"tcp.window", 16, netproto.LayerTCP},
+	FieldUDPSrcPort: {"udp.sport", 16, netproto.LayerUDP},
+	FieldUDPDstPort: {"udp.dport", 16, netproto.LayerUDP},
+	FieldL4SrcPort:  {"l4.sport", 16, netproto.LayerNone},
+	FieldL4DstPort:  {"l4.dport", 16, netproto.LayerNone},
+	FieldICMPType:   {"icmp.type", 8, netproto.LayerICMP},
+	FieldICMPIdent:  {"icmp.ident", 16, netproto.LayerICMP},
+	FieldICMPSeq:    {"icmp.seq", 16, netproto.LayerICMP},
+	FieldInPort:     {"meta.in_port", 9, netproto.LayerNone},
+	FieldPktLen:     {"pkt_len", 16, netproto.LayerNone},
+	FieldIngressTs:  {"meta.ingress_ts", 64, netproto.LayerNone},
+	FieldTemplateID: {"meta.template_id", 16, netproto.LayerNone},
 }
 
 // Name returns the NTAPI-style dotted name of the field.
@@ -215,9 +218,16 @@ func (f Field) Get(p *PHV) uint64 {
 }
 
 // Set writes the field into a PHV. Writes to read-only intrinsic metadata
-// and to unparsed layers are silently dropped, as on hardware.
+// and to headers the parser did not extract are silently dropped, as on
+// hardware: an invalid header is not emitted, so nothing written to it could
+// reach the wire. FieldL4SrcPort/FieldL4DstPort write whichever of TCP or UDP
+// was parsed, and nothing when neither was.
 func (f Field) Set(p *PHV, v uint64) {
 	s := &p.Stack
+	p.Dirty = true
+	if l := fieldInfo[f].layer; l != netproto.LayerNone && !s.Has(l) {
+		return
+	}
 	switch f {
 	case FieldEthSrc:
 		s.Eth.Src = uint64ToMAC(v)
@@ -226,13 +236,9 @@ func (f Field) Set(p *PHV, v uint64) {
 	case FieldEthType:
 		s.Eth.EtherType = uint16(v)
 	case FieldVlanID:
-		if p.Has(netproto.LayerVLAN) {
-			s.VLAN.VID = uint16(v) & 0x0fff
-		}
+		s.VLAN.VID = uint16(v) & 0x0fff
 	case FieldVlanPCP:
-		if p.Has(netproto.LayerVLAN) {
-			s.VLAN.PCP = uint8(v) & 0x7
-		}
+		s.VLAN.PCP = uint8(v) & 0x7
 	case FieldIPv4Src:
 		s.IP4.Src = netproto.IPv4Addr(v)
 	case FieldIPv4Dst:
@@ -262,15 +268,17 @@ func (f Field) Set(p *PHV, v uint64) {
 	case FieldUDPDstPort:
 		s.UDP.DstPort = uint16(v)
 	case FieldL4SrcPort:
-		if s.Has(netproto.LayerTCP) {
+		switch {
+		case s.Has(netproto.LayerTCP):
 			s.TCP.SrcPort = uint16(v)
-		} else {
+		case s.Has(netproto.LayerUDP):
 			s.UDP.SrcPort = uint16(v)
 		}
 	case FieldL4DstPort:
-		if s.Has(netproto.LayerTCP) {
+		switch {
+		case s.Has(netproto.LayerTCP):
 			s.TCP.DstPort = uint16(v)
-		} else {
+		case s.Has(netproto.LayerUDP):
 			s.UDP.DstPort = uint16(v)
 		}
 	case FieldICMPType:
@@ -280,7 +288,6 @@ func (f Field) Set(p *PHV, v uint64) {
 	case FieldICMPSeq:
 		s.ICMP.Seq = uint16(v)
 	}
-	p.Dirty = true
 }
 
 func macToUint64(m netproto.MAC) uint64 {

@@ -30,7 +30,8 @@ type Port struct {
 	// frame reaches the MAC (not at serialization end), with the computed
 	// end-of-serialization timestamp, so the partitioned testbed can stage
 	// the delivery with full lookahead. TX counters are still credited at
-	// serialization end by a local event.
+	// serialization end by a local event. A frame its counting far end
+	// accounts does not take it (SetFarEnd).
 	remote func(pkt *netproto.Packet, end netsim.Time)
 
 	txBusyUntil netsim.Time
@@ -76,24 +77,28 @@ func (pt *Port) SetPeer(fn func(pkt *netproto.Packet, at netsim.Time)) {
 }
 
 // FarEnd is a port's far end that does nothing with a frame but count it: a
-// measurement endpoint at the other end of a cable on the port's Sim. While
-// Counting holds when a frame leaves egress, the port accounts the frame's
-// serialization end and its arrival instead of scheduling them (DESIGN.md
-// §9.8), and credits both when a sync reaches their instants.
+// measurement endpoint at the other end of a cable. While Counting holds when
+// a frame leaves egress, the port accounts the frame's serialization end and
+// its arrival instead of scheduling them (DESIGN.md §9.8), and credits its
+// serialization end when a sync reaches it.
 type FarEnd interface {
 	// Counting reports whether a frame leaving egress now may be accounted.
+	// It is asked on the port's goroutine.
 	Counting() bool
-	// Arrive credits one frame of frameLen bytes whose last bit arrived at
-	// at. Calls come in arrival order, at or before the clock.
+	// Arrive credits one frame of frameLen bytes whose last bit arrives at
+	// at; calls come in arrival order. A port on the far end's Sim calls it
+	// at a sync, at or before the clock. A partitioned port (SetRemote) calls
+	// it at egress end, at least its channel's lookahead ahead of the clock,
+	// for the far end to carry to its own LP (DESIGN.md §10.6).
 	Arrive(at netsim.Time, frameLen int)
 }
 
 // SetFarEnd makes end, one cable delay of propagation away, the port's
-// counting far end; testbed.Connect calls it for a port cabled to a sink.
-// Loopback ports keep every hop an event, and a partitioned port's frames
-// cross to another LP, so neither takes one.
+// counting far end; testbed.Connect calls it for a port cabled to a sink, and
+// testbed.Partition for a partitioned one. Loopback ports keep every hop an
+// event, so they take none.
 func (pt *Port) SetFarEnd(end FarEnd, propagation netsim.Duration) {
-	if pt.Loopback || pt.remote != nil {
+	if pt.Loopback {
 		panic(fmt.Sprintf("asic: port %d of %s cannot account its frames at a far end", pt.ID, pt.sw.Name))
 	}
 	if pt.far == nil {
@@ -199,11 +204,13 @@ func (pt *Port) transmit(pkt *netproto.Packet, ord uint64) {
 func (pt *Port) serialize(pkt *netproto.Packet, tx, end netsim.Time) {
 	sim := pt.sw.sim
 	if pt.remote != nil {
-		// Cross-LP path: perform txDone's bookkeeping now — the packet is
-		// handed to the staging engine and must not be touched afterwards —
-		// and credit TX counters with a local event at serialization end,
-		// exactly when the sequential engine would. The job carries the UID
-		// so the wire_tx trace record can still name the frame.
+		// Cross-LP path for a frame whose far end reads it (one that only
+		// counts is accounted instead, DESIGN.md §10.6): perform txDone's
+		// bookkeeping now — the packet is handed to the staging engine and
+		// must not be touched afterwards — and credit TX counters with a
+		// local event at serialization end, exactly when the sequential
+		// engine would. The job carries the UID so the wire_tx trace record
+		// can still name the frame.
 		sim.AtCallStamped(end, tx, runTxCountJob, pt.sw.jobN(pkt.Len(), pkt.Meta.UID, pt))
 		pkt.Meta.EgressPs = int64(end)
 		stripBridge(&pkt.Meta)
@@ -225,15 +232,24 @@ func (pt *Port) serialize(pkt *netproto.Packet, tx, end netsim.Time) {
 // it again before the queue drains would change nothing.
 func (pt *Port) accounting() bool {
 	q := pt.far
-	return q != nil && q.on && pt.remote == nil && pt.sw.trace == nil && (q.n > 0 || q.copies > 0 || q.end.Counting())
+	return q != nil && q.on && pt.sw.trace == nil && (q.n > 0 || q.copies > 0 || q.end.Counting())
 }
 
 // account files a frame of n bytes whose serialization ends at end with the
 // far end: nothing happens at serialization end or at the arrival but
 // counting, so both are credited by a sync, and one tail event per port keeps
-// the scheduler's clock running to the last arrival.
+// the scheduler's clock running to the last arrival. A partitioned port hands
+// the arrival to the far end now, with its channel's lookahead, and keeps
+// only the serialization end, crediting those already passed first; no event
+// runs on its LP, whose clock ends every run at the deadline anyway.
 func (pt *Port) account(end netsim.Time, n int) {
 	q := pt.far
+	if pt.remote != nil {
+		q.sync(pt, pt.sw.sim.Now())
+		q.push(end, n)
+		q.end.Arrive(end.Add(q.prop), n)
+		return
+	}
 	q.push(end, n)
 	if !q.armed {
 		q.armed = true
@@ -283,7 +299,8 @@ func (q *farQueue) push(end netsim.Time, n int) {
 
 // sync credits pt's TX counters for every queued frame whose serialization
 // ends at or before t, and the far end for every one that has arrived by t,
-// dropping those from the queue.
+// dropping those from the queue. A partitioned port's far end took its
+// arrivals at egress end, so a frame leaves the queue once its TX is credited.
 func (q *farQueue) sync(pt *Port, t netsim.Time) {
 	for ; q.sent < q.n; q.sent++ {
 		f := q.at(q.sent)
@@ -292,6 +309,14 @@ func (q *farQueue) sync(pt *Port, t netsim.Time) {
 		}
 		pt.TxPackets++
 		pt.TxBytes += uint64(f.n)
+	}
+	if pt.remote != nil {
+		if q.sent > 0 {
+			q.head = (q.head + q.sent) & (len(q.buf) - 1)
+			q.n -= q.sent
+			q.sent = 0
+		}
+		return
 	}
 	for q.n > 0 {
 		f := q.at(0)

@@ -316,6 +316,44 @@ func TestFieldGetSetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFieldSetSkipsUnparsedLayers: a write to a header the parser did not
+// extract is dropped, as the header is not emitted on hardware. After every
+// field is set on a TCP frame, the UDP, ICMP and VLAN fields still read zero
+// and l4.sport/l4.dport wrote TCP; on an ICMP frame the l4 union writes
+// nothing.
+func TestFieldSetSkipsUnparsedLayers(t *testing.T) {
+	p := tcpPHV(t, 1111, 2222, netproto.TCPSyn)
+	for f := Field(1); f < numFields; f++ {
+		f.Set(p, 0x1234)
+	}
+	for _, f := range []Field{FieldUDPSrcPort, FieldUDPDstPort, FieldICMPType, FieldICMPIdent, FieldICMPSeq, FieldVlanID, FieldVlanPCP} {
+		if got := f.Get(p); got != 0 {
+			t.Errorf("%v reads %#x on a TCP frame after Set, want 0", f, got)
+		}
+	}
+	for _, f := range []Field{FieldTCPSrcPort, FieldTCPDstPort, FieldIPv4ID, FieldEthType} {
+		if got := f.Get(p); got != 0x1234 {
+			t.Errorf("%v reads %#x after Set on a TCP frame, want 0x1234", f, got)
+		}
+	}
+	FieldL4SrcPort.Set(p, 7)
+	if got := FieldTCPSrcPort.Get(p); got != 7 {
+		t.Errorf("l4.sport wrote tcp.sport %d, want 7", got)
+	}
+
+	raw, err := netproto.BuildICMP(netproto.ICMPSpec{SrcIP: 1, DstIP: 2, Type: 8, Ident: 9, FrameLen: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	icmp := NewPHV(&netproto.Packet{Data: raw})
+	FieldL4SrcPort.Set(icmp, 5)
+	FieldL4DstPort.Set(icmp, 6)
+	if icmp.Stack.TCP.SrcPort != 0 || icmp.Stack.UDP.SrcPort != 0 || icmp.Stack.TCP.DstPort != 0 || icmp.Stack.UDP.DstPort != 0 {
+		t.Errorf("l4 ports written on an ICMP frame: tcp %d/%d udp %d/%d", icmp.Stack.TCP.SrcPort, icmp.Stack.TCP.DstPort,
+			icmp.Stack.UDP.SrcPort, icmp.Stack.UDP.DstPort)
+	}
+}
+
 // TestPooledPHVReadsLikeFresh: a PHV from the switch's pool reads every field
 // as a fresh PHV of the same frame does, whatever frame it held before — a
 // layer the parser did not extract reads zero, not the last packet's header.

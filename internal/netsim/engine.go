@@ -99,6 +99,10 @@ type lpState struct {
 	horizon  Time
 	runnable bool
 
+	// panicked holds what an epoch of this LP panicked with on a worker
+	// goroutine, for RunUntil to raise again on its caller's.
+	panicked any
+
 	// Lifetime counters, surfaced by Engine.Stats. sent is bumped by the
 	// owning worker (postRemote); received and stalls by the coordinator.
 	sent     uint64
@@ -342,6 +346,7 @@ func (lp *lpState) fileInbox() {
 func (lp *lpState) runEpoch() {
 	lp.fileInbox()
 	s := lp.sim
+	s.epoch++
 	cap := lp.eng.outboxCap
 	for lp.staged < cap {
 		ev := s.peek()
@@ -351,6 +356,17 @@ func (lp *lpState) runEpoch() {
 		s.step()
 	}
 	lp.refreshNextAt()
+}
+
+// runGuarded is runEpoch on a worker goroutine: a panic is kept for RunUntil,
+// whose caller is the one that can recover it.
+func (lp *lpState) runGuarded() {
+	defer func() {
+		if r := recover(); r != nil {
+			lp.panicked = r
+		}
+	}()
+	lp.runEpoch()
 }
 
 // refreshNextAt recomputes the LP's earliest pending event time.
@@ -425,7 +441,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	for w := 0; w < nw; w++ {
 		go func() {
 			for lp := range work {
-				lp.runEpoch()
+				lp.runGuarded()
 				wg.Done()
 			}
 		}()
@@ -514,6 +530,14 @@ func (e *Engine) RunUntil(deadline Time) {
 				}
 			}
 			wg.Wait()
+			// An event that panicked on a worker panics here, on the
+			// caller's goroutine, the lowest-ranked LP's first.
+			for _, lp := range e.lps {
+				if p := lp.panicked; p != nil {
+					lp.panicked = nil
+					panic(p)
+				}
+			}
 		}
 
 		// Route staged sends and fold the arrivals into nextAt.

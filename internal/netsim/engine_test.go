@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -478,5 +479,53 @@ func TestEngineStampsAndBoundary(t *testing.T) {
 	}
 	if len(boundary) != 2 || boundary[0] != ns(400) || boundary[1] != ns(500) {
 		t.Fatalf("boundary hooks ran at %v, want [400ns 500ns]", boundary)
+	}
+}
+
+// TestEngineWorkerPanicReachesCaller: an event that panics on a worker
+// goroutine panics RunUntil on its caller's, lowest-ranked LP first, with
+// Epoch counting each LP's epochs meanwhile.
+func TestEngineWorkerPanicReachesCaller(t *testing.T) {
+	e := NewEngine(4)
+	a, b, c := e.NewLP("a"), e.NewLP("b"), e.NewLP("c")
+	e.Channel(a, b, Nanosecond)
+	e.Channel(b, c, Nanosecond)
+	for _, s := range []*Sim{a, b, c} {
+		s := s
+		for i := Time(1); i <= 10; i++ {
+			s.At(i*100, func() {})
+		}
+	}
+	b.At(550, func() { panic("b failed") })
+	c.At(550, func() { panic("c failed") })
+	e.RunUntil(500)
+	if b.Epoch() == 0 || New().Epoch() != 0 {
+		t.Fatalf("LP b ran %d epochs and a standalone Sim %d; want some and 0", b.Epoch(), New().Epoch())
+	}
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		e.RunUntil(1000)
+	}()
+	if p != "b failed" {
+		t.Fatalf("RunUntil panicked with %v, want the lowest-ranked LP's panic", p)
+	}
+}
+
+// TestEngineLPRunsOnlyThroughEngine: an LP's own Run or RunUntil panics naming
+// it; run alone, it would keep its messages unrouted while its Epoch stood
+// still.
+func TestEngineLPRunsOnlyThroughEngine(t *testing.T) {
+	e := NewEngine(2)
+	a := e.NewLP("tester")
+	for name, run := range map[string]func(){"Run": a.Run, "RunUntil": func() { a.RunUntil(100) }, "RunFor": func() { a.RunFor(100) }} {
+		func() {
+			defer func() {
+				if p, _ := recover().(string); !strings.Contains(p, "LP tester") {
+					t.Errorf("%s on an LP: panic %q, want one naming the LP", name, p)
+				}
+			}()
+			run()
+		}()
 	}
 }

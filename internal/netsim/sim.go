@@ -142,6 +142,9 @@ type Sim struct {
 	levels   [WheelLevels][WheelBuckets]*Event
 	occ      [WheelLevels][occWords]uint64
 	pending  int
+	// cursor1 is base's level-1 bucket number (base >> wheelShift(1)) when
+	// advance last cascaded the cursor buckets of levels >= 1.
+	cursor1 uint64
 
 	// The running event's ordering stamps, valid while running is set.
 	runSchedAt, runParent Time
@@ -154,6 +157,8 @@ type Sim struct {
 	// lp binds this Sim to a logical process of a parallel Engine; nil for
 	// a standalone (sequential) simulation.
 	lp *lpState
+	// epoch counts the engine epochs this LP has run (see Epoch).
+	epoch uint64
 }
 
 // New returns an empty simulation positioned at time zero.
@@ -256,6 +261,13 @@ func (s *Sim) Running() (schedAt, parentSchedAt Time, ok bool) {
 	return s.runSchedAt, s.runParent, s.running
 }
 
+// Epoch numbers the engine epochs this Sim has run as an LP; a standalone Sim
+// stays at 0. The engine routes an LP's staged messages only between its
+// epochs, so until Epoch changes a message this Sim posted is still in its
+// outbox, and what the message's argument points to is still the sender's to
+// fill (DESIGN.md §10.6).
+func (s *Sim) Epoch() uint64 { return s.epoch }
+
 // OnBoundary registers fn to run whenever a Run/RunUntil of this Sim (or of
 // the Engine it belongs to) returns, with the clock already at the deadline.
 // Components that account work lazily flush here, so state read between
@@ -322,6 +334,7 @@ func (s *Sim) step() bool {
 
 // Run executes events until the queue drains or Stop is called.
 func (s *Sim) Run() {
+	s.standalone()
 	s.stopped = false
 	for !s.stopped && s.step() {
 	}
@@ -331,6 +344,7 @@ func (s *Sim) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled beyond the deadline remain queued.
 func (s *Sim) RunUntil(deadline Time) {
+	s.standalone()
 	s.stopped = false
 	for !s.stopped {
 		if e := s.peek(); e == nil || e.at > deadline {
@@ -342,6 +356,14 @@ func (s *Sim) RunUntil(deadline Time) {
 		s.now = deadline
 	}
 	s.runBoundary()
+}
+
+// standalone panics for an LP: its Engine runs it. Run alone, it would pass
+// messages its peers have yet to send it and keep its own unrouted.
+func (s *Sim) standalone() {
+	if s.lp != nil {
+		panic(fmt.Sprintf("netsim: LP %s runs only through its Engine", s.lp.name))
+	}
 }
 
 // RunFor is RunUntil(Now()+d).

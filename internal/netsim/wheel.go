@@ -188,28 +188,27 @@ func (s *Sim) place(e *Event) {
 		s.due.push(e)
 		return
 	}
-	at := uint64(e.at)
-	base := uint64(s.base)
-	for k := 0; k < WheelLevels; k++ {
-		shift := wheelShift(k)
-		// End of the aligned level-(k+1) block containing base: level k
-		// only holds events inside it, so buckets never hold two laps.
-		blockEnd := (base>>(shift+WheelBucketBits) + 1) << (shift + WheelBucketBits)
-		if at < blockEnd {
-			b := int(at>>shift) & wheelBucketMask
-			// Push onto the bucket's intrusive list. Bucket order is
-			// irrelevant: draining goes through the due heap, which
-			// restores (at, seq) order.
-			head := s.levels[k][b]
-			e.where, e.level, e.bucket = whereWheel, uint8(k), uint8(b)
-			e.prev, e.next = nil, head
-			if head != nil {
-				head.prev = e
-			}
-			s.levels[k][b] = e
-			s.occ[k][b>>6] |= 1 << uint(b&63)
-			return
+	// Level k holds only events inside the aligned level-(k+1) block that
+	// contains base, so buckets never hold two laps: the highest bit in
+	// which at and base differ picks the level.
+	k := 0
+	if d := bits.Len64(uint64(e.at) ^ uint64(s.base)); d > WheelShift0+WheelBucketBits {
+		k = (d - WheelShift0 - 1) / WheelBucketBits
+	}
+	if k < WheelLevels {
+		b := int(uint64(e.at)>>wheelShift(k)) & wheelBucketMask
+		// Push onto the bucket's intrusive list. Bucket order is
+		// irrelevant: draining goes through the due heap, which restores
+		// (at, seq) order.
+		head := s.levels[k][b]
+		e.where, e.level, e.bucket = whereWheel, uint8(k), uint8(b)
+		e.prev, e.next = nil, head
+		if head != nil {
+			head.prev = e
 		}
+		s.levels[k][b] = e
+		s.occ[k][b>>6] |= 1 << uint(b&63)
+		return
 	}
 	s.overflow.push(e)
 }
@@ -284,16 +283,22 @@ func (s *Sim) advance() bool {
 				s.place(s.overflow.popMin())
 			}
 		}
-		for k := WheelLevels - 1; k >= 1; k-- {
-			ck := int(uint64(s.base)>>wheelShift(k)) & wheelBucketMask
-			if s.occ[k][ck>>6]&(1<<uint(ck&63)) == 0 {
-				continue
-			}
-			for e := s.takeBucket(k, ck); e != nil; {
-				n := e.next
-				e.next, e.prev = nil, nil
-				s.place(e)
-				e = n
+		// place never files into a level >= 1 cursor bucket, so only a base
+		// that left the level-1 bucket it was last checked in can find one
+		// occupied.
+		if c1 := uint64(s.base) >> wheelShift(1); c1 != s.cursor1 {
+			s.cursor1 = c1
+			for k := WheelLevels - 1; k >= 1; k-- {
+				ck := int(uint64(s.base)>>wheelShift(k)) & wheelBucketMask
+				if s.occ[k][ck>>6]&(1<<uint(ck&63)) == 0 {
+					continue
+				}
+				for e := s.takeBucket(k, ck); e != nil; {
+					n := e.next
+					e.next, e.prev = nil, nil
+					s.place(e)
+					e = n
+				}
 			}
 		}
 		// Drain the next occupied level-0 bucket of the current block.

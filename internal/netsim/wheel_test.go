@@ -205,6 +205,60 @@ func TestWheelCursorBucketCascade(t *testing.T) {
 	}
 }
 
+// TestWheelPlaceAvoidsCursorBuckets is the invariant advance relies on to
+// skip its cursor-bucket cascade while base stays in one level-1 bucket: place
+// never files an event into the bucket of a level >= 1 that base points at.
+// Randomised schedules over every level and the overflow heap, with cancels,
+// check it after every place (each schedule, and each step's cascades), and
+// that no such bucket is occupied whenever base is still in the level-1 bucket
+// advance last checked.
+func TestWheelPlaceAvoidsCursorBuckets(t *testing.T) {
+	horizons := []int64{1 << 8, 1 << 16, 1 << 24, 1 << 32, 1 << 40, 1 << 42}
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		s := New()
+		check := func(what string) {
+			t.Helper()
+			if uint64(s.base)>>wheelShift(1) != s.cursor1 {
+				return
+			}
+			for k := 1; k < WheelLevels; k++ {
+				ck := int(uint64(s.base)>>wheelShift(k)) & wheelBucketMask
+				if e := s.levels[k][ck]; e != nil {
+					t.Fatalf("trial %d, %s: level %d cursor bucket %d holds an event at %v with base %v and the cursor checked",
+						trial, what, k, ck, e.at, s.base)
+				}
+			}
+		}
+		var live []*Event
+		var fn func(any)
+		fn = func(any) {
+			for n := rng.Intn(3); n > 0; n-- {
+				d := Duration(rng.Int63n(horizons[rng.Intn(len(horizons))]))
+				e := s.AtCall(s.Now().Add(d), fn, nil)
+				if e.where == whereWheel && e.level >= 1 {
+					if ck := int(uint64(s.base)>>wheelShift(int(e.level))) & wheelBucketMask; int(e.bucket) == ck {
+						t.Fatalf("trial %d: an event at %v was placed in level %d's cursor bucket %d (base %v)", trial, e.at, e.level, ck, s.base)
+					}
+				}
+				live = append(live, e)
+				check("schedule")
+			}
+			if len(live) > 0 && rng.Intn(4) == 0 {
+				s.Cancel(live[rng.Intn(len(live))])
+			}
+		}
+		for i := 0; i < 20; i++ {
+			s.AtCall(Time(rng.Int63n(1<<41)), fn, nil)
+			check("seed")
+		}
+		for steps := 0; steps < 4000 && s.step(); steps++ {
+			live = live[:0]
+			check("step")
+		}
+	}
+}
+
 // TestWheelOverflowBlockCrossing is the overflow twin of the cursor-bucket
 // regression: an overflow event whose 2^40-ps block the base enters via
 // wheel activity must be promoted before younger wheel events with later

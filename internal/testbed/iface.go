@@ -265,7 +265,7 @@ func farEnd(sim *netsim.Sim, src, dst Attach, propagation netsim.Duration) {
 		return
 	}
 	pt.SetFarEnd(sinkEnd{i.sink}, propagation)
-	i.sink.feeds = append(i.sink.feeds, pt)
+	i.sink.feeds = append(i.sink.feeds, pt.Sync)
 }
 
 // DefaultCableDelay is the propagation delay of a short DAC cable.

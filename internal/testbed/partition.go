@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netproto"
@@ -24,6 +25,8 @@ import (
 type Partition struct {
 	eng    *netsim.Engine
 	shared *netsim.Sim
+	// runs are the cables from a switch port to a sink on another LP.
+	runs []*runChannel
 }
 
 // NewPartition builds a partition whose LPs run on up to workers goroutines.
@@ -60,6 +63,11 @@ func (p *Partition) RunUntil(deadline netsim.Time) {
 	if p.eng == nil {
 		p.shared.RunUntil(deadline)
 		return
+	}
+	// A sink's mode is read here, with every LP at rest: its port reads the
+	// snapshot during the run, never the sink (DESIGN.md §10.6).
+	for _, c := range p.runs {
+		c.counting = c.sink.counting()
 	}
 	p.eng.RunUntil(deadline)
 }
@@ -161,5 +169,99 @@ func (p *Partition) wire(src, dst Attach, propagation netsim.Duration) {
 		x.SetRemote(send)
 	case *asic.Port:
 		x.SetRemote(send)
+		if i, ok := dst.(*Iface); ok && i.sink != nil {
+			c := &runChannel{sink: i.sink, src: ss, dst: ds, prop: propagation}
+			x.SetFarEnd(c, propagation)
+			ds.OnBoundary(c.sync)
+			i.sink.feeds = append(i.sink.feeds, c.sync)
+			p.runs = append(p.runs, c)
+		}
+	}
+}
+
+// runChannel is the port -> sink half of a partitioned cable, as the port's
+// counting far end (asic.FarEnd; DESIGN.md §10.6). The port hands it each
+// accounted frame's arrival at egress end; it gathers the arrivals of one
+// sender epoch into one arrivalRun, which crosses as one message stamped
+// with its first arrival, and on the sink's LP credits each arrival once the
+// clock reaches it, as the sink's own receive would.
+type runChannel struct {
+	sink     *Sink
+	src, dst *netsim.Sim
+	prop     netsim.Duration
+	// counting is the sink's mode as Partition.RunUntil read it at the start
+	// of the run.
+	counting bool
+
+	// The port's LP: the run this epoch's arrivals join, and its epoch.
+	run   *arrivalRun
+	epoch uint64
+
+	// The sink's LP: the run whose arrivals are being credited, and how many
+	// of them are.
+	pending *arrivalRun
+	next    int
+}
+
+// arrivalRun is the arrivals one port staged for its sink in one epoch, in
+// arrival order. The port's LP fills it until the engine routes its message;
+// from then on it is the sink's LP's, which returns it to the pool.
+type arrivalRun struct {
+	ch   *runChannel
+	recs []arrival
+}
+
+type arrival struct {
+	at netsim.Time
+	n  int
+}
+
+// arrivalRunPool recycles runs across LPs: a run is drawn on the port's LP and
+// returned on the sink's.
+var arrivalRunPool = sync.Pool{New: func() any { return new(arrivalRun) }}
+
+func (c *runChannel) Counting() bool { return c.counting }
+
+// Arrive stages one arrival, at least the channel's lookahead ahead of the
+// port's clock. The first of an epoch opens a run and posts it, under the
+// (at, schedAt) of the cable hop it stands for.
+func (c *runChannel) Arrive(at netsim.Time, n int) {
+	if c.run == nil || c.epoch != c.src.Epoch() {
+		c.run, c.epoch = arrivalRunPool.Get().(*arrivalRun), c.src.Epoch()
+		c.run.ch = c
+		c.src.PostRemote(c.dst, at, at.Add(-c.prop), runArrivalRun, c.run)
+	}
+	c.run.recs = append(c.run.recs, arrival{at, n})
+}
+
+// runArrivalRun receives a run on the sink's LP at its first arrival. A port's
+// arrivals strictly increase and a run holds one epoch's, so the previous
+// run's arrivals all precede this one and are credited by now.
+func runArrivalRun(a any) {
+	r := a.(*arrivalRun)
+	c := r.ch
+	c.sync()
+	if c.pending != nil {
+		panic(fmt.Sprintf("testbed: arrival runs to sink %s overlap", c.sink.Iface.Name))
+	}
+	c.pending, c.next = r, 0
+	c.sync()
+}
+
+// sync credits the sink with every staged arrival at or before its clock; run
+// boundaries, Sink.Describe and Sink.Reset call it.
+func (c *runChannel) sync() {
+	r := c.pending
+	if r == nil {
+		return
+	}
+	now := c.dst.Now()
+	for ; c.next < len(r.recs) && r.recs[c.next].at <= now; c.next++ {
+		sinkEnd{c.sink}.Arrive(r.recs[c.next].at, r.recs[c.next].n)
+	}
+	if c.next == len(r.recs) {
+		r.ch, r.recs = nil, r.recs[:0]
+		arrivalRunPool.Put(r)
+		c.pending = nil
 	}
 }

@@ -3,7 +3,6 @@ package testbed
 import (
 	"fmt"
 
-	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
 	"github.com/hypertester/hypertester/internal/obs"
@@ -38,8 +37,10 @@ type Sink struct {
 	captureMax int
 	captured   []CapturedFrame
 
-	// feeds are the switch ports that account frames to this sink.
-	feeds []*asic.Port
+	// feeds sync what switch ports account to this sink: a port on the
+	// sink's Sim (asic.Port.Sync), or the arrival runs a partitioned cable
+	// carries to it (runChannel.sync).
+	feeds []func()
 
 	sim *netsim.Sim
 }
@@ -95,8 +96,8 @@ func (s *Sink) counting() bool {
 // sync credits every frame the feeding ports have accounted to this sink up
 // to the clock.
 func (s *Sink) sync() {
-	for _, pt := range s.feeds {
-		pt.Sync()
+	for _, sync := range s.feeds {
+		sync()
 	}
 }
 
